@@ -7,14 +7,19 @@
     sisbox determine --space SIGNAL --functions f1,f2,... [--out-prefix p]
 
 SIGNAL is a catalog name, a .json interval-spectrum file, or a .csv grid
-spectrum file.  Exit codes: 0 verdict pass, 2 verdict fail or refusal,
-1 usage, parse or precondition errors.  SISBOX_GRID="K,N" overrides the
-default grid.
+spectrum file.  SISBOX_GRID="K,N" overrides the default grid.
+
+Exit codes: 0 verdict pass; 2 verdict fail, "refused:" (NotASamplingSpace,
+ConstructionRefused) or "failed:" (NotInSpace, Partition, DegenerateSpace
+errors); 1 usage errors and every other SisboxError ("error:" bad files,
+unknown signals, preconditions, spectra beyond the grid, samples the grid
+cannot resolve).  No error ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -30,17 +35,7 @@ from .decomposition import (
     decompose,
     lattice_rescale,
 )
-from .errors import (
-    CatalogError,
-    ConstructionRefusedError,
-    DegenerateSpaceError,
-    FileFormatError,
-    GridMismatchError,
-    NotASamplingSpaceError,
-    NotInSpaceError,
-    PartitionError,
-    PreconditionError,
-)
+from .errors import FileFormatError, SisboxError
 from .grid import FrequencyGrid
 from .membership import (
     check_sz04,
@@ -51,28 +46,28 @@ from .membership import (
 )
 from .reports import ReportDocument, gauge
 from .signals import GridSpectrum
-from .spaces import build_space, check_sz99, reconstruct
-from .spectral import (
-    DEFAULT_EPS,
-    DEFAULT_K_MAX,
-    essential_bounds,
-    grammian,
-    integer_samples,
-    support_mask,
-    zak_time_fiber,
-)
-
-USAGE_EXIT = 1
-FAIL_EXIT = 2
+from .spaces import KERNEL_TOL, MEMBER_TOL, build_space, reconstruct, sz99_report
+from .spectral import DEFAULT_EPS, DEFAULT_K_MAX, essential_bounds, fibers
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(SisboxError):
+    kind = "usage error"
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _bounded(kind, low, strict: bool = False):
+    """argparse type: a number of the given kind that is >= low (> low if strict)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
 
 
 def _default_grid() -> tuple[int, int]:
@@ -90,10 +85,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     # K/N default to None so SISBOX_GRID is read at run time
     p.add_argument("--K", type=int, default=None, help="half bandwidth (power of two)")
     p.add_argument("--N", type=int, default=None, help="grid points per unit interval")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="support/guard threshold")
-    p.add_argument("--kmax", type=int, default=DEFAULT_K_MAX, help="sample truncation")
-    p.add_argument("--seed", type=int, default=0, help="probe-grid seed")
-    p.add_argument("--nmax", type=int, default=60, help="block count for the ex2 signal")
+    p.add_argument("--eps", type=_bounded(float, 0, strict=True), default=DEFAULT_EPS,
+                   help="support/guard threshold")
+    p.add_argument("--kmax", type=_bounded(int, 0), default=DEFAULT_K_MAX, help="sample truncation")
+    p.add_argument("--seed", type=_bounded(int, 0), default=0, help="probe-grid seed")
+    p.add_argument("--nmax", type=_bounded(int, 0), default=60, help="block count for the ex2 signal")
     p.add_argument("--json", type=str, default=None, help="write the report document here")
 
 
@@ -135,18 +131,17 @@ def _finish(doc: ReportDocument, args, started: float, passed: bool) -> int:
     if args.json:
         doc.save(args.json)
     print(f"verdict: {doc.verdict}")
-    return 0 if passed else FAIL_EXIT
+    return 0 if passed else 2
 
 
 def cmd_analyze(args) -> int:
     started = time.monotonic()
     grid = _resolve_grid(args, [args.signal])
     sig = _load_signal(args.signal, grid, args)
-    g = grammian(sig, grid)
-    mask = support_mask(g, args.eps)
+    fib = fibers(sig, grid, args.eps, args.kmax)
+    g, mask = fib.grammian, fib.mask
     bounds = essential_bounds(g, mask) if not mask.is_empty else (0.0, 0.0)
-    report = check_sz99(sig, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
-    zak = zak_time_fiber(integer_samples(sig, grid, args.kmax), grid)
+    report = sz99_report(sig, mask, fib.zak, k_max=args.kmax, seed=args.seed)
 
     print(f"[analyze] signal={args.signal} grid K={grid.half_bandwidth} N={grid.resolution}")
     print(f"[analyze] grammian min={float(np.min(g.real_values)):.6g} "
@@ -160,7 +155,7 @@ def cmd_analyze(args) -> int:
 
     if args.csv:
         sio.write_periodic_csv(grid, {"grammian": g.real_values,
-                                      "abs_zak": np.abs(zak.values)}, args.csv)
+                                      "abs_zak": np.abs(fib.zak.values)}, args.csv)
         print(f"[analyze] wrote {args.csv}")
 
     doc = ReportDocument(
@@ -192,11 +187,12 @@ def cmd_membership(args) -> int:
         space = build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
         sub = induced_subspace(space, sig)
         results["induced"] = {
-            "member_residual": gauge(sub.member_residual, 1e-8, sub.member_residual <= 1e-8),
-            "kernel_mask_residual": gauge(sub.kernel_mask_residual, 1e-9,
-                                          sub.kernel_mask_residual <= 1e-9),
-            "kernel_projection_residual": gauge(sub.kernel_projection_residual, 1e-9,
-                                                sub.kernel_projection_residual <= 1e-9),
+            "member_residual": gauge(sub.member_residual, MEMBER_TOL,
+                                     sub.member_residual <= MEMBER_TOL),
+            "kernel_mask_residual": gauge(sub.kernel_mask_residual, KERNEL_TOL,
+                                          sub.kernel_mask_residual <= KERNEL_TOL),
+            "kernel_projection_residual": gauge(sub.kernel_projection_residual, KERNEL_TOL,
+                                                sub.kernel_projection_residual <= KERNEL_TOL),
             "subspace_measure": sub.space.mask.measure,
         }
         passed = all(v["passed"] for v in results["induced"].values()
@@ -261,6 +257,8 @@ def cmd_reconstruct(args) -> int:
             a, b = float(a_str), float(b_str)
         except ValueError as exc:
             raise _UsageError(f"--lattice expects 'a,b', got {args.lattice!r}") from exc
+        if not a > 0:
+            raise _UsageError(f"--lattice scale a must be > 0, got {a_str!r}")
         rescaled = lattice_rescale(space, a, b)
         result = rescaled.reconstruct(samples, xs)
     else:
@@ -315,11 +313,11 @@ def cmd_decompose(args) -> int:
             "components": len(components),
             "files": files,
             "component_measures": [c.mask.measure for c in components],
-            "kernel_sum_gap": gauge(kernel_sum_gap, 1e-9, kernel_sum_gap <= 1e-9),
+            "kernel_sum_gap": gauge(kernel_sum_gap, KERNEL_TOL, kernel_sum_gap <= KERNEL_TOL),
         },
         seed=args.seed,
     )
-    return _finish(doc, args, started, kernel_sum_gap <= 1e-9)
+    return _finish(doc, args, started, kernel_sum_gap <= KERNEL_TOL)
 
 
 def cmd_determine(args) -> int:
@@ -383,7 +381,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--lattice", type=str, default=None, help="rescale to lattice (k+b)/a: 'a,b'")
     p.add_argument("--from", dest="x_from", type=float, default=-8.0)
     p.add_argument("--to", dest="x_to", type=float, default=8.0)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_bounded(int, 1), default=200)
     p.add_argument("--out", type=str, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_reconstruct)
@@ -406,33 +404,15 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (CatalogError, FileFormatError, PreconditionError, GridMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (NotASamplingSpaceError, ConstructionRefusedError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            import json as _json
-
-            to_dict = getattr(exc.report, "to_dict", None)
-            if to_dict:
-                print(_json.dumps(to_dict(), indent=2), file=sys.stderr)
-        return FAIL_EXIT
-    except (PartitionError, NotInSpaceError, DegenerateSpaceError) as exc:
-        print(f"failed: {exc}", file=sys.stderr)
-        return FAIL_EXIT
+    except SisboxError as exc:
+        print(f"{exc.kind}: {exc}", file=sys.stderr)
+        report = getattr(exc, "report", None)
+        if report is not None:
+            print(json.dumps(report.to_dict(), indent=2), file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

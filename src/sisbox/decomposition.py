@@ -14,11 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotInSpaceError, PartitionError
+from .errors import PartitionError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
 from .signals import GridSpectrum, Signal
-from .spaces import ReconstructionResult, SamplingSpace, build_space, project, reconstruct
-from .spectral import grammian, integer_samples, spectral_norm, support_mask, zak_time_fiber
+from .spaces import (
+    KERNEL_TOL,
+    MEMBER_TOL,
+    ReconstructionResult,
+    SamplingSpace,
+    build_space,
+    member_residual,
+    project,
+    reconstruct,
+)
+from .spectral import divide_on_support, fibers, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -77,31 +86,17 @@ class DeterminingSetReport:
         }
 
 
-def _require_member(space: SamplingSpace, f: Signal, tol: float, label: str) -> None:
-    fvals = f.grid_values(space.grid)
-    norm = spectral_norm(fvals, space.grid)
-    if norm == 0.0:
-        raise NotInSpaceError(f"{label} is identically zero", residual=0.0)
-    residual = spectral_norm(project(f, space).values - fvals, space.grid) / norm
-    if residual > tol:
-        raise NotInSpaceError(
-            f"{label} is not a member (projection residual {residual:.3g})",
-            residual=residual,
-        )
-
-
 def check_determining_set(space: SamplingSpace, funcs: list[Signal], *,
-                          member_tol: float = 1e-8) -> DeterminingSetReport:
+                          member_tol: float = MEMBER_TOL) -> DeterminingSetReport:
     """Decide whether the family determines the space and, on success,
     build the disjoint masks and the recovery multipliers."""
     grid = space.grid
     for i, f in enumerate(funcs):
-        _require_member(space, f, member_tol, f"function {i}")
+        member_residual(space, f, member_tol, f"function {i}")
 
-    masks = [support_mask(grammian(f, grid), space.eps) for f in funcs]
-    union = masks[0]
-    for m in masks[1:]:
-        union = union.union(m)
+    fibs = [fibers(f, grid, space.eps, space.k_max) for f in funcs]
+    masks = [fib.mask for fib in fibs]
+    union = PeriodicPartition(masks).union()
     sym = union.symmetric_difference(space.mask).measure
     passed = sym <= 1.0 / grid.resolution
 
@@ -110,20 +105,15 @@ def check_determining_set(space: SamplingSpace, funcs: list[Signal], *,
     kernel_residual = float("nan")
     if passed:
         taken = np.zeros(grid.resolution, dtype=bool)
-        recon = np.zeros(grid.size, dtype=complex)
-        for f, mask in zip(funcs, masks):
-            b = mask.values & ~taken
-            taken |= b
-            disjoint.append(SupportMask(b, grid, mask.eps))
-            z = zak_time_fiber(integer_samples(f, grid, space.k_max), grid)
-            alpha = np.zeros(grid.resolution, dtype=complex)
-            absz = np.abs(z.values)
-            guard = space.eps * float(absz.max()) if absz.max() > 0 else 0.0
-            ok = b & (absz > guard)
-            alpha[ok] = 1.0 / z.values[ok]
+        recon = np.zeros(fibs[0].folded.shape, dtype=complex)
+        for fib in fibs:
+            b = SupportMask(fib.mask.values & ~taken, grid, fib.mask.eps)
+            taken |= b.values
+            disjoint.append(b)
+            alpha = divide_on_support(np.ones(grid.resolution), fib.zak.values, b)
             alphas.append(PeriodicSpectrum(alpha, grid))
-            recon += np.tile(alpha, 2 * grid.half_bandwidth) * f.grid_values(grid)
-        s_vals = space.sampling_spectrum.grid_values(grid)
+            recon += alpha * fib.folded
+        s_vals = grid.fold(space.sampling_spectrum.grid_values(grid))
         kernel_residual = float(np.max(np.abs(recon - s_vals)))
 
     return DeterminingSetReport(masks, union, sym, passed, list(range(len(funcs))),
@@ -131,20 +121,19 @@ def check_determining_set(space: SamplingSpace, funcs: list[Signal], *,
 
 
 def span_sum_check(space: SamplingSpace, report: DeterminingSetReport, funcs: list[Signal],
-                   probe: Signal, *, member_tol: float = 1e-8) -> float:
+                   probe: Signal, *, member_tol: float = MEMBER_TOL) -> float:
     """Express a probe member through the family and return the spectral
     residual of the expansion."""
     if not report.passed:
         raise ValueError("span check requires a passing determining-set report")
     grid = space.grid
-    _require_member(space, probe, member_tol, "probe")
-    zf = zak_time_fiber(integer_samples(probe, grid, space.k_max), grid)
-    recon = np.zeros(grid.size, dtype=complex)
+    member_residual(space, probe, member_tol, "probe")
+    fib = fibers(probe, grid, space.eps, space.k_max)
+    recon = np.zeros(fib.folded.shape, dtype=complex)
     for f, alpha, b in zip(funcs, report.multipliers, report.disjoint_masks):
-        beta = np.where(b.values, alpha.values * zf.values, 0.0)
-        recon += np.tile(beta, 2 * grid.half_bandwidth) * f.grid_values(grid)
-    fvals = probe.grid_values(grid)
-    return spectral_norm(recon - fvals, grid) / max(spectral_norm(fvals, grid), 1e-300)
+        beta = np.where(b.values, alpha.values * fib.zak.values, 0.0)
+        recon += beta * grid.fold(f.grid_values(grid))
+    return spectral_norm(recon - fib.folded, grid) / max(spectral_norm(fib.folded, grid), 1e-300)
 
 
 def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[SamplingSpace]:
@@ -179,7 +168,7 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
         comp_kernel = comp.sampling_spectrum.grid_values(grid)
         expected = np.where(tiled, s_vals, 0.0)
         mismatch = float(np.max(np.abs(comp_kernel - expected)))
-        if mismatch > 1e-9 * max(float(np.max(np.abs(s_vals))), 1e-300):
+        if mismatch > KERNEL_TOL * max(float(np.max(np.abs(s_vals))), 1e-300):
             raise PartitionError(
                 f"component kernel deviates from the masked kernel by {mismatch:.3g}"
             )

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class SisboxError(Exception):
-    """Base class for all sisbox errors."""
+    """Base class for all sisbox errors.  ``kind`` and ``exit_code`` are how
+    the command line reports one; a verdict against the input exits with 2."""
+
+    kind, exit_code = "error", 1
 
 
 class BandwidthOverflowError(SisboxError):
@@ -30,6 +33,8 @@ class NotAGrammianError(SisboxError):
 class DegenerateSpaceError(SisboxError):
     """The generator has (numerically) empty spectral support."""
 
+    kind, exit_code = "failed", 2
+
 
 class NotASamplingSpaceError(SisboxError):
     """The candidate fails a sampling-space certificate.
@@ -37,6 +42,8 @@ class NotASamplingSpaceError(SisboxError):
     Carries the offending frequency (if a single point trips the Zak
     guard) and/or the full certificate report.
     """
+
+    kind, exit_code = "refused", 2
 
     def __init__(self, message: str, omega: float | None = None, report=None):
         self.omega = omega
@@ -47,6 +54,8 @@ class NotASamplingSpaceError(SisboxError):
 class NotInSpaceError(SisboxError):
     """A function presented as a member fails the projection test."""
 
+    kind, exit_code = "failed", 2
+
     def __init__(self, message: str, residual: float | None = None):
         self.residual = residual
         super().__init__(message)
@@ -54,6 +63,8 @@ class NotInSpaceError(SisboxError):
 
 class PartitionError(SisboxError):
     """A family of masks is not a valid partition of the support set."""
+
+    kind, exit_code = "failed", 2
 
     def __init__(self, message: str, measure: float | None = None):
         self.measure = measure
@@ -70,6 +81,8 @@ class PreconditionError(SisboxError):
 
 class ConstructionRefusedError(SisboxError):
     """Kernel construction refused because the membership report failed."""
+
+    kind, exit_code = "refused", 2
 
     def __init__(self, message: str, report=None):
         self.report = report

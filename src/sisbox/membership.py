@@ -28,23 +28,28 @@ import numpy as np
 from .errors import (
     ConstructionRefusedError,
     DegenerateSpaceError,
-    NotInSpaceError,
     PreconditionError,
 )
-from .grid import FrequencyGrid, SupportMask
-from .signals import GridSpectrum, PiecewiseConstantSpectrum, Signal
-from .spaces import SamplingSpace, build_space, project, _continuity_check, _probe_points
+from .grid import FrequencyGrid
+from .signals import GridSpectrum, PeriodizedProfile, Signal
+from .spaces import (
+    MEMBER_TOL,
+    SamplingSpace,
+    build_space,
+    member_residual,
+    project,
+    sz99_report,
+    _probe_points,
+)
 from .spectral import (
     DEFAULT_EPS,
     DEFAULT_K_MAX,
-    abs_periodize,
-    grammian,
+    Fibers,
+    divide_on_support,
+    fibers,
+    guard_level,
     integer_samples,
-    periodize,
-    shift_square_sum,
     spectral_norm,
-    support_mask,
-    zak_dual_fiber,
     zak_time_fiber,
 )
 
@@ -109,40 +114,6 @@ class ConditionReport:
         }
 
 
-class _Profile:
-    """Per-piece view of the periodized quantities of one signal.
-
-    ``exact=True``: pieces follow the folded breakpoints of a
-    piecewise-constant spectrum (sub-grid detail preserved).
-    ``exact=False``: one piece per unit-grid cell.
-    """
-
-    def __init__(self, starts, lengths, z, abs_sum, sq_sum, dual, exact: bool):
-        self.starts = np.asarray(starts, dtype=float)
-        self.lengths = np.asarray(lengths, dtype=float)
-        self.z = np.asarray(z, dtype=complex)
-        self.abs_sum = np.asarray(abs_sum, dtype=float)
-        self.sq_sum = np.asarray(sq_sum, dtype=float)
-        self._dual = dual
-        self.exact = exact
-
-    def dual(self, x: float) -> np.ndarray:
-        return self._dual(x)
-
-
-def _profile_for(f: Signal, grid: FrequencyGrid) -> _Profile:
-    if isinstance(f, PiecewiseConstantSpectrum):
-        prof = f.periodized_profile()
-        return _Profile(prof.starts, prof.lengths, prof.z, prof.abs_sum,
-                        prof.sq_sum, prof.dual_fiber, exact=True)
-    z = periodize(f, grid).values
-    sq = grammian(f, grid).real_values
-    ab = abs_periodize(f, grid).real_values
-    n = grid.resolution
-    return _Profile(grid.unit_omegas, np.full(n, 1.0 / n), z, ab, sq,
-                    lambda x: zak_dual_fiber(f, x, grid).values, exact=False)
-
-
 def _unbounded_trend(lengths: np.ndarray, ratios: np.ndarray) -> tuple[bool, float, float]:
     """(diverging, coarse_sup, full_sup) for a per-piece ratio profile."""
     finite = np.isfinite(ratios)
@@ -177,9 +148,9 @@ def check_theorem5(f: Signal, grid: FrequencyGrid, x_probes=None, *,
     1-periodic in the offset, so probing [0, 1) covers the line).
     """
     _require_integrable(f, "the theorem-5 criterion")
-    prof = _profile_for(f, grid)
-    top = float(prof.sq_sum.max()) if prof.sq_sum.size else 0.0
-    on = prof.sq_sum > eps * top if top > 0 else np.zeros_like(prof.sq_sum, dtype=bool)
+    fib = fibers(f, grid, eps, k_max)
+    prof = PeriodizedProfile.from_fibers(fib)
+    on = prof.sq_sum > guard_level(prof.sq_sum, eps)
 
     tail = f.spectral_tail_energy(grid) + float(getattr(f, "series_tail", 0.0))
 
@@ -192,17 +163,15 @@ def check_theorem5(f: Signal, grid: FrequencyGrid, x_probes=None, *,
                                constants={"A": None, "B": None, "L": 0.0, "integral": 0.0},
                                tail_energy=tail, note="zero signal: conditions hold vacuously")
 
-    samples = integer_samples(f, grid, k_max)
-    l2 = samples.l2_norm
-    a_ok = bool(np.isfinite(l2))
-    check_a = ConditionCheck("a_samples_l2", a_ok, l2,
-                             detail=f"tail energy {samples.tail_energy:.3g}")
+    l2 = fib.samples.l2_norm
+    check_a = ConditionCheck("a_samples_l2", bool(np.isfinite(l2)), l2,
+                             detail=f"tail energy {fib.samples.tail_energy:.3g}")
 
     absz = np.abs(prof.z)
-    guard = eps * float(absz.max())
-    bad = on & (absz <= guard)
-    ratios = np.full(prof.z.shape, np.inf)
+    guard = guard_level(absz, eps)
     ok = on & (absz > guard)
+    bad = on & ~ok
+    ratios = np.full(prof.z.shape, np.inf)
     ratios[ok] = prof.sq_sum[ok] / absz[ok] ** 2
     if np.any(bad):
         a_const, b_const = float("inf"), float("inf")
@@ -257,9 +226,8 @@ def check_sz04(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS) -> C
     ratio trend.
     """
     _require_integrable(f, "the sufficient-condition pair")
-    prof = _profile_for(f, grid)
-    top = float(prof.sq_sum.max()) if prof.sq_sum.size else 0.0
-    on = prof.sq_sum > eps * top if top > 0 else np.zeros_like(prof.sq_sum, dtype=bool)
+    prof = PeriodizedProfile.from_fibers(fibers(f, grid, eps))
+    on = prof.sq_sum > guard_level(prof.sq_sum, eps)
 
     tail = f.spectral_tail_energy(grid) + float(getattr(f, "series_tail", 0.0))
 
@@ -270,7 +238,7 @@ def check_sz04(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS) -> C
                                note="zero signal: conditions hold vacuously")
 
     absz = np.abs(prof.z)
-    guard = eps * float(absz.max()) if absz.max() > 0 else 0.0
+    guard = guard_level(absz, eps)
     ok = on & (absz > guard)
 
     # A |Z|^2 <= G: constrained only where Z is nonzero; best A = min G/|Z|^2
@@ -283,7 +251,7 @@ def check_sz04(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS) -> C
     check1 = ConditionCheck("lower_domination", bool(pass1), a_const)
 
     # (sum |f_hat|)^2 <= B |Z|^2
-    stranded = on & (absz <= guard) & (prof.abs_sum > max(guard, 1e-300))
+    stranded = on & ~ok & (prof.abs_sum > max(guard, 1e-300))
     ratios = np.full(prof.z.shape, np.nan)
     ratios[ok] = (prof.abs_sum[ok] / absz[ok]) ** 2
     if np.any(stranded):
@@ -316,26 +284,16 @@ def check_sz04(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS) -> C
                            constants=constants, tail_energy=tail)
 
 
-def _normalized_signal(f: Signal, grid: FrequencyGrid, *, eps: float, k_max: int,
-                       normalization: str) -> tuple[GridSpectrum, SupportMask]:
+def _normalized_signal(fib: Fibers, normalization: str) -> GridSpectrum:
     """h_hat = f_hat / Z_f(0,.) (or / G_f) on the support set, zero off it."""
-    g = grammian(f, grid)
-    mask = support_mask(g, eps)
     if normalization == "zak":
-        denom = zak_time_fiber(integer_samples(f, grid, k_max), grid).values
+        denom = fib.zak.values
     elif normalization == "grammian":
-        denom = g.values.astype(complex)
+        denom = fib.grammian.values.astype(complex)
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
-    absd = np.abs(denom)
-    guard = eps * float(absd.max()) if absd.max() > 0 else 0.0
-    ok = mask.values & (absd > guard)
-    tiled_ok = np.tile(ok, 2 * grid.half_bandwidth)
-    tiled_d = np.tile(denom, 2 * grid.half_bandwidth)
-    vals = np.zeros(grid.size, dtype=complex)
-    fvals = f.grid_values(grid)
-    vals[tiled_ok] = fvals[tiled_ok] / tiled_d[tiled_ok]
-    return GridSpectrum(vals, grid, integrable_spectrum=f.integrable_spectrum), mask
+    vals = divide_on_support(fib.folded, denom, fib.mask)
+    return GridSpectrum(vals.ravel(), fib.grid, integrable_spectrum=fib.signal.integrable_spectrum)
 
 
 def check_theorem2(f: Signal, grid: FrequencyGrid, *, normalization: str = "zak",
@@ -344,14 +302,14 @@ def check_theorem2(f: Signal, grid: FrequencyGrid, *, normalization: str = "zak"
     """Normalized-function membership criterion.
 
     Divides f_hat by its Zak fiber (default; a ``grammian`` variant is
-    kept behind the flag) on the support set and checks that the result
-    behaves like a sampling kernel: continuous, bounded shift-square sum,
-    and Zak modulus bounded away from zero exactly on the support set.
+    kept behind the flag) on the support set and runs the sampling-space
+    certificate on the result with f's support set: continuous, bounded
+    shift-square sum, and Zak modulus bounded away from zero exactly on
+    the support set.
     """
-    g = grammian(f, grid)
-    mask = support_mask(g, eps)
+    fib = fibers(f, grid, eps, k_max)
     tail = f.spectral_tail_energy(grid) + float(getattr(f, "series_tail", 0.0))
-    if mask.is_empty:
+    if fib.mask.is_empty:
         checks = [ConditionCheck("continuity", True, detail="vacuous"),
                   ConditionCheck("shift_square_sum", True, 0.0),
                   ConditionCheck("zak_two_sided", True, detail="empty support")]
@@ -359,31 +317,20 @@ def check_theorem2(f: Signal, grid: FrequencyGrid, *, normalization: str = "zak"
                                constants={"A": None, "B": None, "normalization": normalization},
                                note="zero signal: empty support set")
 
-    h, _ = _normalized_signal(f, grid, eps=eps, k_max=k_max, normalization=normalization)
-
-    verdict, max_jump, threshold = _continuity_check(h)
-    check_cont = ConditionCheck("continuity", verdict == "pass", max_jump, threshold,
-                                detail=verdict)
-
-    sss = shift_square_sum(h, _probe_points(seed), grid, k_max)
-    check_shift = ConditionCheck("shift_square_sum",
-                                 bool(np.isfinite(sss.bound) and sss.bound <= 1e6),
-                                 sss.bound)
-
+    h = _normalized_signal(fib, normalization)
     zh = zak_time_fiber(integer_samples(h, grid, k_max), grid)
-    absz = np.abs(zh.values)
-    a_h = float(absz[mask.values].min())
-    b_h = float(absz[mask.values].max())
-    off = float(absz[~mask.values].max()) if np.any(~mask.values) else 0.0
-    zak_ok = bool(a_h > eps * b_h and off <= 1e-6 * max(b_h, 1e-300))
-    check_zak = ConditionCheck("zak_two_sided", zak_ok, a_h,
-                               detail=f"B = {b_h:.6g}, off-support max {off:.3g}")
-
-    checks = [check_cont, check_shift, check_zak]
-    constants = {"A": a_h, "B": b_h, "shift_bound": sss.bound,
+    cert = sz99_report(h, fib.mask, zh, k_max=k_max, seed=seed)
+    checks = [
+        ConditionCheck("continuity", cert.continuity_verdict == "pass", cert.continuity_max_jump,
+                       cert.continuity_threshold, detail=cert.continuity_verdict),
+        ConditionCheck("shift_square_sum", cert.shift_sum_pass, cert.shift_sum_bound),
+        ConditionCheck("zak_two_sided", cert.zak_pass, cert.zak_lower,
+                       detail=f"B = {cert.zak_upper:.6g}, "
+                              f"off-support max {cert.zak_off_support_max:.3g}"),
+    ]
+    constants = {"A": cert.zak_lower, "B": cert.zak_upper, "shift_bound": cert.shift_sum_bound,
                  "normalization": normalization}
-    return ConditionReport("theorem2", checks, all(c.passed for c in checks),
-                           constants=constants, tail_energy=tail)
+    return ConditionReport("theorem2", checks, cert.passed, constants=constants, tail_energy=tail)
 
 
 @dataclass(frozen=True)
@@ -400,30 +347,19 @@ class InducedSubspace:
 
 
 def induced_subspace(space: SamplingSpace, f: Signal, *,
-                     member_tol: float = 1e-8) -> InducedSubspace:
+                     member_tol: float = MEMBER_TOL) -> InducedSubspace:
     """Build S(f) for a certified member f and verify both kernel identities."""
     grid = space.grid
-    fvals = f.grid_values(grid)
-    fnorm = spectral_norm(fvals, grid)
-    pvals = project(f, space).values
-    residual = spectral_norm(pvals - fvals, grid) / max(fnorm, 1e-300)
-    if fnorm == 0.0:
-        raise NotInSpaceError("zero signal spans no subspace", residual=0.0)
-    if residual > member_tol:
-        raise NotInSpaceError(
-            f"projection residual {residual:.3g} exceeds member tolerance {member_tol:.3g}",
-            residual=residual,
-        )
-
-    h, mask_f = _normalized_signal(f, grid, eps=space.eps, k_max=space.k_max,
-                                   normalization="zak")
+    residual = member_residual(space, f, member_tol, "signal")
+    fib = fibers(f, grid, space.eps, space.k_max)
+    h = _normalized_signal(fib, "zak")
     sub = build_space(h, grid, eps=space.eps, k_max=space.k_max)
 
     # the normalized signal itself is the sampling function of S(f); both
     # characterizations are verified against it
     h_vals = h.grid_values(grid)
     s_parent = space.sampling_spectrum.grid_values(grid)
-    masked_parent = np.where(mask_f.tile(), s_parent, 0.0)
+    masked_parent = np.where(fib.mask.tile(), s_parent, 0.0)
     d_mask = float(np.max(np.abs(h_vals - masked_parent)))
 
     proj = project(space.sampling_spectrum, sub).values
@@ -450,32 +386,20 @@ def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
         raise ConstructionRefusedError(
             "membership characterization failed; kernel construction refused", report=report
         )
-    g = grammian(f, grid)
-    mask = support_mask(g, eps)
-    if mask.is_empty:
+    fib = fibers(f, grid, eps, k_max)
+    if fib.mask.is_empty:
         raise DegenerateSpaceError("empty support set: canonical kernel is degenerate")
 
-    z = zak_time_fiber(integer_samples(f, grid, k_max), grid)
-    absz = np.abs(z.values)
-    guard = eps * float(absz.max())
-    ok = mask.values & (absz > guard)
-    tiled_ok = np.tile(ok, 2 * grid.half_bandwidth)
-    tiled_z = z.tile()
-    fvals = f.grid_values(grid)
+    svals = divide_on_support(fib.folded, fib.zak.values, fib.mask)
+    svals[grid.half_bandwidth, ~fib.zak_support] = 1.0  # fold row of the shift m = 0
 
-    svals = np.zeros(grid.size, dtype=complex)
-    svals[tiled_ok] = fvals[tiled_ok] / tiled_z[tiled_ok]
-    first_period = (grid.omegas >= 0.0) & (grid.omegas < 1.0)
-    complement = first_period & ~tiled_ok
-    svals[complement] = 1.0
-
-    s_sig = GridSpectrum(svals, grid, integrable_spectrum=True)
+    s_sig = GridSpectrum(svals.ravel(), grid, integrable_spectrum=True)
     space = build_space(s_sig, grid, eps=eps, k_max=k_max, seed=seed)
 
     # internal consistency: f_hat = Z_f * s_hat and s(k) = delta_0k
-    recon = z.tile() * space.sampling_spectrum.grid_values(grid)
-    scale = max(float(np.max(np.abs(fvals))), 1e-300)
-    if float(np.max(np.abs(recon - fvals))) > 1e-6 * scale:
+    recon = fib.zak.values * grid.fold(space.sampling_spectrum.grid_values(grid))
+    scale = max(float(np.max(np.abs(fib.folded))), 1e-300)
+    if float(np.max(np.abs(recon - fib.folded))) > 1e-6 * scale:
         raise ConstructionRefusedError("constructed kernel fails to reproduce the signal",
                                        report=report)
     ks = space.kernel_samples()

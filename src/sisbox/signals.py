@@ -225,12 +225,8 @@ class PiecewiseConstantSpectrum(Signal):
                 out += np.where(small, v * (hi - lo), v * phase * ramp)
         return out
 
-    def folded_pieces(self) -> list[tuple[float, float, complex, int]]:
-        """(local start, local end, value, shift) tuples over [0, 1)."""
-        return [(lo, hi, v, m) for m, lo, hi, v in self.pieces]
-
     def periodized_profile(self) -> "PeriodizedProfile":
-        return PeriodizedProfile.from_pieces(self.folded_pieces())
+        return PeriodizedProfile.from_pieces(self.pieces)
 
     def scaled(self, factor: complex) -> "PiecewiseConstantSpectrum":
         return PiecewiseConstantSpectrum.from_local_pieces(
@@ -240,45 +236,59 @@ class PiecewiseConstantSpectrum(Signal):
 
 
 class PeriodizedProfile:
-    """Exact description of all integer-shift stacks of a piecewise-constant
-    spectrum over one period [0, 1).
+    """Per-piece view of the periodized quantities of one signal over one
+    period [0, 1): periodization ``z``, absolute periodization ``abs_sum``,
+    Grammian ``sq_sum`` and the phase-twisted fiber ``dual(x)``.
 
-    On each piece [t0, t1) the set of contributing (value, shift) pairs is
-    constant, so periodization, Grammian, absolute periodization and the
-    phase-twisted fiber are all evaluated in closed form per piece.
+    ``from_pieces`` (``exact=True``): pieces follow the folded breakpoints
+    of a piecewise-constant spectrum.  On each piece the set of
+    contributing (value, shift) pairs is constant, so every quantity is
+    evaluated in closed form and sub-grid detail is preserved.
+    ``from_fibers``: that exact profile for a piecewise-constant signal,
+    otherwise (``exact=False``) one piece per unit-grid cell.
     """
 
-    def __init__(self, starts, ends, stacks):
+    def __init__(self, starts, lengths, z, abs_sum, sq_sum, dual, exact: bool):
         self.starts = np.asarray(starts, dtype=float)
-        self.ends = np.asarray(ends, dtype=float)
-        self.stacks = stacks  # list of list[(value, shift)]
-        self.lengths = self.ends - self.starts
-        self.z = np.array([sum(v for v, _ in st) for st in stacks], dtype=complex)
-        self.abs_sum = np.array([sum(abs(v) for v, _ in st) for st in stacks])
-        self.sq_sum = np.array([sum(abs(v) ** 2 for v, _ in st) for st in stacks])
+        self.lengths = np.asarray(lengths, dtype=float)
+        self.z = np.asarray(z, dtype=complex)
+        self.abs_sum = np.asarray(abs_sum, dtype=float)
+        self.sq_sum = np.asarray(sq_sum, dtype=float)
+        self.dual = dual  # x -> per-piece sum_m f_hat(omega+m) exp(2i*pi*m*x)
+        self.exact = exact
 
     @classmethod
     def from_pieces(cls, pieces) -> "PeriodizedProfile":
+        """Exact profile of (shift, local start, local end, value) pieces."""
         cuts = {0.0, 1.0}
-        for lo, hi, _, _ in pieces:
+        for _, lo, hi, _ in pieces:
             cuts.add(float(lo))
             cuts.add(float(hi))
         cut = np.unique(np.array(sorted(cuts)))
-        starts, ends, stacks = [], [], []
-        for t0, t1 in zip(cut[:-1], cut[1:]):
-            mid = 0.5 * (t0 + t1)
-            stack = [(v, m) for lo, hi, v, m in pieces if lo <= mid < hi]
-            starts.append(t0)
-            ends.append(t1)
-            stacks.append(stack)
-        return cls(starts, ends, stacks)
+        stacks = [[(v, m) for m, lo, hi, v in pieces if lo <= 0.5 * (t0 + t1) < hi]
+                  for t0, t1 in zip(cut[:-1], cut[1:])]
 
-    def dual_fiber(self, x: float) -> np.ndarray:
-        """Per-piece value of sum_m f_hat(omega+m) exp(2i*pi*m*x)."""
-        out = np.zeros(len(self.stacks), dtype=complex)
-        for i, st in enumerate(self.stacks):
-            out[i] = sum(v * np.exp(2j * np.pi * m * x) for v, m in st)
-        return out
+        def dual(x: float) -> np.ndarray:
+            out = np.zeros(len(stacks), dtype=complex)
+            for i, st in enumerate(stacks):
+                out[i] = sum(v * np.exp(2j * np.pi * m * x) for v, m in st)
+            return out
+
+        return cls(cut[:-1], cut[1:] - cut[:-1],
+                   [sum(v for v, _ in st) for st in stacks],
+                   [sum(abs(v) for v, _ in st) for st in stacks],
+                   [sum(abs(v) ** 2 for v, _ in st) for st in stacks],
+                   dual, exact=True)
+
+    @classmethod
+    def from_fibers(cls, fib) -> "PeriodizedProfile":
+        """Profile of the signal of a ``spectral.Fibers`` record."""
+        if isinstance(fib.signal, PiecewiseConstantSpectrum):
+            return cls.from_pieces(fib.signal.pieces)
+        n = fib.grid.resolution
+        return cls(fib.grid.unit_omegas, np.full(n, 1.0 / n), fib.periodization.values,
+                   fib.abs_periodization.real_values, fib.grammian.real_values,
+                   lambda x: fib.dual(x).values, exact=False)
 
 
 class GridSpectrum(Signal):

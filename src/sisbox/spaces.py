@@ -18,9 +18,10 @@ from scipy.linalg import eigvalsh, toeplitz
 from .errors import (
     DegenerateSpaceError,
     NotASamplingSpaceError,
+    NotInSpaceError,
     TruncationError,
 )
-from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
+from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples, pow2_at_least
 from .signals import (
     GridSpectrum,
     PiecewiseConstantSpectrum,
@@ -32,12 +33,15 @@ from .signals import (
 from .spectral import (
     DEFAULT_EPS,
     DEFAULT_K_MAX,
+    Fibers,
     bracket,
+    divide_on_support,
     essential_bounds,
+    fibers,
     grammian,
     integer_samples,
     shift_square_sum,
-    support_mask,
+    spectral_norm,
     zak_time_fiber,
 )
 
@@ -47,6 +51,10 @@ from .spectral import (
 CONTINUITY_DX = 1.0 / 256
 JUMP_COEFF = 2.0
 SHIFT_SUM_CAP = 1e6
+# membership tolerances: relative projection residual of a member, and
+# sup deviation between two forms of one kernel (relative where a scale exists)
+MEMBER_TOL = 1e-8
+KERNEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,15 +141,15 @@ def check_sz99(candidate: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
     stays unseen); the shift-square sum and the two-sided Zak bound are
     evaluated at grid resolution.
     """
-    g = grammian(candidate, grid)
-    mask = support_mask(g, eps)
-    samples = integer_samples(candidate, grid, k_max)
-    zak = zak_time_fiber(samples, grid)
-    return _sz99_from_parts(candidate, grid, mask, zak, eps=eps, k_max=k_max, seed=seed)
+    fib = fibers(candidate, grid, eps, k_max)
+    return sz99_report(candidate, fib.mask, fib.zak, k_max=k_max, seed=seed)
 
 
-def _sz99_from_parts(candidate: Signal, grid: FrequencyGrid, mask: SupportMask,
-                     zak: PeriodicSpectrum, *, eps: float, k_max: int, seed: int) -> SZ99Report:
+def sz99_report(candidate: Signal, mask: SupportMask, zak: PeriodicSpectrum, *,
+                k_max: int = DEFAULT_K_MAX, seed: int = 0) -> SZ99Report:
+    """The certificate of a candidate on a support set (whose eps the Zak
+    bound is held to), given its Zak fiber: ``check_sz99`` passes the
+    candidate's own set; theorem 2 the original signal's."""
     if mask.is_empty:
         return SZ99Report("fail", 0.0, JUMP_COEFF * np.sqrt(CONTINUITY_DX),
                           0.0, 0.0, False, 0.0, 0.0, 0.0, False, 0.0, False,
@@ -149,8 +157,7 @@ def _sz99_from_parts(candidate: Signal, grid: FrequencyGrid, mask: SupportMask,
 
     verdict, max_jump, threshold = _continuity_check(candidate)
 
-    probes = _probe_points(seed)
-    sss = shift_square_sum(candidate, probes, grid, k_max)
+    sss = shift_square_sum(candidate, _probe_points(seed), mask.grid, k_max)
     shift_pass = bool(np.isfinite(sss.bound) and sss.bound <= SHIFT_SUM_CAP)
 
     absz = np.abs(zak.values)
@@ -158,7 +165,7 @@ def _sz99_from_parts(candidate: Signal, grid: FrequencyGrid, mask: SupportMask,
     a_z = float(absz[on].min())
     b_z = float(absz[on].max())
     off_max = float(absz[~on].max()) if np.any(~on) else 0.0
-    zak_pass = bool(a_z > eps * b_z and off_max <= 1e-6 * max(b_z, 1e-300))
+    zak_pass = bool(a_z > mask.eps * b_z and off_max <= 1e-6 * max(b_z, 1e-300))
 
     passed = verdict == "pass" and shift_pass and zak_pass
     return SZ99Report(verdict, max_jump, threshold, sss.bound, sss.tail_energy,
@@ -169,16 +176,11 @@ def tight_frame_generator(psi: Signal, grid: FrequencyGrid,
                           eps: float = DEFAULT_EPS) -> GridSpectrum:
     """Normalize a generator so its translates form a tight frame:
     divide the spectrum by sqrt(Grammian) on the support set."""
-    g = grammian(psi, grid)
-    mask = support_mask(g, eps)
-    if mask.is_empty:
+    fib = fibers(psi, grid, eps)
+    if fib.mask.is_empty:
         raise DegenerateSpaceError("zero generator has no tight-frame normalization")
-    tiled_g = np.tile(g.real_values, 2 * grid.half_bandwidth)
-    tiled_m = mask.tile()
-    vals = psi.grid_values(grid)
-    out = np.zeros_like(vals)
-    out[tiled_m] = vals[tiled_m] / np.sqrt(tiled_g[tiled_m])
-    return GridSpectrum(out, grid, integrable_spectrum=psi.integrable_spectrum)
+    out = divide_on_support(fib.folded, np.sqrt(fib.grammian.real_values), fib.mask)
+    return GridSpectrum(out.ravel(), grid, integrable_spectrum=psi.integrable_spectrum)
 
 
 @dataclass(frozen=True)
@@ -213,17 +215,12 @@ def build_space(psi: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
     support set or the certificate fails; ``checked=False`` constructs an
     uncertified space for exploration (reconstruction refuses to run on it).
     """
-    g = grammian(psi, grid)
-    mask = support_mask(g, eps)
-    if mask.is_empty:
+    fib = fibers(psi, grid, eps, k_max)
+    if fib.mask.is_empty:
         raise DegenerateSpaceError("generator has empty spectral support")
-    bounds = essential_bounds(g, mask)
+    bounds = essential_bounds(fib.grammian, fib.mask)
 
-    samples = integer_samples(psi, grid, k_max)
-    zak = zak_time_fiber(samples, grid)
-    absz = np.abs(zak.values)
-    guard = eps * float(absz.max()) if absz.max() > 0 else 0.0
-    bad = mask.values & (absz <= guard)
+    bad = fib.mask.values & ~fib.zak_support
     if np.any(bad) and checked:
         omega = grid.unit_omegas[np.flatnonzero(bad)[0]]
         raise NotASamplingSpaceError(
@@ -231,33 +228,28 @@ def build_space(psi: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
             omega=float(omega),
         )
 
-    sz99 = _sz99_from_parts(psi, grid, mask, zak, eps=eps, k_max=k_max, seed=seed)
+    sz99 = sz99_report(psi, fib.mask, fib.zak, k_max=k_max, seed=seed)
     if checked and not sz99.passed:
         raise NotASamplingSpaceError("sampling-space certificate failed", report=sz99)
 
-    s_signal = _sampling_kernel_signal(psi, grid, mask, zak, guard)
-    return SamplingSpace(psi, grid, g, mask, bounds, s_signal, zak, sz99,
-                         certified=sz99.passed, eps=eps, k_max=k_max)
+    return SamplingSpace(psi, grid, fib.grammian, fib.mask, bounds, _sampling_kernel_signal(fib),
+                         fib.zak, sz99, certified=sz99.passed, eps=eps, k_max=k_max)
 
 
-def _sampling_kernel_signal(psi: Signal, grid: FrequencyGrid, mask: SupportMask,
-                            zak: PeriodicSpectrum, guard: float) -> Signal:
-    on = mask.values & (np.abs(zak.values) > guard)
-    if bool(np.all(on)):
-        z0 = complex(zak.values[0])
-        if z0 != 0 and float(np.max(np.abs(zak.values - z0))) <= 1e-12 * abs(z0):
+def _sampling_kernel_signal(fib: Fibers) -> Signal:
+    psi = fib.signal
+    zak = fib.zak.values
+    if bool(np.all(fib.zak_support)):
+        z0 = complex(zak[0])
+        if z0 != 0 and float(np.max(np.abs(zak - z0))) <= 1e-12 * abs(z0):
             # constant Zak fiber on a full support set: the kernel is the
             # generator itself, rescaled; keep its exact representation
             if isinstance(psi, (PiecewiseConstantSpectrum, TimeKernel)):
                 return psi.scaled(1.0 / z0)
             if isinstance(psi, ShiftCombination):
                 return ShiftCombination(psi.base, psi.coefficients.scaled(1.0 / z0))
-    vals = psi.grid_values(grid)
-    tiled_on = np.tile(on, 2 * grid.half_bandwidth)
-    tiled_z = zak.tile()
-    out = np.zeros_like(vals)
-    out[tiled_on] = vals[tiled_on] / tiled_z[tiled_on]
-    return GridSpectrum(out, grid, integrable_spectrum=psi.integrable_spectrum)
+    out = divide_on_support(fib.folded, zak, fib.mask)
+    return GridSpectrum(out.ravel(), fib.grid, integrable_spectrum=psi.integrable_spectrum)
 
 
 def synthesize(space: SamplingSpace, coeffs: TimeSamples) -> ShiftCombination:
@@ -301,22 +293,47 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values,
             vals += samples.values[start:stop] @ block
         return ReconstructionResult(vals, "time", samples.tail_energy)
 
-    zak = zak_time_fiber(samples, space.grid)
-    rec_spec = zak.tile() * kern.grid_values(space.grid)
-    vals = _grid_time_values(rec_spec, space.grid, xs)
+    grid = space.grid
+    half = grid.resolution // 2
+    if samples.ks.size and (samples.ks[0] < -half or samples.ks[-1] >= half):
+        # the N-point fiber would fold such indices onto others
+        reach = max(-int(samples.ks[0]), int(samples.ks[-1]) + 1)
+        raise TruncationError(
+            f"sample indices {samples.ks[0]}..{samples.ks[-1]} leave [-{half}, {half}), "
+            f"which the spectral route resolves at N = {grid.resolution}; "
+            f"it needs N >= {pow2_at_least(2 * reach)}"
+        )
+    zak = zak_time_fiber(samples, grid)
+    rec_spec = zak.values * grid.fold(kern.grid_values(grid))
+    vals = _grid_time_values(rec_spec.ravel(), grid, xs)
     return ReconstructionResult(vals, "spectral", samples.tail_energy)
 
 
 def project(f: Signal, space: SamplingSpace) -> GridSpectrum:
     """Orthogonal projection onto the space: multiplier
     r = bracket(f, generator) / Grammian on the support set, zero off it."""
-    num = bracket(f, space.generator, space.grid)
-    den = space.grammian.real_values
-    on = space.mask.values
-    r = np.zeros(space.grid.resolution, dtype=complex)
-    r[on] = num.values[on] / den[on]
-    out = np.tile(r, 2 * space.grid.half_bandwidth) * space.generator.grid_values(space.grid)
-    return GridSpectrum(out, space.grid, integrable_spectrum=f.integrable_spectrum)
+    grid = space.grid
+    r = divide_on_support(bracket(f, space.generator, grid).values,
+                          space.grammian.real_values, space.mask)
+    out = r * grid.fold(space.generator.grid_values(grid))
+    return GridSpectrum(out.ravel(), grid, integrable_spectrum=f.integrable_spectrum)
+
+
+def member_residual(space: SamplingSpace, f: Signal, tol: float = MEMBER_TOL,
+                    label: str = "signal") -> float:
+    """Relative residual of f's projection onto the space; raises
+    NotInSpaceError when f is zero or the residual exceeds tol."""
+    fvals = f.grid_values(space.grid)
+    norm = spectral_norm(fvals, space.grid)
+    if norm == 0.0:
+        raise NotInSpaceError(f"{label} is identically zero", residual=0.0)
+    residual = spectral_norm(project(f, space).values - fvals, space.grid) / norm
+    if residual > tol:
+        raise NotInSpaceError(
+            f"{label} is not a member (projection residual {residual:.3g}, tolerance {tol:.3g})",
+            residual=residual,
+        )
+    return residual
 
 
 def gram_matrix_bounds_oracle(psi: Signal, grid: FrequencyGrid, truncation: int,

@@ -8,6 +8,7 @@ Fourier series, and set measure is the fraction of unit-grid nodes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,40 +21,37 @@ DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
 
 
-def _check_bandwidth(f: Signal, grid: FrequencyGrid) -> None:
+def _fold(f: Signal, grid: FrequencyGrid) -> np.ndarray:
+    """f's grid values as (2K, N): row q holds the shift m = q - K."""
     need = f.required_half_bandwidth()
     if need is not None and need > grid.half_bandwidth:
         raise BandwidthOverflowError(need, grid.half_bandwidth)
+    return grid.fold(f.grid_values(grid))
+
+
+def _dual(folded: np.ndarray, grid: FrequencyGrid, x: float) -> PeriodicSpectrum:
+    phases = np.exp(2j * np.pi * grid.shifts() * x)
+    return PeriodicSpectrum((folded * phases[:, None]).sum(axis=0), grid)
 
 
 def periodize(f: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
     """sum_m f_hat(omega + m) over all shifts the grid covers (exact)."""
-    _check_bandwidth(f, grid)
-    vals = grid.fold(f.grid_values(grid)).sum(axis=0)
-    return PeriodicSpectrum(vals, grid)
+    return PeriodicSpectrum(_fold(f, grid).sum(axis=0), grid)
 
 
 def grammian(f: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
     """sum_m |f_hat(omega + m)|^2; real and nonnegative."""
-    _check_bandwidth(f, grid)
-    vals = (np.abs(grid.fold(f.grid_values(grid))) ** 2).sum(axis=0)
-    return PeriodicSpectrum(vals, grid)
+    return PeriodicSpectrum((np.abs(_fold(f, grid)) ** 2).sum(axis=0), grid)
 
 
 def abs_periodize(f: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
     """sum_m |f_hat(omega + m)|, the absolute-value periodization."""
-    _check_bandwidth(f, grid)
-    vals = np.abs(grid.fold(f.grid_values(grid))).sum(axis=0)
-    return PeriodicSpectrum(vals, grid)
+    return PeriodicSpectrum(np.abs(_fold(f, grid)).sum(axis=0), grid)
 
 
 def bracket(f: Signal, g: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
     """Fiberwise inner product sum_m f_hat(omega+m) * conj(g_hat(omega+m))."""
-    _check_bandwidth(f, grid)
-    _check_bandwidth(g, grid)
-    ff = grid.fold(f.grid_values(grid))
-    gg = grid.fold(g.grid_values(grid))
-    return PeriodicSpectrum((ff * np.conj(gg)).sum(axis=0), grid)
+    return PeriodicSpectrum((_fold(f, grid) * np.conj(_fold(g, grid))).sum(axis=0), grid)
 
 
 def zak_time_fiber(samples: TimeSamples, grid: FrequencyGrid) -> PeriodicSpectrum:
@@ -66,10 +64,7 @@ def zak_time_fiber(samples: TimeSamples, grid: FrequencyGrid) -> PeriodicSpectru
 
 def zak_dual_fiber(f: Signal, x: float, grid: FrequencyGrid) -> PeriodicSpectrum:
     """Phase-twisted periodization sum_m f_hat(omega+m) exp(2i*pi*m*x)."""
-    _check_bandwidth(f, grid)
-    folded = grid.fold(f.grid_values(grid))
-    phases = np.exp(2j * np.pi * grid.shifts() * x)
-    return PeriodicSpectrum((folded * phases[:, None]).sum(axis=0), grid)
+    return _dual(_fold(f, grid), grid, x)
 
 
 def inverse_fourier_evaluate(f: Signal, x, grid: FrequencyGrid | None = None):
@@ -82,19 +77,43 @@ def inverse_fourier_evaluate(f: Signal, x, grid: FrequencyGrid | None = None):
     return out
 
 
+def guard_level(magnitude: np.ndarray, eps: float) -> float:
+    """eps times the largest magnitude: a nonnegative quantity at or below
+    this level counts as zero (off the support set, or a vanishing fiber)."""
+    return eps * float(magnitude.max())
+
+
 def support_mask(g: PeriodicSpectrum, eps: float = DEFAULT_EPS) -> SupportMask:
-    """Nodes where g exceeds eps * max(g); g must be a (real, >= 0) Grammian."""
+    """Nodes where g is above guard_level(g, eps); g must be a (real, >= 0) Grammian."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not g.is_real(tol=1e-9):
         raise NotAGrammianError("Grammian has a non-negligible imaginary part")
     vals = g.real_values
-    top = float(vals.max()) if vals.size else 0.0
-    floor = max(top, 1e-300)
+    floor = max(float(vals.max()), 1e-300)
     if float(vals.min()) < -eps * floor:
         raise NotAGrammianError(f"Grammian has negative entries below -eps*max = {-eps * floor:.3g}")
-    mask = vals > eps * top if top > 0 else np.zeros_like(vals, dtype=bool)
-    return SupportMask(mask, g.grid, eps)
+    return SupportMask(vals > guard_level(vals, eps), g.grid, eps)
+
+
+def _guarded_support(denom: np.ndarray, mask: SupportMask) -> np.ndarray:
+    """Nodes of the mask where the periodic |denom| is above its guard
+    level at the mask's eps: the nodes a division by denom may use."""
+    absd = np.abs(denom)
+    return mask.values & (absd > guard_level(absd, mask.eps))
+
+
+def divide_on_support(values: np.ndarray, denom: np.ndarray, mask: SupportMask) -> np.ndarray:
+    """values / denom on the guarded support of denom, zero elsewhere.
+
+    denom is periodic; values is periodic, full-line or folded and keeps its
+    shape.  Each row of its fold is divided, so denom is broadcast, never tiled.
+    """
+    on = _guarded_support(denom, mask)
+    rows = np.reshape(values, (-1, mask.grid.resolution))
+    out = np.zeros(rows.shape, dtype=complex)
+    out[:, on] = rows[:, on] / denom[on]
+    return out.reshape(np.shape(values))
 
 
 def essential_bounds(g: PeriodicSpectrum, mask: SupportMask) -> tuple[float, float]:
@@ -135,15 +154,59 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
             vals = f.time_values(x + ks)
             best = max(best, float(np.sum(np.abs(vals) ** 2)))
         return ShiftSquareSum(best, 0.0, "direct")
-    _check_bandwidth(f, grid)
-    folded = grid.fold(f.grid_values(grid))
-    om_rows = grid.omegas.reshape(2 * grid.half_bandwidth, grid.resolution)
+    folded = _fold(f, grid)
+    om_rows = grid.fold(grid.omegas)
+    # one buffer for all probes: fresh temporaries made the speed depend on heap placement
+    buf = np.empty(folded.shape, dtype=complex)
     best = 0.0
     for x in xs:
-        fiber = (folded * np.exp(2j * np.pi * om_rows * x)).sum(axis=0)
-        best = max(best, float(np.mean(np.abs(fiber) ** 2)))
+        np.multiply(2j * np.pi, om_rows, out=buf)
+        np.multiply(buf, x, out=buf)
+        np.exp(buf, out=buf)
+        np.multiply(folded, buf, out=buf)
+        best = max(best, float(np.mean(np.abs(buf.sum(axis=0)) ** 2)))
     tail = f.spectral_tail_energy(grid)
     return ShiftSquareSum(best, tail, "parseval")
+
+
+@dataclass(frozen=True)
+class Fibers:
+    """The periodized objects of one signal on one grid.  Every verdict on
+    a signal reads its Grammian G_f, Zak fiber Z_f(0, .) and support set
+    E_f; ``fibers`` builds them from one fold of the grid values and
+    callers pass the record down instead of computing them again."""
+
+    signal: Signal
+    grid: FrequencyGrid
+    folded: np.ndarray                   # grid values as (2K, N), a view
+    periodization: PeriodicSpectrum      # sum_m f_hat(. + m)
+    grammian: PeriodicSpectrum           # G_f = sum_m |f_hat(. + m)|^2
+    abs_periodization: PeriodicSpectrum  # sum_m |f_hat(. + m)|
+    mask: SupportMask                    # E_f: G_f above its guard level
+    samples: TimeSamples                 # integer samples f(k)
+    zak: PeriodicSpectrum                # Z_f(0, .), from the samples
+
+    @property
+    def zak_support(self) -> np.ndarray:
+        """Nodes of E_f where |Z_f(0, .)| is above its guard level."""
+        return _guarded_support(self.zak.values, self.mask)
+
+    def dual(self, x: float) -> PeriodicSpectrum:
+        """Phase-twisted periodization sum_m f_hat(omega+m) exp(2i*pi*m*x)."""
+        return _dual(self.folded, self.grid, x)
+
+
+def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
+           k_max: int = DEFAULT_K_MAX) -> Fibers:
+    """Build the Fibers record of f on the grid."""
+    folded = _fold(f, grid)
+    modulus = np.abs(folded)
+    g = PeriodicSpectrum((modulus ** 2).sum(axis=0), grid)
+    mask = support_mask(g, eps)
+    samples = integer_samples(f, grid, k_max)
+    return Fibers(f, grid, folded, PeriodicSpectrum(folded.sum(axis=0), grid), g,
+                  PeriodicSpectrum(modulus.sum(axis=0), grid), mask,
+                  samples, zak_time_fiber(samples, grid))
 
 
 def integer_samples(f: Signal, grid: FrequencyGrid, k_max: int = DEFAULT_K_MAX) -> TimeSamples:

@@ -267,3 +267,44 @@ class TestCLI:
         rc = run_cli(["reconstruct", "--space", "shannon", "--samples", str(bad)])
         assert rc == 1
         assert "line" in capsys.readouterr().err
+
+
+ERROR_CASES = [
+    # (argv, exit code, stderr prefix); {d} is a directory holding the inputs
+    (["analyze", "{d}/far.json"], 1, "error: spectrum support needs"),
+    (["analyze", "shannon", "--eps", "0"], 1, "usage error: argument --eps"),
+    (["analyze", "shannon", "--eps", "-1"], 1, "usage error: argument --eps"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--points", "0",
+      "--out", "{d}/rec.csv"], 1, "usage error: argument --points"),
+    (["reconstruct", "--space", "ex2", "--samples", "{d}/far_samples.csv",
+      "--out", "{d}/rec.csv"], 1, "error: sample indices"),
+    (["analyze", "shannon", "--kmax", "-5"], 1, "usage error: argument --kmax"),
+    (["analyze", "ex2", "--nmax", "-1"], 1, "usage error: argument --nmax"),
+    (["analyze", "shannon", "--seed", "-1"], 1, "usage error: argument --seed"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--lattice", "0,0",
+      "--out", "{d}/rec.csv"], 1, "usage error: --lattice"),
+    (["membership", "ex3", "--theorem", "5"], 1, "error:"),
+    (["reconstruct", "--space", "{d}/bad_gen.json", "--samples", "{d}/delta0.csv"], 2, "refused:"),
+    (["decompose", "--space", "shannon", "--partition", "{d}/overlap.json"], 2, "failed:"),
+]
+
+
+@pytest.fixture
+def error_inputs(tmp_path):
+    sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([(40.0, 41.0, 1.0)]),
+                                 tmp_path / "far.json")
+    sio.write_piecewise_spectrum(
+        PiecewiseConstantSpectrum([(0.0, 0.5, 1.0), (1.0, 1.5, -1.0)]), tmp_path / "bad_gen.json")
+    (tmp_path / "delta0.csv").write_text("k,re,im\n0,1,0\n")
+    (tmp_path / "far_samples.csv").write_text("k,re,im\n0,1,0\n1024,1,0\n")
+    sio.write_partition([[[0.0, 0.7]], [[0.5, 1.0]]], tmp_path / "overlap.json")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, code, prefix", ERROR_CASES)
+def test_error_exit_codes_without_traceback(error_inputs, capsys, argv, code, prefix):
+    rc = main([a.format(d=error_inputs) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith(prefix)
+    assert "Traceback" not in err

@@ -222,6 +222,18 @@ class TestReconstruct:
         expected = np.array([coeffs.value_at(int(k)) for k in xs])
         np.testing.assert_allclose(rec.values, expected, atol=1e-12)
 
+    @pytest.mark.parametrize("k, need", [(-512, None), (511, None), (512, 2048), (1024, 4096)])
+    def test_spectral_route_refuses_aliased_samples(self, ex2_space, k, need):
+        # at N = 1024 the Zak fiber resolves k in [-512, 512); k = 1024
+        # used to fold onto k = 0 and return the kernel at the wrong place
+        xs = [0.0, float(k)]
+        if need is None:
+            rec = reconstruct(ex2_space, TimeSamples.delta(k), xs)
+            assert rec.route == "spectral" and np.all(np.isfinite(rec.values))
+        else:
+            with pytest.raises(TruncationError, match=f"N >= {need}"):
+                reconstruct(ex2_space, TimeSamples.delta(k), xs)
+
 
 class TestProject:
     def test_idempotent_on_members(self, shannon_space, grid):
