@@ -7,7 +7,8 @@
     sisbox determine --space SIGNAL --functions f1,f2,... [--out-prefix p]
 
 SIGNAL is a catalog name, a .json interval-spectrum file, or a .csv grid
-spectrum file.  SISBOX_GRID="K,N" overrides the default grid.
+spectrum file.  SISBOX_GRID="K,N" overrides the default grid; without
+--K, K widens to the band a catalog signal or .json spectrum needs.
 
 Exit codes: 0 verdict pass; 2 verdict fail, "refused:" (NotASamplingSpace,
 ConstructionRefused) or "failed:" (NotInSpace, Partition, DegenerateSpace
@@ -19,7 +20,6 @@ cannot resolve).  No error ends in a traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as sio
-from .catalog import build_signal, catalog_names, required_grid
+from .catalog import build_signal, catalog_names
 from .decomposition import (
     PeriodicPartition,
     check_determining_set,
@@ -48,6 +48,10 @@ from .reports import ReportDocument, gauge
 from .signals import GridSpectrum
 from .spaces import KERNEL_TOL, MEMBER_TOL, build_space, reconstruct, sz99_report
 from .spectral import DEFAULT_EPS, DEFAULT_K_MAX, essential_bounds, fibers
+
+
+# largest grid (nodes) the spectrum of an input may widen the default to
+WIDEN_MAX_NODES = 2 ** 22
 
 
 class _UsageError(SisboxError):
@@ -93,7 +97,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", type=str, default=None, help="write the report document here")
 
 
-def _resolve_grid(args, signal_names: list[str]) -> FrequencyGrid:
+def _resolve_grid(args, refs: list[str]) -> FrequencyGrid:
     k_env, n_env = _default_grid()
     k = args.K if args.K is not None else k_env
     n = args.N if args.N is not None else n_env
@@ -102,10 +106,13 @@ def _resolve_grid(args, signal_names: list[str]) -> FrequencyGrid:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
     if args.K is None:
-        # widen for catalog signals whose spectrum does not fit the default
-        for name in signal_names:
-            if name in catalog_names():
-                grid = required_grid(name, grid, **_catalog_params(args, name))
+        # widen for catalog signals and interval-spectrum files whose spectrum
+        # does not fit the default; past WIDEN_MAX_NODES, --K must ask for it
+        for ref in refs:
+            if ref in catalog_names() or (ref.endswith(".json") and Path(ref).exists()):
+                need = _load_signal(ref, grid, args).required_half_bandwidth() or 0
+                if need > grid.half_bandwidth and 2 * need * grid.resolution <= WIDEN_MAX_NODES:
+                    grid = FrequencyGrid(need, grid.resolution)
     return grid
 
 
@@ -322,10 +329,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_determine(args) -> int:
     started = time.monotonic()
-    grid = _resolve_grid(args, [args.space])
+    refs = [ref.strip() for ref in args.functions.split(",")]
+    grid = _resolve_grid(args, [args.space, *refs])
     gen = _load_signal(args.space, grid, args)
     space = build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
-    funcs = [_load_signal(ref.strip(), grid, args) for ref in args.functions.split(",")]
+    funcs = [_load_signal(ref, grid, args) for ref in refs]
     report = check_determining_set(space, funcs)
 
     print(f"[determine] union measure={report.union_mask.measure:.6g} "
@@ -409,9 +417,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SisboxError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
-        report = getattr(exc, "report", None)
-        if report is not None:
-            print(json.dumps(report.to_dict(), indent=2), file=sys.stderr)
+        for check in getattr(getattr(exc, "report", None), "checks", ()):
+            if not check.passed:
+                print(f"  failed check {check.name}: value={check.value} "
+                      f"tolerance={check.tolerance}", file=sys.stderr)
         return exc.exit_code
 
 

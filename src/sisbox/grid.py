@@ -196,20 +196,9 @@ class SupportMask:
 
     def intervals(self) -> list[tuple[float, float]]:
         """Maximal runs of true nodes as [start, end) subintervals of [0, 1)."""
-        v = self.values
+        edges = np.flatnonzero(np.diff(np.concatenate(([False], self.values, [False]))))
         n = self.grid.resolution
-        out: list[tuple[float, float]] = []
-        i = 0
-        while i < n:
-            if v[i]:
-                j = i
-                while j < n and v[j]:
-                    j += 1
-                out.append((i / n, j / n))
-                i = j
-            else:
-                i += 1
-        return out
+        return [(int(i) / n, int(j) / n) for i, j in zip(edges[::2], edges[1::2])]
 
 
 @dataclass(frozen=True)

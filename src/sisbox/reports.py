@@ -9,6 +9,24 @@ from pathlib import Path
 SCHEMA_VERSION = 1
 
 
+@dataclass(frozen=True)
+class ConditionCheck:
+    name: str
+    passed: bool
+    value: float | None = None
+    tolerance: float | None = None
+    detail: str = ""
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "passed": self.passed,
+            "value": self.value,
+            "tolerance": self.tolerance,
+            "detail": self.detail,
+        }
+
+
 def gauge(value: float, tolerance: float, passed: bool) -> dict:
     """A compared quantity: the value, the tolerance it was held to, and
     the outcome.  Keeps every floating verdict self-describing."""

@@ -235,10 +235,24 @@ class PiecewiseConstantSpectrum(Signal):
         )
 
 
+def twisted_sum(coeffs: np.ndarray, shifts: np.ndarray, x) -> np.ndarray:
+    """sum over rows r of coeffs[r] exp(2i*pi*shifts[r]*x): (P, columns) for P
+    offsets from one (P, S) @ (S, columns) product; for a scalar x, one value
+    per column summed row by row like the periodization (x = 0 reproduces it
+    exactly).  The shifts are integers, so x is first reduced, exactly, to
+    [0, 1): far offsets keep the phase accuracy of near ones."""
+    xs = np.asarray(x, dtype=float)
+    phases = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts))
+    if phases.ndim == 1:
+        return (coeffs * phases[:, None]).sum(axis=0)
+    return phases @ coeffs
+
+
 class PeriodizedProfile:
     """Per-piece view of the periodized quantities of one signal over one
     period [0, 1): periodization ``z``, absolute periodization ``abs_sum``,
-    Grammian ``sq_sum`` and the phase-twisted fiber ``dual(x)``.
+    Grammian ``sq_sum`` and the phase-twisted fiber ``dual(x)``, read from
+    ``coeffs``: the spectrum on each piece, one row per shift in ``shifts``.
 
     ``from_pieces`` (``exact=True``): pieces follow the folded breakpoints
     of a piecewise-constant spectrum.  On each piece the set of
@@ -248,37 +262,33 @@ class PeriodizedProfile:
     otherwise (``exact=False``) one piece per unit-grid cell.
     """
 
-    def __init__(self, starts, lengths, z, abs_sum, sq_sum, dual, exact: bool):
+    def __init__(self, starts, lengths, z, abs_sum, sq_sum, shifts, coeffs, exact: bool):
         self.starts = np.asarray(starts, dtype=float)
         self.lengths = np.asarray(lengths, dtype=float)
         self.z = np.asarray(z, dtype=complex)
         self.abs_sum = np.asarray(abs_sum, dtype=float)
         self.sq_sum = np.asarray(sq_sum, dtype=float)
-        self.dual = dual  # x -> per-piece sum_m f_hat(omega+m) exp(2i*pi*m*x)
+        self.shifts = np.asarray(shifts)
+        self.coeffs = coeffs
         self.exact = exact
+
+    def dual(self, x) -> np.ndarray:
+        """Per-piece sum_m f_hat(omega+m) exp(2i*pi*m*x): (pieces,) for a scalar
+        x, (P, pieces) for P offsets from one (P, shifts) @ (shifts, pieces) product."""
+        return twisted_sum(self.coeffs, self.shifts, x)
 
     @classmethod
     def from_pieces(cls, pieces) -> "PeriodizedProfile":
         """Exact profile of (shift, local start, local end, value) pieces."""
-        cuts = {0.0, 1.0}
-        for _, lo, hi, _ in pieces:
-            cuts.add(float(lo))
-            cuts.add(float(hi))
-        cut = np.unique(np.array(sorted(cuts)))
-        stacks = [[(v, m) for m, lo, hi, v in pieces if lo <= 0.5 * (t0 + t1) < hi]
-                  for t0, t1 in zip(cut[:-1], cut[1:])]
-
-        def dual(x: float) -> np.ndarray:
-            out = np.zeros(len(stacks), dtype=complex)
-            for i, st in enumerate(stacks):
-                out[i] = sum(v * np.exp(2j * np.pi * m * x) for v, m in st)
-            return out
-
-        return cls(cut[:-1], cut[1:] - cut[:-1],
-                   [sum(v for v, _ in st) for st in stacks],
-                   [sum(abs(v) for v, _ in st) for st in stacks],
-                   [sum(abs(v) ** 2 for v, _ in st) for st in stacks],
-                   dual, exact=True)
+        cut = np.unique([0.0, 1.0] + [t for _, lo, hi, _ in pieces for t in (lo, hi)])
+        mid = 0.5 * (cut[:-1] + cut[1:])
+        shifts = np.unique([m for m, _, _, _ in pieces])
+        coeffs = np.zeros((shifts.size, mid.size), dtype=complex)
+        for m, lo, hi, v in pieces:  # pieces of one shift never overlap
+            coeffs[np.searchsorted(shifts, m), (lo <= mid) & (mid < hi)] = v
+        modulus = np.abs(coeffs)
+        return cls(cut[:-1], cut[1:] - cut[:-1], coeffs.sum(axis=0), modulus.sum(axis=0),
+                   (modulus ** 2).sum(axis=0), shifts, coeffs, exact=True)
 
     @classmethod
     def from_fibers(cls, fib) -> "PeriodizedProfile":
@@ -288,7 +298,7 @@ class PeriodizedProfile:
         n = fib.grid.resolution
         return cls(fib.grid.unit_omegas, np.full(n, 1.0 / n), fib.periodization.values,
                    fib.abs_periodization.real_values, fib.grammian.real_values,
-                   lambda x: fib.dual(x).values, exact=False)
+                   fib.grid.shifts(), fib.folded, exact=False)
 
 
 class GridSpectrum(Signal):

@@ -22,6 +22,7 @@ from .errors import (
     TruncationError,
 )
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples, pow2_at_least
+from .reports import ConditionCheck
 from .signals import (
     GridSpectrum,
     PiecewiseConstantSpectrum,
@@ -98,6 +99,17 @@ class SZ99Report:
             "passed": self.passed,
             "note": self.note,
         }
+
+    @property
+    def checks(self) -> list[ConditionCheck]:
+        return [ConditionCheck("continuity", self.continuity_verdict == "pass",
+                               self.continuity_max_jump, self.continuity_threshold,
+                               detail=self.continuity_verdict),
+                ConditionCheck("shift_square_sum", self.shift_sum_pass, self.shift_sum_bound,
+                               SHIFT_SUM_CAP),
+                ConditionCheck("zak_two_sided", self.zak_pass, self.zak_lower,
+                               detail=f"B = {self.zak_upper:.6g}, "
+                                      f"off-support max {self.zak_off_support_max:.3g}")]
 
 
 def _continuity_range(candidate: Signal) -> tuple[float, float]:

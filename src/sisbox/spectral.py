@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BandwidthOverflowError, DegenerateSpaceError, NotAGrammianError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
-from .signals import ShiftCombination, Signal, TimeKernel
+from .signals import ShiftCombination, Signal, TimeKernel, twisted_sum
 
 DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
@@ -27,11 +27,6 @@ def _fold(f: Signal, grid: FrequencyGrid) -> np.ndarray:
     if need is not None and need > grid.half_bandwidth:
         raise BandwidthOverflowError(need, grid.half_bandwidth)
     return grid.fold(f.grid_values(grid))
-
-
-def _dual(folded: np.ndarray, grid: FrequencyGrid, x: float) -> PeriodicSpectrum:
-    phases = np.exp(2j * np.pi * grid.shifts() * x)
-    return PeriodicSpectrum((folded * phases[:, None]).sum(axis=0), grid)
 
 
 def periodize(f: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
@@ -64,7 +59,7 @@ def zak_time_fiber(samples: TimeSamples, grid: FrequencyGrid) -> PeriodicSpectru
 
 def zak_dual_fiber(f: Signal, x: float, grid: FrequencyGrid) -> PeriodicSpectrum:
     """Phase-twisted periodization sum_m f_hat(omega+m) exp(2i*pi*m*x)."""
-    return _dual(_fold(f, grid), grid, x)
+    return PeriodicSpectrum(twisted_sum(_fold(f, grid), grid.shifts(), x), grid)
 
 
 def inverse_fourier_evaluate(f: Signal, x, grid: FrequencyGrid | None = None):
@@ -134,39 +129,31 @@ class ShiftSquareSum(NamedTuple):
 
 def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
                      k_max: int = DEFAULT_K_MAX) -> ShiftSquareSum:
-    """max over x_grid of sum_k |f(x+k)|^2.
+    """max over x_grid of sum_k |f(x+k)|^2; a NaN at any probe makes the
+    bound NaN, never a silently dropped probe.
 
     Time kernels and their finite shift-combinations are summed directly
     (compact support makes the sum finite and exact).  Purely spectral
     representations use the Parseval identity
     sum_k |f(x+k)|^2 = integral over one period of |Z_f(x, .)|^2,
     evaluated at grid resolution; this sums all shifts of the
-    grid-projected signal.
+    grid-projected signal.  Writing omega = m + t with integer shift m and
+    t in [0, 1), Z_f(x, t) = exp(2i*pi*t*x) * sum_m f_hat(t+m) exp(2i*pi*m*x);
+    the first factor has modulus one, so the fibers of all P probes are the
+    rows of one (P, 2K) @ (2K, N) product of the phases exp(2i*pi*x*m) with
+    the folded spectrum.
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     direct = isinstance(f, TimeKernel) or (
         isinstance(f, ShiftCombination) and isinstance(f.base, TimeKernel)
     )
     if direct:
-        best = 0.0
         ks = np.arange(-k_max, k_max + 1)
-        for x in xs:
-            vals = f.time_values(x + ks)
-            best = max(best, float(np.sum(np.abs(vals) ** 2)))
-        return ShiftSquareSum(best, 0.0, "direct")
-    folded = _fold(f, grid)
-    om_rows = grid.fold(grid.omegas)
-    # one buffer for all probes: fresh temporaries made the speed depend on heap placement
-    buf = np.empty(folded.shape, dtype=complex)
-    best = 0.0
-    for x in xs:
-        np.multiply(2j * np.pi, om_rows, out=buf)
-        np.multiply(buf, x, out=buf)
-        np.exp(buf, out=buf)
-        np.multiply(folded, buf, out=buf)
-        best = max(best, float(np.mean(np.abs(buf.sum(axis=0)) ** 2)))
-    tail = f.spectral_tail_energy(grid)
-    return ShiftSquareSum(best, tail, "parseval")
+        sums = [np.sum(np.abs(f.time_values(x + ks)) ** 2) for x in xs]
+        return ShiftSquareSum(float(np.max(sums, initial=0.0)), 0.0, "direct")
+    energy = np.mean(np.abs(twisted_sum(_fold(f, grid), grid.shifts(), xs)) ** 2, axis=1)
+    return ShiftSquareSum(float(np.max(energy, initial=0.0)),
+                          f.spectral_tail_energy(grid), "parseval")
 
 
 @dataclass(frozen=True)
@@ -191,9 +178,12 @@ class Fibers:
         """Nodes of E_f where |Z_f(0, .)| is above its guard level."""
         return _guarded_support(self.zak.values, self.mask)
 
-    def dual(self, x: float) -> PeriodicSpectrum:
-        """Phase-twisted periodization sum_m f_hat(omega+m) exp(2i*pi*m*x)."""
-        return _dual(self.folded, self.grid, x)
+    def dual(self, x) -> PeriodicSpectrum | np.ndarray:
+        """Phase-twisted periodization sum_m f_hat(omega+m) exp(2i*pi*m*x):
+        a PeriodicSpectrum for a scalar offset, a (P, N) array for P offsets,
+        whose rows come from one (P, 2K) @ (2K, N) product (``twisted_sum``)."""
+        d = twisted_sum(self.folded, self.grid.shifts(), x)
+        return PeriodicSpectrum(d, self.grid) if d.ndim == 1 else d
 
 
 def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,

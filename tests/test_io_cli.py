@@ -271,7 +271,7 @@ class TestCLI:
 
 ERROR_CASES = [
     # (argv, exit code, stderr prefix); {d} is a directory holding the inputs
-    (["analyze", "{d}/far.json"], 1, "error: spectrum support needs"),
+    (["analyze", "{d}/far.json", "--K", "32"], 1, "error: spectrum support needs"),
     (["analyze", "shannon", "--eps", "0"], 1, "usage error: argument --eps"),
     (["analyze", "shannon", "--eps", "-1"], 1, "usage error: argument --eps"),
     (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--points", "0",
@@ -286,6 +286,8 @@ ERROR_CASES = [
     (["membership", "ex3", "--theorem", "5"], 1, "error:"),
     (["reconstruct", "--space", "{d}/bad_gen.json", "--samples", "{d}/delta0.csv"], 2, "refused:"),
     (["decompose", "--space", "shannon", "--partition", "{d}/overlap.json"], 2, "failed:"),
+    # a band past the auto-widening limit is refused, not allocated
+    (["analyze", "{d}/very_far.json"], 1, "error: spectrum support needs"),
 ]
 
 
@@ -293,6 +295,8 @@ ERROR_CASES = [
 def error_inputs(tmp_path):
     sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([(40.0, 41.0, 1.0)]),
                                  tmp_path / "far.json")
+    sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([(1e6, 1e6 + 1.0, 1.0)]),
+                                 tmp_path / "very_far.json")
     sio.write_piecewise_spectrum(
         PiecewiseConstantSpectrum([(0.0, 0.5, 1.0), (1.0, 1.5, -1.0)]), tmp_path / "bad_gen.json")
     (tmp_path / "delta0.csv").write_text("k,re,im\n0,1,0\n")
@@ -308,3 +312,36 @@ def test_error_exit_codes_without_traceback(error_inputs, capsys, argv, code, pr
     assert rc == code
     assert err.startswith(prefix)
     assert "Traceback" not in err
+
+
+def test_file_spectrum_widens_grid(error_inputs, capsys):
+    # without --K the grid widens to the band the file's spectrum needs
+    report = error_inputs / "far_report.json"
+    rc = main(["analyze", str(error_inputs / "far.json"), "--json", str(report)])
+    out, err = capsys.readouterr()
+    assert rc in (0, 2)
+    assert "grid K=64" in out
+    assert json.loads(report.read_text())["grid"] == {"K": 64, "N": 1024}
+    assert "error:" not in err and "Traceback" not in err
+
+
+def test_refusal_stderr_is_short(tmp_path, capsys):
+    # theorem 5 passes on hat but the kernel construction refuses
+    rc = main(["membership", "hat", "--theorem", "5", "--emit-s", str(tmp_path / "k.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("refused:")
+    assert len(err.splitlines()) <= 10
+    assert "Traceback" not in err
+
+
+def test_refusal_lists_each_failed_check(error_inputs, capsys):
+    # far.json is no sampling-space generator: its time function oscillates
+    # faster than the continuity falsifier's grid allows
+    rc = main(["reconstruct", "--space", str(error_inputs / "far.json"),
+               "--samples", str(error_inputs / "delta0.csv"), "--out", str(error_inputs / "r.csv")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert lines[0] == "refused: sampling-space certificate failed"
+    assert len(lines) == 2 and lines[1].startswith("  failed check continuity: value=")
+    assert "tolerance=0.125" in lines[1]

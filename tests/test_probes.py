@@ -1,0 +1,143 @@
+"""Batched probe offsets against the per-probe loops they replace.
+
+The shift-square bound and theorem 5's dual energy evaluate all probe
+offsets with one matrix product.  The reference functions below are the
+per-probe loops that computed the same quantities one offset at a time;
+every batched value must agree with them to 1e-12 relative.
+"""
+
+import numpy as np
+import pytest
+
+from sisbox import (
+    FrequencyGrid,
+    GridSpectrum,
+    build_signal,
+    check_theorem5,
+    shift_square_sum,
+)
+from sisbox.signals import PeriodizedProfile
+from sisbox.spaces import _probe_points, sz99_report
+from sisbox.spectral import DEFAULT_EPS, fibers, guard_level
+
+RTOL = 1e-12
+PARSEVAL_SIGNALS = ["blhat", "ex2", "shannon"]  # the catalog signals without a time kernel
+FAR_OFFSETS = np.array([-7.3, -0.5, 1.0, 2.75, 100.5])
+
+
+def probe_signal(name, grid):
+    """A catalog signal, or "complex": a seeded complex spectrum on [-3, 3),
+    whose energies (unlike those of the real catalog spectra) change when
+    the phases are conjugated."""
+    if name != "complex":
+        return build_signal(name, grid)
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+    return GridSpectrum(np.where(np.abs(grid.omegas) < 3, vals, 0.0), grid)
+
+
+def loop_energies(f, xs, grid):
+    """Per-probe mean |Z_f(x, .)|^2 with the full-line phases exp(2i*pi*omega*x)."""
+    folded = grid.fold(f.grid_values(grid))
+    om_rows = grid.fold(grid.omegas)
+    return np.array([np.mean(np.abs((folded * np.exp(2j * np.pi * om_rows * x)).sum(axis=0)) ** 2)
+                     for x in xs])
+
+
+def loop_dual(prof, f, grid, x):
+    """One offset's per-piece dual fiber: the grid sum, or the per-cell sum
+    over the pieces of a piecewise-constant spectrum."""
+    if not prof.exact:
+        phases = np.exp(2j * np.pi * grid.shifts() * x)
+        return (grid.fold(f.grid_values(grid)) * phases[:, None]).sum(axis=0)
+    cut = np.unique(np.array(sorted({0.0, 1.0} | {t for _, lo, hi, _ in f.pieces for t in (lo, hi)})))
+    np.testing.assert_array_equal(cut[:-1], prof.starts)
+    stacks = [[(v, m) for m, lo, hi, v in f.pieces if lo <= 0.5 * (t0 + t1) < hi]
+              for t0, t1 in zip(cut[:-1], cut[1:])]
+    return np.array([sum(v * np.exp(2j * np.pi * m * x) for v, m in st) for st in stacks],
+                    dtype=complex)
+
+
+def loop_dual_energy(f, grid, xs):
+    """Theorem 5's L: the largest per-probe dual-fiber energy on the guarded support."""
+    prof = PeriodizedProfile.from_fibers(fibers(f, grid))
+    on = prof.sq_sum > guard_level(prof.sq_sum, DEFAULT_EPS)
+    absz = np.abs(prof.z)
+    ok = on & (absz > guard_level(absz, DEFAULT_EPS))
+    return max(float(np.sum(prof.lengths[ok] * np.abs(loop_dual(prof, f, grid, x)[ok]) ** 2
+                            / absz[ok] ** 2)) for x in xs)
+
+
+@pytest.fixture(scope="module")
+def fine_grid():
+    return FrequencyGrid(64, 1024)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", PARSEVAL_SIGNALS)
+def test_shift_square_bound_matches_loop(name, seed, fine_grid):
+    f = build_signal(name, fine_grid)
+    xs = _probe_points(seed)
+    got = shift_square_sum(f, xs, fine_grid)
+    assert got.route == "parseval"
+    assert got.bound == pytest.approx(float(np.max(loop_energies(f, xs, fine_grid))), rel=RTOL)
+
+
+@pytest.mark.parametrize("name", [*PARSEVAL_SIGNALS, "complex"])
+def test_each_probe_energy_matches_loop(name, fine_grid):
+    f = probe_signal(name, fine_grid)
+    xs = np.concatenate([_probe_points(0), FAR_OFFSETS])
+    want = loop_energies(f, xs, fine_grid)
+    batched = np.mean(np.abs(fibers(f, fine_grid).dual(xs)) ** 2, axis=1)
+    np.testing.assert_allclose(batched, want, rtol=RTOL, atol=0)
+    single = [shift_square_sum(f, [x], fine_grid).bound for x in FAR_OFFSETS]
+    np.testing.assert_allclose(single, want[-FAR_OFFSETS.size:], rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("name, grid_name", [("blhat", "grid"), ("hat", "grid"),
+                                             ("ex2", "wide_grid")])
+def test_theorem5_dual_energy_matches_loop(name, grid_name, request):
+    grid = request.getfixturevalue(grid_name)
+    f = build_signal(name, grid)
+    xs = np.concatenate([_probe_points(0), FAR_OFFSETS])
+    rep = check_theorem5(f, grid, x_probes=xs)
+    assert rep.constants["exact_pieces"] is (name == "ex2")
+    assert rep.constants["L"] == pytest.approx(loop_dual_energy(f, grid, xs), rel=RTOL)
+
+
+@pytest.mark.parametrize("name, grid_name", [("blhat", "grid"), ("ex2", "wide_grid")])
+def test_dual_keeps_scalar_shape(name, grid_name, request):
+    grid = request.getfixturevalue(grid_name)
+    fib = fibers(build_signal(name, grid), grid)
+    prof = PeriodizedProfile.from_fibers(fib)
+    pieces = prof.starts.size
+    assert prof.dual(0.25).shape == (pieces,)
+    assert prof.dual(np.array([0.25])).shape == (1, pieces)
+    np.testing.assert_allclose(prof.dual(np.array([0.25]))[0], prof.dual(0.25), rtol=RTOL)
+    assert fib.dual(0.25).values.shape == (grid.resolution,)
+    assert fib.dual(np.array([0.25])).shape == (1, grid.resolution)
+
+
+def nan_node_signal(grid):
+    vals = build_signal("blhat", grid).grid_values(grid).copy()
+    vals[grid.size // 2 + 3] = np.nan
+    return GridSpectrum(vals, grid)
+
+
+def test_nan_node_makes_the_bound_nan(grid):
+    # the per-probe max() used to drop every NaN probe and report 0.0
+    assert np.isnan(shift_square_sum(nan_node_signal(grid), _probe_points(0), grid).bound)
+
+
+def test_nan_node_fails_the_shift_square_check(blhat, grid):
+    fib = fibers(blhat, grid)
+    cert = sz99_report(nan_node_signal(grid), fib.mask, fib.zak)
+    assert np.isnan(cert.shift_sum_bound)
+    assert not cert.shift_sum_pass and not cert.passed
+
+
+def test_nan_probe_fails_the_dual_energy_check(ex2, wide_grid):
+    rep = check_theorem5(ex2, wide_grid, x_probes=[0.25, np.nan])
+    d = {c.name: c for c in rep.checks}["d_dual_energy"]
+    assert np.isnan(d.value) and not d.passed
+    assert not rep.passed
