@@ -5,6 +5,7 @@ reader."""
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,17 @@ import numpy as np
 from .errors import FileFormatError
 from .grid import FrequencyGrid, SupportMask, TimeSamples
 from .signals import GridSpectrum, PiecewiseConstantSpectrum
+
+
+def _number(field, line: int) -> float:
+    """One finite number read from a file; nan and inf are refused."""
+    try:
+        value = float(field)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"non-numeric field: {exc}", line=line) from exc
+    if not math.isfinite(value):
+        raise FileFormatError(f"non-finite number {field!r}", line=line)
+    return value
 
 
 def write_piecewise_spectrum(sig: PiecewiseConstantSpectrum, path) -> None:
@@ -31,8 +43,8 @@ def read_piecewise_spectrum(path) -> PiecewiseConstantSpectrum:
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or not {"a", "b"} <= set(rec):
             raise FileFormatError(f"record {i} must carry keys a, b, re, im", line=i + 1)
-        intervals.append((float(rec["a"]), float(rec["b"]),
-                          complex(float(rec.get("re", 0.0)), float(rec.get("im", 0.0)))))
+        a, b, re, im = (_number(rec.get(key, 0.0), i + 1) for key in ("a", "b", "re", "im"))
+        intervals.append((a, b, complex(re, im)))
     try:
         return PiecewiseConstantSpectrum(intervals)
     except ValueError as exc:
@@ -60,10 +72,7 @@ def _parse_csv_rows(path, expected_fields: int, header: str):
                 f"expected {expected_fields} comma-separated fields, got {len(parts)}",
                 line=lineno,
             )
-        try:
-            rows.append(([float(p) for p in parts], lineno))
-        except ValueError as exc:
-            raise FileFormatError(f"non-numeric field: {exc}", line=lineno) from exc
+        rows.append(([_number(p, lineno) for p in parts], lineno))
     return rows
 
 
@@ -137,7 +146,7 @@ def read_partition(path) -> list[list[tuple[float, float]]]:
         for pair in group:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise FileFormatError(f"mask {i} holds a malformed pair {pair!r}", line=1)
-            lo, hi = float(pair[0]), float(pair[1])
+            lo, hi = _number(pair[0], 1), _number(pair[1], 1)
             if not (0.0 <= lo < hi <= 1.0):
                 raise FileFormatError(
                     f"mask {i} pair [{lo}, {hi}) must sit inside [0, 1]", line=1
@@ -178,10 +187,7 @@ def read_periodic_csv(path) -> dict[str, np.ndarray]:
         if len(parts) != len(names):
             raise FileFormatError(
                 f"expected {len(names)} fields, got {len(parts)}", line=lineno)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise FileFormatError(f"non-numeric field: {exc}", line=lineno) from exc
+        rows.append([_number(p, lineno) for p in parts])
     data = np.array(rows)
     return {name: data[:, i] for i, name in enumerate(names)}
 

@@ -19,12 +19,18 @@ Three primary representations plus one derived:
 
 Every representation carries ``integrable_spectrum``: membership in the
 class of square-integrable functions with absolutely integrable spectrum.
+
+Uniform time evaluation and time-kernel spectra both go through one
+numpy chirp (Bluestein) transform, ``_phase_czt``.  Its FFTs run at the
+smallest 5-smooth length that holds the convolution, and its chirp
+phases rate*k^2/2 are reduced mod 1 in exact integer arithmetic (the
+rate is a double, hence a dyadic rational), so the transform is accurate
+to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import BandwidthOverflowError, GridMismatchError
 from .grid import FrequencyGrid, TimeSamples, pow2_at_least
@@ -33,20 +39,74 @@ _EVAL_CHUNK = 64  # x-points per chunk in direct nonuniform evaluation
 
 
 def _uniform_spacing(xs: np.ndarray) -> float | None:
-    """Common spacing of a monotone uniform array, else None."""
+    """Common spacing of a monotone uniform array, else None.  The spacing
+    is the span over the count, not the first difference, which carries
+    the rounding of the first two points."""
     if xs.size < 3:
         return None
     d = np.diff(xs)
     if d[0] == 0:
         return None
     if np.max(np.abs(d - d[0])) <= 1e-12 * max(abs(d[0]), 1.0):
-        return float(d[0])
+        return float((xs[-1] - xs[0]) / (xs.size - 1))
     return None
 
 
+def _turns(t: np.ndarray) -> np.ndarray:
+    """exp(2i*pi*t), with t first reduced mod 1 (exactly) so large phases
+    lose no accuracy to the multiplication by 2*pi."""
+    return np.exp(2j * np.pi * (t - np.round(t)))
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: pocketfft is fast on these lengths."""
+    best = pow2_at_least(n)
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 * pow2_at_least(-(-n // p35)))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chirp(rate: float, count: int) -> np.ndarray:
+    """exp(i*pi*rate*k^2) for k = 0..count-1, phase rate*k^2/2 reduced mod 1.
+
+    Every double is a dyadic rational: rate/2 mod 1 splits exactly into
+    h * 2^-40 (integer h) plus a remainder below 2^-41.  h*k^2 mod 2^40 is
+    exact in uint64 wraparound arithmetic, and the remainder times k^2
+    stays below 2 for k < 2^21, where plain floating point is accurate.
+    """
+    half = rate / 2 - np.round(rate / 2)  # exact, in [-1/2, 1/2]
+    scaled = half * 2.0 ** 40
+    h = np.round(scaled)
+    low = (scaled - h) * 2.0 ** -40
+    k2 = np.arange(count, dtype=np.uint64) ** 2
+    with np.errstate(over="ignore"):
+        top = (np.uint64(int(h) % (1 << 40)) * k2) & np.uint64((1 << 40) - 1)
+    phase = top * 2.0 ** -40 + low * k2.astype(float)
+    return _turns(phase)
+
+
 def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
-    """out[m] = sum_n coeffs[n] * exp(2j*pi*rate*n*m) for m = 0..count-1."""
-    return czt(coeffs, m=count, w=np.exp(2j * np.pi * rate), a=1.0)
+    """out[m] = sum_n coeffs[n] * exp(2j*pi*rate*n*m) for m = 0..count-1.
+
+    Bluestein's chirp transform: n*m = (n^2 + m^2 - (m - n)^2) / 2 turns the
+    sum into a convolution with the chirp exp(-i*pi*rate*k^2), done by FFT at
+    the smallest 5-smooth length >= n + count - 1.  The chirp phases are
+    reduced mod 1 almost exactly (``_chirp``), so the result is accurate to
+    rounding (~1e-15 relative) for any dyadic rate.
+    """
+    n = coeffs.size
+    size = _fast_length(n + count - 1)
+    w = _chirp(rate, max(n, count))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:count] = np.conj(w[:count])
+    kernel[size - n + 1:] = np.conj(w[n - 1:0:-1])
+    conv = np.fft.ifft(np.fft.fft(coeffs * w[:n], size) * np.fft.fft(kernel))
+    return w[:count] * conv[:count]
 
 
 class Signal:
@@ -122,10 +182,9 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
         coeffs = np.zeros(grid.size, dtype=complex)
         coeffs[nz] = values[nz]
         j = np.arange(grid.size)
-        pre = coeffs * np.exp(2j * np.pi * (j / grid.resolution) * x0)
+        pre = coeffs * _turns((j / grid.resolution) * x0)
         out = _phase_czt(pre, spacing / grid.resolution, xs.size)
-        phase = np.exp(2j * np.pi * (-grid.half_bandwidth) * xs)
-        return phase * out * kern
+        return _turns(-grid.half_bandwidth * xs) * out * kern
 
     om = grid.omegas[nz]
     vals = values[nz]
@@ -153,6 +212,8 @@ class PiecewiseConstantSpectrum(Signal):
         pieces = []
         for a, b, v in intervals:
             a, b, v = float(a), float(b), complex(v)
+            if not (np.isfinite(a) and np.isfinite(b)):
+                raise ValueError(f"interval [{a}, {b}) must have finite ends")
             if b <= a:
                 raise ValueError(f"empty interval [{a}, {b})")
             m = int(np.floor(a))

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh, toeplitz
 
 from .errors import (
     DegenerateSpaceError,
@@ -369,6 +368,8 @@ def gram_matrix_bounds_oracle(psi: Signal, grid: FrequencyGrid, truncation: int,
         raise DegenerateSpaceError("zero generator has no frame bounds")
     coeffs = np.fft.fft(g.values.astype(complex)) / grid.resolution
     col = coeffs[:truncation]
-    m = toeplitz(col, np.conj(col))
-    ev = eigvalsh(m)
+    lag = np.subtract.outer(np.arange(truncation), np.arange(truncation))
+    m = col[np.abs(lag)]  # Hermitian Toeplitz: col below the diagonal,
+    m = np.where(lag >= 0, m, m.conj())  # its conjugate above
+    ev = np.linalg.eigvalsh(m)
     return float(ev.min()), float(ev.max())

@@ -13,7 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BandwidthOverflowError, DegenerateSpaceError, NotAGrammianError
+from .errors import (
+    BandwidthOverflowError,
+    DegenerateSpaceError,
+    NotAGrammianError,
+    PreconditionError,
+)
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
 from .signals import ShiftCombination, Signal, TimeKernel, twisted_sum
 
@@ -188,8 +193,13 @@ class Fibers:
 
 def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
            k_max: int = DEFAULT_K_MAX) -> Fibers:
-    """Build the Fibers record of f on the grid."""
+    """Build the Fibers record of f on the grid; refuses a spectrum with a
+    NaN or infinite node, which would otherwise empty the support set and
+    pass every verdict as vacuous."""
     folded = _fold(f, grid)
+    bad = np.count_nonzero(~np.isfinite(folded))
+    if bad:
+        raise PreconditionError(f"spectrum has {bad} non-finite grid value(s)")
     modulus = np.abs(folded)
     g = PeriodicSpectrum((modulus ** 2).sum(axis=0), grid)
     mask = support_mask(g, eps)

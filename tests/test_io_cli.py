@@ -68,6 +68,23 @@ class TestFileFormats:
             sio.read_samples(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("reader, text, line", [
+        (sio.read_samples, "k,re,im\n0,1,0\n1,nan,0\n", 3),
+        (sio.read_samples, "k,re,im\n0,1,-inf\n", 2),
+        (sio.read_reconstruction_csv, "x,re,im\n0.5,1,0\ninf,0,0\n", 3),
+        (sio.read_periodic_csv, "omega,grammian\n0,1\n0.5,NaN\n", 3),
+        (sio.read_grid_spectrum, "omega,re,im\n-1,1,0\n-0.5,1,0\n0,nan,0\n0.5,1,0\n", 4),
+        (sio.read_piecewise_spectrum, '[{"a": 0, "b": 1, "re": 1},\n {"a": 1, "b": 2, "re": NaN}]', 2),
+        (sio.read_piecewise_spectrum, '[{"a": 0, "b": Infinity, "re": 1}]', 1),
+    ], ids=["samples-nan", "samples-inf", "reconstruction-inf", "periodic-nan", "grid-nan",
+            "spectrum-nan", "spectrum-infinite-end"])
+    def test_non_finite_number_reports_line(self, tmp_path, reader, text, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match="non-finite") as err:
+            reader(path)
+        assert err.value.line == line
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('[\n{"a": 0, "b": }\n]\n')
@@ -345,3 +362,23 @@ def test_refusal_lists_each_failed_check(error_inputs, capsys):
     assert lines[0] == "refused: sampling-space certificate failed"
     assert len(lines) == 2 and lines[1].startswith("  failed check continuity: value=")
     assert "tolerance=0.125" in lines[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["membership", "{d}/nan.json", "--theorem", "5"],
+    ["membership", "{d}/nan.json", "--theorem", "2"],
+    ["analyze", "{d}/inf.json"],
+    ["reconstruct", "--space", "shannon", "--samples", "{d}/nan_samples.csv",
+     "--out", "{d}/rec.csv"],
+], ids=["theorem5-nan", "theorem2-nan", "analyze-inf", "reconstruct-nan-sample"])
+def test_non_finite_input_exits_1_without_traceback(tmp_path, capsys, argv):
+    # NaN spectra used to pass theorem 5 vacuously, NaN samples to reconstruct NaN
+    (tmp_path / "nan.json").write_text('[{"a": -0.5, "b": 0.5, "re": NaN, "im": 0}]\n')
+    (tmp_path / "inf.json").write_text('[{"a": -0.5, "b": 0.5, "re": 1e999, "im": 0}]\n')
+    (tmp_path / "nan_samples.csv").write_text("k,re,im\n0,1,0\n1,nan,0\n")
+    rc = main([a.format(d=tmp_path) for a in argv])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert err.startswith("error: line ") and "non-finite" in err
+    assert "Traceback" not in err and "verdict: pass" not in out
+    assert not (tmp_path / "rec.csv").exists()

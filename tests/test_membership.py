@@ -266,3 +266,13 @@ class TestNecessity:
             f = synthesize(space, random_coefficients(seed))
             rep = check_theorem5(f, space.grid)
             assert rep.passed, f"seed {seed}: {[c.to_dict() for c in rep.checks if not c.passed]}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("check", [check_theorem2, check_theorem5, check_sz04])
+def test_non_finite_node_is_refused_not_vacuous(blhat, grid, check, bad):
+    # a NaN guard level used to empty the support set: pass, vacuous, "zero signal"
+    vals = blhat.grid_values(grid).copy()
+    vals[grid.size // 2 + 3] = bad
+    with pytest.raises(PreconditionError, match="non-finite"):
+        check(GridSpectrum(vals, grid), grid)

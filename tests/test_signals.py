@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from sisbox import (
     TimeSamples,
 )
 from sisbox.errors import GridMismatchError
-from sisbox.signals import _grid_time_values
+from sisbox.signals import _grid_time_values, _phase_czt
 
 
 class TestPiecewiseConstant:
@@ -21,6 +23,12 @@ class TestPiecewiseConstant:
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
             PiecewiseConstantSpectrum([(1.0, 1.0, 1.0)])
+
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
+    def test_rejects_non_finite_ends(self, a, b):
+        # an infinite end used to split the interval into unit pieces forever
+        with pytest.raises(ValueError, match="finite ends"):
+            PiecewiseConstantSpectrum([(a, b, 1.0)])
 
     def test_adjacent_intervals_allowed(self):
         sig = PiecewiseConstantSpectrum([(0.0, 0.5, 1.0), (0.5, 1.0, 2.0)])
@@ -76,6 +84,47 @@ class TestGridSpectrum:
         got = _grid_time_values(vals, grid, xs_uniform)
         want = np.array([_grid_time_values(vals, grid, np.array([x]))[0] for x in xs_uniform])
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+def exact_phase_sum(coeffs, ints, rate) -> complex:
+    """sum_n coeffs[n] exp(2i*pi*rate*ints[n]), every phase rate*ints[n]
+    reduced mod 1 exactly in rational arithmetic before rounding."""
+    r = Fraction(rate)
+    turns = (np.asarray(ints, dtype=object) * r.numerator) % r.denominator / r.denominator
+    return complex(np.sum(coeffs * np.exp(2j * np.pi * turns.astype(float))))
+
+
+class TestChirpTransform:
+    @pytest.mark.parametrize("size, count, rate", [
+        (2049, 65536, -2.0 ** -20),          # TimeKernel spectrum: M = 2048 at (32, 1024)
+        (131072, 1000, (16 / 999) / 1024),   # uniform evaluation: (64, 1024), 1000 points
+    ])
+    def test_matches_exact_phase_sum(self, size, count, rate):
+        rng = np.random.default_rng(11)
+        coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        got = _phase_czt(coeffs, rate, count)
+        ms = [0, 1, count // 3, count // 2 + 1, count - 1]
+        n = np.arange(size)
+        want = np.array([exact_phase_sum(coeffs, n * m, rate) for m in ms])
+        assert np.max(np.abs(got[ms] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_uniform_evaluation_keeps_the_points(self):
+        # the first difference of linspace(-8, 8, 1000) is off by 3.6e-16; a
+        # spacing taken from it drifts to 1.7e-10 relative at the far end
+        grid = FrequencyGrid(64, 1024)
+        rng = np.random.default_rng(12)
+        vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+        xs = np.linspace(-8, 8, 1000)
+        got = _grid_time_values(vals, grid, xs)
+        nodes = np.arange(grid.size) - grid.half_bandwidth * grid.resolution
+        picks = [0, 1, 333, 500, 998, 999]
+        want = []
+        for i in picks:
+            x = xs[i]
+            kern = (np.exp(2j * np.pi * grid.step * x) - 1.0) / (2j * np.pi * x)
+            want.append(exact_phase_sum(vals, nodes, Fraction(x) / grid.resolution) * kern)
+        want = np.array(want)
+        assert np.max(np.abs(got[picks] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestTimeKernel:
