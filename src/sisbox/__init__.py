@@ -72,7 +72,6 @@ from .spectral import (
     inverse_fourier_evaluate,
     periodize,
     shift_square_sum,
-    signal_norm,
     spectral_norm,
     support_mask,
     zak_dual_fiber,

@@ -57,18 +57,17 @@ def _ex3_evaluator(x):
     return out
 
 
-def ex3_signal(quadrature_order: int = 2048) -> TimeKernel:
+def ex3_signal() -> TimeKernel:
     """Plateau kernel: sine ramps on [-1, -1/2] and [1/2, 1] around a unit
     plateau.  Interpolating (value 1 at 0, 0 at other integers) and
     compactly supported; flagged outside the integrable-spectrum class."""
-    return TimeKernel((-1.0, 1.0), _ex3_evaluator, quadrature_order,
-                      integrable_spectrum=False, name="ex3")
+    return TimeKernel((-1.0, 1.0), _ex3_evaluator, integrable_spectrum=False, name="ex3")
 
 
-def hat_signal(quadrature_order: int = 2048) -> TimeKernel:
+def hat_signal() -> TimeKernel:
     """Triangle kernel 1 - |x| on [-1, 1]; spectrum is squared sinc."""
     return TimeKernel((-1.0, 1.0), lambda x: np.maximum(1.0 - np.abs(np.asarray(x, dtype=float)), 0.0),
-                      quadrature_order, integrable_spectrum=True, name="hat")
+                      integrable_spectrum=True, name="hat")
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,9 @@ CATALOG: dict[str, CatalogEntry] = {
     "ex2": CatalogEntry("ex2", "alternating dyadic-block spectrum on [n, n+2^-n)",
                         False, lambda n_max=60, **kw: ex2_signal(n_max)),
     "ex3": CatalogEntry("ex3", "plateau kernel with sine ramps on [-1, 1]",
-                        False, lambda quadrature_order=2048, **kw: ex3_signal(quadrature_order)),
+                        False, lambda **kw: ex3_signal()),
     "hat": CatalogEntry("hat", "triangle kernel 1-|x| on [-1, 1]",
-                        False, lambda quadrature_order=2048, **kw: hat_signal(quadrature_order)),
+                        False, lambda **kw: hat_signal()),
 }
 
 

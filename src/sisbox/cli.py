@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +45,9 @@ from .membership import (
     construct_s_from_f,
     induced_subspace,
 )
-from .reports import ReportDocument, gauge
+from .reports import ConditionCheck, ReportDocument
 from .signals import GridSpectrum
-from .spaces import KERNEL_TOL, MEMBER_TOL, build_space, reconstruct, sz99_report
+from .spaces import KERNEL_TOL, build_space, reconstruct, sz99_report
 from .spectral import DEFAULT_EPS, DEFAULT_K_MAX, essential_bounds, fibers
 
 
@@ -132,27 +133,53 @@ def _load_signal(ref: str, grid: FrequencyGrid, args):
     return build_signal(ref, grid, **_catalog_params(args, ref))
 
 
-def _finish(doc: ReportDocument, args, started: float, passed: bool) -> int:
-    doc.timing_s = time.monotonic() - started
-    doc.verdict = "pass" if passed else "fail"
+class _Outcome(NamedTuple):
+    """What one command's report holds beyond its timing, seed and verdict."""
+
+    grid: FrequencyGrid
+    params: dict
+    results: dict
+    passed: bool
+    tails: dict
+
+
+def _run(args) -> int:
+    """Run one command: time it, build its report with the grid and seed,
+    print the verdict, save --json and return the exit code."""
+    started = time.monotonic()
+    out = args.func(args)
+    doc = ReportDocument(command=args.command,
+                         grid={"K": out.grid.half_bandwidth, "N": out.grid.resolution},
+                         params=out.params, results=out.results, tails=out.tails,
+                         timing_s=time.monotonic() - started, seed=args.seed,
+                         verdict="pass" if out.passed else "fail")
     if args.json:
         doc.save(args.json)
     print(f"verdict: {doc.verdict}")
-    return 0 if passed else 2
+    return 0 if out.passed else 2
 
 
-def cmd_analyze(args) -> int:
-    started = time.monotonic()
+def _signal_tails(sig, grid: FrequencyGrid) -> dict:
+    return {"spectral": sig.spectral_tail_energy(grid), "series": sig.series_tail}
+
+
+def _space(args, grid: FrequencyGrid):
+    """The certified space of the --space generator."""
+    gen = _load_signal(args.space, grid, args)
+    return build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
+
+
+def cmd_analyze(args) -> _Outcome:
     grid = _resolve_grid(args, [args.signal])
     sig = _load_signal(args.signal, grid, args)
     fib = fibers(sig, grid, args.eps, args.kmax)
     g, mask = fib.grammian, fib.mask
     bounds = essential_bounds(g, mask) if not mask.is_empty else (0.0, 0.0)
     report = sz99_report(sig, mask, fib.zak, k_max=args.kmax, seed=args.seed)
+    g_min, g_max = float(np.min(g.real_values)), float(np.max(g.real_values))
 
     print(f"[analyze] signal={args.signal} grid K={grid.half_bandwidth} N={grid.resolution}")
-    print(f"[analyze] grammian min={float(np.min(g.real_values)):.6g} "
-          f"max={float(np.max(g.real_values)):.6g}")
+    print(f"[analyze] grammian min={g_min:.6g} max={g_max:.6g}")
     print(f"[analyze] support measure={mask.measure:.6g}")
     print(f"[analyze] frame bounds A={bounds[0]:.6g} B={bounds[1]:.6g}")
     print(f"[analyze] certificate: continuity={report.continuity_verdict} "
@@ -165,58 +192,41 @@ def cmd_analyze(args) -> int:
                                       "abs_zak": np.abs(fib.zak.values)}, args.csv)
         print(f"[analyze] wrote {args.csv}")
 
-    doc = ReportDocument(
-        command="analyze",
-        grid={"K": grid.half_bandwidth, "N": grid.resolution},
-        params={"signal": args.signal, "eps": args.eps, "kmax": args.kmax},
-        results={
-            "grammian": {"min": float(np.min(g.real_values)),
-                         "max": float(np.max(g.real_values))},
-            "support_measure": mask.measure,
-            "frame_bounds": {"A": bounds[0], "B": bounds[1]},
-            "certificate": report.to_dict(),
-        },
-        tails={"spectral": sig.spectral_tail_energy(grid),
-               "series": float(getattr(sig, "series_tail", 0.0))},
-        seed=args.seed,
-    )
-    return _finish(doc, args, started, report.passed)
+    results = {"grammian": {"min": g_min, "max": g_max}, "support_measure": mask.measure,
+               "frame_bounds": {"A": bounds[0], "B": bounds[1]},
+               "certificate": report.to_dict()}
+    return _Outcome(grid, {"signal": args.signal, "eps": args.eps, "kmax": args.kmax},
+                    results, report.passed, _signal_tails(sig, grid))
 
 
-def cmd_membership(args) -> int:
-    started = time.monotonic()
+# --theorem -> criterion; each lambda looks its check up at call time, so a
+# wrapped module attribute (a tracer's, say) is the one called
+_CRITERIA = {
+    "2": lambda sig, grid, a: check_theorem2(sig, grid, eps=a.eps, k_max=a.kmax, seed=a.seed),
+    "5": lambda sig, grid, a: check_theorem5(sig, grid, eps=a.eps, k_max=a.kmax, seed=a.seed),
+    "sz04": lambda sig, grid, a: check_sz04(sig, grid, eps=a.eps),
+}
+
+
+def cmd_membership(args) -> _Outcome:
     grid = _resolve_grid(args, [args.signal, args.space])
     sig = _load_signal(args.signal, grid, args)
-
-    results: dict = {}
     if args.theorem == "1":
-        gen = _load_signal(args.space, grid, args)
-        space = build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
-        sub = induced_subspace(space, sig)
-        results["induced"] = {
-            "member_residual": gauge(sub.member_residual, MEMBER_TOL,
-                                     sub.member_residual <= MEMBER_TOL),
-            "kernel_mask_residual": gauge(sub.kernel_mask_residual, KERNEL_TOL,
-                                          sub.kernel_mask_residual <= KERNEL_TOL),
-            "kernel_projection_residual": gauge(sub.kernel_projection_residual, KERNEL_TOL,
-                                                sub.kernel_projection_residual <= KERNEL_TOL),
-            "subspace_measure": sub.space.mask.measure,
-        }
-        passed = all(v["passed"] for v in results["induced"].values()
-                     if isinstance(v, dict) and "passed" in v)
+        sub = induced_subspace(_space(args, grid), sig)
+        checks = sub.checks
+        results = {"induced": {**{c.name: c.to_dict() for c in checks},
+                               "subspace_measure": sub.space.mask.measure}}
         print(f"[membership] theorem 1: kernel identities "
               f"mask={sub.kernel_mask_residual:.3g} proj={sub.kernel_projection_residual:.3g}")
-    elif args.theorem == "2":
-        report = check_theorem2(sig, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
-        results["report"] = report.to_dict()
-        passed = report.passed
-        _print_condition_report(report)
-    elif args.theorem == "5":
-        report = check_theorem5(sig, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
-        results["report"] = report.to_dict()
-        passed = report.passed
-        _print_condition_report(report)
-        if passed and args.emit_s:
+    else:
+        report = _CRITERIA[args.theorem](sig, grid, args)
+        checks = report.checks
+        results = {"report": report.to_dict()}
+        for check in checks:
+            val = "n/a" if check.value is None else f"{check.value:.6g}"
+            print(f"[membership] {report.criterion} {check.name}: value={val} "
+                  f"passed={check.passed}" + (f" ({check.detail})" if check.detail else ""))
+        if args.theorem == "5" and report.passed and args.emit_s:
             space = construct_s_from_f(sig, grid, eps=args.eps, k_max=args.kmax,
                                        seed=args.seed, report=report)
             kernel = space.sampling_spectrum
@@ -224,37 +234,16 @@ def cmd_membership(args) -> int:
                 kernel = GridSpectrum(kernel.grid_values(grid), grid)
             sio.write_grid_spectrum(kernel, args.emit_s)
             print(f"[membership] wrote kernel spectrum to {args.emit_s}")
-    else:  # sz04
-        report = check_sz04(sig, grid, eps=args.eps)
-        results["report"] = report.to_dict()
-        passed = report.passed
-        _print_condition_report(report)
 
-    doc = ReportDocument(
-        command="membership",
-        grid={"K": grid.half_bandwidth, "N": grid.resolution},
-        params={"signal": args.signal, "theorem": args.theorem, "space": args.space,
-                "eps": args.eps, "kmax": args.kmax},
-        results=results,
-        tails={"spectral": sig.spectral_tail_energy(grid),
-               "series": float(getattr(sig, "series_tail", 0.0))},
-        seed=args.seed,
-    )
-    return _finish(doc, args, started, passed)
+    params = {"signal": args.signal, "theorem": args.theorem, "space": args.space,
+              "eps": args.eps, "kmax": args.kmax}
+    return _Outcome(grid, params, results, all(c.passed for c in checks),
+                    _signal_tails(sig, grid))
 
 
-def _print_condition_report(report) -> None:
-    for check in report.checks:
-        val = "n/a" if check.value is None else f"{check.value:.6g}"
-        print(f"[membership] {report.criterion} {check.name}: value={val} "
-              f"passed={check.passed}" + (f" ({check.detail})" if check.detail else ""))
-
-
-def cmd_reconstruct(args) -> int:
-    started = time.monotonic()
+def cmd_reconstruct(args) -> _Outcome:
     grid = _resolve_grid(args, [args.space])
-    gen = _load_signal(args.space, grid, args)
-    space = build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
+    space = _space(args, grid)
     samples = sio.read_samples(args.samples, k_max=args.kmax)
     xs = np.linspace(args.x_from, args.x_to, args.points)
 
@@ -275,64 +264,45 @@ def cmd_reconstruct(args) -> int:
     sio.write_reconstruction_csv(xs, result.values, out)
     print(f"[reconstruct] route={result.route} points={len(xs)} wrote {out}")
 
-    doc = ReportDocument(
-        command="reconstruct",
-        grid={"K": grid.half_bandwidth, "N": grid.resolution},
-        params={"space": args.space, "samples": args.samples, "lattice": args.lattice,
-                "points": args.points, "range": [args.x_from, args.x_to]},
-        results={"route": result.route, "output": out,
-                 "max_abs": float(np.max(np.abs(result.values)))},
-        tails={"samples": samples.tail_energy, "truncation": result.truncation_tail},
-        seed=args.seed,
-    )
-    return _finish(doc, args, started, True)
+    params = {"space": args.space, "samples": args.samples, "lattice": args.lattice,
+              "points": args.points, "range": [args.x_from, args.x_to]}
+    results = {"route": result.route, "output": out,
+               "max_abs": float(np.max(np.abs(result.values)))}
+    return _Outcome(grid, params, results, True,
+                    {"samples": samples.tail_energy, "truncation": result.truncation_tail})
 
 
-def cmd_decompose(args) -> int:
-    started = time.monotonic()
+def cmd_decompose(args) -> _Outcome:
     grid = _resolve_grid(args, [args.space])
-    gen = _load_signal(args.space, grid, args)
-    space = build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
+    space = _space(args, grid)
     groups = sio.read_partition(args.partition)
-    partition = PeriodicPartition.from_intervals(groups, grid, args.eps)
-    components = decompose(space, partition)
+    components = decompose(space, PeriodicPartition.from_intervals(groups, grid))
 
     total = np.zeros(grid.size, dtype=complex)
     prefix = args.out_prefix or "component"
     files = []
     for j, comp in enumerate(components):
-        kernel = comp.sampling_spectrum
-        vals = kernel.grid_values(grid)
+        vals = comp.sampling_spectrum.grid_values(grid)
         total += vals
         path = f"{prefix}_{j}.csv"
         sio.write_grid_spectrum(GridSpectrum(vals, grid), path)
         files.append(path)
         print(f"[decompose] component {j}: measure={comp.mask.measure:.6g} wrote {path}")
-    s_vals = space.sampling_spectrum.grid_values(grid)
-    kernel_sum_gap = float(np.max(np.abs(total - s_vals)))
-    print(f"[decompose] kernel sum gap={kernel_sum_gap:.3g}")
+    gap = float(np.max(np.abs(total - space.sampling_spectrum.grid_values(grid))))
+    print(f"[decompose] kernel sum gap={gap:.3g}")
+    check = ConditionCheck("kernel_sum_gap", gap <= KERNEL_TOL, gap, KERNEL_TOL)
 
-    doc = ReportDocument(
-        command="decompose",
-        grid={"K": grid.half_bandwidth, "N": grid.resolution},
-        params={"space": args.space, "partition": args.partition},
-        results={
-            "components": len(components),
-            "files": files,
-            "component_measures": [c.mask.measure for c in components],
-            "kernel_sum_gap": gauge(kernel_sum_gap, KERNEL_TOL, kernel_sum_gap <= KERNEL_TOL),
-        },
-        seed=args.seed,
-    )
-    return _finish(doc, args, started, kernel_sum_gap <= KERNEL_TOL)
+    results = {"components": len(components), "files": files,
+               "component_measures": [c.mask.measure for c in components],
+               "kernel_sum_gap": check.to_dict()}
+    return _Outcome(grid, {"space": args.space, "partition": args.partition}, results,
+                    check.passed, {})
 
 
-def cmd_determine(args) -> int:
-    started = time.monotonic()
+def cmd_determine(args) -> _Outcome:
     refs = [ref.strip() for ref in args.functions.split(",")]
     grid = _resolve_grid(args, [args.space, *refs])
-    gen = _load_signal(args.space, grid, args)
-    space = build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
+    space = _space(args, grid)
     funcs = [_load_signal(ref, grid, args) for ref in refs]
     report = check_determining_set(space, funcs)
 
@@ -350,14 +320,8 @@ def cmd_determine(args) -> int:
             files += [mask_path, alpha_path]
             print(f"[determine] wrote {mask_path} and {alpha_path}")
 
-    doc = ReportDocument(
-        command="determine",
-        grid={"K": grid.half_bandwidth, "N": grid.resolution},
-        params={"space": args.space, "functions": args.functions},
-        results={**report.to_dict(), "files": files},
-        seed=args.seed,
-    )
-    return _finish(doc, args, started, report.passed)
+    return _Outcome(grid, {"space": args.space, "functions": args.functions},
+                    {**report.to_dict(), "files": files}, report.passed, {})
 
 
 def _build_parser() -> _Parser:
@@ -413,8 +377,7 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
+        return _run(_build_parser().parse_args(argv))
     except SisboxError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
         for check in getattr(getattr(exc, "report", None), "checks", ()):

@@ -19,7 +19,6 @@ from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
 from .signals import GridSpectrum, Signal
 from .spaces import (
     KERNEL_TOL,
-    MEMBER_TOL,
     ReconstructionResult,
     SamplingSpace,
     build_space,
@@ -37,7 +36,7 @@ class PeriodicPartition:
     masks: list[SupportMask]
 
     @classmethod
-    def from_intervals(cls, groups, grid: FrequencyGrid, eps: float = 0.0) -> "PeriodicPartition":
+    def from_intervals(cls, groups, grid: FrequencyGrid) -> "PeriodicPartition":
         """Each group is a list of [start, end) subintervals of [0, 1)."""
         masks = []
         nodes = grid.unit_omegas
@@ -45,7 +44,7 @@ class PeriodicPartition:
             sel = np.zeros(grid.resolution, dtype=bool)
             for lo, hi in group:
                 sel |= (nodes >= float(lo)) & (nodes < float(hi))
-            masks.append(SupportMask(sel, grid, eps))
+            masks.append(SupportMask(sel, grid))
         return cls(masks)
 
     def overlap_measure(self) -> float:
@@ -86,13 +85,12 @@ class DeterminingSetReport:
         }
 
 
-def check_determining_set(space: SamplingSpace, funcs: list[Signal], *,
-                          member_tol: float = MEMBER_TOL) -> DeterminingSetReport:
+def check_determining_set(space: SamplingSpace, funcs: list[Signal]) -> DeterminingSetReport:
     """Decide whether the family determines the space and, on success,
     build the disjoint masks and the recovery multipliers."""
     grid = space.grid
     for i, f in enumerate(funcs):
-        member_residual(space, f, member_tol, f"function {i}")
+        member_residual(space, f, f"function {i}")
 
     fibs = [fibers(f, grid, space.eps, space.k_max) for f in funcs]
     masks = [fib.mask for fib in fibs]
@@ -121,13 +119,13 @@ def check_determining_set(space: SamplingSpace, funcs: list[Signal], *,
 
 
 def span_sum_check(space: SamplingSpace, report: DeterminingSetReport, funcs: list[Signal],
-                   probe: Signal, *, member_tol: float = MEMBER_TOL) -> float:
+                   probe: Signal) -> float:
     """Express a probe member through the family and return the spectral
     residual of the expansion."""
     if not report.passed:
         raise ValueError("span check requires a passing determining-set report")
     grid = space.grid
-    member_residual(space, probe, member_tol, "probe")
+    member_residual(space, probe, "probe")
     fib = fibers(probe, grid, space.eps, space.k_max)
     recon = np.zeros(fib.folded.shape, dtype=complex)
     for f, alpha, b in zip(funcs, report.multipliers, report.disjoint_masks):

@@ -48,14 +48,6 @@ class FrequencyGrid:
             raise ValueError(f"resolution must be a power of two, got {self.resolution}")
 
     @property
-    def k(self) -> int:
-        return self.half_bandwidth
-
-    @property
-    def n(self) -> int:
-        return self.resolution
-
-    @property
     def step(self) -> float:
         return 1.0 / self.resolution
 

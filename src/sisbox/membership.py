@@ -4,7 +4,8 @@ Four criteria are implemented:
 
 * ``induced_subspace`` -- a member f of a certified space spans a sampling
   space S(f) of its own whose kernel is the masked parent kernel and,
-  equivalently, the projection of the parent kernel onto S(f).
+  equivalently, the projection of the parent kernel onto S(f); the three
+  identities come with their verdicts (``InducedSubspace.checks``).
 * ``check_theorem2`` -- normalize f by its Zak fiber and run the
   sampling-space certificate on the normalized function.
 * ``check_theorem5`` -- the four-condition characterization for signals
@@ -14,6 +15,8 @@ Four criteria are implemented:
 * ``check_sz04`` -- the stronger sufficient-condition pair; its second
   inequality can fail where the characterization above still passes.
 
+The last three share one skeleton (``_judge``): precondition, fibers,
+support set, tail energy and the vacuous report of a zero signal.
 Piecewise-constant spectra are analyzed on their exact periodized piece
 structure (resolving detail far below grid resolution); everything else
 is analyzed at grid resolution, one piece per unit-grid cell.
@@ -25,15 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConstructionRefusedError,
-    DegenerateSpaceError,
-    PreconditionError,
-)
+from .errors import ConstructionRefusedError, DegenerateSpaceError, PreconditionError
 from .grid import FrequencyGrid
 from .reports import ConditionCheck
 from .signals import GridSpectrum, PeriodizedProfile, Signal
 from .spaces import (
+    KERNEL_TOL,
     MEMBER_TOL,
     SamplingSpace,
     build_space,
@@ -46,6 +46,7 @@ from .spectral import (
     DEFAULT_EPS,
     DEFAULT_K_MAX,
     Fibers,
+    _guarded_support,
     divide_on_support,
     fibers,
     guard_level,
@@ -80,8 +81,6 @@ class ConditionReport:
                 return v.tolist()
             if isinstance(v, (np.floating, np.integer)):
                 return v.item()
-            if isinstance(v, complex):
-                return {"re": v.real, "im": v.imag}
             if isinstance(v, tuple):
                 return [clean(x) for x in v]
             return v
@@ -111,12 +110,45 @@ def _unbounded_trend(lengths: np.ndarray, ratios: np.ndarray) -> tuple[bool, flo
     return diverging, coarse, full
 
 
-def _require_integrable(f: Signal, criterion: str) -> None:
-    if not f.integrable_spectrum:
+def _bounded_ratio(name: str, ratios: np.ndarray, on: np.ndarray,
+                   lengths: np.ndarray) -> ConditionCheck:
+    """A per-piece ratio bounded on the support set: its sup over the
+    pieces (NaN pieces skipped) is finite and shows no unbounded trend."""
+    sel = ratios[on]
+    bound = float(np.nanmax(sel))
+    diverging, coarse, full = _unbounded_trend(lengths[on], sel)
+    detail = (f"unbounded trend: fine-scale sup {full:.3g} vs coarse {coarse:.3g}"
+              if diverging else "")
+    return ConditionCheck(name, bool(np.isfinite(bound) and not diverging), bound, detail=detail)
+
+
+def _judge(f: Signal, grid: FrequencyGrid, eps: float, k_max: int, criterion: str, body, *,
+           names: tuple[str, ...], vacuous: dict,
+           note: str = "zero signal: conditions hold vacuously",
+           requires: str = "") -> ConditionReport:
+    """The skeleton of theorems 2, 5 and sz04.  Refuses a signal outside
+    the integrable-spectrum class when ``requires`` names the criterion;
+    builds the fibers, the periodized profile, the support set (pieces
+    above the Grammian's guard level) and the tail energy; reports a zero
+    signal as a vacuous pass of the checks ``names``, with the constants
+    ``vacuous`` and the ``note``.  Otherwise ``body(fib, prof, on)``
+    returns the checks and constants."""
+    if requires and not f.integrable_spectrum:
         raise PreconditionError(
-            f"{criterion} requires an absolutely integrable spectrum; "
+            f"{requires} requires an absolutely integrable spectrum; "
             "this signal is flagged outside that class -- use the theorem-2 criterion"
         )
+    fib = fibers(f, grid, eps, k_max)
+    prof = PeriodizedProfile.from_fibers(fib)
+    on = prof.sq_sum > guard_level(prof.sq_sum, eps)
+    tail = f.spectral_tail_energy(grid) + f.series_tail
+    if not np.any(on):
+        checks = [ConditionCheck(name, True, detail="vacuous") for name in names]
+        return ConditionReport(criterion, checks, True, vacuous=True, constants=dict(vacuous),
+                               tail_energy=tail, note=note)
+    checks, constants = body(fib, prof, on)
+    return ConditionReport(criterion, checks, all(c.passed for c in checks),
+                           constants=constants, tail_energy=tail)
 
 
 def check_theorem5(f: Signal, grid: FrequencyGrid, x_probes=None, *,
@@ -130,69 +162,50 @@ def check_theorem5(f: Signal, grid: FrequencyGrid, x_probes=None, *,
     uniformly bounded over a probe set of time offsets (the integrand is
     1-periodic in the offset, so probing [0, 1) covers the line).
     """
-    _require_integrable(f, "the theorem-5 criterion")
-    fib = fibers(f, grid, eps, k_max)
-    prof = PeriodizedProfile.from_fibers(fib)
-    on = prof.sq_sum > guard_level(prof.sq_sum, eps)
+    def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray):
+        l2 = fib.samples.l2_norm
+        check_a = ConditionCheck("a_samples_l2", bool(np.isfinite(l2)), l2,
+                                 detail=f"tail energy {fib.samples.tail_energy:.3g}")
 
-    tail = f.spectral_tail_energy(grid) + float(getattr(f, "series_tail", 0.0))
+        absz = np.abs(prof.z)
+        guard = guard_level(absz, eps)
+        ok = on & (absz > guard)
+        bad = on & ~ok
+        if np.any(bad):
+            a_const = float("inf")
+            check_b = ConditionCheck("b_two_sided_ratio", False, a_const,
+                                     detail="Zak fiber vanishes on part of the support set")
+        else:
+            ratios = np.full(prof.z.shape, np.inf)
+            ratios[ok] = prof.sq_sum[ok] / absz[ok] ** 2
+            a_const = float(ratios[on].min())
+            check_b = _bounded_ratio("b_two_sided_ratio", ratios, on, prof.lengths)
 
-    if not np.any(on):
-        checks = [ConditionCheck("a_samples_l2", True, 0.0, detail="empty support"),
-                  ConditionCheck("b_two_sided_ratio", True, detail="vacuous"),
-                  ConditionCheck("c_kernel_mass", True, 0.0),
-                  ConditionCheck("d_dual_energy", True, 0.0)]
-        return ConditionReport("theorem5", checks, True, vacuous=True,
-                               constants={"A": None, "B": None, "L": 0.0, "integral": 0.0},
-                               tail_energy=tail, note="zero signal: conditions hold vacuously")
+        if np.any(bad & (prof.abs_sum > guard)):
+            integral = float("inf")
+        else:
+            contrib = np.zeros(prof.z.shape)
+            contrib[ok] = prof.lengths[ok] * prof.abs_sum[ok] / absz[ok]
+            integral = float(np.sum(contrib))
+        check_c = ConditionCheck("c_kernel_mass", bool(np.isfinite(integral)), integral)
 
-    l2 = fib.samples.l2_norm
-    check_a = ConditionCheck("a_samples_l2", bool(np.isfinite(l2)), l2,
-                             detail=f"tail energy {fib.samples.tail_energy:.3g}")
+        probes = np.atleast_1d(np.asarray(_probe_points(seed) if x_probes is None else x_probes,
+                                          dtype=float))
+        if np.any(bad):
+            l_const = float("inf")
+        else:  # one energy per probe: |dual|^2 (P, pieces) @ piece weights
+            energy = np.abs(prof.dual(probes)[:, ok]) ** 2 @ (prof.lengths[ok] / absz[ok] ** 2)
+            l_const = float(np.max(energy, initial=0.0))
+        check_d = ConditionCheck("d_dual_energy", bool(np.isfinite(l_const)), l_const,
+                                 detail=f"{probes.size} probe offsets")
 
-    absz = np.abs(prof.z)
-    guard = guard_level(absz, eps)
-    ok = on & (absz > guard)
-    bad = on & ~ok
-    ratios = np.full(prof.z.shape, np.inf)
-    ratios[ok] = prof.sq_sum[ok] / absz[ok] ** 2
-    if np.any(bad):
-        a_const, b_const = float("inf"), float("inf")
-        b_ok = False
-        b_detail = "Zak fiber vanishes on part of the support set"
-    else:
-        sel = ratios[on]
-        a_const, b_const = float(sel.min()), float(sel.max())
-        diverging, coarse, full = _unbounded_trend(prof.lengths[on], sel)
-        b_ok = bool(np.isfinite(b_const) and not diverging)
-        b_detail = (f"unbounded trend: fine-scale sup {full:.3g} vs coarse {coarse:.3g}"
-                    if diverging else "")
-    check_b = ConditionCheck("b_two_sided_ratio", b_ok, b_const, detail=b_detail)
+        constants = {"A": a_const, "B": check_b.value, "L": l_const, "integral": integral,
+                     "samples_l2": l2, "exact_pieces": prof.exact, "x_probes": probes}
+        return [check_a, check_b, check_c, check_d], constants
 
-    if np.any(bad & (prof.abs_sum > guard)):
-        integral = float("inf")
-    else:
-        contrib = np.zeros(prof.z.shape)
-        contrib[ok] = prof.lengths[ok] * prof.abs_sum[ok] / absz[ok]
-        integral = float(np.sum(contrib))
-    check_c = ConditionCheck("c_kernel_mass", bool(np.isfinite(integral)), integral)
-
-    x_probes = np.atleast_1d(np.asarray(_probe_points(seed) if x_probes is None else x_probes,
-                                        dtype=float))
-    if np.any(bad):
-        l_const = float("inf")
-    else:  # one energy per probe: |dual|^2 (P, pieces) @ piece weights
-        energy = np.abs(prof.dual(x_probes)[:, ok]) ** 2 @ (prof.lengths[ok] / absz[ok] ** 2)
-        l_const = float(np.max(energy, initial=0.0))
-    check_d = ConditionCheck("d_dual_energy", bool(np.isfinite(l_const)), l_const,
-                             detail=f"{x_probes.size} probe offsets")
-
-    checks = [check_a, check_b, check_c, check_d]
-    passed = all(c.passed for c in checks)
-    constants = {"A": a_const, "B": b_const, "L": l_const, "integral": integral,
-                 "samples_l2": l2, "exact_pieces": prof.exact,
-                 "x_probes": x_probes}
-    return ConditionReport("theorem5", checks, passed, constants=constants, tail_energy=tail)
+    return _judge(f, grid, eps, k_max, "theorem5", body, requires="the theorem-5 criterion",
+                  names=("a_samples_l2", "b_two_sided_ratio", "c_kernel_mass", "d_dual_energy"),
+                  vacuous={"A": None, "B": None, "L": 0.0, "integral": 0.0})
 
 
 def check_sz04(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS) -> ConditionReport:
@@ -204,105 +217,76 @@ def check_sz04(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS) -> C
     vanishing where absolute mass remains) or by an unbounded fine-scale
     ratio trend.
     """
-    _require_integrable(f, "the sufficient-condition pair")
-    prof = PeriodizedProfile.from_fibers(fibers(f, grid, eps))
-    on = prof.sq_sum > guard_level(prof.sq_sum, eps)
+    def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray):
+        absz = np.abs(prof.z)
+        guard = guard_level(absz, eps)
+        ok = on & (absz > guard)
 
-    tail = f.spectral_tail_energy(grid) + float(getattr(f, "series_tail", 0.0))
+        # A |Z|^2 <= G: constrained only where Z is nonzero; best A = min G/|Z|^2
+        if np.any(ok):
+            a_const = float(np.min(prof.sq_sum[ok] / absz[ok] ** 2))
+            pass1 = a_const > 0
+        else:
+            a_const = None
+            pass1 = True  # Z == 0 a.e. on the support: inequality is vacuous
+        check1 = ConditionCheck("lower_domination", bool(pass1), a_const)
 
-    if not np.any(on):
-        checks = [ConditionCheck("lower_domination", True, detail="vacuous"),
-                  ConditionCheck("upper_domination", True, detail="vacuous")]
-        return ConditionReport("sz04", checks, True, vacuous=True, tail_energy=tail,
-                               note="zero signal: conditions hold vacuously")
+        # (sum |f_hat|)^2 <= B |Z|^2
+        stranded = on & ~ok & (prof.abs_sum > max(guard, 1e-300))
+        ratios = np.full(prof.z.shape, np.nan)
+        ratios[ok] = (prof.abs_sum[ok] / absz[ok]) ** 2
+        if np.any(stranded):
+            check2 = ConditionCheck("upper_domination", False, float("inf"),
+                                    detail="periodization vanishes where absolute mass remains")
+            worst = None
+        else:
+            check2 = _bounded_ratio("upper_domination", ratios, on, prof.lengths)
+            idx = np.flatnonzero(on)[int(np.nanargmax(ratios[on]))]
+            worst = (float(prof.starts[idx]), float(prof.starts[idx] + prof.lengths[idx]),
+                     float(ratios[idx]))
 
-    absz = np.abs(prof.z)
-    guard = guard_level(absz, eps)
-    ok = on & (absz > guard)
+        constants = {
+            "A": a_const,
+            "B": check2.value,
+            "worst_piece": worst,
+            "piece_starts": prof.starts[on],
+            "piece_lengths": prof.lengths[on],
+            "piece_ratios": ratios[on],
+            "exact_pieces": prof.exact,
+        }
+        return [check1, check2], constants
 
-    # A |Z|^2 <= G: constrained only where Z is nonzero; best A = min G/|Z|^2
-    if np.any(ok):
-        a_const = float(np.min(prof.sq_sum[ok] / absz[ok] ** 2))
-        pass1 = a_const > 0
-    else:
-        a_const = None
-        pass1 = True  # Z == 0 a.e. on the support: inequality is vacuous
-    check1 = ConditionCheck("lower_domination", bool(pass1), a_const)
-
-    # (sum |f_hat|)^2 <= B |Z|^2
-    stranded = on & ~ok & (prof.abs_sum > max(guard, 1e-300))
-    ratios = np.full(prof.z.shape, np.nan)
-    ratios[ok] = (prof.abs_sum[ok] / absz[ok]) ** 2
-    if np.any(stranded):
-        b_const = float("inf")
-        pass2 = False
-        detail = "periodization vanishes where absolute mass remains"
-        worst = None
-    else:
-        sel = ratios[on]
-        b_const = float(np.nanmax(sel))
-        diverging, coarse, full = _unbounded_trend(prof.lengths[on], sel)
-        pass2 = bool(np.isfinite(b_const) and not diverging)
-        detail = (f"unbounded trend: fine-scale sup {full:.3g} vs coarse {coarse:.3g}"
-                  if diverging else "")
-        idx = np.flatnonzero(on)[int(np.nanargmax(sel))]
-        worst = (float(prof.starts[idx]), float(prof.starts[idx] + prof.lengths[idx]),
-                 float(ratios[idx]))
-    check2 = ConditionCheck("upper_domination", pass2, b_const, detail=detail)
-
-    constants = {
-        "A": a_const,
-        "B": b_const,
-        "worst_piece": worst,
-        "piece_starts": prof.starts[on],
-        "piece_lengths": prof.lengths[on],
-        "piece_ratios": ratios[on],
-        "exact_pieces": prof.exact,
-    }
-    return ConditionReport("sz04", [check1, check2], bool(pass1 and pass2),
-                           constants=constants, tail_energy=tail)
+    return _judge(f, grid, eps, DEFAULT_K_MAX, "sz04", body,
+                  requires="the sufficient-condition pair",
+                  names=("lower_domination", "upper_domination"), vacuous={})
 
 
-def _normalized_signal(fib: Fibers, normalization: str) -> GridSpectrum:
-    """h_hat = f_hat / Z_f(0,.) (or / G_f) on the support set, zero off it."""
-    if normalization == "zak":
-        denom = fib.zak.values
-    elif normalization == "grammian":
-        denom = fib.grammian.values.astype(complex)
-    else:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    vals = divide_on_support(fib.folded, denom, fib.mask)
+def _normalized_signal(fib: Fibers) -> GridSpectrum:
+    """h_hat = f_hat / Z_f(0,.) on the support set, zero off it."""
+    vals = divide_on_support(fib.folded, fib.zak.values, fib.mask)
     return GridSpectrum(vals.ravel(), fib.grid, integrable_spectrum=fib.signal.integrable_spectrum)
 
 
-def check_theorem2(f: Signal, grid: FrequencyGrid, *, normalization: str = "zak",
-                   eps: float = DEFAULT_EPS, k_max: int = DEFAULT_K_MAX,
-                   seed: int = 0) -> ConditionReport:
+def check_theorem2(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
+                   k_max: int = DEFAULT_K_MAX, seed: int = 0) -> ConditionReport:
     """Normalized-function membership criterion.
 
-    Divides f_hat by its Zak fiber (default; a ``grammian`` variant is
-    kept behind the flag) on the support set and runs the sampling-space
-    certificate on the result with f's support set: continuous, bounded
-    shift-square sum, and Zak modulus bounded away from zero exactly on
-    the support set.
+    Divides f_hat by its Zak fiber on the support set and runs the
+    sampling-space certificate on the result with f's support set:
+    continuous, bounded shift-square sum, and Zak modulus bounded away
+    from zero exactly on the support set.
     """
-    fib = fibers(f, grid, eps, k_max)
-    tail = f.spectral_tail_energy(grid) + float(getattr(f, "series_tail", 0.0))
-    if fib.mask.is_empty:
-        checks = [ConditionCheck("continuity", True, detail="vacuous"),
-                  ConditionCheck("shift_square_sum", True, 0.0),
-                  ConditionCheck("zak_two_sided", True, detail="empty support")]
-        return ConditionReport("theorem2", checks, True, vacuous=True, tail_energy=tail,
-                               constants={"A": None, "B": None, "normalization": normalization},
-                               note="zero signal: empty support set")
+    def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray):
+        h = _normalized_signal(fib)
+        zh = zak_time_fiber(integer_samples(h, grid, k_max), grid)
+        cert = sz99_report(h, fib.mask, zh, k_max=k_max, seed=seed)
+        return cert.checks, {"A": cert.zak_lower, "B": cert.zak_upper,
+                             "shift_bound": cert.shift_sum_bound, "normalization": "zak"}
 
-    h = _normalized_signal(fib, normalization)
-    zh = zak_time_fiber(integer_samples(h, grid, k_max), grid)
-    cert = sz99_report(h, fib.mask, zh, k_max=k_max, seed=seed)
-    constants = {"A": cert.zak_lower, "B": cert.zak_upper, "shift_bound": cert.shift_sum_bound,
-                 "normalization": normalization}
-    return ConditionReport("theorem2", cert.checks, cert.passed, constants=constants,
-                           tail_energy=tail)
+    return _judge(f, grid, eps, k_max, "theorem2", body,
+                  names=("continuity", "shift_square_sum", "zak_two_sided"),
+                  vacuous={"A": None, "B": None, "normalization": "zak"},
+                  note="zero signal: empty support set")
 
 
 @dataclass(frozen=True)
@@ -317,14 +301,21 @@ class InducedSubspace:
     kernel_mask_residual: float        # sup |s_f_hat - s_hat * chi_{E_f}|
     kernel_projection_residual: float  # || s_f - project(parent kernel, S(f)) ||
 
+    @property
+    def checks(self) -> list[ConditionCheck]:
+        """The three identities of theorem 1, each held to its tolerance."""
+        return [ConditionCheck(name, bool(getattr(self, name) <= tol), getattr(self, name), tol)
+                for name, tol in (("member_residual", MEMBER_TOL),
+                                  ("kernel_mask_residual", KERNEL_TOL),
+                                  ("kernel_projection_residual", KERNEL_TOL))]
 
-def induced_subspace(space: SamplingSpace, f: Signal, *,
-                     member_tol: float = MEMBER_TOL) -> InducedSubspace:
-    """Build S(f) for a certified member f and verify both kernel identities."""
+
+def induced_subspace(space: SamplingSpace, f: Signal) -> InducedSubspace:
+    """Build S(f) for a certified member f and measure both kernel identities."""
     grid = space.grid
-    residual = member_residual(space, f, member_tol, "signal")
+    residual = member_residual(space, f, "signal")
     fib = fibers(f, grid, space.eps, space.k_max)
-    h = _normalized_signal(fib, "zak")
+    h = _normalized_signal(fib)
     sub = build_space(h, grid, eps=space.eps, k_max=space.k_max)
 
     # the normalized signal itself is the sampling function of S(f); both
@@ -351,6 +342,9 @@ def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
     The kernel spectrum is f_hat / Z_f on the support set, one on the
     first-period complement of the support, zero elsewhere; its integer
     samples come out as the unit impulse, so the kernel interpolates.
+    Z_f(0, .) is read as theorem 5 reads it, from the periodization (by
+    Poisson the same fiber in the integrable-spectrum class), so a spectrum
+    the grid truncates is divided by the fiber of what the grid holds.
     """
     if report is None:
         report = check_theorem5(f, grid, eps=eps, k_max=k_max, seed=seed)
@@ -362,14 +356,15 @@ def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
     if fib.mask.is_empty:
         raise DegenerateSpaceError("empty support set: canonical kernel is degenerate")
 
-    svals = divide_on_support(fib.folded, fib.zak.values, fib.mask)
-    svals[grid.half_bandwidth, ~fib.zak_support] = 1.0  # fold row of the shift m = 0
+    zak = fib.periodization.values
+    svals = divide_on_support(fib.folded, zak, fib.mask)
+    svals[grid.half_bandwidth, ~_guarded_support(zak, fib.mask)] = 1.0  # fold row of m = 0
 
     s_sig = GridSpectrum(svals.ravel(), grid, integrable_spectrum=True)
     space = build_space(s_sig, grid, eps=eps, k_max=k_max, seed=seed)
 
     # internal consistency: f_hat = Z_f * s_hat and s(k) = delta_0k
-    recon = fib.zak.values * grid.fold(space.sampling_spectrum.grid_values(grid))
+    recon = zak * grid.fold(space.sampling_spectrum.grid_values(grid))
     scale = max(float(np.max(np.abs(fib.folded))), 1e-300)
     if float(np.max(np.abs(recon - fib.folded))) > 1e-6 * scale:
         raise ConstructionRefusedError("constructed kernel fails to reproduce the signal",

@@ -27,12 +27,6 @@ class ConditionCheck:
         }
 
 
-def gauge(value: float, tolerance: float, passed: bool) -> dict:
-    """A compared quantity: the value, the tolerance it was held to, and
-    the outcome.  Keeps every floating verdict self-describing."""
-    return {"value": float(value), "tolerance": float(tolerance), "passed": bool(passed)}
-
-
 @dataclass
 class ReportDocument:
     command: str

@@ -12,7 +12,7 @@ Three primary representations plus one derived:
   accurate for smooth ones.
 * ``TimeKernel`` -- compactly supported continuous time function given by
   an evaluator; its spectrum is obtained by trapezoid quadrature of order
-  M (Bluestein-transform accelerated).
+  QUADRATURE_ORDER (Bluestein-transform accelerated).
 * ``ShiftCombination`` -- finite combination sum_k c_k phi(. - k) of the
   integer translates of a base signal; keeps both the exact time-domain
   evaluator and the exact grid spectrum C(omega) * phi_hat(omega).
@@ -36,6 +36,7 @@ from .errors import BandwidthOverflowError, GridMismatchError
 from .grid import FrequencyGrid, TimeSamples, pow2_at_least
 
 _EVAL_CHUNK = 64  # x-points per chunk in direct nonuniform evaluation
+QUADRATURE_ORDER = 2048  # trapezoid nodes over a time kernel's support
 
 
 def _uniform_spacing(xs: np.ndarray) -> float | None:
@@ -113,6 +114,7 @@ class Signal:
     """Common interface of all signal representations."""
 
     integrable_spectrum: bool = True
+    series_tail: float = 0.0  # tail of a series the representation truncates
 
     def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
         """Spectrum values at all 2KN grid nodes."""
@@ -373,10 +375,6 @@ class GridSpectrum(Signal):
         self.grid = grid
         self.integrable_spectrum = integrable_spectrum
 
-    @classmethod
-    def from_function(cls, fn, grid: FrequencyGrid, integrable_spectrum: bool = True) -> "GridSpectrum":
-        return cls(np.asarray(fn(grid.omegas), dtype=complex), grid, integrable_spectrum)
-
     def required_half_bandwidth(self) -> int | None:
         return self.grid.half_bandwidth
 
@@ -402,17 +400,16 @@ class TimeKernel(Signal):
     beyond [-K, K) is discarded and reported by spectral_tail_energy().
     """
 
-    def __init__(self, support: tuple[float, float], evaluator, quadrature_order: int = 2048,
+    def __init__(self, support: tuple[float, float], evaluator,
                  integrable_spectrum: bool | None = None, name: str = ""):
         a, b = float(support[0]), float(support[1])
         if b <= a:
             raise ValueError("support must be a nonempty interval")
         self.support = (a, b)
         self.evaluator = evaluator
-        self.quadrature_order = int(quadrature_order)
         self._pinned_integrable = integrable_spectrum
         self.name = name
-        self._spectrum_cache: dict[tuple[int, int, int], np.ndarray] = {}
+        self._spectrum_cache: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def integrable_spectrum(self) -> bool:
@@ -442,22 +439,26 @@ class TimeKernel(Signal):
         return out
 
     def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
-        key = (grid.half_bandwidth, grid.resolution, self.quadrature_order)
+        key = (grid.half_bandwidth, grid.resolution)
         if key not in self._spectrum_cache:
             self._spectrum_cache[key] = self._compute_spectrum(grid)
         return self._spectrum_cache[key]
 
+    def _trapezoid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the trapezoid rule over the support."""
+        a, b = self.support
+        xs = np.linspace(a, b, QUADRATURE_ORDER + 1)
+        w = np.full(xs.size, (b - a) / QUADRATURE_ORDER)
+        w[[0, -1]] *= 0.5
+        return xs, w
+
     def _compute_spectrum(self, grid: FrequencyGrid) -> np.ndarray:
         a, b = self.support
-        m = self.quadrature_order
-        xs = np.linspace(a, b, m + 1)
-        w = np.full(m + 1, (b - a) / m)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        xs, w = self._trapezoid()
         s = np.asarray(self.evaluator(xs), dtype=complex)
         # spectrum_j = sum_m w_m s(x_m) exp(-2i*pi*x_m*omega_j) via Bluestein:
         # split phases along x_m = a + m*delta and omega_j = -K + j/N
-        delta = (b - a) / m
+        delta = (b - a) / QUADRATURE_ORDER
         coeffs = (w * s) * np.exp(-2j * np.pi * xs * (-grid.half_bandwidth))
         out = _phase_czt(coeffs, -delta / grid.resolution, grid.size)
         out *= np.exp(-2j * np.pi * a * (grid.omegas - (-grid.half_bandwidth)))
@@ -474,12 +475,7 @@ class TimeKernel(Signal):
         return TimeSamples(ks, vals, k_max, tail_energy=0.0)
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:
-        a, b = self.support
-        m = self.quadrature_order
-        xs = np.linspace(a, b, m + 1)
-        w = np.full(m + 1, (b - a) / m)
-        w[0] *= 0.5
-        w[-1] *= 0.5
+        xs, w = self._trapezoid()
         time_energy = float(np.sum(w * np.abs(np.asarray(self.evaluator(xs))) ** 2))
         band_energy = float(np.sum(np.abs(self.grid_values(grid)) ** 2)) / grid.resolution
         return max(time_energy - band_energy, 0.0)
@@ -487,7 +483,7 @@ class TimeKernel(Signal):
     def scaled(self, factor: complex) -> "TimeKernel":
         ev = self.evaluator
         return TimeKernel(self.support, lambda x: factor * np.asarray(ev(x)),
-                          self.quadrature_order, self._pinned_integrable, self.name)
+                          self._pinned_integrable, self.name)
 
 
 class ShiftCombination(Signal):

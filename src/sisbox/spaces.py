@@ -139,9 +139,10 @@ def _continuity_check(candidate: Signal) -> tuple[str, float, float]:
     return verdict, max_jump, threshold
 
 
-def _probe_points(seed: int, uniform: int = 64, random: int = 64) -> np.ndarray:
+def _probe_points(seed: int) -> np.ndarray:
+    """64 uniform offsets in [0, 1) and 64 seeded random ones."""
     rng = np.random.default_rng(seed)
-    return np.concatenate([np.arange(uniform) / uniform, rng.random(random)])
+    return np.concatenate([np.arange(64) / 64, rng.random(64)])
 
 
 def check_sz99(candidate: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
@@ -278,8 +279,7 @@ class ReconstructionResult:
         return iter(self.values)
 
 
-def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values,
-                k_max: int | None = None) -> ReconstructionResult:
+def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> ReconstructionResult:
     """Rebuild a member from its integer samples and evaluate it.
 
     Time route (kernel evaluable in closed form): sum_k f(k) s(x - k)
@@ -330,18 +330,18 @@ def project(f: Signal, space: SamplingSpace) -> GridSpectrum:
     return GridSpectrum(out.ravel(), grid, integrable_spectrum=f.integrable_spectrum)
 
 
-def member_residual(space: SamplingSpace, f: Signal, tol: float = MEMBER_TOL,
-                    label: str = "signal") -> float:
+def member_residual(space: SamplingSpace, f: Signal, label: str = "signal") -> float:
     """Relative residual of f's projection onto the space; raises
-    NotInSpaceError when f is zero or the residual exceeds tol."""
+    NotInSpaceError when f is zero or the residual exceeds MEMBER_TOL."""
     fvals = f.grid_values(space.grid)
     norm = spectral_norm(fvals, space.grid)
     if norm == 0.0:
         raise NotInSpaceError(f"{label} is identically zero", residual=0.0)
     residual = spectral_norm(project(f, space).values - fvals, space.grid) / norm
-    if residual > tol:
+    if residual > MEMBER_TOL:
         raise NotInSpaceError(
-            f"{label} is not a member (projection residual {residual:.3g}, tolerance {tol:.3g})",
+            f"{label} is not a member (projection residual {residual:.3g}, "
+            f"tolerance {MEMBER_TOL:.3g})",
             residual=residual,
         )
     return residual

@@ -67,7 +67,7 @@ def zak_dual_fiber(f: Signal, x: float, grid: FrequencyGrid) -> PeriodicSpectrum
     return PeriodicSpectrum(twisted_sum(_fold(f, grid), grid.shifts(), x), grid)
 
 
-def inverse_fourier_evaluate(f: Signal, x, grid: FrequencyGrid | None = None):
+def inverse_fourier_evaluate(f: Signal, x):
     """Time value(s) at x: analytic for interval spectra, cell-model
     quadrature for grid spectra, direct evaluation for time kernels."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -217,7 +217,3 @@ def integer_samples(f: Signal, grid: FrequencyGrid, k_max: int = DEFAULT_K_MAX) 
 def spectral_norm(values: np.ndarray, grid: FrequencyGrid) -> float:
     """Grid L2 norm: sqrt of (1/N) * sum of squared moduli over all nodes."""
     return float(np.sqrt(np.sum(np.abs(values) ** 2) / grid.resolution))
-
-
-def signal_norm(f: Signal, grid: FrequencyGrid) -> float:
-    return spectral_norm(f.grid_values(grid), grid)

@@ -67,14 +67,12 @@ def test_kernel_equals_tiled_formula(catalog_signal):
         assert np.array_equal(kernel.values, want)
 
 
-@pytest.mark.parametrize("normalization", ["zak", "grammian"])
+@pytest.mark.parametrize("normalization", ["zak"])  # the fiber theorem 2 divides by
 def test_theorem2_normalized_signal_equals_tiled_formula(catalog_signal, normalization):
     f, grid = catalog_signal
-    g = grammian(f, grid)
-    denom = (zak_time_fiber(integer_samples(f, grid, DEFAULT_K_MAX), grid).values
-             if normalization == "zak" else g.values.astype(complex))
-    want = tiled_division(f.grid_values(grid), denom, support_mask(g), grid)
-    h = _normalized_signal(fibers(f, grid), normalization)
+    zak = zak_time_fiber(integer_samples(f, grid, DEFAULT_K_MAX), grid).values
+    want = tiled_division(f.grid_values(grid), zak, support_mask(grammian(f, grid)), grid)
+    h = _normalized_signal(fibers(f, grid))
     assert np.array_equal(h.values, want)
 
 

@@ -4,7 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from sisbox import FrequencyGrid, GridSpectrum, PiecewiseConstantSpectrum, TimeSamples
+from sisbox import (
+    FrequencyGrid,
+    GridSpectrum,
+    PiecewiseConstantSpectrum,
+    TimeSamples,
+    integer_samples,
+)
 from sisbox import io as sio
 from sisbox.cli import main
 from sisbox.errors import FileFormatError
@@ -156,6 +162,15 @@ class TestCLI:
         assert rc == 0
         kernel = sio.read_grid_spectrum(out)
         assert kernel.grid.half_bandwidth == 64
+
+    def test_membership_theorem5_emits_truncated_time_kernel(self, tmp_path):
+        out = tmp_path / "hat_kernel.csv"
+        rc = run_cli(["membership", "hat", "--theorem", "5", "--emit-s", str(out)])
+        assert rc == 0
+        kernel = sio.read_grid_spectrum(out)
+        samples = integer_samples(kernel, kernel.grid, 512)
+        delta = np.where(samples.ks == 0, 1.0, 0.0)
+        assert float(np.max(np.abs(samples.values - delta))) < 1e-6
 
     def test_membership_sz04_fails(self):
         assert run_cli(["membership", "ex2", "--theorem", "sz04"]) == 2
@@ -343,8 +358,13 @@ def test_file_spectrum_widens_grid(error_inputs, capsys):
 
 
 def test_refusal_stderr_is_short(tmp_path, capsys):
-    # theorem 5 passes on hat but the kernel construction refuses
-    rc = main(["membership", "hat", "--theorem", "5", "--emit-s", str(tmp_path / "k.csv")])
+    # theorem 5 passes on the exact pieces, but inside one grid cell the
+    # periodization cancels, so the kernel construction refuses
+    sio.write_piecewise_spectrum(
+        PiecewiseConstantSpectrum([(0.0, 2 ** -11, 1.0), (1 + 2 ** -11, 1 + 2 ** -10, -1.0)]),
+        tmp_path / "subcell.json")
+    rc = main(["membership", str(tmp_path / "subcell.json"), "--theorem", "5",
+               "--emit-s", str(tmp_path / "k.csv")])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("refused:")
@@ -382,3 +402,63 @@ def test_non_finite_input_exits_1_without_traceback(tmp_path, capsys, argv):
     assert err.startswith("error: line ") and "non-finite" in err
     assert "Traceback" not in err and "verdict: pass" not in out
     assert not (tmp_path / "rec.csv").exists()
+
+
+# every report field the benchmark's golden comparison reads, by command
+REPORT_KEYS = {
+    "analyze": [("results", "frame_bounds", "A"), ("results", "frame_bounds", "B"),
+                ("results", "support_measure"), ("results", "certificate", "continuity", "verdict"),
+                ("results", "certificate", "zak_bound", "lower"),
+                ("results", "certificate", "zak_bound", "upper"),
+                ("results", "certificate", "shift_square_sum", "passed")],
+    "theorem": [("results", "report", "checks"), ("results", "report", "constants", "A"),
+                ("results", "report", "constants", "B")],
+    "induced": [("results", "induced", "member_residual"),
+                ("results", "induced", "kernel_mask_residual"),
+                ("results", "induced", "kernel_projection_residual"),
+                ("results", "induced", "subspace_measure")],
+    "reconstruct": [("results", "route")],
+    "decompose": [("results", "components"), ("results", "component_measures"),
+                  ("results", "kernel_sum_gap", "passed")],
+    "determine": [("results", "union_measure"), ("results", "member_measures")],
+}
+
+
+def check_records(results: dict) -> list[dict]:
+    if "report" in results:
+        return results["report"]["checks"]
+    if "induced" in results:
+        return [v for v in results["induced"].values() if isinstance(v, dict)]
+    return [results["kernel_sum_gap"]] if "kernel_sum_gap" in results else []
+
+
+def test_every_command_report_keeps_its_shape(tmp_path, capsys):
+    (tmp_path / "delta0.csv").write_text("k,re,im\n0,1,0\n")
+    sio.write_partition([[[0.0, 0.5]], [[0.5, 1.0]]], tmp_path / "halves.json")
+    sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([(-0.5, 0.0, 1.0)]), tmp_path / "low.json")
+    sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([(0.0, 0.5, 1.0)]), tmp_path / "high.json")
+    d = str(tmp_path)
+    runs = [("analyze", ["analyze", "shannon"]),
+            ("induced", ["membership", f"{d}/low.json", "--theorem", "1", "--space", "shannon"]),
+            *[("theorem", ["membership", "ex2", "--theorem", t]) for t in ("2", "5", "sz04")],
+            ("reconstruct", ["reconstruct", "--space", "shannon", "--samples", f"{d}/delta0.csv",
+                             "--points", "11", "--out", f"{d}/rec.csv"]),
+            ("decompose", ["decompose", "--space", "shannon", "--partition", f"{d}/halves.json",
+                           "--out-prefix", f"{d}/comp"]),
+            ("determine", ["determine", "--space", "shannon", "--functions",
+                           f"{d}/low.json,{d}/high.json"])]
+    for i, (kind, argv) in enumerate(runs):
+        report = tmp_path / f"report_{i}.json"
+        assert main([*argv, "--json", str(report)]) in (0, 2), argv
+        data = json.loads(report.read_text())
+        for key in ("schema", "command", "grid", "params", "tails", "timing_s", "seed", "verdict"):
+            assert key in data, (argv, key)
+        assert set(data["grid"]) == {"K", "N"}
+        for path in REPORT_KEYS[kind]:
+            node = data
+            for key in path:
+                assert key in node, (argv, path)
+                node = node[key]
+        for record in check_records(data["results"]):
+            assert set(record) == {"name", "passed", "value", "tolerance", "detail"}, (argv, record)
+    assert "Traceback" not in capsys.readouterr().err
