@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,25 +69,13 @@ def hat_signal() -> TimeKernel:
                       integrable_spectrum=True, name="hat")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    note: str
-    needs_grid: bool
-    factory: Callable
-
-
-CATALOG: dict[str, CatalogEntry] = {
-    "shannon": CatalogEntry("shannon", "indicator spectrum on [-1/2, 1/2); sinc kernel",
-                            False, lambda **kw: shannon_signal()),
-    "blhat": CatalogEntry("blhat", "triangle spectrum (1-2|w|) on [-1/2, 1/2)",
-                          True, lambda grid, **kw: blhat_signal(grid)),
-    "ex2": CatalogEntry("ex2", "alternating dyadic-block spectrum on [n, n+2^-n)",
-                        False, lambda n_max=60, **kw: ex2_signal(n_max)),
-    "ex3": CatalogEntry("ex3", "plateau kernel with sine ramps on [-1, 1]",
-                        False, lambda **kw: ex3_signal()),
-    "hat": CatalogEntry("hat", "triangle kernel 1-|x| on [-1, 1]",
-                        False, lambda **kw: hat_signal()),
+# name -> factory(grid, n_max); n_max is the block count of ex2
+CATALOG: dict[str, Callable[[FrequencyGrid, int], Signal]] = {
+    "shannon": lambda grid, n_max: shannon_signal(),
+    "blhat": lambda grid, n_max: blhat_signal(grid),
+    "ex2": lambda grid, n_max: ex2_signal(n_max),
+    "ex3": lambda grid, n_max: ex3_signal(),
+    "hat": lambda grid, n_max: hat_signal(),
 }
 
 
@@ -96,24 +83,8 @@ def catalog_names() -> list[str]:
     return sorted(CATALOG)
 
 
-def build_signal(name: str, grid: FrequencyGrid, **params) -> Signal:
-    entry = CATALOG.get(name)
-    if entry is None:
+def build_signal(name: str, grid: FrequencyGrid, n_max: int = 60) -> Signal:
+    factory = CATALOG.get(name)
+    if factory is None:
         raise CatalogError(name, catalog_names())
-    if entry.needs_grid:
-        return entry.factory(grid=grid, **params)
-    return entry.factory(**params)
-
-
-def required_grid(name: str, default: FrequencyGrid, **params) -> FrequencyGrid:
-    """Default grid, widened (power of two) when the signal needs more band."""
-    entry = CATALOG.get(name)
-    if entry is None:
-        raise CatalogError(name, catalog_names())
-    if entry.needs_grid:
-        return default
-    sig = entry.factory(**params)
-    need = sig.required_half_bandwidth()
-    if need is not None and need > default.half_bandwidth:
-        return FrequencyGrid(need, default.resolution)
-    return default
+    return factory(grid, n_max)

@@ -117,10 +117,6 @@ def _resolve_grid(args, refs: list[str]) -> FrequencyGrid:
     return grid
 
 
-def _catalog_params(args, name: str) -> dict:
-    return {"n_max": args.nmax} if name == "ex2" else {}
-
-
 def _load_signal(ref: str, grid: FrequencyGrid, args):
     if ref.endswith(".json") and Path(ref).exists():
         return sio.read_piecewise_spectrum(ref)
@@ -130,7 +126,7 @@ def _load_signal(ref: str, grid: FrequencyGrid, args):
         return sig
     if ref.endswith((".json", ".csv")):
         raise FileFormatError(f"signal file {ref!r} does not exist", line=1)
-    return build_signal(ref, grid, **_catalog_params(args, ref))
+    return build_signal(ref, grid, args.nmax)
 
 
 class _Outcome(NamedTuple):
@@ -194,7 +190,7 @@ def cmd_analyze(args) -> _Outcome:
 
     results = {"grammian": {"min": g_min, "max": g_max}, "support_measure": mask.measure,
                "frame_bounds": {"A": bounds[0], "B": bounds[1]},
-               "certificate": report.to_dict()}
+               "certificate": report}
     return _Outcome(grid, {"signal": args.signal, "eps": args.eps, "kmax": args.kmax},
                     results, report.passed, _signal_tails(sig, grid))
 
@@ -214,14 +210,14 @@ def cmd_membership(args) -> _Outcome:
     if args.theorem == "1":
         sub = induced_subspace(_space(args, grid), sig)
         checks = sub.checks
-        results = {"induced": {**{c.name: c.to_dict() for c in checks},
+        results = {"induced": {**{c.name: c for c in checks},
                                "subspace_measure": sub.space.mask.measure}}
         print(f"[membership] theorem 1: kernel identities "
               f"mask={sub.kernel_mask_residual:.3g} proj={sub.kernel_projection_residual:.3g}")
     else:
         report = _CRITERIA[args.theorem](sig, grid, args)
         checks = report.checks
-        results = {"report": report.to_dict()}
+        results = {"report": report}
         for check in checks:
             val = "n/a" if check.value is None else f"{check.value:.6g}"
             print(f"[membership] {report.criterion} {check.name}: value={val} "
@@ -294,7 +290,7 @@ def cmd_decompose(args) -> _Outcome:
 
     results = {"components": len(components), "files": files,
                "component_measures": [c.mask.measure for c in components],
-               "kernel_sum_gap": check.to_dict()}
+               "kernel_sum_gap": check}
     return _Outcome(grid, {"space": args.space, "partition": args.partition}, results,
                     check.passed, {})
 
@@ -382,8 +378,9 @@ def main(argv=None) -> int:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
         for check in getattr(getattr(exc, "report", None), "checks", ()):
             if not check.passed:
+                detail = f" ({check.detail})" if check.detail else ""
                 print(f"  failed check {check.name}: value={check.value} "
-                      f"tolerance={check.tolerance}", file=sys.stderr)
+                      f"tolerance={check.tolerance}{detail}", file=sys.stderr)
         return exc.exit_code
 
 

@@ -35,6 +35,7 @@ from .signals import GridSpectrum, PeriodizedProfile, Signal
 from .spaces import (
     KERNEL_TOL,
     MEMBER_TOL,
+    VANISH_TOL,
     SamplingSpace,
     build_space,
     member_residual,
@@ -74,26 +75,6 @@ class ConditionReport:
     constants: dict = field(default_factory=dict)
     tail_energy: float = 0.0
     note: str = ""
-
-    def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, np.ndarray):
-                return v.tolist()
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            if isinstance(v, tuple):
-                return [clean(x) for x in v]
-            return v
-
-        return {
-            "criterion": self.criterion,
-            "checks": [c.to_dict() for c in self.checks],
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "constants": {k: clean(v) for k, v in self.constants.items()},
-            "tail_energy": self.tail_energy,
-            "note": self.note,
-        }
 
 
 def _unbounded_trend(lengths: np.ndarray, ratios: np.ndarray) -> tuple[bool, float, float]:
@@ -366,12 +347,15 @@ def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
     # internal consistency: f_hat = Z_f * s_hat and s(k) = delta_0k
     recon = zak * grid.fold(space.sampling_spectrum.grid_values(grid))
     scale = max(float(np.max(np.abs(fib.folded))), 1e-300)
-    if float(np.max(np.abs(recon - fib.folded))) > 1e-6 * scale:
-        raise ConstructionRefusedError("constructed kernel fails to reproduce the signal",
-                                       report=report)
+    dev = float(np.max(np.abs(recon - fib.folded)))
+    if dev > VANISH_TOL * scale:
+        raise ConstructionRefusedError(
+            f"constructed kernel fails to reproduce the signal (relative deviation "
+            f"{dev / scale:.3g}, tolerance {VANISH_TOL:.3g})", report=report)
     ks = space.kernel_samples()
-    delta = np.where(ks.ks == 0, 1.0, 0.0)
-    if float(np.max(np.abs(ks.values - delta))) > 1e-6:
-        raise ConstructionRefusedError("constructed kernel is not interpolating",
-                                       report=report)
+    dev = float(np.max(np.abs(ks.values - np.where(ks.ks == 0, 1.0, 0.0))))
+    if dev > VANISH_TOL:
+        raise ConstructionRefusedError(
+            f"constructed kernel is not interpolating (sample deviation {dev:.3g}, "
+            f"tolerance {VANISH_TOL:.3g})", report=report)
     return space

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -17,14 +19,18 @@ class ConditionCheck:
     tolerance: float | None = None
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "detail": self.detail,
-        }
+
+def _encode(obj):
+    """The one JSON rule for what a report holds beyond plain JSON: a
+    record's own ``to_dict`` where it keeps one, the fields of any other
+    dataclass, numpy values as Python ones."""
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return asdict(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -39,43 +45,14 @@ class ReportDocument:
     verdict: str = "pass"
     schema: int = SCHEMA_VERSION
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "command": self.command,
-            "grid": self.grid,
-            "params": self.params,
-            "results": self.results,
-            "tails": self.tails,
-            "timing_s": self.timing_s,
-            "seed": self.seed,
-            "verdict": self.verdict,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ReportDocument":
-        return cls(
-            command=data["command"],
-            grid=data["grid"],
-            params=data.get("params", {}),
-            results=data.get("results", {}),
-            tails=data.get("tails", {}),
-            timing_s=data.get("timing_s", 0.0),
-            seed=data.get("seed", 0),
-            verdict=data.get("verdict", "pass"),
-            schema=data.get("schema", SCHEMA_VERSION),
-        )
+        return json.dumps(vars(self), indent=2, sort_keys=True, default=_encode)
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
-        return cls.from_dict(json.loads(text))
+        """The document of the fields the text holds; unknown keys are ignored."""
+        data = json.loads(text)
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "ReportDocument":
-        return cls.from_json(Path(path).read_text())

@@ -115,6 +115,9 @@ class Signal:
 
     integrable_spectrum: bool = True
     series_tail: float = 0.0  # tail of a series the representation truncates
+    # (a, b) outside which the time function is exactly 0; None when only
+    # the spectrum is known
+    support: tuple[float, float] | None = None
 
     def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
         """Spectrum values at all 2KN grid nodes."""
@@ -127,13 +130,25 @@ class Signal:
     def integer_samples(self, grid: FrequencyGrid, k_max: int) -> TimeSamples:
         """Samples f(k) used by Zak fibers and reconstruction.
 
-        Spectral representations sample the grid-projected signal (inverse
-        DFT of the periodized spectrum over one full period of ks), which
-        keeps the Poisson identity between the time fiber and the
-        periodization exact at grid resolution.  Time kernels sample the
-        evaluator directly.
+        A signal with a support is sampled exactly at the integers of its
+        support with |k| <= k_max, keeping the nonzero values; its tail
+        energy is that of the support's samples beyond +-k_max.  Every
+        other signal samples its grid projection (inverse DFT of the
+        periodized spectrum over one full period of ks), which keeps the
+        Poisson identity between the time fiber and the periodization
+        exact at grid resolution.
         """
-        return _samples_from_grid(self, grid, k_max)
+        if self.support is None:
+            return _samples_from_grid(self, grid, k_max)
+        a, b = self.support
+        ks = np.arange(int(np.ceil(a - 1e-12)), int(np.floor(b + 1e-12)) + 1)
+        vals = self.time_values(ks.astype(float))
+        inside = np.abs(ks) <= k_max
+        tail = float(np.sum(np.abs(vals[~inside]) ** 2))
+        keep = inside & (vals != 0)
+        if not np.any(keep):
+            return TimeSamples(np.array([0]), np.array([0.0 + 0j]), k_max, tail)
+        return TimeSamples(ks[keep], vals[keep], k_max, tail_energy=tail)
 
     def required_half_bandwidth(self) -> int | None:
         """Smallest admissible grid K, or None if unbounded (time kernels)."""
@@ -464,16 +479,6 @@ class TimeKernel(Signal):
         out *= np.exp(-2j * np.pi * a * (grid.omegas - (-grid.half_bandwidth)))
         return out
 
-    def integer_samples(self, grid: FrequencyGrid, k_max: int) -> TimeSamples:
-        a, b = self.support
-        lo = max(-k_max, int(np.ceil(a - 1e-12)))
-        hi = min(k_max, int(np.floor(b + 1e-12)))
-        if lo > hi:
-            return TimeSamples(np.array([0]), np.array([0.0 + 0j]), k_max, 0.0)
-        ks = np.arange(lo, hi + 1)
-        vals = self.time_values(ks.astype(float))
-        return TimeSamples(ks, vals, k_max, tail_energy=0.0)
-
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:
         xs, w = self._trapezoid()
         time_energy = float(np.sum(w * np.abs(np.asarray(self.evaluator(xs))) ** 2))
@@ -497,6 +502,9 @@ class ShiftCombination(Signal):
         self.base = base
         self.coefficients = coefficients
         self.integrable_spectrum = base.integrable_spectrum
+        ks = coefficients.ks
+        if base.support is not None and ks.size:
+            self.support = (base.support[0] + float(ks.min()), base.support[1] + float(ks.max()))
 
     def required_half_bandwidth(self) -> int | None:
         return self.base.required_half_bandwidth()
@@ -517,19 +525,6 @@ class ShiftCombination(Signal):
         for k, c in zip(self.coefficients.ks, self.coefficients.values):
             out += c * self.base.time_values(xs - k)
         return out
-
-    def integer_samples(self, grid: FrequencyGrid, k_max: int) -> TimeSamples:
-        if isinstance(self.base, TimeKernel):
-            # compactly supported base: the finite time sum is exact
-            ks = np.arange(-k_max, k_max + 1)
-            vals = self.time_values(ks.astype(float))
-            nz = np.abs(vals) > 0
-            if not np.any(nz):
-                return TimeSamples(np.array([0]), np.array([0.0 + 0j]), k_max, 0.0)
-            cut = max(int(0.9 * k_max), 1)
-            tail = float(np.sum(np.abs(vals[np.abs(ks) > cut]) ** 2))
-            return TimeSamples(ks[nz], vals[nz], k_max, tail_energy=tail)
-        return _samples_from_grid(self, grid, k_max)
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:
         return self.base.spectral_tail_energy(grid)

@@ -20,7 +20,7 @@ from .errors import (
     PreconditionError,
 )
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
-from .signals import ShiftCombination, Signal, TimeKernel, twisted_sum
+from .signals import Signal, twisted_sum
 
 DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
@@ -111,8 +111,7 @@ def divide_on_support(values: np.ndarray, denom: np.ndarray, mask: SupportMask) 
     """
     on = _guarded_support(denom, mask)
     rows = np.reshape(values, (-1, mask.grid.resolution))
-    out = np.zeros(rows.shape, dtype=complex)
-    out[:, on] = rows[:, on] / denom[on]
+    out = np.divide(rows, denom, out=np.zeros(rows.shape, dtype=complex), where=on, dtype=complex)
     return out.reshape(np.shape(values))
 
 
@@ -137,9 +136,9 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
     """max over x_grid of sum_k |f(x+k)|^2; a NaN at any probe makes the
     bound NaN, never a silently dropped probe.
 
-    Time kernels and their finite shift-combinations are summed directly
-    (compact support makes the sum finite and exact).  Purely spectral
-    representations use the Parseval identity
+    A signal with a support (time kernels and their finite shift
+    combinations) is summed directly: the sum is finite and exact.  Purely
+    spectral representations use the Parseval identity
     sum_k |f(x+k)|^2 = integral over one period of |Z_f(x, .)|^2,
     evaluated at grid resolution; this sums all shifts of the
     grid-projected signal.  Writing omega = m + t with integer shift m and
@@ -149,10 +148,7 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
     the folded spectrum.
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    direct = isinstance(f, TimeKernel) or (
-        isinstance(f, ShiftCombination) and isinstance(f.base, TimeKernel)
-    )
-    if direct:
+    if f.support is not None:
         ks = np.arange(-k_max, k_max + 1)
         sums = [np.sum(np.abs(f.time_values(x + ks)) ** 2) for x in xs]
         return ShiftSquareSum(float(np.max(sums, initial=0.0)), 0.0, "direct")

@@ -9,12 +9,14 @@ from sisbox import (
     GridSpectrum,
     PiecewiseConstantSpectrum,
     TimeSamples,
+    check_sz04,
+    check_sz99,
     integer_samples,
 )
 from sisbox import io as sio
 from sisbox.cli import main
 from sisbox.errors import FileFormatError
-from sisbox.reports import ReportDocument
+from sisbox.reports import ConditionCheck, ReportDocument
 
 
 class TestFileFormats:
@@ -115,6 +117,44 @@ class TestReportDocument:
         back = ReportDocument.from_json(doc.to_json())
         assert back == doc
         assert back.schema == 1
+
+    def test_from_json_ignores_unknown_keys(self):
+        doc = ReportDocument(command="analyze", grid={"K": 32, "N": 1024})
+        text = json.dumps({**json.loads(doc.to_json()), "extra": 1})
+        assert ReportDocument.from_json(text) == doc
+
+    def test_to_json_encodes_numpy_values_tuples_and_infinities(self):
+        doc = ReportDocument(command="c", grid={"K": 32, "N": 1024}, results={
+            "scalar": np.float64(0.1), "count": np.int64(3), "flag": np.bool_(True),
+            "array": np.array([1.5, -2.0]), "pair": (np.float64(2.5), np.int64(4)),
+            "inf": float("inf"), "neg_inf": -np.inf,
+            "check": ConditionCheck("c", True, np.float64(1.0), 1e-9)})
+        text = doc.to_json()
+        assert json.loads(text)["results"] == {
+            "scalar": 0.1, "count": 3, "flag": True, "array": [1.5, -2.0], "pair": [2.5, 4],
+            "inf": float("inf"), "neg_inf": float("-inf"),
+            "check": {"name": "c", "passed": True, "value": 1.0, "tolerance": 1e-9, "detail": ""}}
+        assert '"inf": Infinity' in text and '"neg_inf": -Infinity' in text
+
+    def test_to_json_refuses_an_unknown_object(self):
+        doc = ReportDocument(command="c", grid={}, results={"x": object()})
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            doc.to_json()
+
+    def test_records_serialize_from_their_fields(self, shannon, ex2, grid, wide_grid):
+        # a condition report as its fields; the certificate in its nested shape
+        rep, cert = check_sz04(ex2, wide_grid), check_sz99(shannon, grid)
+        doc = ReportDocument(command="c", grid={}, results={"report": rep, "certificate": cert})
+        data = json.loads(doc.to_json())["results"]
+        assert data["report"]["checks"] == [
+            {"name": c.name, "passed": c.passed, "value": c.value, "tolerance": c.tolerance,
+             "detail": c.detail} for c in rep.checks]
+        consts = data["report"]["constants"]
+        assert consts["piece_ratios"] == rep.constants["piece_ratios"].tolist()
+        worst = rep.constants["worst_piece"]
+        assert consts["worst_piece"] == (None if worst is None else list(worst))
+        assert data["certificate"] == json.loads(json.dumps(cert.to_dict()))
+        assert data["certificate"]["zak_bound"]["lower"] == cert.zak_lower
 
 
 def run_cli(args):
@@ -382,6 +422,7 @@ def test_refusal_lists_each_failed_check(error_inputs, capsys):
     assert lines[0] == "refused: sampling-space certificate failed"
     assert len(lines) == 2 and lines[1].startswith("  failed check continuity: value=")
     assert "tolerance=0.125" in lines[1]
+    assert lines[1].endswith(" (fail)")  # the check's detail: the continuity verdict
 
 
 @pytest.mark.parametrize("argv", [

@@ -258,6 +258,16 @@ class TestConstructKernel:
         assert float(np.max(np.abs(rec.values - truth))) < 1e-4
 
 
+class TestConstructionRefusal:
+    def test_refusal_states_deviation_and_tolerance(self, grid):
+        # theorem 5 passes on the exact pieces, but inside one grid cell the
+        # periodization cancels, so the kernel cannot reproduce the signal
+        sig = PiecewiseConstantSpectrum([(0.0, 2 ** -11, 1.0), (1 + 2 ** -11, 1 + 2 ** -10, -1.0)])
+        with pytest.raises(ConstructionRefusedError,
+                           match=r"reproduce the signal \(relative deviation 1, tolerance 1e-06\)"):
+            construct_s_from_f(sig, grid)
+
+
 class TestNecessity:
     @pytest.mark.parametrize("space_name", ["shannon_space", "hat_space"])
     def test_synthesized_members_pass_characterization(self, space_name, request):
@@ -268,7 +278,7 @@ class TestNecessity:
         for seed in (5, 6):
             f = synthesize(space, random_coefficients(seed))
             rep = check_theorem5(f, space.grid)
-            assert rep.passed, f"seed {seed}: {[c.to_dict() for c in rep.checks if not c.passed]}"
+            assert rep.passed, f"seed {seed}: {[c for c in rep.checks if not c.passed]}"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -194,3 +194,13 @@ class TestShiftCombination:
         samples = f.integer_samples(grid, 64)
         for k in range(-5, 6):
             assert samples.value_at(k) == pytest.approx(coeffs.value_at(k), abs=1e-14)
+
+    def test_time_kernel_base_tail_beyond_kmax(self, hat, grid):
+        # samples of the support beyond k_max are the tail, not dropped silently
+        k_max, c = 16, 0.5 - 2.0j
+        coeffs = TimeSamples(np.array([0, k_max + 3]), np.array([1.0, c]), k_max + 3)
+        f = ShiftCombination(hat, coeffs)
+        assert f.support == (-1.0, k_max + 4.0)
+        samples = f.integer_samples(grid, k_max)
+        assert samples.ks.tolist() == [0]
+        assert samples.tail_energy == pytest.approx(abs(c) ** 2)

@@ -28,6 +28,8 @@ from sisbox.errors import (
     NotASamplingSpaceError,
     TruncationError,
 )
+from sisbox.spaces import VANISH_TOL
+from sisbox.spectral import DEFAULT_EPS
 
 
 def zero_signal():
@@ -37,6 +39,18 @@ def zero_signal():
 def vanishing_zak_signal():
     # periodization cancels on [0, 1/2): positive Grammian, zero Zak fiber
     return PiecewiseConstantSpectrum([(0.0, 0.5, 1.0), (1.0, 1.5, -1.0)])
+
+
+class TestZakCheck:
+    @pytest.mark.parametrize("name", ["shannon", "vanishing"])
+    def test_tolerance_is_the_floor_eps_times_upper_bound(self, shannon, grid, name):
+        rep = check_sz99(shannon if name == "shannon" else vanishing_zak_signal(), grid)
+        check = rep.checks[2]
+        assert check.name == "zak_two_sided"
+        assert check.value == rep.zak_lower
+        assert check.tolerance == DEFAULT_EPS * rep.zak_upper
+        assert check.passed == (name == "shannon") == (check.value > check.tolerance)
+        assert check.detail.endswith(f"vs limit {VANISH_TOL * rep.zak_upper:.3g}")
 
 
 class TestTightFrameGenerator:
@@ -295,11 +309,13 @@ class TestGramMatrixOracle:
 
 class TestCatalog:
     def test_every_entry_constructs_on_its_grid(self, grid):
-        from sisbox.catalog import catalog_names, required_grid
+        # widened as the CLI widens: to the signal's required half bandwidth
+        from sisbox.catalog import catalog_names
         from sisbox import build_signal
 
         for name in catalog_names():
-            g = required_grid(name, grid)
+            need = build_signal(name, grid).required_half_bandwidth() or 0
+            g = FrequencyGrid(need, grid.resolution) if need > grid.half_bandwidth else grid
             sig = build_signal(name, g)
             assert sig.grid_values(g).shape == (g.size,)
 
