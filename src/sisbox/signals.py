@@ -20,19 +20,19 @@ Three primary representations plus one derived:
 Every representation carries ``integrable_spectrum``: membership in the
 class of square-integrable functions with absolutely integrable spectrum.
 
-Uniform time evaluation and time-kernel spectra both go through one
-numpy chirp (Bluestein) transform, ``_phase_czt``.  Its FFTs run at the
-smallest 5-smooth length that holds the convolution, and its chirp
-phases rate*k^2/2 are reduced mod 1 in exact integer arithmetic (the
-rate is a double, hence a dyadic rational), so the transform is accurate
-to rounding.
+Uniform time evaluation (over the spectrum's nonzero span only, so its
+cost follows the band, not 2KN) and time-kernel spectra both go through
+one numpy chirp (Bluestein) transform, ``_phase_czt``.  Its FFTs run at
+the smallest 5-smooth length that holds the convolution; its chirp phases
+rate*k^2/2 are reduced mod 1 in exact integer arithmetic (the rate is a
+double, hence a dyadic rational), so the transform is accurate to rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BandwidthOverflowError, GridMismatchError
+from .errors import BandwidthOverflowError, GridMismatchError, PreconditionError
 from .grid import FrequencyGrid, TimeSamples, pow2_at_least
 
 _EVAL_CHUNK = 64  # x-points per chunk in direct nonuniform evaluation
@@ -57,6 +57,12 @@ def _turns(t: np.ndarray) -> np.ndarray:
     """exp(2i*pi*t), with t first reduced mod 1 (exactly) so large phases
     lose no accuracy to the multiplication by 2*pi."""
     return np.exp(2j * np.pi * (t - np.round(t)))
+
+
+def require_finite(values: np.ndarray) -> None:
+    """Refuse spectrum values with a NaN or infinite node."""
+    if bad := np.count_nonzero(~np.isfinite(values)):
+        raise PreconditionError(f"spectrum has {bad} non-finite grid value(s)")
 
 
 def _fast_length(n: int) -> int:
@@ -180,36 +186,36 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
     """Integrate the cell-constant spectral model against exp(2i*pi*omega*x).
 
     Exact when ``values`` are constant on grid cells (each node represents
-    its half-open cell [omega_j, omega_j + 1/N)).
+    its half-open cell [omega_j, omega_j + 1/N)); refuses a non-finite node.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    h = grid.step
-    nz = np.flatnonzero(np.abs(values) > 0)
-    if nz.size == 0:
-        return np.zeros(xs.shape, dtype=complex)
+    nz = np.flatnonzero(values)  # NaN and inf count as nonzero
+    require_finite(values[nz])
     # cell kernel: integral of exp(2i*pi*omega*x) over one cell, left node at 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        kern = (np.exp(2j * np.pi * h * xs) - 1.0) / (2j * np.pi * xs)
-    kern = np.where(np.abs(xs) < 1e-300, h, kern)
+        kern = (np.exp(2j * np.pi * grid.step * xs) - 1.0) / (2j * np.pi * xs)
+    kern = np.where(np.abs(xs) < 1e-300, grid.step, kern)
 
     spacing = _uniform_spacing(xs)
     if spacing is not None and nz.size > 512 and xs.size > 64:
-        # uniform x: one Bluestein transform over all nodes
-        x0 = xs[0]
-        coeffs = np.zeros(grid.size, dtype=complex)
-        coeffs[nz] = values[nz]
-        j = np.arange(grid.size)
-        pre = coeffs * _turns((j / grid.resolution) * x0)
+        # uniform x: one Bluestein transform over the nonzero span
+        first, last = nz[0], nz[-1]
+        j = np.arange(last + 1 - first)
+        pre = values[first:last + 1] * _turns((j / grid.resolution) * xs[0])
         out = _phase_czt(pre, spacing / grid.resolution, xs.size)
-        return _turns(-grid.half_bandwidth * xs) * out * kern
+        # exp(2i*pi*w*x) at the first node w (at most 27 bits; computed, not read
+        # from grid.omegas, which would cache 2KN floats): Dekker's split
+        # (2^27 + 1) of x into 26-bit halves makes both products exact
+        w = first / grid.resolution - grid.half_bandwidth
+        hi = xs * 134217729.0 - (xs * 134217729.0 - xs)
+        return _turns(w * hi) * _turns(w * (xs - hi)) * out * kern
 
     om = grid.omegas[nz]
     vals = values[nz]
     out = np.empty(xs.size, dtype=complex)
     for start in range(0, xs.size, _EVAL_CHUNK):
-        stop = min(start + _EVAL_CHUNK, xs.size)
-        block = np.exp(2j * np.pi * np.outer(xs[start:stop], om))
-        out[start:stop] = block @ vals
+        block = np.exp(2j * np.pi * np.outer(xs[start:start + _EVAL_CHUNK], om))
+        out[start:start + _EVAL_CHUNK] = block @ vals
     return out * kern
 
 

@@ -17,10 +17,9 @@ from .errors import (
     BandwidthOverflowError,
     DegenerateSpaceError,
     NotAGrammianError,
-    PreconditionError,
 )
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
-from .signals import Signal, twisted_sum
+from .signals import Signal, require_finite, twisted_sum
 
 DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
@@ -193,9 +192,7 @@ def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
     NaN or infinite node, which would otherwise empty the support set and
     pass every verdict as vacuous."""
     folded = _fold(f, grid)
-    bad = np.count_nonzero(~np.isfinite(folded))
-    if bad:
-        raise PreconditionError(f"spectrum has {bad} non-finite grid value(s)")
+    require_finite(folded)
     modulus = np.abs(folded)
     g = PeriodicSpectrum((modulus ** 2).sum(axis=0), grid)
     mask = support_mask(g, eps)

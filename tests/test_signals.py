@@ -10,9 +10,12 @@ from sisbox import (
     ShiftCombination,
     TimeKernel,
     TimeSamples,
+    build_signal,
+    signals,
 )
-from sisbox.errors import GridMismatchError
+from sisbox.errors import GridMismatchError, PreconditionError
 from sisbox.signals import _grid_time_values, _phase_czt
+from sisbox.spaces import _continuity_check
 
 
 class TestPiecewiseConstant:
@@ -85,6 +88,27 @@ class TestGridSpectrum:
         want = np.array([_grid_time_values(vals, grid, np.array([x]))[0] for x in xs_uniform])
         np.testing.assert_allclose(got, want, atol=1e-10)
 
+    @pytest.mark.parametrize("count", [4097, 40])  # Bluestein span, direct sums
+    @pytest.mark.parametrize("m", [3, -17, 40])
+    def test_integer_spectral_shift_modulates_time_values(self, m, count):
+        # f_hat(. - m) is f times exp(2i*pi*m*x); the span then starts m cells over
+        grid = FrequencyGrid(64, 4096)
+        base = build_signal("blhat", grid)
+        shifted = GridSpectrum(np.roll(base.values, m * grid.resolution), grid)
+        xs = np.linspace(-8, 8, count)
+        want = np.exp(2j * np.pi * m * xs) * base.time_values(xs)
+        got = shifted.time_values(xs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("count", [4097, 40])  # Bluestein span, direct sums
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_node_is_refused(self, blhat, bad, count):
+        # a dropped node would leave finite values, off by ~1e-3
+        vals = blhat.values.copy()
+        vals[blhat.grid.size // 2 + 7] = bad
+        with pytest.raises(PreconditionError, match="spectrum has 1 non-finite grid value"):
+            GridSpectrum(vals, blhat.grid).time_values(np.linspace(-8, 8, count))
+
 
 def exact_phase_sum(coeffs, ints, rate) -> complex:
     """sum_n coeffs[n] exp(2i*pi*rate*ints[n]), every phase rate*ints[n]
@@ -125,6 +149,40 @@ class TestChirpTransform:
             want.append(exact_phase_sum(vals, nodes, Fraction(x) / grid.resolution) * kern)
         want = np.array(want)
         assert np.max(np.abs(got[picks] - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("cell, seed", [(-63, 21), (63, 22), (-1, 23)])
+    def test_band_span_matches_exact_phase_sum(self, cell, seed):
+        # a narrow band far from node 0: the transform runs over the band
+        # alone, and the phase of its first node must not lose the ~1e-13
+        # that rounding the product omega * x costs near omega * x = 500
+        grid = FrequencyGrid(64, 4096)
+        n = grid.resolution
+        rng = np.random.default_rng(seed)
+        start = (cell + grid.half_bandwidth) * n + int(rng.integers(0, n - 1024))
+        band = slice(start, start + 1024)
+        vals = np.zeros(grid.size, dtype=complex)
+        vals[band] = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        xs = np.linspace(-8, 8, 1001)
+        got = _grid_time_values(vals, grid, xs)
+        keep = xs != 0  # the reference's cell kernel divides by x
+        got, xs = got[keep], xs[keep]
+        nodes = np.arange(grid.size)[band] - grid.half_bandwidth * n
+        kern = (np.exp(2j * np.pi * grid.step * xs) - 1.0) / (2j * np.pi * xs)
+        want = kern * np.array([exact_phase_sum(vals[band], nodes, Fraction(x) / n)
+                                for x in xs])
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_continuity_transform_spans_the_band_not_the_grid(self, monkeypatch):
+        # blhat's 4,095 nonzero nodes, not all 524,288 nodes of (64, 4096)
+        sizes = []
+
+        def recording(coeffs, rate, count):
+            sizes.append(coeffs.size)
+            return _phase_czt(coeffs, rate, count)
+
+        monkeypatch.setattr(signals, "_phase_czt", recording)
+        _continuity_check(build_signal("blhat", FrequencyGrid(64, 4096)))
+        assert sizes == [4095]
 
 
 class TestTimeKernel:
