@@ -69,7 +69,6 @@ from .spectral import (
     essential_bounds,
     grammian,
     integer_samples,
-    inverse_fourier_evaluate,
     periodize,
     shift_square_sum,
     spectral_norm,

@@ -60,13 +60,13 @@ def ex3_signal() -> TimeKernel:
     """Plateau kernel: sine ramps on [-1, -1/2] and [1/2, 1] around a unit
     plateau.  Interpolating (value 1 at 0, 0 at other integers) and
     compactly supported; flagged outside the integrable-spectrum class."""
-    return TimeKernel((-1.0, 1.0), _ex3_evaluator, integrable_spectrum=False, name="ex3")
+    return TimeKernel((-1.0, 1.0), _ex3_evaluator, integrable_spectrum=False)
 
 
 def hat_signal() -> TimeKernel:
     """Triangle kernel 1 - |x| on [-1, 1]; spectrum is squared sinc."""
     return TimeKernel((-1.0, 1.0), lambda x: np.maximum(1.0 - np.abs(np.asarray(x, dtype=float)), 0.0),
-                      integrable_spectrum=True, name="hat")
+                      integrable_spectrum=True)
 
 
 # name -> factory(grid, n_max); n_max is the block count of ex2

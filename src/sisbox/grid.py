@@ -236,6 +236,12 @@ class TimeSamples:
             return complex(self.values[idx])
         return 0.0
 
+    def fiber(self, n: int) -> np.ndarray:
+        """sum_k f(k) exp(-2i*pi*k*i/n) at the nodes i/n: one FFT over the indices mod n."""
+        acc = np.zeros(n, dtype=complex)
+        np.add.at(acc, self.ks % n, self.values)
+        return np.fft.fft(acc)
+
     @property
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.values))

@@ -42,6 +42,7 @@ from .spaces import (
     project,
     sz99_report,
     _probe_points,
+    _sampling_function,
 )
 from .spectral import (
     DEFAULT_EPS,
@@ -242,12 +243,6 @@ def check_sz04(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS) -> C
                   names=("lower_domination", "upper_domination"), vacuous={})
 
 
-def _normalized_signal(fib: Fibers) -> GridSpectrum:
-    """h_hat = f_hat / Z_f(0,.) on the support set, zero off it."""
-    vals = divide_on_support(fib.folded, fib.zak.values, fib.mask)
-    return GridSpectrum(vals.ravel(), fib.grid, integrable_spectrum=fib.signal.integrable_spectrum)
-
-
 def check_theorem2(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
                    k_max: int = DEFAULT_K_MAX, seed: int = 0) -> ConditionReport:
     """Normalized-function membership criterion.
@@ -258,7 +253,7 @@ def check_theorem2(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
     from zero exactly on the support set.
     """
     def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray):
-        h = _normalized_signal(fib)
+        h = _sampling_function(fib)
         zh = zak_time_fiber(integer_samples(h, grid, k_max), grid)
         cert = sz99_report(h, fib.mask, zh, k_max=k_max, seed=seed)
         return cert.checks, {"A": cert.zak_lower, "B": cert.zak_upper,
@@ -296,7 +291,7 @@ def induced_subspace(space: SamplingSpace, f: Signal) -> InducedSubspace:
     grid = space.grid
     residual = member_residual(space, f, "signal")
     fib = fibers(f, grid, space.eps, space.k_max)
-    h = _normalized_signal(fib)
+    h = _sampling_function(fib)
     sub = build_space(h, grid, eps=space.eps, k_max=space.k_max)
 
     # the normalized signal itself is the sampling function of S(f); both

@@ -20,12 +20,13 @@ Three primary representations plus one derived:
 Every representation carries ``integrable_spectrum``: membership in the
 class of square-integrable functions with absolutely integrable spectrum.
 
-Uniform time evaluation (over the spectrum's nonzero span only, so its
-cost follows the band, not 2KN) and time-kernel spectra both go through
-one numpy chirp (Bluestein) transform, ``_phase_czt``.  Its FFTs run at
-the smallest 5-smooth length that holds the convolution; its chirp phases
-rate*k^2/2 are reduced mod 1 in exact integer arithmetic (the rate is a
-double, hence a dyadic rational), so the transform is accurate to rounding.
+Grid time evaluation takes the first nonzero node's phase exactly and sums
+the others' offsets from it directly, or at uniform points where that costs
+more (``_CHIRP_WORK_RATIO``) by one numpy chirp (Bluestein) transform over
+the nonzero span, ``_phase_czt``, which time-kernel spectra also use.  Its
+FFTs run at the smallest 5-smooth length that holds the convolution; its
+chirp phases rate*k^2/2 are reduced mod 1 in exact integer arithmetic (the
+rate is a dyadic double), so the transform is accurate to rounding.
 """
 
 from __future__ import annotations
@@ -35,7 +36,12 @@ import numpy as np
 from .errors import BandwidthOverflowError, GridMismatchError, PreconditionError
 from .grid import FrequencyGrid, TimeSamples, pow2_at_least
 
-_EVAL_CHUNK = 64  # x-points per chunk in direct nonuniform evaluation
+_EVAL_CHUNK = 64  # x-points per chunk in direct evaluation
+# uniform points take the chirp transform when nodes * points (the direct sum's
+# terms) exceeds this many times its length (span + points); on a 2-vCPU Xeon,
+# numpy 2.4, the direct sum costs ~50 ns a term, the transform ~200 ns a point,
+# and the routes break even between ratios 2.4 and 6.5 (spans of 64-65,536)
+_CHIRP_WORK_RATIO = 4
 QUADRATURE_ORDER = 2048  # trapezoid nodes over a time kernel's support
 
 
@@ -191,31 +197,32 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     nz = np.flatnonzero(values)  # NaN and inf count as nonzero
     require_finite(values[nz])
-    # cell kernel: integral of exp(2i*pi*omega*x) over one cell, left node at 0
+    if not nz.size:
+        return np.zeros(xs.size, dtype=complex)
+    n = grid.resolution
+    first, span = nz[0], nz[-1] + 1 - nz[0]
+    # cell kernel: integral of exp(2i*pi*omega*x) over one cell, left node at 0,
+    # times exp(2i*pi*w*x) at the first nonzero node w (at most 27 bits): Dekker's
+    # split (2^27 + 1) of x into 26-bit halves makes both products exact, so both
+    # routes below sum only the offsets (j - first) / N
+    w = first / n - grid.half_bandwidth
+    hi = xs * 134217729.0 - (xs * 134217729.0 - xs)
     with np.errstate(invalid="ignore", divide="ignore"):
         kern = (np.exp(2j * np.pi * grid.step * xs) - 1.0) / (2j * np.pi * xs)
-    kern = np.where(np.abs(xs) < 1e-300, grid.step, kern)
+    kern = np.where(np.abs(xs) < 1e-300, grid.step, kern) * _turns(w * hi) * _turns(w * (xs - hi))
 
     spacing = _uniform_spacing(xs)
-    if spacing is not None and nz.size > 512 and xs.size > 64:
+    if spacing is not None and nz.size * xs.size > _CHIRP_WORK_RATIO * (span + xs.size):
         # uniform x: one Bluestein transform over the nonzero span
-        first, last = nz[0], nz[-1]
-        j = np.arange(last + 1 - first)
-        pre = values[first:last + 1] * _turns((j / grid.resolution) * xs[0])
-        out = _phase_czt(pre, spacing / grid.resolution, xs.size)
-        # exp(2i*pi*w*x) at the first node w (at most 27 bits; computed, not read
-        # from grid.omegas, which would cache 2KN floats): Dekker's split
-        # (2^27 + 1) of x into 26-bit halves makes both products exact
-        w = first / grid.resolution - grid.half_bandwidth
-        hi = xs * 134217729.0 - (xs * 134217729.0 - xs)
-        return _turns(w * hi) * _turns(w * (xs - hi)) * out * kern
+        pre = values[first:first + span] * _turns((np.arange(span) / n) * xs[0])
+        return _phase_czt(pre, spacing / n, xs.size) * kern
 
-    om = grid.omegas[nz]
+    offsets = (nz - first) / n
     vals = values[nz]
     out = np.empty(xs.size, dtype=complex)
     for start in range(0, xs.size, _EVAL_CHUNK):
-        block = np.exp(2j * np.pi * np.outer(xs[start:start + _EVAL_CHUNK], om))
-        out[start:start + _EVAL_CHUNK] = block @ vals
+        chunk = slice(start, start + _EVAL_CHUNK)
+        out[chunk] = _turns(np.outer(xs[chunk], offsets)) @ vals
     return out * kern
 
 
@@ -308,9 +315,6 @@ class PiecewiseConstantSpectrum(Signal):
                 ramp = (np.exp(2j * np.pi * (hi - lo) * xs) - 1.0) / (2j * np.pi * xs)
                 out += np.where(small, v * (hi - lo), v * phase * ramp)
         return out
-
-    def periodized_profile(self) -> "PeriodizedProfile":
-        return PeriodizedProfile.from_pieces(self.pieces)
 
     def scaled(self, factor: complex) -> "PiecewiseConstantSpectrum":
         return PiecewiseConstantSpectrum.from_local_pieces(
@@ -422,14 +426,13 @@ class TimeKernel(Signal):
     """
 
     def __init__(self, support: tuple[float, float], evaluator,
-                 integrable_spectrum: bool | None = None, name: str = ""):
+                 integrable_spectrum: bool | None = None):
         a, b = float(support[0]), float(support[1])
         if b <= a:
             raise ValueError("support must be a nonempty interval")
         self.support = (a, b)
         self.evaluator = evaluator
         self._pinned_integrable = integrable_spectrum
-        self.name = name
         self._spectrum_cache: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -494,7 +497,7 @@ class TimeKernel(Signal):
     def scaled(self, factor: complex) -> "TimeKernel":
         ev = self.evaluator
         return TimeKernel(self.support, lambda x: factor * np.asarray(ev(x)),
-                          self._pinned_integrable, self.name)
+                          self._pinned_integrable)
 
 
 class ShiftCombination(Signal):
@@ -516,14 +519,8 @@ class ShiftCombination(Signal):
         return self.base.required_half_bandwidth()
 
     def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
-        base_vals = self.base.grid_values(grid)
-        ks = self.coefficients.ks
-        cs = self.coefficients.values
-        om_unit = grid.unit_omegas
-        fiber = np.zeros(grid.resolution, dtype=complex)
-        for k, c in zip(ks, cs):
-            fiber += c * np.exp(-2j * np.pi * k * om_unit)
-        return np.tile(fiber, 2 * grid.half_bandwidth) * base_vals
+        fiber = self.coefficients.fiber(grid.resolution)
+        return (fiber * grid.fold(self.base.grid_values(grid))).ravel()
 
     def time_values(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))

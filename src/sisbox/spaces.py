@@ -42,7 +42,6 @@ from .spectral import (
     integer_samples,
     shift_square_sum,
     spectral_norm,
-    zak_time_fiber,
 )
 
 # continuity falsifier: max jump on a dense grid must stay below
@@ -200,7 +199,6 @@ class SamplingSpace:
     mask: SupportMask
     frame_bounds: tuple[float, float]
     sampling_spectrum: Signal
-    zak_fiber: PeriodicSpectrum
     sz99: SZ99Report
     certified: bool
     eps: float = DEFAULT_EPS
@@ -240,7 +238,7 @@ def build_space(psi: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
         raise NotASamplingSpaceError("sampling-space certificate failed", report=sz99)
 
     return SamplingSpace(psi, grid, fib.grammian, fib.mask, bounds, _sampling_kernel_signal(fib),
-                         fib.zak, sz99, certified=sz99.passed, eps=eps, k_max=k_max)
+                         sz99, certified=sz99.passed, eps=eps, k_max=k_max)
 
 
 def _sampling_kernel_signal(fib: Fibers) -> Signal:
@@ -255,8 +253,14 @@ def _sampling_kernel_signal(fib: Fibers) -> Signal:
                 return psi.scaled(1.0 / z0)
             if isinstance(psi, ShiftCombination):
                 return ShiftCombination(psi.base, psi.coefficients.scaled(1.0 / z0))
-    out = divide_on_support(fib.folded, zak, fib.mask)
-    return GridSpectrum(out.ravel(), fib.grid, integrable_spectrum=psi.integrable_spectrum)
+    return _sampling_function(fib)
+
+
+def _sampling_function(fib: Fibers) -> GridSpectrum:
+    """h_hat = f_hat / Z_f(0,.) on the support set, zero off it: the sampling
+    function of V(f), and theorem 2's normalized signal."""
+    out = divide_on_support(fib.folded, fib.zak.values, fib.mask)
+    return GridSpectrum(out.ravel(), fib.grid, integrable_spectrum=fib.signal.integrable_spectrum)
 
 
 def synthesize(space: SamplingSpace, coeffs: TimeSamples) -> ShiftCombination:
@@ -279,7 +283,8 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> Reconst
 
     Time route (kernel evaluable in closed form): sum_k f(k) s(x - k)
     truncated to the stored samples.  Spectral route (grid kernels): the
-    identity f_hat = Z_f(0,.) * s_hat evaluated on the grid.
+    same sum read as synthesis, the grid spectrum f_hat = Z_f(0,.) * s_hat
+    of ``ShiftCombination(kernel, samples)``, evaluated in time once.
     """
     if not space.certified:
         raise NotASamplingSpaceError(
@@ -309,9 +314,7 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> Reconst
             f"which the spectral route resolves at N = {grid.resolution}; "
             f"it needs N >= {pow2_at_least(2 * reach)}"
         )
-    zak = zak_time_fiber(samples, grid)
-    rec_spec = zak.values * grid.fold(kern.grid_values(grid))
-    vals = GridSpectrum(rec_spec.ravel(), grid).time_values(xs)
+    vals = GridSpectrum(ShiftCombination(kern, samples).grid_values(grid), grid).time_values(xs)
     return ReconstructionResult(vals, "spectral", samples.tail_energy)
 
 

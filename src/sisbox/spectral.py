@@ -55,25 +55,12 @@ def bracket(f: Signal, g: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
 
 def zak_time_fiber(samples: TimeSamples, grid: FrequencyGrid) -> PeriodicSpectrum:
     """Discrete Fourier series sum_k f(k) exp(-2i*pi*k*omega) of the samples."""
-    n = grid.resolution
-    acc = np.zeros(n, dtype=complex)
-    np.add.at(acc, samples.ks % n, samples.values)
-    return PeriodicSpectrum(np.fft.fft(acc), grid)
+    return PeriodicSpectrum(samples.fiber(grid.resolution), grid)
 
 
 def zak_dual_fiber(f: Signal, x: float, grid: FrequencyGrid) -> PeriodicSpectrum:
     """Phase-twisted periodization sum_m f_hat(omega+m) exp(2i*pi*m*x)."""
     return PeriodicSpectrum(twisted_sum(_fold(f, grid), grid.shifts(), x), grid)
-
-
-def inverse_fourier_evaluate(f: Signal, x):
-    """Time value(s) at x: analytic for interval spectra, cell-model
-    quadrature for grid spectra, direct evaluation for time kernels."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = f.time_values(xs)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return complex(out[0])
-    return out
 
 
 def guard_level(magnitude: np.ndarray, eps: float) -> float:
@@ -177,13 +164,6 @@ class Fibers:
     def zak_support(self) -> np.ndarray:
         """Nodes of E_f where |Z_f(0, .)| is above its guard level."""
         return _guarded_support(self.zak.values, self.mask)
-
-    def dual(self, x) -> PeriodicSpectrum | np.ndarray:
-        """Phase-twisted periodization sum_m f_hat(omega+m) exp(2i*pi*m*x):
-        a PeriodicSpectrum for a scalar offset, a (P, N) array for P offsets,
-        whose rows come from one (P, 2K) @ (2K, N) product (``twisted_sum``)."""
-        d = twisted_sum(self.folded, self.grid.shifts(), x)
-        return PeriodicSpectrum(d, self.grid) if d.ndim == 1 else d
 
 
 def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,

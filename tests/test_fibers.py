@@ -16,8 +16,8 @@ from sisbox import (
     zak_dual_fiber,
     zak_time_fiber,
 )
-from sisbox.membership import _normalized_signal
 from sisbox.signals import GridSpectrum, PeriodizedProfile
+from sisbox.spaces import _sampling_function
 from sisbox.spectral import DEFAULT_EPS, DEFAULT_K_MAX, divide_on_support, fibers
 
 CATALOG_GRIDS = {"shannon": (32, 1024), "blhat": (32, 1024), "ex2": (64, 1024),
@@ -52,7 +52,6 @@ def test_record_matches_one_quantity_functions(catalog_signal):
     samples = integer_samples(f, grid, DEFAULT_K_MAX)
     assert np.array_equal(fib.samples.values, samples.values)
     assert np.array_equal(fib.zak.values, zak_time_fiber(samples, grid).values)
-    assert np.array_equal(fib.dual(0.3).values, zak_dual_fiber(f, 0.3, grid).values)
 
 
 def test_kernel_equals_tiled_formula(catalog_signal):
@@ -72,7 +71,7 @@ def test_theorem2_normalized_signal_equals_tiled_formula(catalog_signal, normali
     f, grid = catalog_signal
     zak = zak_time_fiber(integer_samples(f, grid, DEFAULT_K_MAX), grid).values
     want = tiled_division(f.grid_values(grid), zak, support_mask(grammian(f, grid)), grid)
-    h = _normalized_signal(fibers(f, grid))
+    h = _sampling_function(fibers(f, grid))
     assert np.array_equal(h.values, want)
 
 
@@ -95,10 +94,10 @@ def test_grid_profile_reads_the_record(blhat, grid):
     prof = PeriodizedProfile.from_fibers(fib)
     assert not prof.exact
     assert np.array_equal(prof.sq_sum, fib.grammian.real_values)
-    assert np.array_equal(prof.dual(0.25), fib.dual(0.25).values)
+    assert np.array_equal(prof.dual(0.25), zak_dual_fiber(blhat, 0.25, grid).values)
 
 
 def test_piecewise_profile_stays_exact(ex2, wide_grid):
     prof = PeriodizedProfile.from_fibers(fibers(ex2, wide_grid))
     assert prof.exact
-    assert np.array_equal(prof.lengths, ex2.periodized_profile().lengths)
+    assert np.array_equal(prof.lengths, PeriodizedProfile.from_pieces(ex2.pieces).lengths)

@@ -16,7 +16,7 @@ from sisbox import (
     check_theorem5,
     shift_square_sum,
 )
-from sisbox.signals import PeriodizedProfile
+from sisbox.signals import PeriodizedProfile, twisted_sum
 from sisbox.spaces import _probe_points, sz99_report
 from sisbox.spectral import DEFAULT_EPS, fibers, guard_level
 
@@ -88,7 +88,8 @@ def test_each_probe_energy_matches_loop(name, fine_grid):
     f = probe_signal(name, fine_grid)
     xs = np.concatenate([_probe_points(0), FAR_OFFSETS])
     want = loop_energies(f, xs, fine_grid)
-    batched = np.mean(np.abs(fibers(f, fine_grid).dual(xs)) ** 2, axis=1)
+    batched = np.mean(np.abs(twisted_sum(fibers(f, fine_grid).folded, fine_grid.shifts(), xs)) ** 2,
+                      axis=1)
     np.testing.assert_allclose(batched, want, rtol=RTOL, atol=0)
     single = [shift_square_sum(f, [x], fine_grid).bound for x in FAR_OFFSETS]
     np.testing.assert_allclose(single, want[-FAR_OFFSETS.size:], rtol=RTOL, atol=0)
@@ -114,8 +115,8 @@ def test_dual_keeps_scalar_shape(name, grid_name, request):
     assert prof.dual(0.25).shape == (pieces,)
     assert prof.dual(np.array([0.25])).shape == (1, pieces)
     np.testing.assert_allclose(prof.dual(np.array([0.25]))[0], prof.dual(0.25), rtol=RTOL)
-    assert fib.dual(0.25).values.shape == (grid.resolution,)
-    assert fib.dual(np.array([0.25])).shape == (1, grid.resolution)
+    assert twisted_sum(fib.folded, grid.shifts(), 0.25).shape == (grid.resolution,)
+    assert twisted_sum(fib.folded, grid.shifts(), np.array([0.25])).shape == (1, grid.resolution)
 
 
 def nan_node_signal(grid):

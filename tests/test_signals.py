@@ -6,15 +6,17 @@ import pytest
 from sisbox import (
     FrequencyGrid,
     GridSpectrum,
+    PeriodicPartition,
     PiecewiseConstantSpectrum,
     ShiftCombination,
     TimeKernel,
     TimeSamples,
     build_signal,
+    decompose,
     signals,
 )
 from sisbox.errors import GridMismatchError, PreconditionError
-from sisbox.signals import _grid_time_values, _phase_czt
+from sisbox.signals import PeriodizedProfile, _grid_time_values, _phase_czt
 from sisbox.spaces import _continuity_check
 
 
@@ -61,7 +63,7 @@ class TestPiecewiseConstant:
         # blocks at large shifts keep exact dyadic lengths
         sig = PiecewiseConstantSpectrum.from_local_pieces(
             [(48, 0.0, 0.5 ** 48, 1.0), (50, 0.0, 0.5 ** 50, -1.0)])
-        prof = sig.periodized_profile()
+        prof = PeriodizedProfile.from_pieces(sig.pieces)
         assert prof.lengths[0] == pytest.approx(0.5 ** 50)
         assert complex(prof.z[0]) == pytest.approx(0.0)  # 1 - 1 on the overlap
 
@@ -150,11 +152,11 @@ class TestChirpTransform:
         want = np.array(want)
         assert np.max(np.abs(got[picks] - want)) <= 1e-12 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("cell, seed", [(-63, 21), (63, 22), (-1, 23)])
-    def test_band_span_matches_exact_phase_sum(self, cell, seed):
-        # a narrow band far from node 0: the transform runs over the band
-        # alone, and the phase of its first node must not lose the ~1e-13
-        # that rounding the product omega * x costs near omega * x = 500
+    @staticmethod
+    def band_error(cell, seed, drop_zero):
+        """Relative error of a 1,024-node random band in the cell at omega =
+        cell of (64, 4096), at linspace(-8, 8, 1001) (without x = 0, which
+        makes the points non-uniform, when ``drop_zero``)."""
         grid = FrequencyGrid(64, 4096)
         n = grid.resolution
         rng = np.random.default_rng(seed)
@@ -163,6 +165,8 @@ class TestChirpTransform:
         vals = np.zeros(grid.size, dtype=complex)
         vals[band] = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
         xs = np.linspace(-8, 8, 1001)
+        if drop_zero:
+            xs = xs[xs != 0]
         got = _grid_time_values(vals, grid, xs)
         keep = xs != 0  # the reference's cell kernel divides by x
         got, xs = got[keep], xs[keep]
@@ -170,10 +174,24 @@ class TestChirpTransform:
         kern = (np.exp(2j * np.pi * grid.step * xs) - 1.0) / (2j * np.pi * xs)
         want = kern * np.array([exact_phase_sum(vals[band], nodes, Fraction(x) / n)
                                 for x in xs])
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
-    def test_continuity_transform_spans_the_band_not_the_grid(self, monkeypatch):
-        # blhat's 4,095 nonzero nodes, not all 524,288 nodes of (64, 4096)
+    @pytest.mark.parametrize("cell, seed", [(-63, 21), (63, 22), (-1, 23)])
+    def test_band_span_matches_exact_phase_sum(self, cell, seed):
+        # a narrow band far from node 0: the transform runs over the band
+        # alone, and the phase of its first node must not lose the ~1e-13
+        # that rounding the product omega * x costs near omega * x = 500
+        assert self.band_error(cell, seed, drop_zero=False) <= 1e-13
+
+    @pytest.mark.parametrize("cell, seed", [(-63, 21), (63, 22), (-1, 23)])
+    def test_direct_band_matches_exact_phase_sum(self, cell, seed):
+        # the same bands on non-uniform points: the direct sum takes the
+        # first node's phase as exactly as the transform does
+        assert self.band_error(cell, seed, drop_zero=True) <= 1e-13
+
+    @pytest.fixture
+    def czt_sizes(self, monkeypatch):
+        """The coefficient count of every chirp transform run meanwhile."""
         sizes = []
 
         def recording(coeffs, rate, count):
@@ -181,8 +199,35 @@ class TestChirpTransform:
             return _phase_czt(coeffs, rate, count)
 
         monkeypatch.setattr(signals, "_phase_czt", recording)
+        return sizes
+
+    def test_continuity_transform_spans_the_band_not_the_grid(self, czt_sizes):
+        # blhat's 4,095 nonzero nodes, not all 524,288 nodes of (64, 4096)
         _continuity_check(build_signal("blhat", FrequencyGrid(64, 4096)))
-        assert sizes == [4095]
+        assert czt_sizes == [4095]
+
+    def test_half_band_components_take_the_transform(self, czt_sizes, shannon_space, grid):
+        # 512 nonzero nodes at 4,097 continuity points: summed directly, each
+        # component's time values cost ~70 times as much (2-vCPU Xeon)
+        part = PeriodicPartition.from_intervals([[[0.0, 0.5]], [[0.5, 1.0]]], grid)
+        decompose(shannon_space, part)
+        assert czt_sizes == [512, 512]
+
+    def test_sparse_wide_span_sums_directly(self, czt_sizes):
+        # 3 nodes across all 524,288 of (64, 4096): a transform over the span
+        # would cost far more than 3 * 4,097 terms
+        grid = FrequencyGrid(64, 4096)
+        vals = np.zeros(grid.size, dtype=complex)
+        vals[[0, grid.size // 2, grid.size - 1]] = [1.0, -2.0j, 0.5]
+        _grid_time_values(vals, grid, np.linspace(-8, 8, 4097))
+        assert czt_sizes == []
+
+    def test_direct_route_does_not_cache_the_grid_nodes(self):
+        grid = FrequencyGrid(32, 1024)
+        vals = np.zeros(grid.size, dtype=complex)
+        vals[grid.size // 2:grid.size // 2 + 10] = 1.0
+        _grid_time_values(vals, grid, np.array([-3.0, 0.2, 0.25, 7.5]))
+        assert "omegas" not in grid.__dict__
 
 
 class TestTimeKernel:
@@ -243,6 +288,20 @@ class TestShiftCombination:
         fiber = 1.0 + np.exp(-2j * np.pi * om_unit)
         expected = np.tile(fiber, 2 * grid.half_bandwidth) * shannon.grid_values(grid)
         np.testing.assert_allclose(f.grid_values(grid), expected, atol=1e-12)
+
+    def test_grid_values_match_exact_phase_fiber(self, shannon, grid):
+        # far and negative indices, beyond +-N/2 and N: the fiber takes them mod N
+        ks = np.array([-700, -513, -512, -3, 0, 5, 511, 600, 1500])
+        rng = np.random.default_rng(31)
+        cs = rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size)
+        f = ShiftCombination(shannon, TimeSamples(ks, cs, 1500))
+        n = grid.resolution
+        fiber = np.array([exact_phase_sum(cs, ks, Fraction(-j, n)) for j in range(n)])
+        want = np.tile(fiber, 2 * grid.half_bandwidth) * shannon.grid_values(grid)
+        got = f.grid_values(grid)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        wrapped = ShiftCombination(shannon, TimeSamples(ks + n, cs, 1500 + n))
+        assert np.array_equal(wrapped.grid_values(grid), got)
 
     def test_time_kernel_base_samples_exact(self, ex3, grid):
         rng = np.random.default_rng(6)
