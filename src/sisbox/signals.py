@@ -22,11 +22,14 @@ class of square-integrable functions with absolutely integrable spectrum.
 
 Grid time evaluation takes the first nonzero node's phase exactly and sums
 the others' offsets from it directly, or at uniform points where that costs
-more (``_CHIRP_WORK_RATIO``) by one numpy chirp (Bluestein) transform over
-the nonzero span, ``_phase_czt``, which time-kernel spectra also use.  Its
-FFTs run at the smallest 5-smooth length that holds the convolution; its
-chirp phases rate*k^2/2 are reduced mod 1 in exact integer arithmetic (the
-rate is a dyadic double), so the transform is accurate to rounding.
+more (``_CHIRP_WORK_RATIO``) by a numpy chirp (Bluestein) transform over
+the nonzero span, ``_phase_czt``, which time-kernel spectra also use.  The
+transform cuts the longer of its inputs and outputs into blocks of at most
+max(``_CZT_BLOCK``, shorter side) and runs each block as one row of a
+batched FFT, at the smallest 5-smooth length that holds one block's
+convolution.  Its chirp and
+block phases are reduced mod 1 in exact integer arithmetic (the rate is a
+dyadic double), so the transform is accurate to rounding.
 """
 
 from __future__ import annotations
@@ -39,9 +42,17 @@ from .grid import FrequencyGrid, TimeSamples, pow2_at_least
 _EVAL_CHUNK = 64  # x-points per chunk in direct evaluation
 # uniform points take the chirp transform when nodes * points (the direct sum's
 # terms) exceeds this many times its length (span + points); on a 2-vCPU Xeon,
-# numpy 2.4, the direct sum costs ~50 ns a term, the transform ~200 ns a point,
-# and the routes break even between ratios 2.4 and 6.5 (spans of 64-65,536)
+# numpy 2.4.6, the direct sum costs 20-50 ns a term, the blocked transform ~2 ms
+# plus 110-170 ns a point, and over two sweeps of spans 64-262,144 at 1,001 and
+# 4,097 points the routes break even between ratios 1.5 and 20: 2.2-6.6 from
+# span 16,384 up, the rest at spans below 1,024, where both take ~2 ms
 _CHIRP_WORK_RATIO = 4
+# a chirp transform cuts its longer side into blocks of at most this length (or
+# the shorter side's, if longer); the hat spectrum at (64, 4096), 2,049 ->
+# 524,288 points, takes 47 / 40 / 32 / 36 ms at 4,096 / 8,192 / 16,384 / 32,768
+# and 119 ms in one block (best of 7, 2-vCPU Xeon, numpy 2.4.6); 4.6 against
+# 10.7 ms in one block at (32, 1024), 52 against 250 ms at (64, 8192)
+_CZT_BLOCK = 16384
 QUADRATURE_ORDER = 2048  # trapezoid nodes over a time kernel's support
 
 
@@ -84,42 +95,69 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _chirp(rate: float, count: int) -> np.ndarray:
-    """exp(i*pi*rate*k^2) for k = 0..count-1, phase rate*k^2/2 reduced mod 1.
+def _rate_turns(rate: float, ints: np.ndarray) -> np.ndarray:
+    """exp(2i*pi*rate*n) for nonnegative integers n below 2^41, the phase
+    rate*n reduced mod 1 almost exactly.
 
-    Every double is a dyadic rational: rate/2 mod 1 splits exactly into
-    h * 2^-40 (integer h) plus a remainder below 2^-41.  h*k^2 mod 2^40 is
-    exact in uint64 wraparound arithmetic, and the remainder times k^2
-    stays below 2 for k < 2^21, where plain floating point is accurate.
+    Every double is a dyadic rational: rate mod 1 splits exactly into
+    h * 2^-40 (integer h) plus a remainder below 2^-41.  h*n mod 2^40 is
+    exact in uint64 wraparound arithmetic, and the remainder times n stays
+    below 1, where plain floating point is accurate.
     """
-    half = rate / 2 - np.round(rate / 2)  # exact, in [-1/2, 1/2]
-    scaled = half * 2.0 ** 40
+    scaled = (rate - np.round(rate)) * 2.0 ** 40  # exact, in [-2^39, 2^39]
     h = np.round(scaled)
     low = (scaled - h) * 2.0 ** -40
-    k2 = np.arange(count, dtype=np.uint64) ** 2
+    ints = np.asarray(ints, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        top = (np.uint64(int(h) % (1 << 40)) * k2) & np.uint64((1 << 40) - 1)
-    phase = top * 2.0 ** -40 + low * k2.astype(float)
-    return _turns(phase)
+        top = (np.uint64(int(h) % (1 << 40)) * ints) & np.uint64((1 << 40) - 1)
+    return _turns(top * 2.0 ** -40 + low * ints.astype(float))
+
+
+def _linear_turns(rate: float, rows: int, width: int) -> np.ndarray:
+    """exp(2i*pi*rate*j) for j = 0..rows*width-1, shaped (rows, width): one
+    exact phase per row times one per column, not an exp per element."""
+    return np.multiply.outer(_rate_turns(rate, np.arange(rows) * width),
+                             _rate_turns(rate, np.arange(width)))
 
 
 def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
     """out[m] = sum_n coeffs[n] * exp(2j*pi*rate*n*m) for m = 0..count-1.
 
-    Bluestein's chirp transform: n*m = (n^2 + m^2 - (m - n)^2) / 2 turns the
-    sum into a convolution with the chirp exp(-i*pi*rate*k^2), done by FFT at
-    the smallest 5-smooth length >= n + count - 1.  The chirp phases are
-    reduced mod 1 almost exactly (``_chirp``), so the result is accurate to
+    The longer side (inputs or outputs) is cut into blocks of at most
+    max(``_CZT_BLOCK``, shorter side); the shorter side stays one block, as
+    cutting it too would multiply the FFT work by its block count.  Input
+    block p (offset s_p, index n = s_p + a) against output block q (offset
+    t_q, index m = t_q + b), where s_p or t_q is 0, is one Bluestein chirp
+    transform in a and b: n*m = (a^2 + b^2 - (b - a)^2) / 2 + a*t_q + s_p*b
+    turns its sum into a convolution with the chirp exp(-i*pi*rate*k^2)
+    between two offset phases.  Each block is one row of one batched FFT at
+    the smallest 5-smooth length >= block in + block out - 1, and all rows
+    share one chirp.  Chirp and offset phases are reduced mod 1 almost
+    exactly (``_rate_turns``; k^2 below 2^41), so the result is accurate to
     rounding (~1e-15 relative) for any dyadic rate.
     """
     n = coeffs.size
-    size = _fast_length(n + count - 1)
-    w = _chirp(rate, max(n, count))
+    block = max(_CZT_BLOCK, min(n, count))
+    p, q = -(-n // block), -(-count // block)
+    bi, bo = -(-n // p), -(-count // q)
+    size = _fast_length(bi + bo - 1)
+    k = np.arange(max(bi, bo), dtype=np.uint64)
+    w = _rate_turns(rate / 2, k * k)  # the chirp exp(i*pi*rate*k^2)
     kernel = np.zeros(size, dtype=complex)
-    kernel[:count] = np.conj(w[:count])
-    kernel[size - n + 1:] = np.conj(w[n - 1:0:-1])
-    conv = np.fft.ifft(np.fft.fft(coeffs * w[:n], size) * np.fft.fft(kernel))
-    return w[:count] * conv[:count]
+    kernel[:bo] = np.conj(w[:bo])
+    kernel[size - bi + 1:] = np.conj(w[bi - 1:0:-1])
+    x = np.zeros(p * bi, dtype=complex)
+    x[:n] = coeffs
+    twist = _rate_turns(rate, np.outer(np.arange(q) * bo, np.arange(bi)))  # a * t_q
+    pre = x.reshape(p, 1, bi) * (w[:bi] * twist)
+    post = w[:bo] * _rate_turns(rate, np.outer(np.arange(p) * bi, np.arange(bo)))  # s_p * b
+    spectrum = np.fft.fft(pre, size)
+    spectrum *= np.fft.fft(kernel)
+    conv = np.fft.ifft(spectrum)[..., :bo]
+    out = conv[0] * post[0]
+    for rows, phase in zip(conv[1:], post[1:]):  # not .sum(axis=0): slow for one input block
+        out += rows * phase
+    return out.ravel()[:count]
 
 
 class Signal:
@@ -195,11 +233,12 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
     its half-open cell [omega_j, omega_j + 1/N)); refuses a non-finite node.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    nz = np.flatnonzero(values)  # NaN and inf count as nonzero
-    require_finite(values[nz])
-    if not nz.size:
-        return np.zeros(xs.size, dtype=complex)
     n = grid.resolution
+    rows = np.flatnonzero(grid.fold(values).any(axis=1))  # NaN and inf count as nonzero
+    if not rows.size:
+        return np.zeros(xs.size, dtype=complex)
+    nz = rows[0] * n + np.flatnonzero(values[rows[0] * n:(rows[-1] + 1) * n])
+    require_finite(values[nz])
     first, span = nz[0], nz[-1] + 1 - nz[0]
     # cell kernel: integral of exp(2i*pi*omega*x) over one cell, left node at 0,
     # times exp(2i*pi*w*x) at the first nonzero node w (at most 27 bits): Dekker's
@@ -213,9 +252,10 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
 
     spacing = _uniform_spacing(xs)
     if spacing is not None and nz.size * xs.size > _CHIRP_WORK_RATIO * (span + xs.size):
-        # uniform x: one Bluestein transform over the nonzero span
-        pre = values[first:first + span] * _turns((np.arange(span) / n) * xs[0])
-        return _phase_czt(pre, spacing / n, xs.size) * kern
+        # uniform x: one chirp transform over the nonzero span, the offsets'
+        # phases exp(2i*pi*x0*(j - first)/N) taken one grid row at a time
+        twist = _linear_turns(xs[0] / n, -(-span // n), n).ravel()[:span]
+        return _phase_czt(values[first:first + span] * twist, spacing / n, xs.size) * kern
 
     offsets = (nz - first) / n
     vals = values[nz]
@@ -330,6 +370,9 @@ def twisted_sum(coeffs: np.ndarray, shifts: np.ndarray, x) -> np.ndarray:
     exactly).  The shifts are integers, so x is first reduced, exactly, to
     [0, 1): far offsets keep the phase accuracy of near ones."""
     xs = np.asarray(x, dtype=float)
+    if xs.ndim:  # all-zero rows add nothing (a NaN or inf row is kept)
+        occupied = coeffs.any(axis=1)
+        coeffs, shifts = coeffs[occupied], shifts[occupied]
     phases = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts))
     if phases.ndim == 1:
         return (coeffs * phases[:, None]).sum(axis=0)
@@ -480,12 +523,13 @@ class TimeKernel(Signal):
         a, b = self.support
         xs, w = self._trapezoid()
         s = np.asarray(self.evaluator(xs), dtype=complex)
-        # spectrum_j = sum_m w_m s(x_m) exp(-2i*pi*x_m*omega_j) via Bluestein:
-        # split phases along x_m = a + m*delta and omega_j = -K + j/N
+        # spectrum at omega_j = -K + j/N is sum_m w_m s(x_m) exp(-2i*pi*x_m*omega_j)
+        # with x_m = a + m*delta: K*x_m is exact (K is a power of two), the sum over
+        # m*j one chirp transform, and exp(-2i*pi*a*j/N) a row times a column phase
+        k, n = grid.half_bandwidth, grid.resolution
         delta = (b - a) / QUADRATURE_ORDER
-        coeffs = (w * s) * np.exp(-2j * np.pi * xs * (-grid.half_bandwidth))
-        out = _phase_czt(coeffs, -delta / grid.resolution, grid.size)
-        out *= np.exp(-2j * np.pi * a * (grid.omegas - (-grid.half_bandwidth)))
+        out = _phase_czt(w * s * _turns(k * xs), -delta / n, grid.size)
+        out *= _linear_turns(-a / n, 2 * k, n).ravel()
         return out
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:

@@ -142,3 +142,22 @@ def test_nan_probe_fails_the_dual_energy_check(ex2, wide_grid):
     d = {c.name: c for c in rep.checks}["d_dual_energy"]
     assert np.isnan(d.value) and not d.passed
     assert not rep.passed
+
+
+def test_empty_shift_rows_are_skipped_exactly(fine_grid):
+    # blhat fills 1 of the 128 fold rows; the product over the occupied rows
+    # equals the full (P, 2K) @ (2K, N) product
+    folded = fibers(build_signal("blhat", fine_grid), fine_grid).folded
+    shifts = fine_grid.shifts()
+    xs = np.concatenate([_probe_points(0), FAR_OFFSETS])
+    full = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts)) @ folded
+    got = twisted_sum(folded, shifts, xs)
+    assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
+
+
+def test_nan_row_reaches_every_probe(fine_grid):
+    folded = np.zeros((2 * fine_grid.half_bandwidth, fine_grid.resolution), dtype=complex)
+    folded[70, 10:20] = 1.0
+    folded[3, 7] = np.nan
+    energy = np.mean(np.abs(twisted_sum(folded, fine_grid.shifts(), _probe_points(0))) ** 2, axis=1)
+    assert np.all(np.isnan(energy))

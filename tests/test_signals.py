@@ -111,6 +111,14 @@ class TestGridSpectrum:
         with pytest.raises(PreconditionError, match="spectrum has 1 non-finite grid value"):
             GridSpectrum(vals, blhat.grid).time_values(np.linspace(-8, 8, count))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_node_in_an_empty_row_is_refused(self, blhat, bad):
+        # the occupied-row scan must not skip a row whose only node is non-finite
+        vals = blhat.values.copy()
+        vals[5] = bad
+        with pytest.raises(PreconditionError, match="spectrum has 1 non-finite grid value"):
+            GridSpectrum(vals, blhat.grid).time_values(np.linspace(-8, 8, 40))
+
 
 def exact_phase_sum(coeffs, ints, rate) -> complex:
     """sum_n coeffs[n] exp(2i*pi*rate*ints[n]), every phase rate*ints[n]
@@ -124,6 +132,8 @@ class TestChirpTransform:
     @pytest.mark.parametrize("size, count, rate", [
         (2049, 65536, -2.0 ** -20),          # TimeKernel spectrum: M = 2048 at (32, 1024)
         (131072, 1000, (16 / 999) / 1024),   # uniform evaluation: (64, 1024), 1000 points
+        (40000, 33000, (16 / 999) / 4096),   # both past one block: inputs cut to the outputs'
+        (2049, 50001, -2.0 ** -22),          # four output blocks, the last one partial
     ])
     def test_matches_exact_phase_sum(self, size, count, rate):
         rng = np.random.default_rng(11)
@@ -231,6 +241,38 @@ class TestChirpTransform:
 
 
 class TestTimeKernel:
+    @pytest.mark.parametrize("name", ["hat", "ex3"])
+    def test_spectrum_matches_exact_phase_trapezoid(self, name):
+        # the trapezoid sum with every phase x_m * omega_j reduced mod 1 in
+        # rational arithmetic, at both grid ends and around omega = 0
+        grid = FrequencyGrid(64, 4096)
+        k, n = grid.half_bandwidth, grid.resolution
+        kern = build_signal(name, grid)
+        vals = kern.grid_values(grid)
+        xs, w = kern._trapezoid()
+        coeffs = w * np.asarray(kern.evaluator(xs), dtype=complex)
+        nodes = [0, 5, k * n - 3, k * n, k * n + 1, k * n + 7, grid.size - 6, grid.size - 1]
+        want = []
+        for j in nodes:
+            omega = Fraction(j, n) - k
+            turns = np.array([float(-Fraction(x) * omega % 1) for x in xs])
+            want.append(np.sum(coeffs * np.exp(2j * np.pi * turns)))
+        assert np.max(np.abs(vals[nodes] - np.array(want))) <= 1e-15 * np.max(np.abs(vals))
+
+    def test_spectrum_transform_runs_in_blocks(self, monkeypatch):
+        # 2,049 -> 524,288 points as rows of at most two blocks, not one
+        # transform padded to 531,441; the phases need no grid node array
+        lengths = []
+        for name in ("fft", "ifft"):
+            def recording(a, n=None, *args, fft=getattr(np.fft, name), **kwargs):
+                lengths.append(np.shape(a)[-1] if n is None else n)
+                return fft(a, n, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, recording)
+        grid = FrequencyGrid(64, 4096)
+        build_signal("hat", grid).grid_values(grid)
+        assert lengths and max(lengths) <= signals._fast_length(2 * signals._CZT_BLOCK)
+        assert "omegas" not in grid.__dict__
+
     def test_hat_spectrum_is_squared_sinc(self, hat, grid):
         vals = hat.grid_values(grid)
         om = grid.omegas
