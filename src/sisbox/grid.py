@@ -197,9 +197,9 @@ class SupportMask:
 class TimeSamples:
     """Finite map k -> f(k) on integers |k| <= k_max.
 
-    Values beyond k_max are treated as zero; ``tail_energy`` records an
-    estimate of what the truncation discarded (route-dependent, see the
-    sampling helpers).
+    Values beyond k_max are treated as zero; ``tail_energy`` records the
+    energy of the samples the truncation discarded (see the sampling
+    helpers).
     """
 
     ks: np.ndarray

@@ -4,7 +4,7 @@ Three primary representations plus one derived:
 
 * ``PiecewiseConstantSpectrum`` -- spectrum is a finite union of disjoint
   half-open intervals with constant complex values; everything about it
-  (time values, periodized profiles) is computed in closed form.
+  (time values as sums of sincs, periodized profiles) is in closed form.
 * ``GridSpectrum`` -- spectrum known only through its values at the nodes
   of one ``FrequencyGrid``.  Time evaluation integrates the cell-constant
   model exactly (each node value stands for its half-open cell), which is
@@ -14,8 +14,9 @@ Three primary representations plus one derived:
   an evaluator; its spectrum is obtained by trapezoid quadrature of order
   QUADRATURE_ORDER (Bluestein-transform accelerated).
 * ``ShiftCombination`` -- finite combination sum_k c_k phi(. - k) of the
-  integer translates of a base signal; keeps both the exact time-domain
-  evaluator and the exact grid spectrum C(omega) * phi_hat(omega).
+  integer translates of a base signal; keeps both its time-domain sum
+  (factored around one Cauchy-matrix product over an interval spectrum,
+  poles summed directly) and the exact grid spectrum C(omega) * phi_hat.
 
 Every representation carries ``integrable_spectrum``: membership in the
 class of square-integrable functions with absolutely integrable spectrum.
@@ -27,9 +28,11 @@ the nonzero span, ``_phase_czt``, which time-kernel spectra also use.  The
 transform cuts the longer of its inputs and outputs into blocks of at most
 max(``_CZT_BLOCK``, shorter side) and runs each block as one row of a
 batched FFT, at the smallest 5-smooth length that holds one block's
-convolution.  Its chirp and
-block phases are reduced mod 1 in exact integer arithmetic (the rate is a
-dyadic double), so the transform is accurate to rounding.
+convolution.  Its chirp and block phases are reduced mod 1 in exact integer
+arithmetic (the rate is a dyadic double), so the transform is accurate to
+rounding.  Every other phase a*x is reduced exactly through Dekker's split
+(``_product_turns``), and cell and piece integrals are sincs, which do not
+cancel near x = 0.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ _CHIRP_WORK_RATIO = 4
 # 10.7 ms in one block at (32, 1024), 52 against 250 ms at (64, 8192)
 _CZT_BLOCK = 16384
 QUADRATURE_ORDER = 2048  # trapezoid nodes over a time kernel's support
+_SYNTHESIS_BLOCK = 1 << 20  # (point, shift) pairs per block of a shift-combination sum
 
 
 def _uniform_spacing(xs: np.ndarray) -> float | None:
@@ -74,6 +78,23 @@ def _turns(t: np.ndarray) -> np.ndarray:
     """exp(2i*pi*t), with t first reduced mod 1 (exactly) so large phases
     lose no accuracy to the multiplication by 2*pi."""
     return np.exp(2j * np.pi * (t - np.round(t)))
+
+
+def _product_turns(a, x):
+    """a*x less an integer (broadcast), so that _turns of it is exp(2i*pi*a*x)
+    to rounding however large a*x is: Dekker's split (2^27 + 1) cuts each
+    factor into halves of at most 26 bits, whose four products are exact and
+    are each reduced mod 1."""
+    ah, xh = (v * 134217729.0 - (v * 134217729.0 - v) for v in (a, x))
+    al, xl = a - ah, x - xh
+    return sum(p - np.round(p) for p in (ah * xh, ah * xl, al * xh, al * xl))
+
+
+def _shifted_turns(m, c, x):
+    """(m + c)*x less an integer, m integer and c in [0, 1]: m + c rounds to a,
+    whose remainder c - (a - m) is exact (Fast2Sum) and too small to reduce."""
+    a = m + c
+    return _product_turns(a, x) + (c - (a - m)) * x
 
 
 def require_finite(values: np.ndarray) -> None:
@@ -186,7 +207,8 @@ class Signal:
         other signal samples its grid projection (inverse DFT of the
         periodized spectrum over one full period of ks), which keeps the
         Poisson identity between the time fiber and the periodization
-        exact at grid resolution.
+        exact at grid resolution; its tail energy is that of the period's
+        samples beyond +-k_max.
         """
         if self.support is None:
             return _samples_from_grid(self, grid, k_max)
@@ -220,9 +242,11 @@ def _samples_from_grid(signal: Signal, grid: FrequencyGrid, k_max: int) -> TimeS
     else:
         ks = np.arange(-k_max, k_max + 1)
     vals = a[ks % n]
-    # truncation indicator: energy in the outer 10% of stored offsets
-    cut = max(int(0.9 * np.max(np.abs(ks))), 1)
-    tail = float(np.sum(np.abs(vals[np.abs(ks) > cut]) ** 2))
+    # the energy of the period's samples left out: by Parseval,
+    # (1/N) sum_j |P_j|^2 less the kept samples' energy; 0 for a full period
+    dropped = np.ones(n, dtype=bool)
+    dropped[ks % n] = False
+    tail = float(np.sum(np.abs(a[dropped]) ** 2))
     return TimeSamples(ks, vals, k_max, tail_energy=tail)
 
 
@@ -240,15 +264,12 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
     nz = rows[0] * n + np.flatnonzero(values[rows[0] * n:(rows[-1] + 1) * n])
     require_finite(values[nz])
     first, span = nz[0], nz[-1] + 1 - nz[0]
-    # cell kernel: integral of exp(2i*pi*omega*x) over one cell, left node at 0,
-    # times exp(2i*pi*w*x) at the first nonzero node w (at most 27 bits): Dekker's
-    # split (2^27 + 1) of x into 26-bit halves makes both products exact, so both
-    # routes below sum only the offsets (j - first) / N
+    # cell kernel: integral of exp(2i*pi*omega*x) over one cell [w, w + step) at
+    # the first nonzero node w, step * sinc(step * x) * exp(2i*pi*(w + step/2)*x)
+    # with the phase reduced exactly, so both routes below sum only the offsets
+    # (j - first) / N; the sinc form does not cancel near x = 0 as exp(...) - 1 does
     w = first / n - grid.half_bandwidth
-    hi = xs * 134217729.0 - (xs * 134217729.0 - xs)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kern = (np.exp(2j * np.pi * grid.step * xs) - 1.0) / (2j * np.pi * xs)
-    kern = np.where(np.abs(xs) < 1e-300, grid.step, kern) * _turns(w * hi) * _turns(w * (xs - hi))
+    kern = grid.step * np.sinc(grid.step * xs) * _turns(_product_turns(w, xs) + grid.step / 2 * xs)
 
     spacing = _uniform_spacing(xs)
     if spacing is not None and nz.size * xs.size > _CHIRP_WORK_RATIO * (span + xs.size):
@@ -346,14 +367,12 @@ class PiecewiseConstantSpectrum(Signal):
         return out
 
     def time_values(self, xs) -> np.ndarray:
+        # piece [m + lo, m + hi): v * width * sinc(width * x) * exp(2i*pi*centre*x),
+        # the phase reduced exactly; no ramp exp(...) - 1 that cancels near x = 0
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         out = np.zeros(xs.shape, dtype=complex)
-        small = np.abs(xs) < 1e-300
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for m, lo, hi, v in self.pieces:
-                phase = np.exp(2j * np.pi * (m + lo) * xs)
-                ramp = (np.exp(2j * np.pi * (hi - lo) * xs) - 1.0) / (2j * np.pi * xs)
-                out += np.where(small, v * (hi - lo), v * phase * ramp)
+        for m, lo, hi, v in self.pieces:
+            out += v * (hi - lo) * np.sinc((hi - lo) * xs) * _turns(_shifted_turns(m, (lo + hi) / 2, xs))
         return out
 
     def scaled(self, factor: complex) -> "PiecewiseConstantSpectrum":
@@ -547,8 +566,10 @@ class TimeKernel(Signal):
 class ShiftCombination(Signal):
     """f = sum_k c_k * base(. - k) for finitely many coefficients c_k.
 
-    Time values are the exact finite sum; the grid spectrum is the exact
-    product C(omega) * base_hat(omega) with C the coefficient fiber.
+    Time values are the finite sum: in factored form over a piecewise-
+    constant base (``_interval_sum``), otherwise through the base's time
+    values at blocks of (point, shift) differences; the grid spectrum is the
+    exact product C(omega) * base_hat(omega) with C the coefficient fiber.
     """
 
     def __init__(self, base: Signal, coefficients: TimeSamples):
@@ -568,9 +589,48 @@ class ShiftCombination(Signal):
 
     def time_values(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros(xs.shape, dtype=complex)
-        for k, c in zip(self.coefficients.ks, self.coefficients.values):
-            out += c * self.base.time_values(xs - k)
+        if isinstance(self.base, PiecewiseConstantSpectrum):
+            return self._interval_sum(xs.ravel()).reshape(xs.shape)
+        ks, cs = self.coefficients.ks, self.coefficients.values
+        out = np.zeros(xs.size, dtype=complex)
+        rows = max(1, _SYNTHESIS_BLOCK // max(xs.size, 1))  # shifts per call of the base
+        for start in range(0, ks.size, rows):
+            diff = np.subtract.outer(xs.ravel(), ks[start:start + rows])
+            out += self.base.time_values(diff.ravel()).reshape(diff.shape) @ cs[start:start + rows]
+        return out.reshape(xs.shape)
+
+    def _interval_sum(self, xs: np.ndarray) -> np.ndarray:
+        """sum_k c_k psi(x - k) for a base spectrum of pieces v * 1[e0, e1).
+
+        psi(y) = sum over ends e of w_e exp(2i*pi*e*y) / (2i*pi*y), w_e = +v at
+        e1 and -v at e0, so the sum is, over ends, exp(2i*pi*e*x) times
+        (R @ (c w_e exp(-2i*pi*e*k))) / (2i*pi), R the real Cauchy matrix
+        1/(x - k): 2 * pieces * (S + X) exps, not 2 * pieces * S * X.  Near a
+        pole the factored form cancels: entries with |x - k| < 1/2 are left out
+        of R and summed directly through the base's time values."""
+        ks, cs = self.coefficients.ks, self.coefficients.values
+        if not ks.size:
+            return np.zeros(xs.size, dtype=complex)
+        near = np.round(xs)
+        y = xs - near  # R's entry at the nearest integer, exact (Sterbenz)
+        idx = np.clip(np.searchsorted(ks, near), 0, ks.size - 1)
+        at = np.flatnonzero((np.abs(y) < 0.5) & (ks[idx] == near))  # not NaN or inf
+        idx = idx[at]
+        m, lo, hi, v = (np.array(col) for col in zip(*self.base.pieces))
+        m, frac, w = np.tile(m, 2), np.concatenate([hi, lo]), np.concatenate([v, -v])
+        # (S, 2E) real view of the k-side factor: e*k mod 1 drops e's integer part
+        coef = (cs[:, None] * w / (2j * np.pi) * _turns(-_product_turns(frac, ks[:, None]))).view(float)
+        out = np.empty(xs.size, dtype=complex)
+        rows = max(1, _SYNTHESIS_BLOCK // max(ks.size, m.size))
+        for start in range(0, xs.size, rows):
+            xb = xs[start:start + rows, None]
+            r = xb - ks
+            pole = slice(*np.searchsorted(at, [start, start + rows]))
+            r[at[pole] - start, idx[pole]] = np.inf  # left out: summed directly below
+            np.reciprocal(r, out=r)
+            ends = _turns(_shifted_turns(m, frac, xb))
+            out[start:start + rows] = np.sum(ends * (r @ coef).view(complex), axis=1)
+        out[at] += cs[idx] * self.base.time_values(y[at])
         return out
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:

@@ -281,10 +281,12 @@ class ReconstructionResult:
 def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> ReconstructionResult:
     """Rebuild a member from its integer samples and evaluate it.
 
-    Time route (kernel evaluable in closed form): sum_k f(k) s(x - k)
-    truncated to the stored samples.  Spectral route (grid kernels): the
-    same sum read as synthesis, the grid spectrum f_hat = Z_f(0,.) * s_hat
-    of ``ShiftCombination(kernel, samples)``, evaluated in time once.
+    Both routes read sum_k f(k) s(x - k), over the stored samples, as the
+    synthesis ``ShiftCombination(kernel, samples)``.  Time route (kernel
+    evaluable in closed form): its time values, summed in factored form for
+    an interval-spectrum kernel and through the kernel's values at the
+    differences x - k for a time kernel.  Spectral route (grid kernels): its
+    grid spectrum f_hat = Z_f(0,.) * s_hat, evaluated in time once.
     """
     if not space.certified:
         raise NotASamplingSpaceError(
@@ -294,14 +296,7 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> Reconst
     xs = np.atleast_1d(np.asarray(x_values, dtype=float))
     kern = space.sampling_spectrum
     if isinstance(kern, (PiecewiseConstantSpectrum, TimeKernel, ShiftCombination)):
-        ks = samples.ks
-        vals = np.zeros(xs.shape, dtype=complex)
-        chunk = max(1, int(2e6) // max(xs.size, 1))
-        for start in range(0, ks.size, chunk):
-            stop = min(start + chunk, ks.size)
-            diff = xs[None, :] - ks[start:stop, None]
-            block = kern.time_values(diff.ravel()).reshape(stop - start, xs.size)
-            vals += samples.values[start:stop] @ block
+        vals = ShiftCombination(kern, samples).time_values(xs)
         return ReconstructionResult(vals, "time", samples.tail_energy)
 
     grid = space.grid

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import SYNTHESIS_POINTS, exact_synthesis, random_coefficients
 from sisbox import (
     FrequencyGrid,
     GridSpectrum,
@@ -67,6 +68,14 @@ class TestPiecewiseConstant:
         assert prof.lengths[0] == pytest.approx(0.5 ** 50)
         assert complex(prof.z[0]) == pytest.approx(0.0)  # 1 - 1 on the overlap
 
+    @pytest.mark.parametrize("name", ["shannon", "ex2"])
+    def test_time_values_do_not_cancel_near_zero(self, name):
+        # a ramp (exp(2i*pi*width*x) - 1) / (2i*pi*x) lost ~1e-9 at x = 1e-9
+        sig = build_signal(name, FrequencyGrid(64, 1024))
+        xs = np.array([0.0, 1e-9, -1e-9, 1e-6, 1 / 256, 0.3, -2.75])
+        want = exact_synthesis(sig.pieces, [0], [1.0], xs)
+        assert np.max(np.abs(sig.time_values(xs) - want)) <= 1e-15 * np.max(np.abs(want))
+
     def test_scaled(self, grid):
         sig = PiecewiseConstantSpectrum([(0.0, 1.0, 2.0)])
         np.testing.assert_allclose(sig.scaled(0.5).grid_values(grid),
@@ -120,6 +129,12 @@ class TestGridSpectrum:
             GridSpectrum(vals, blhat.grid).time_values(np.linspace(-8, 8, 40))
 
 
+def cell_kernel(grid, x):
+    """Integral of exp(2i*pi*omega*x) over one grid cell [0, 1/N), with the
+    ramp exp(...) - 1 taken by expm1, which does not cancel near x = 0."""
+    return np.expm1(2j * np.pi * grid.step * x) / (2j * np.pi * x)
+
+
 def exact_phase_sum(coeffs, ints, rate) -> complex:
     """sum_n coeffs[n] exp(2i*pi*rate*ints[n]), every phase rate*ints[n]
     reduced mod 1 exactly in rational arithmetic before rounding."""
@@ -157,8 +172,7 @@ class TestChirpTransform:
         want = []
         for i in picks:
             x = xs[i]
-            kern = (np.exp(2j * np.pi * grid.step * x) - 1.0) / (2j * np.pi * x)
-            want.append(exact_phase_sum(vals, nodes, Fraction(x) / grid.resolution) * kern)
+            want.append(exact_phase_sum(vals, nodes, Fraction(x) / grid.resolution) * cell_kernel(grid, x))
         want = np.array(want)
         assert np.max(np.abs(got[picks] - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -181,9 +195,8 @@ class TestChirpTransform:
         keep = xs != 0  # the reference's cell kernel divides by x
         got, xs = got[keep], xs[keep]
         nodes = np.arange(grid.size)[band] - grid.half_bandwidth * n
-        kern = (np.exp(2j * np.pi * grid.step * xs) - 1.0) / (2j * np.pi * xs)
-        want = kern * np.array([exact_phase_sum(vals[band], nodes, Fraction(x) / n)
-                                for x in xs])
+        want = cell_kernel(grid, xs) * np.array([exact_phase_sum(vals[band], nodes, Fraction(x) / n)
+                                                 for x in xs])
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
     @pytest.mark.parametrize("cell, seed", [(-63, 21), (63, 22), (-1, 23)])
@@ -191,13 +204,13 @@ class TestChirpTransform:
         # a narrow band far from node 0: the transform runs over the band
         # alone, and the phase of its first node must not lose the ~1e-13
         # that rounding the product omega * x costs near omega * x = 500
-        assert self.band_error(cell, seed, drop_zero=False) <= 1e-13
+        assert self.band_error(cell, seed, drop_zero=False) <= 1e-14
 
     @pytest.mark.parametrize("cell, seed", [(-63, 21), (63, 22), (-1, 23)])
     def test_direct_band_matches_exact_phase_sum(self, cell, seed):
         # the same bands on non-uniform points: the direct sum takes the
         # first node's phase as exactly as the transform does
-        assert self.band_error(cell, seed, drop_zero=True) <= 1e-13
+        assert self.band_error(cell, seed, drop_zero=True) <= 1e-14
 
     @pytest.fixture
     def czt_sizes(self, monkeypatch):
@@ -316,6 +329,53 @@ class TestTimeKernel:
 
 
 class TestShiftCombination:
+    @staticmethod
+    def synthesis_error(base, coeffs, xs):
+        """Relative error of the synthesis against the exact-phase sum."""
+        got = ShiftCombination(base, coeffs).time_values(xs)
+        want = exact_synthesis(base.pieces, coeffs.ks, coeffs.values, xs)
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    def test_ex2_synthesis_matches_exact_phase_sum(self, ex2):
+        # 61 pieces, ends out to omega = 60 + 2^-60, 17 seeded coefficients
+        assert self.synthesis_error(ex2, random_coefficients(41), SYNTHESIS_POINTS) <= 1e-13
+
+    def test_far_piece_and_far_shifts_match_exact_phase_sum(self):
+        # one piece at m = 60 against shifts near +-500: phases near 3e4 turns
+        base = PiecewiseConstantSpectrum.from_local_pieces([(60, 0.25, 0.625, 1.0 - 2.0j)])
+        ks = np.concatenate([np.arange(-503, -497), np.arange(497, 503)])
+        rng = np.random.default_rng(42)
+        coeffs = TimeSamples(ks, rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size), 503)
+        xs = np.concatenate([SYNTHESIS_POINTS, SYNTHESIS_POINTS + 500, SYNTHESIS_POINTS - 500])
+        # an unreduced phase exp(-2i*pi*e*k) alone costs 6.5e-14 here
+        assert self.synthesis_error(base, coeffs, xs) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["ex2", "hat"])
+    def test_blocks_do_not_change_the_sum(self, name, request, monkeypatch):
+        # one block, then one point (factored sum; poles land in every block)
+        # or one shift (time kernel) per block
+        f = ShiftCombination(request.getfixturevalue(name), random_coefficients(47))
+        xs = np.concatenate([SYNTHESIS_POINTS, np.linspace(-9, 9, 37)])
+        whole = f.time_values(xs)
+        monkeypatch.setattr(signals, "_SYNTHESIS_BLOCK", 1)
+        assert np.max(np.abs(f.time_values(xs) - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+    def test_interval_base_is_summed_in_factored_form(self, shannon, monkeypatch):
+        # the base's own time values see only the points near a pole, at most
+        # one term per point, not every (coefficient, point) pair
+        seen = []
+        plain = PiecewiseConstantSpectrum.time_values
+
+        def recording(self, xs):
+            seen.append(np.size(xs))
+            return plain(self, xs)
+
+        monkeypatch.setattr(PiecewiseConstantSpectrum, "time_values", recording)
+        coeffs = random_coefficients(43, span=40)
+        xs = np.linspace(-8, 8, 1001)
+        ShiftCombination(shannon, coeffs).time_values(xs)
+        assert sum(seen) <= xs.size
+
     def test_time_values_are_exact_sums(self, shannon):
         coeffs = TimeSamples(np.array([-1, 0, 2]), np.array([1.0, -2.0, 0.5j]), 2)
         f = ShiftCombination(shannon, coeffs)
@@ -363,3 +423,31 @@ class TestShiftCombination:
         samples = f.integer_samples(grid, k_max)
         assert samples.ks.tolist() == [0]
         assert samples.tail_energy == pytest.approx(abs(c) ** 2)
+
+
+class TestGridSamples:
+    @staticmethod
+    def band_member():
+        """Four pieces on [-1/2, 1/2) with seeded dyadic breakpoints."""
+        rng = np.random.default_rng(46)
+        cuts = [-0.5, *(np.sort(rng.choice(np.arange(1, 16), 3, replace=False)) / 16 - 0.5), 0.5]
+        vals = rng.uniform(0.5, 1.5, 4) * np.exp(2j * np.pi * rng.random(4))
+        return PiecewiseConstantSpectrum(list(zip(cuts[:-1], cuts[1:], vals)))
+
+    @pytest.mark.parametrize("name", ["band", "blhat", "ex2"])
+    @pytest.mark.parametrize("n, k_max", [(1024, 512), (4096, 512), (4096, 2048)])
+    def test_tail_is_the_dropped_energy(self, name, n, k_max):
+        # Parseval: the period's samples hold (1/N) sum_j |P_j|^2; the tail is
+        # what the kept ones miss (to rounding of that total), and exactly 0
+        # when a whole period is kept
+        grid = FrequencyGrid(64 if name == "ex2" else 32, n)
+        sig = self.band_member() if name == "band" else build_signal(name, grid)
+        samples = sig.integer_samples(grid, k_max)
+        periodized = grid.fold(sig.grid_values(grid)).sum(axis=0)
+        total = np.sum(np.abs(periodized) ** 2) / n
+        dropped = total - np.sum(np.abs(samples.values) ** 2)
+        if k_max >= n // 2:
+            assert samples.tail_energy == 0.0
+        else:
+            assert samples.tail_energy > 0.0
+            assert abs(samples.tail_energy - dropped) <= 1e-12 * total

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_coefficients
+from conftest import SYNTHESIS_POINTS, exact_synthesis, random_coefficients
 from sisbox import (
     FrequencyGrid,
     GridSpectrum,
     PiecewiseConstantSpectrum,
+    ShiftCombination,
     TimeKernel,
     TimeSamples,
     bracket,
@@ -235,6 +236,25 @@ class TestReconstruct:
         rec = reconstruct(ex3_space, samples, xs)
         expected = np.array([coeffs.value_at(int(k)) for k in xs])
         np.testing.assert_allclose(rec.values, expected, atol=1e-12)
+
+    def test_time_route_matches_exact_phase_sum(self, shannon_space, grid):
+        # a member's 1,024 grid samples, summed against the kernel at points on,
+        # within 1e-9 of and halfway between the integers
+        samples = integer_samples(synthesize(shannon_space, random_coefficients(44)), grid, 512)
+        assert samples.ks.size == 1024
+        rec = reconstruct(shannon_space, samples, SYNTHESIS_POINTS)
+        want = exact_synthesis(shannon_space.sampling_spectrum.pieces, samples.ks, samples.values,
+                               SYNTHESIS_POINTS)
+        assert np.max(np.abs(rec.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["shannon_space", "hat_space"])
+    def test_time_route_is_the_synthesis(self, name, request, grid):
+        space = request.getfixturevalue(name)
+        samples = integer_samples(synthesize(space, random_coefficients(45)), grid, 512)
+        xs = np.linspace(-8, 8, 1000)
+        rec = reconstruct(space, samples, xs)
+        assert rec.route == "time"
+        assert np.array_equal(rec.values, ShiftCombination(space.sampling_spectrum, samples).time_values(xs))
 
     @pytest.mark.parametrize("k, need", [(-512, None), (511, None), (512, 2048), (1024, 4096)])
     def test_spectral_route_refuses_aliased_samples(self, ex2_space, k, need):
