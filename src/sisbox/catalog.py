@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CatalogError
+from .errors import CatalogError, PreconditionError
 from .grid import FrequencyGrid
 from .signals import GridSpectrum, PiecewiseConstantSpectrum, Signal, TimeKernel
 
@@ -37,6 +37,9 @@ def ex2_signal(n_max: int = 60) -> PiecewiseConstantSpectrum:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
+    if 0.5 ** n_max == 0.0:
+        raise PreconditionError(f"n_max = {n_max}: the block width 2^-n underflows to 0 "
+                                "from n = 1075 on")
     pieces = [(n, 0.0, min(0.5 ** n, 1.0), (-1.0) ** n / (n + 1)) for n in range(n_max + 1)]
     sig = PiecewiseConstantSpectrum.from_local_pieces(pieces)
     ns = np.arange(n_max + 1, n_max + 200)

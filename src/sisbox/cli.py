@@ -20,6 +20,7 @@ cannot resolve).  No error ends in a traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -36,7 +37,7 @@ from .decomposition import (
     decompose,
     lattice_rescale,
 )
-from .errors import FileFormatError, SisboxError
+from .errors import FileFormatError, PreconditionError, SisboxError
 from .grid import FrequencyGrid
 from .membership import (
     check_sz04,
@@ -64,12 +65,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _bounded(kind, low, strict: bool = False):
-    """argparse type: a number of the given kind that is >= low (> low if strict)."""
+def _checked(kind, test, rule: str):
+    """argparse type: a number of the given kind for which test holds (``rule`` in words)."""
     def parse(text: str):
         value = kind(text)
-        if not (value > low if strict else value >= low):
-            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text!r}")
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its messages
     return parse
@@ -90,11 +91,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     # K/N default to None so SISBOX_GRID is read at run time
     p.add_argument("--K", type=int, default=None, help="half bandwidth (power of two)")
     p.add_argument("--N", type=int, default=None, help="grid points per unit interval")
-    p.add_argument("--eps", type=_bounded(float, 0, strict=True), default=DEFAULT_EPS,
-                   help="support/guard threshold")
-    p.add_argument("--kmax", type=_bounded(int, 0), default=DEFAULT_K_MAX, help="sample truncation")
-    p.add_argument("--seed", type=_bounded(int, 0), default=0, help="probe-grid seed")
-    p.add_argument("--nmax", type=_bounded(int, 0), default=60, help="block count for the ex2 signal")
+    p.add_argument("--eps", type=_checked(float, lambda v: 0 < v < 1, "in (0, 1)"),
+                   default=DEFAULT_EPS, help="support/guard threshold")
+    nonnegative = _checked(int, lambda v: v >= 0, ">= 0")
+    p.add_argument("--kmax", type=nonnegative, default=DEFAULT_K_MAX, help="sample truncation")
+    p.add_argument("--seed", type=nonnegative, default=0, help="probe-grid seed")
+    p.add_argument("--nmax", type=nonnegative, default=60, help="block count for the ex2 signal")
     p.add_argument("--json", type=str, default=None, help="write the report document here")
 
 
@@ -249,12 +251,14 @@ def cmd_reconstruct(args) -> _Outcome:
             a, b = float(a_str), float(b_str)
         except ValueError as exc:
             raise _UsageError(f"--lattice expects 'a,b', got {args.lattice!r}") from exc
-        if not a > 0:
-            raise _UsageError(f"--lattice scale a must be > 0, got {a_str!r}")
+        if not (0 < a < math.inf and math.isfinite(b)):
+            raise _UsageError(f"--lattice needs finite a > 0 and b, got {args.lattice!r}")
         rescaled = lattice_rescale(space, a, b)
         result = rescaled.reconstruct(samples, xs)
     else:
         result = reconstruct(space, samples, xs)
+    if bad := np.count_nonzero(~np.isfinite(result.values)):  # |x| or |a x - b| near 1e300
+        raise PreconditionError(f"reconstruction is not finite at {bad} of {xs.size} points")
 
     out = args.out or "reconstruction.csv"
     sio.write_reconstruction_csv(xs, result.values, out)
@@ -347,9 +351,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--space", required=True)
     p.add_argument("--samples", required=True)
     p.add_argument("--lattice", type=str, default=None, help="rescale to lattice (k+b)/a: 'a,b'")
-    p.add_argument("--from", dest="x_from", type=float, default=-8.0)
-    p.add_argument("--to", dest="x_to", type=float, default=8.0)
-    p.add_argument("--points", type=_bounded(int, 1), default=200)
+    finite = _checked(float, math.isfinite, "finite")
+    p.add_argument("--from", dest="x_from", type=finite, default=-8.0)
+    p.add_argument("--to", dest="x_to", type=finite, default=8.0)
+    p.add_argument("--points", type=_checked(int, lambda v: v >= 1, ">= 1"), default=200)
     p.add_argument("--out", type=str, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_reconstruct)

@@ -10,7 +10,8 @@ sum of smaller sampling spaces with masked kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -21,12 +22,12 @@ from .spaces import (
     KERNEL_TOL,
     ReconstructionResult,
     SamplingSpace,
-    build_space,
+    _space,
     member_residual,
     project,
     reconstruct,
 )
-from .spectral import divide_on_support, fibers, spectral_norm
+from .spectral import divide_on_support, fibers, integer_samples, spectral_norm, zak_time_fiber
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,7 @@ class PeriodicPartition:
         return float(np.count_nonzero(counts > 1)) / self.masks[0].grid.resolution
 
     def union(self) -> SupportMask:
-        out = self.masks[0]
-        for m in self.masks[1:]:
-            out = out.union(m)
-        return out
+        return reduce(SupportMask.union, self.masks)
 
 
 @dataclass(frozen=True)
@@ -138,8 +136,8 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
     """Split the space along a periodic partition of its support set.
 
     Components with empty masks are dropped; each surviving component is
-    built and certified, and its kernel is checked to be the masked
-    parent kernel.
+    built from the masked generator and the masked parent Zak fiber and
+    certified, and its kernel is checked to be the masked parent kernel.
     """
     grid = space.grid
     cell = 1.0 / grid.resolution
@@ -155,6 +153,7 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
 
     gen_vals = space.generator.grid_values(grid)
     s_vals = space.sampling_spectrum.grid_values(grid)
+    zak = zak_time_fiber(integer_samples(space.generator, grid, space.k_max), grid).values
     out: list[SamplingSpace] = []
     for mask in partition.masks:
         if mask.is_empty:
@@ -162,7 +161,10 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
         tiled = mask.tile()
         comp_gen = GridSpectrum(np.where(tiled, gen_vals, 0.0), grid,
                                 integrable_spectrum=space.generator.integrable_spectrum)
-        comp = build_space(comp_gen, grid, eps=space.eps, k_max=space.k_max)
+        # Z of M psi is M Z_psi exactly, not the fiber of its K-truncated spectrum
+        fib = fibers(comp_gen, grid, space.eps, space.k_max)
+        comp_zak = PeriodicSpectrum(np.where(mask.values, zak, 0.0), grid)
+        comp = _space(replace(fib, zak=comp_zak), seed=0, checked=True)
         comp_kernel = comp.sampling_spectrum.grid_values(grid)
         expected = np.where(tiled, s_vals, 0.0)
         mismatch = float(np.max(np.abs(comp_kernel - expected)))

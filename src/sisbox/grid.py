@@ -162,24 +162,22 @@ class SupportMask:
     def tile(self) -> np.ndarray:
         return np.tile(self.values, 2 * self.grid.half_bandwidth)
 
-    def union(self, other: "SupportMask") -> "SupportMask":
+    def _combine(self, other: "SupportMask", op) -> "SupportMask":
+        """The nodewise op of two masks on one grid, at the larger eps."""
         self.grid.require_same(other.grid)
-        return SupportMask(self.values | other.values, self.grid, max(self.eps, other.eps))
+        return SupportMask(op(self.values, other.values), self.grid, max(self.eps, other.eps))
+
+    def union(self, other: "SupportMask") -> "SupportMask":
+        return self._combine(other, np.logical_or)
 
     def intersection(self, other: "SupportMask") -> "SupportMask":
-        self.grid.require_same(other.grid)
-        return SupportMask(self.values & other.values, self.grid, max(self.eps, other.eps))
+        return self._combine(other, np.logical_and)
 
     def complement(self) -> "SupportMask":
         return SupportMask(~self.values, self.grid, self.eps)
 
     def symmetric_difference(self, other: "SupportMask") -> "SupportMask":
-        self.grid.require_same(other.grid)
-        return SupportMask(self.values ^ other.values, self.grid, max(self.eps, other.eps))
-
-    def difference(self, other: "SupportMask") -> "SupportMask":
-        self.grid.require_same(other.grid)
-        return SupportMask(self.values & ~other.values, self.grid, max(self.eps, other.eps))
+        return self._combine(other, np.logical_xor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SupportMask):

@@ -19,7 +19,8 @@ Three primary representations plus one derived:
   poles summed directly) and the exact grid spectrum C(omega) * phi_hat.
 
 Every representation carries ``integrable_spectrum``: membership in the
-class of square-integrable functions with absolutely integrable spectrum.
+class of square-integrable functions with absolutely integrable spectrum
+(a time kernel's caller states it).
 
 Grid time evaluation takes the first nonzero node's phase exactly and sums
 the others' offsets from it directly, or at uniform points where that costs
@@ -30,9 +31,12 @@ max(``_CZT_BLOCK``, shorter side) and runs each block as one row of a
 batched FFT, at the smallest 5-smooth length that holds one block's
 convolution.  Its chirp and block phases are reduced mod 1 in exact integer
 arithmetic (the rate is a dyadic double), so the transform is accurate to
-rounding.  Every other phase a*x is reduced exactly through Dekker's split
-(``_product_turns``), and cell and piece integrals are sincs, which do not
-cancel near x = 0.
+rounding.  Dekker's split (``_product_turns``) reduces exactly the first
+node's phase in grid time evaluation, the piece phases of interval spectra
+and both sides of the factored shift-combination sum.  The direct route of
+grid time evaluation rounds each product x * offset once, then reduces it
+mod 1; ``twisted_sum`` reduces x mod 1 exactly, then rounds m * x.  Cell
+and piece integrals are sincs, which do not cancel near x = 0.
 """
 
 from __future__ import annotations
@@ -205,10 +209,10 @@ class Signal:
         support with |k| <= k_max, keeping the nonzero values; its tail
         energy is that of the support's samples beyond +-k_max.  Every
         other signal samples its grid projection (inverse DFT of the
-        periodized spectrum over one full period of ks), which keeps the
-        Poisson identity between the time fiber and the periodization
-        exact at grid resolution; its tail energy is that of the period's
-        samples beyond +-k_max.
+        periodized spectrum) at |k| <= k_max, a full period when k_max >=
+        N/2; its tail energy is that of the period's samples it drops.  Only
+        a full period makes the samples' time fiber the periodization (to
+        rounding); below it the fiber is a truncated Fourier series of it.
         """
         if self.support is None:
             return _samples_from_grid(self, grid, k_max)
@@ -341,8 +345,9 @@ class PiecewiseConstantSpectrum(Signal):
         return [(m + lo, m + hi, v) for m, lo, hi, v in self.pieces]
 
     def required_half_bandwidth(self) -> int | None:
-        hi = max(max(abs(m + lo), abs(m + hi)) for m, lo, hi, _ in self.pieces)
-        return pow2_at_least(hi)
+        # [m + lo, m + hi) lies in [-K, K) iff -m <= K and m + 1 <= K, as
+        # 0 <= lo < hi <= 1: exact also where m + hi rounds to m (m + 2^-64)
+        return pow2_at_least(max((max(m + 1, -m) for m, _, _, _ in self.pieces), default=1))
 
     def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
         need = self.required_half_bandwidth()
@@ -480,46 +485,26 @@ class GridSpectrum(Signal):
 class TimeKernel(Signal):
     """Compactly supported continuous time function given by an evaluator.
 
-    ``integrable_spectrum`` may be pinned by the caller; when left None it
-    is decided by a decay heuristic on the computed grid spectrum (does
-    the absolute spectral mass keep halving per octave towards the grid
-    edge).  The grid spectrum of a time kernel is a truncation: energy
+    ``integrable_spectrum`` is stated by the caller: a grid spectrum
+    truncated at K cannot decide whether the full spectrum is absolutely
+    integrable.  The grid spectrum of a time kernel is a truncation: energy
     beyond [-K, K) is discarded and reported by spectral_tail_energy().
     """
 
-    def __init__(self, support: tuple[float, float], evaluator,
-                 integrable_spectrum: bool | None = None):
+    def __init__(self, support: tuple[float, float], evaluator, *, integrable_spectrum: bool):
         a, b = float(support[0]), float(support[1])
         if b <= a:
             raise ValueError("support must be a nonempty interval")
         self.support = (a, b)
         self.evaluator = evaluator
-        self._pinned_integrable = integrable_spectrum
+        self.integrable_spectrum = integrable_spectrum
         self._spectrum_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    @property
-    def integrable_spectrum(self) -> bool:
-        if self._pinned_integrable is not None:
-            return self._pinned_integrable
-        grid = FrequencyGrid()
-        return self._summability_heuristic(grid)
-
-    def _summability_heuristic(self, grid: FrequencyGrid) -> bool:
-        v = np.abs(self.grid_values(grid))
-        om = np.abs(grid.omegas)
-        k = grid.half_bandwidth
-        inner = float(np.sum(v[(om >= k / 4) & (om < k / 2)])) / grid.resolution
-        outer = float(np.sum(v[om >= k / 2])) / grid.resolution
-        total = float(np.sum(v)) / grid.resolution
-        if total == 0.0 or outer <= 1e-12 * total:
-            return True
-        return outer < 0.75 * inner
 
     def time_values(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         a, b = self.support
         inside = (xs >= a) & (xs <= b)
-        out = np.zeros(xs.shape, dtype=complex)
+        out = np.where(np.isnan(xs), np.nan, 0.0).astype(complex)  # a NaN point is no 0
         if np.any(inside):
             out[inside] = np.asarray(self.evaluator(xs[inside]), dtype=complex)
         return out
@@ -560,7 +545,7 @@ class TimeKernel(Signal):
     def scaled(self, factor: complex) -> "TimeKernel":
         ev = self.evaluator
         return TimeKernel(self.support, lambda x: factor * np.asarray(ev(x)),
-                          self._pinned_integrable)
+                          integrable_spectrum=self.integrable_spectrum)
 
 
 class ShiftCombination(Signal):

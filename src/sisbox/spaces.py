@@ -220,7 +220,12 @@ def build_space(psi: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
     support set or the certificate fails; ``checked=False`` constructs an
     uncertified space for exploration (reconstruction refuses to run on it).
     """
-    fib = fibers(psi, grid, eps, k_max)
+    return _space(fibers(psi, grid, eps, k_max), seed=seed, checked=checked)
+
+
+def _space(fib: Fibers, *, seed: int, checked: bool) -> SamplingSpace:
+    """build_space on a Fibers record, whose Zak fiber it takes as given."""
+    psi, grid, k_max = fib.signal, fib.grid, fib.samples.k_max
     if fib.mask.is_empty:
         raise DegenerateSpaceError("generator has empty spectral support")
     bounds = essential_bounds(fib.grammian, fib.mask)
@@ -238,7 +243,7 @@ def build_space(psi: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
         raise NotASamplingSpaceError("sampling-space certificate failed", report=sz99)
 
     return SamplingSpace(psi, grid, fib.grammian, fib.mask, bounds, _sampling_kernel_signal(fib),
-                         sz99, certified=sz99.passed, eps=eps, k_max=k_max)
+                         sz99, certified=sz99.passed, eps=fib.mask.eps, k_max=k_max)
 
 
 def _sampling_kernel_signal(fib: Fibers) -> Signal:

@@ -71,8 +71,8 @@ def guard_level(magnitude: np.ndarray, eps: float) -> float:
 
 def support_mask(g: PeriodicSpectrum, eps: float = DEFAULT_EPS) -> SupportMask:
     """Nodes where g is above guard_level(g, eps); g must be a (real, >= 0) Grammian."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < 1:  # at eps >= 1 no node is above the guard: every set is empty
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if not g.is_real(tol=1e-9):
         raise NotAGrammianError("Grammian has a non-negligible imaginary part")
     vals = g.real_values
@@ -122,10 +122,11 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
     """max over x_grid of sum_k |f(x+k)|^2; a NaN at any probe makes the
     bound NaN, never a silently dropped probe.
 
-    A signal with a support (time kernels and their finite shift
-    combinations) is summed directly: the sum is finite and exact.  Purely
-    spectral representations use the Parseval identity
-    sum_k |f(x+k)|^2 = integral over one period of |Z_f(x, .)|^2,
+    A signal with a support [a, b] (time kernels and their finite shift
+    combinations) is summed directly and exactly, in one time_values call
+    over the shifts |k| <= k_max with x + k in [a, b] (and one more each
+    side, for rounding).  Purely spectral representations use the Parseval
+    identity sum_k |f(x+k)|^2 = integral over one period of |Z_f(x, .)|^2,
     evaluated at grid resolution; this sums all shifts of the
     grid-projected signal.  Writing omega = m + t with integer shift m and
     t in [0, 1), Z_f(x, t) = exp(2i*pi*t*x) * sum_m f_hat(t+m) exp(2i*pi*m*x);
@@ -135,8 +136,14 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     if f.support is not None:
-        ks = np.arange(-k_max, k_max + 1)
-        sums = [np.sum(np.abs(f.time_values(x + ks)) ** 2) for x in xs]
+        if not np.all(np.isfinite(xs)):
+            return ShiftSquareSum(float("nan"), 0.0, "direct")
+        a, b = f.support
+        first = np.clip(np.ceil(a - xs) - 1, -k_max, k_max + 1).astype(int)
+        count = np.clip(np.floor(b - xs) + 1, first - 1, k_max).astype(int) + 1 - first
+        probe = np.repeat(np.arange(xs.size), count)
+        ks = np.arange(probe.size) - np.repeat(np.cumsum(count) - count - first, count)
+        sums = np.bincount(probe, np.abs(f.time_values(xs[probe] + ks)) ** 2, minlength=xs.size)
         return ShiftSquareSum(float(np.max(sums, initial=0.0)), 0.0, "direct")
     energy = np.mean(np.abs(twisted_sum(_fold(f, grid), grid.shifts(), xs)) ** 2, axis=1)
     return ShiftSquareSum(float(np.max(energy, initial=0.0)),

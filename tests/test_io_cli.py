@@ -62,6 +62,35 @@ class TestFileFormats:
         np.testing.assert_array_equal(xs2, xs)
         np.testing.assert_array_equal(vals2, vals)
 
+    def test_writers_text(self, tmp_path):
+        # each table writer: the header, then the repr of every number of a row
+        grid = FrequencyGrid(1, 2)
+        sio.write_grid_spectrum(GridSpectrum(np.array([1.0, -0.5j, 0.1 + 0.2j, 0.0]), grid),
+                                tmp_path / "g.csv")
+        sio.write_samples(TimeSamples(np.array([3, -2]), np.array([0.25, 1 / 3 - 1j]), 4),
+                          tmp_path / "s.csv")
+        sio.write_periodic_csv(grid, {"grammian": np.array([1.0, 2.5]),
+                                      "re": np.array([1 + 1j, -0.0])}, tmp_path / "p.csv")
+        sio.write_reconstruction_csv([0, 0.1], [2, 1e-300 - 1.5j], tmp_path / "r.csv")
+        assert (tmp_path / "g.csv").read_text() == (
+            "omega,re,im\n-1.0,1.0,0.0\n-0.5,-0.0,-0.5\n0.0,0.1,0.2\n0.5,0.0,0.0\n")
+        assert (tmp_path / "s.csv").read_text() == (
+            "k,re,im\n-2,0.3333333333333333,-1.0\n3,0.25,0.0\n")
+        assert (tmp_path / "p.csv").read_text() == "omega,grammian,re\n0.0,1.0,1.0\n0.5,2.5,-0.0\n"
+        assert (tmp_path / "r.csv").read_text() == "x,re,im\n0.0,2.0,0.0\n0.1,1e-300,-1.5\n"
+        # rows are written in blocks: a table longer than one block reads the same
+        ks = np.arange(-2500, 2600)
+        sio.write_samples(TimeSamples(ks, ks / 3, 2600), tmp_path / "long.csv")
+        assert (tmp_path / "long.csv").read_text() == "k,re,im\n" + "".join(
+            f"{k},{k / 3!r},0.0\n" for k in ks.tolist())
+
+    @pytest.mark.parametrize("reader", [sio.read_samples, sio.read_reconstruction_csv,
+                                        sio.read_periodic_csv, sio.read_grid_spectrum,
+                                        sio.read_piecewise_spectrum, sio.read_partition])
+    def test_missing_file_is_a_format_error(self, tmp_path, reader):
+        with pytest.raises(FileFormatError, match="cannot read"):
+            reader(tmp_path / "missing.txt")
+
     def test_malformed_samples_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("k,re,im\n0,1,0\nbroken line\n")
@@ -261,6 +290,16 @@ class TestCLI:
             kernel = sio.read_grid_spectrum(f"{prefix}_{j}.csv")
             assert kernel.grid == FrequencyGrid(32, 1024)
 
+    @pytest.mark.parametrize("space", ["hat", "ex3"])
+    def test_decompose_time_kernel_halves(self, tmp_path, space):
+        # each component's Zak fiber is the masked parent fiber, not one
+        # derived again from its spectrum truncated at K
+        parts = tmp_path / "halves.json"
+        sio.write_partition([[[0.0, 0.5]], [[0.5, 1.0]]], parts)
+        rc = run_cli(["decompose", "--space", space, "--partition", str(parts),
+                      "--out-prefix", str(tmp_path / "comp")])
+        assert rc == 0
+
     def test_decompose_bad_partition(self, tmp_path):
         parts = tmp_path / "bad.json"
         sio.write_partition([[[0.0, 0.7]], [[0.5, 1.0]]], parts)
@@ -360,6 +399,28 @@ ERROR_CASES = [
     (["decompose", "--space", "shannon", "--partition", "{d}/overlap.json"], 2, "failed:"),
     # a band past the auto-widening limit is refused, not allocated
     (["analyze", "{d}/very_far.json"], 1, "error: spectrum support needs"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/missing.csv",
+      "--out", "{d}/rec.csv"], 1, "error: cannot read"),
+    (["decompose", "--space", "shannon", "--partition", "{d}/missing.json"], 1, "error: cannot read"),
+    # the width 2^-n of ex2's last block is 0 from n = 1075 on
+    (["analyze", "ex2", "--nmax", "1100"], 1, "error: n_max = 1100"),
+    # the block [64, 64 + 2^-64) does not fit K = 64
+    (["analyze", "ex2", "--nmax", "64", "--K", "64"], 1, "error: spectrum support needs"),
+    (["analyze", "{d}/tiny_step.csv"], 1, "error: line 1: omegas do not form a power-of-two grid"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/huge_index.csv",
+      "--out", "{d}/rec.csv"], 1, "error: line 2: sample index 1e+300 is not a machine integer"),
+    # at eps >= 1 every support set is empty and every criterion vacuous
+    (["membership", "ex2", "--theorem", "sz04", "--eps", "1"], 1, "usage error: argument --eps"),
+    (["analyze", "shannon", "--eps", "inf"], 1, "usage error: argument --eps"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--from", "nan",
+      "--out", "{d}/rec.csv"], 1, "usage error: argument --from"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--to", "inf",
+      "--out", "{d}/rec.csv"], 1, "usage error: argument --to"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--lattice", "1,nan",
+      "--out", "{d}/rec.csv"], 1, "usage error: --lattice"),
+    # finite ends whose points' phases overflow: no nan rows are written
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--from", "1e300",
+      "--to", "1e301", "--out", "{d}/rec.csv"], 1, "error: reconstruction is not finite"),
 ]
 
 
@@ -373,6 +434,8 @@ def error_inputs(tmp_path):
         PiecewiseConstantSpectrum([(0.0, 0.5, 1.0), (1.0, 1.5, -1.0)]), tmp_path / "bad_gen.json")
     (tmp_path / "delta0.csv").write_text("k,re,im\n0,1,0\n")
     (tmp_path / "far_samples.csv").write_text("k,re,im\n0,1,0\n1024,1,0\n")
+    (tmp_path / "huge_index.csv").write_text("k,re,im\n1e300,1,0\n")
+    (tmp_path / "tiny_step.csv").write_text("omega,re,im\n0,1,0\n1e-320,1,0\n2e-320,1,0\n3e-320,1,0\n")
     sio.write_partition([[[0.0, 0.7]], [[0.5, 1.0]]], tmp_path / "overlap.json")
     return tmp_path
 

@@ -12,6 +12,8 @@ import pytest
 from sisbox import (
     FrequencyGrid,
     GridSpectrum,
+    ShiftCombination,
+    TimeSamples,
     build_signal,
     check_theorem5,
     shift_square_sum,
@@ -83,6 +85,30 @@ def test_shift_square_bound_matches_loop(name, seed, fine_grid):
     assert got.bound == pytest.approx(float(np.max(loop_energies(f, xs, fine_grid))), rel=RTOL)
 
 
+def time_kernel_signal(name, seed, grid):
+    """hat or ex3, or (seed > 0) a seeded complex combination of its translates."""
+    f = build_signal(name, grid)
+    if not seed:
+        return f
+    rng = np.random.default_rng(seed)
+    ks = np.sort(rng.choice(np.arange(-40, 41), 9, replace=False))
+    return ShiftCombination(f, TimeSamples(ks, rng.standard_normal(9) + 1j * rng.standard_normal(9), 40))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["hat", "ex3"])
+def test_direct_bound_matches_loop(name, seed, grid):
+    # one time_values call over the shifts that meet the support, against
+    # the per-probe sum over every |k| <= k_max
+    f = time_kernel_signal(name, seed, grid)
+    ks = np.arange(-512, 513)
+    for xs in (_probe_points(seed), FAR_OFFSETS, [511.5], [-600.25]):
+        got = shift_square_sum(f, xs, grid)
+        assert got.route == "direct"
+        want = max(float(np.sum(np.abs(f.time_values(x + ks)) ** 2)) for x in xs)
+        assert got.bound == pytest.approx(want, rel=1e-15)
+
+
 @pytest.mark.parametrize("name", [*PARSEVAL_SIGNALS, "complex"])
 def test_each_probe_energy_matches_loop(name, fine_grid):
     f = probe_signal(name, fine_grid)
@@ -128,6 +154,28 @@ def nan_node_signal(grid):
 def test_nan_node_makes_the_bound_nan(grid):
     # the per-probe max() used to drop every NaN probe and report 0.0
     assert np.isnan(shift_square_sum(nan_node_signal(grid), _probe_points(0), grid).bound)
+
+
+@pytest.mark.parametrize("probes", [[0.25, np.nan], [np.inf], [-np.inf, 0.5]],
+                         ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("name", ["hat", "ex3", "hat-combination", "blhat"])
+def test_non_finite_probe_makes_the_bound_nan(name, probes, grid):
+    # the direct route used to read f(nan) as 0: [0.25, nan] gave 0.625 for hat
+    f = build_signal(name.split("-")[0], grid)
+    if name.endswith("combination"):
+        f = ShiftCombination(f, TimeSamples(np.array([-3, 0, 4]), np.array([1.0, -2.0, 0.5j]), 4))
+    assert np.isnan(shift_square_sum(f, probes, grid).bound)
+
+
+@pytest.mark.parametrize("name", ["hat", "ex3"])
+def test_nan_point_of_a_time_kernel_is_nan(name, grid):
+    vals = build_signal(name, grid).time_values(np.array([np.nan, 0.0, 5.0, np.inf]))
+    assert np.isnan(vals[0]) and vals[1] == 1.0 and vals[2] == 0.0 and vals[3] == 0.0
+
+
+@pytest.mark.parametrize("name", ["hat", "ex3", "shannon"])
+def test_no_probe_reads_zero(name, grid):
+    assert shift_square_sum(build_signal(name, grid), [], grid).bound == 0.0
 
 
 def test_nan_node_fails_the_shift_square_check(blhat, grid):

@@ -22,6 +22,14 @@ from sisbox.spaces import _continuity_check
 
 
 class TestPiecewiseConstant:
+    @pytest.mark.parametrize("pieces, need", [
+        ([(0, 0.0, 0.5)], 1), ([(-1, 0.5, 1.0)], 1), ([(63, 0.0, 1.0)], 64),
+        ([(-64, 0.0, 0.5)], 64), ([(64, 0.0, 2.0 ** -64)], 128), ([], 1)])
+    def test_required_half_bandwidth(self, pieces, need):
+        # [64, 64 + 2^-64) needs K = 128, though its global end rounds to 64
+        sig = PiecewiseConstantSpectrum.from_local_pieces([(*p, 1.0) for p in pieces])
+        assert sig.required_half_bandwidth() == need
+
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
             PiecewiseConstantSpectrum([(0.0, 1.0, 1.0), (0.5, 1.5, 2.0)])
@@ -317,9 +325,11 @@ class TestTimeKernel:
         assert ex3.integrable_spectrum is False  # pinned
         assert hat.integrable_spectrum is True
 
-    def test_summability_heuristic_on_unpinned_kernel(self):
-        tri = TimeKernel((-1.0, 1.0), lambda x: np.maximum(1.0 - np.abs(np.asarray(x)), 0.0))
-        assert tri.integrable_spectrum is True
+    def test_integrable_flag_is_required(self, hat):
+        # a spectrum truncated at K cannot decide integrability: the caller states it
+        with pytest.raises(TypeError, match="integrable_spectrum"):
+            TimeKernel(hat.support, hat.evaluator)
+        assert hat.scaled(2.0).integrable_spectrum is True
 
     def test_spectral_tail_energy(self, ex3, hat, grid):
         # 1/omega^2 spectra: visible truncation, small but nonzero

@@ -265,6 +265,12 @@ class TestSupportMask:
         with pytest.raises(NotAGrammianError):
             support_mask(PeriodicSpectrum(vals, grid), 1e-9)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-9, 1.0, 2.0, np.inf, np.nan])
+    def test_rejects_eps_outside_unit_interval(self, shannon, grid, eps):
+        # at eps >= 1 no node is above the guard, and every set would be empty
+        with pytest.raises(ValueError, match="eps"):
+            support_mask(grammian(shannon, grid), eps)
+
 
 class TestEssentialBounds:
     def test_unit(self, shannon, grid):
@@ -307,7 +313,8 @@ class TestShiftSquareSum:
     def test_zero_kernel(self, grid):
         from sisbox import TimeKernel
 
-        z = TimeKernel((-1.0, 1.0), lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+        z = TimeKernel((-1.0, 1.0), lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                       integrable_spectrum=True)
         assert shift_square_sum(z, [0.0, 0.3], grid).bound == 0.0
 
     def test_sinc_at_origin(self, shannon, grid):
@@ -323,4 +330,5 @@ class TestPoissonConsistency:
         samples = integer_samples(sig, g, 512)
         z = zak_time_fiber(samples, g)
         p = periodize(sig, g)
-        assert float(np.max(np.abs(z.values - p.values))) < 1e-6
+        # k_max = N/2 keeps a full period of samples: the identity holds to rounding
+        assert float(np.max(np.abs(z.values - p.values))) < 1e-13 * float(np.max(np.abs(p.values)))
