@@ -20,9 +20,11 @@ def shannon_signal() -> PiecewiseConstantSpectrum:
 def blhat_signal(grid: FrequencyGrid) -> GridSpectrum:
     """Band-limited triangle spectrum (1 - 2|omega|) on [-1/2, 1/2),
     sampled on the grid; time function is half a squared sinc."""
-    om = grid.omegas
-    vals = np.where(np.abs(om) < 0.5, np.maximum(1.0 - 2.0 * np.abs(om), 0.0), 0.0)
-    return GridSpectrum(vals.astype(complex), grid)
+    n = grid.resolution
+    d = np.arange(-((n - 1) // 2), (n + 1) // 2)  # the nodes omega = d/N with |omega| < 1/2
+    vals = np.zeros(grid.size, dtype=complex)
+    vals[grid.size // 2 + d] = 1.0 - 2.0 * np.abs(d / n)  # node KN is omega = 0
+    return GridSpectrum(vals, grid)
 
 
 def ex2_signal(n_max: int = 60) -> PiecewiseConstantSpectrum:

@@ -253,10 +253,11 @@ def cmd_reconstruct(args) -> _Outcome:
             raise _UsageError(f"--lattice expects 'a,b', got {args.lattice!r}") from exc
         if not (0 < a < math.inf and math.isfinite(b)):
             raise _UsageError(f"--lattice needs finite a > 0 and b, got {args.lattice!r}")
-        rescaled = lattice_rescale(space, a, b)
-        result = rescaled.reconstruct(samples, xs)
-    else:
-        result = reconstruct(space, samples, xs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        if args.lattice:
+            result = lattice_rescale(space, a, b).reconstruct(samples, xs)
+        else:
+            result = reconstruct(space, samples, xs)
     if bad := np.count_nonzero(~np.isfinite(result.values)):  # |x| or |a x - b| near 1e300
         raise PreconditionError(f"reconstruction is not finite at {bad} of {xs.size} points")
 

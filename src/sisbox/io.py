@@ -116,7 +116,7 @@ def read_grid_spectrum(path) -> GridSpectrum:
     if step <= 0 or np.max(np.abs(np.diff(oms) - step)) > 1e-9:
         raise FileFormatError("omega column must be uniformly increasing", line=lines[1])
     try:  # a step below 1/2^1024 makes N infinite
-        k, n = int(round(-oms[0])), int(round(1.0 / step))
+        k, n = int(round(-oms[0])), int(round(1.0 / float(step)))  # inf, not a numpy warning
         grid = FrequencyGrid(k, n)
     except (ValueError, OverflowError) as exc:
         raise FileFormatError(f"omegas do not form a power-of-two grid: {exc}", line=1) from exc
@@ -134,8 +134,8 @@ def read_samples(path, k_max: int | None = None) -> TimeSamples:
     _, table, lines = _parse_csv_rows(path, "k,re,im")
     if not len(table):
         raise FileFormatError("samples file is empty", line=1)
-    ks = np.round(table[:, 0]).astype(int)
-    if (off := np.flatnonzero(np.abs(table[:, 0] - ks) > 1e-9)).size:
+    ks = np.round(table[:, 0])  # whole floats: TimeSamples casts them once they fit int64
+    if (off := np.flatnonzero((np.abs(table[:, 0] - ks) > 1e-9) | ~(np.abs(ks) < 2.0 ** 63))).size:
         raise FileFormatError(f"sample index {table[off[0], 0]} is not a machine integer",
                               line=lines[off[0]])
     if len(np.unique(ks)) != len(ks):

@@ -215,7 +215,8 @@ class Signal:
         rounding); below it the fiber is a truncated Fourier series of it.
         """
         if self.support is None:
-            return _samples_from_grid(self, grid, k_max)
+            folded = grid.fold(self.grid_values(grid))
+            return _samples_from_grid(folded[grid.band(folded)].sum(axis=0), k_max)
         a, b = self.support
         ks = np.arange(int(np.ceil(a - 1e-12)), int(np.floor(b + 1e-12)) + 1)
         vals = self.time_values(ks.astype(float))
@@ -235,16 +236,11 @@ class Signal:
         return 0.0
 
 
-def _samples_from_grid(signal: Signal, grid: FrequencyGrid, k_max: int) -> TimeSamples:
-    folded = grid.fold(signal.grid_values(grid))
-    periodized = folded.sum(axis=0)
+def _samples_from_grid(periodized: np.ndarray, k_max: int) -> TimeSamples:
     a = np.fft.ifft(periodized)  # a[r] = grid-projected f(r), N-periodic in r
-    n = grid.resolution
+    n = periodized.size
     half = n // 2
-    if k_max >= half:
-        ks = np.arange(-half, half)
-    else:
-        ks = np.arange(-k_max, k_max + 1)
+    ks = np.arange(-half, half) if k_max >= half else np.arange(-k_max, k_max + 1)
     vals = a[ks % n]
     # the energy of the period's samples left out: by Parseval,
     # (1/N) sum_j |P_j|^2 less the kept samples' energy; 0 for a full period
@@ -262,10 +258,10 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     n = grid.resolution
-    rows = np.flatnonzero(grid.fold(values).any(axis=1))  # NaN and inf count as nonzero
-    if not rows.size:
+    band = grid.band(grid.fold(values))
+    nz = band.start * n + np.flatnonzero(values[band.start * n:band.stop * n])
+    if not nz.size:
         return np.zeros(xs.size, dtype=complex)
-    nz = rows[0] * n + np.flatnonzero(values[rows[0] * n:(rows[-1] + 1) * n])
     require_finite(values[nz])
     first, span = nz[0], nz[-1] + 1 - nz[0]
     # cell kernel: integral of exp(2i*pi*omega*x) over one cell [w, w + step) at
@@ -394,9 +390,8 @@ def twisted_sum(coeffs: np.ndarray, shifts: np.ndarray, x) -> np.ndarray:
     exactly).  The shifts are integers, so x is first reduced, exactly, to
     [0, 1): far offsets keep the phase accuracy of near ones."""
     xs = np.asarray(x, dtype=float)
-    if xs.ndim:  # all-zero rows add nothing (a NaN or inf row is kept)
-        occupied = coeffs.any(axis=1)
-        coeffs, shifts = coeffs[occupied], shifts[occupied]
+    band = FrequencyGrid.band(coeffs)  # zero rows beyond it add nothing
+    coeffs, shifts = coeffs[band], shifts[band]
     phases = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts))
     if phases.ndim == 1:
         return (coeffs * phases[:, None]).sum(axis=0)

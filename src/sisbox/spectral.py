@@ -4,6 +4,8 @@ All operations discretize almost-everywhere statements to "at every grid
 node": periodization is an exact finite sum over the 2K integer shifts
 the grid holds, the time fiber of a sample sequence is an exact discrete
 Fourier series, and set measure is the fraction of unit-grid nodes.
+``fibers`` and ``divide_on_support`` reduce over the band of the fold: rows
+[first, last] hold a nonzero node, NaN and inf included (``FrequencyGrid.band``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     NotAGrammianError,
 )
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
-from .signals import Signal, require_finite, twisted_sum
+from .signals import Signal, _samples_from_grid, require_finite, twisted_sum
 
 DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
@@ -97,7 +99,9 @@ def divide_on_support(values: np.ndarray, denom: np.ndarray, mask: SupportMask) 
     """
     on = _guarded_support(denom, mask)
     rows = np.reshape(values, (-1, mask.grid.resolution))
-    out = np.divide(rows, denom, out=np.zeros(rows.shape, dtype=complex), where=on, dtype=complex)
+    band = mask.grid.band(rows)
+    out = np.zeros(rows.shape, dtype=complex)
+    np.divide(rows[band], denom, out=out[band], where=on, dtype=complex)
     return out.reshape(np.shape(values))
 
 
@@ -154,8 +158,8 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
 class Fibers:
     """The periodized objects of one signal on one grid.  Every verdict on
     a signal reads its Grammian G_f, Zak fiber Z_f(0, .) and support set
-    E_f; ``fibers`` builds them from one fold of the grid values and
-    callers pass the record down instead of computing them again."""
+    E_f; ``fibers`` sums them over the band of one fold (rows [first, last] with
+    a nonzero node, NaN and inf included); callers pass the record down, not recompute."""
 
     signal: Signal
     grid: FrequencyGrid
@@ -179,12 +183,14 @@ def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
     NaN or infinite node, which would otherwise empty the support set and
     pass every verdict as vacuous."""
     folded = _fold(f, grid)
-    require_finite(folded)
-    modulus = np.abs(folded)
+    band = folded[grid.band(folded)]
+    require_finite(band)
+    modulus = np.abs(band)
     g = PeriodicSpectrum((modulus ** 2).sum(axis=0), grid)
     mask = support_mask(g, eps)
-    samples = integer_samples(f, grid, k_max)
-    return Fibers(f, grid, folded, PeriodicSpectrum(folded.sum(axis=0), grid), g,
+    periodization = band.sum(axis=0)
+    samples = f.integer_samples(grid, k_max) if f.support else _samples_from_grid(periodization, k_max)
+    return Fibers(f, grid, folded, PeriodicSpectrum(periodization, grid), g,
                   PeriodicSpectrum(modulus.sum(axis=0), grid), mask,
                   samples, zak_time_fiber(samples, grid))
 

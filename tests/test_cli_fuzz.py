@@ -81,6 +81,7 @@ def command_lines(draw):
     return argv, non_finite
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning reaches a user
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(command_lines())
 def test_cli_exits_0_1_or_2(fuzz_dir, case):

@@ -16,7 +16,8 @@ from sisbox import (
     zak_dual_fiber,
     zak_time_fiber,
 )
-from sisbox.signals import GridSpectrum, PeriodizedProfile
+from sisbox.errors import DegenerateSpaceError
+from sisbox.signals import GridSpectrum, PeriodizedProfile, PiecewiseConstantSpectrum
 from sisbox.spaces import _sampling_function
 from sisbox.spectral import DEFAULT_EPS, DEFAULT_K_MAX, divide_on_support, fibers
 
@@ -26,6 +27,20 @@ CATALOG_GRIDS = {"shannon": (32, 1024), "blhat": (32, 1024), "ex2": (64, 1024),
 
 @pytest.fixture(scope="module", params=sorted(CATALOG_GRIDS))
 def catalog_signal(request):
+    grid = FrequencyGrid(*CATALOG_GRIDS[request.param])
+    return build_signal(request.param, grid), grid
+
+
+# the band rule's edge cases: no occupied row, and zero rows inside the band
+BAND_EDGES = {"zero": PiecewiseConstantSpectrum([]),
+              "gapped": PiecewiseConstantSpectrum([(-3.0, -2.5, 1.0), (2.0, 2.5, 0.5 - 0.25j)])}
+
+
+@pytest.fixture(scope="module", params=sorted(CATALOG_GRIDS) + sorted(BAND_EDGES))
+def band_signal(request):
+    """The catalog signals, then the band edge cases at (32, 1024)."""
+    if request.param in BAND_EDGES:
+        return BAND_EDGES[request.param], FrequencyGrid(32, 1024)
     grid = FrequencyGrid(*CATALOG_GRIDS[request.param])
     return build_signal(request.param, grid), grid
 
@@ -41,8 +56,8 @@ def tiled_division(vals, denom, mask, grid, eps=DEFAULT_EPS):
     return out
 
 
-def test_record_matches_one_quantity_functions(catalog_signal):
-    f, grid = catalog_signal
+def test_record_matches_one_quantity_functions(band_signal):
+    f, grid = band_signal
     fib = fibers(f, grid)
     assert np.array_equal(fib.folded.ravel(), f.grid_values(grid))
     assert np.array_equal(fib.periodization.values, periodize(f, grid).values)
@@ -54,13 +69,17 @@ def test_record_matches_one_quantity_functions(catalog_signal):
     assert np.array_equal(fib.zak.values, zak_time_fiber(samples, grid).values)
 
 
-def test_kernel_equals_tiled_formula(catalog_signal):
-    f, grid = catalog_signal
+def test_kernel_equals_tiled_formula(band_signal):
+    f, grid = band_signal
     mask = support_mask(grammian(f, grid))
     zak = zak_time_fiber(integer_samples(f, grid, DEFAULT_K_MAX), grid).values
     want = tiled_division(f.grid_values(grid), zak, mask, grid)
     fib = fibers(f, grid)
     assert np.array_equal(divide_on_support(fib.folded, fib.zak.values, fib.mask).ravel(), want)
+    if mask.is_empty:  # the zero spectrum spans no space
+        with pytest.raises(DegenerateSpaceError):
+            build_space(f, grid, checked=False)
+        return
     kernel = build_space(f, grid, checked=False).sampling_spectrum
     if isinstance(kernel, GridSpectrum):  # constant fibers keep the exact generator
         assert np.array_equal(kernel.values, want)

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -447,6 +448,22 @@ def test_error_exit_codes_without_traceback(error_inputs, capsys, argv, code, pr
     assert rc == code
     assert err.startswith(prefix)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/huge_index.csv", "--out", "{d}/rec.csv"],
+     "error: line 2: sample index 1e+300 is not a machine integer"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--from", "1e300",
+      "--to", "1e301", "--out", "{d}/rec.csv"], "error: reconstruction is not finite"),
+    (["analyze", "{d}/tiny_step.csv"], "error: line 1: omegas do not form a power-of-two grid")],
+    ids=["index-cast", "phase-overflow", "step-overflow"])
+def test_refusal_raises_no_numpy_warning(error_inputs, capsys, argv, prefix):
+    # the error line is all stderr carries: no cast or overflow warning ahead of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([a.format(d=error_inputs) for a in argv])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_file_spectrum_widens_grid(error_inputs, capsys):

@@ -281,11 +281,15 @@ class TestNecessity:
             assert rep.passed, f"seed {seed}: {[c for c in rep.checks if not c.passed]}"
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad, node", [
+    pytest.param(bad, node, id=name + suffix)
+    for node, suffix in (("in band", ""), ("first row", "-first-row"), ("last row", "-last-row"))
+    for bad, name in ((np.nan, "nan"), (np.inf, "inf"))])
 @pytest.mark.parametrize("check", [check_theorem2, check_theorem5, check_sz04])
-def test_non_finite_node_is_refused_not_vacuous(blhat, grid, check, bad):
-    # a NaN guard level used to empty the support set: pass, vacuous, "zero signal"
+def test_non_finite_node_is_refused_not_vacuous(blhat, grid, check, bad, node):
+    # a NaN guard level used to empty the support set: pass, vacuous, "zero signal";
+    # a node in the first or last row, far from blhat's band, must widen the band
     vals = blhat.grid_values(grid).copy()
-    vals[grid.size // 2 + 3] = bad
+    vals[{"in band": grid.size // 2 + 3, "first row": 0, "last row": grid.size - 1}[node]] = bad
     with pytest.raises(PreconditionError, match="non-finite"):
         check(GridSpectrum(vals, grid), grid)
