@@ -27,7 +27,7 @@ from .spaces import (
     project,
     reconstruct,
 )
-from .spectral import divide_on_support, fibers, integer_samples, spectral_norm, zak_time_fiber
+from .spectral import divide_on_support, fibers, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def check_determining_set(space: SamplingSpace, funcs: list[Signal]) -> Determin
     for i, f in enumerate(funcs):
         member_residual(space, f, f"function {i}")
 
-    fibs = [fibers(f, grid, space.eps, space.k_max) for f in funcs]
+    fibs = [fibers(f, grid, space.mask.eps, space.k_max) for f in funcs]
     masks = [fib.mask for fib in fibs]
     union = PeriodicPartition(masks).union()
     sym = union.symmetric_difference(space.mask).measure
@@ -124,7 +124,7 @@ def span_sum_check(space: SamplingSpace, report: DeterminingSetReport, funcs: li
         raise ValueError("span check requires a passing determining-set report")
     grid = space.grid
     member_residual(space, probe, "probe")
-    fib = fibers(probe, grid, space.eps, space.k_max)
+    fib = fibers(probe, grid, space.mask.eps, space.k_max)
     recon = np.zeros(fib.folded.shape, dtype=complex)
     for f, alpha, b in zip(funcs, report.multipliers, report.disjoint_masks):
         beta = np.where(b.values, alpha.values * fib.zak.values, 0.0)
@@ -136,8 +136,9 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
     """Split the space along a periodic partition of its support set.
 
     Components with empty masks are dropped; each surviving component is
-    built from the masked generator and the masked parent Zak fiber and
-    certified, and its kernel is checked to be the masked parent kernel.
+    built from the masked generator and the masked Zak fiber of the space
+    (``space.zak``), certified, and checked to have the masked parent
+    kernel.  A component keeps that fiber, so it can be split again.
     """
     grid = space.grid
     cell = 1.0 / grid.resolution
@@ -153,7 +154,6 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
 
     gen_vals = space.generator.grid_values(grid)
     s_vals = space.sampling_spectrum.grid_values(grid)
-    zak = zak_time_fiber(integer_samples(space.generator, grid, space.k_max), grid).values
     out: list[SamplingSpace] = []
     for mask in partition.masks:
         if mask.is_empty:
@@ -162,8 +162,8 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
         comp_gen = GridSpectrum(np.where(tiled, gen_vals, 0.0), grid,
                                 integrable_spectrum=space.generator.integrable_spectrum)
         # Z of M psi is M Z_psi exactly, not the fiber of its K-truncated spectrum
-        fib = fibers(comp_gen, grid, space.eps, space.k_max)
-        comp_zak = PeriodicSpectrum(np.where(mask.values, zak, 0.0), grid)
+        fib = fibers(comp_gen, grid, space.mask.eps, space.k_max)
+        comp_zak = PeriodicSpectrum(np.where(mask.values, space.zak.values, 0.0), grid)
         comp = _space(replace(fib, zak=comp_zak), seed=0, checked=True)
         comp_kernel = comp.sampling_spectrum.grid_values(grid)
         expected = np.where(tiled, s_vals, 0.0)

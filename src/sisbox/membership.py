@@ -24,7 +24,7 @@ is analyzed at grid resolution, one piece per unit-grid cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,9 +52,7 @@ from .spectral import (
     divide_on_support,
     fibers,
     guard_level,
-    integer_samples,
     spectral_norm,
-    zak_time_fiber,
 )
 
 # unbounded-ratio falsifier: flag when the per-piece sup is attained at the
@@ -254,8 +252,7 @@ def check_theorem2(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
     """
     def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray):
         h = _sampling_function(fib)
-        zh = zak_time_fiber(integer_samples(h, grid, k_max), grid)
-        cert = sz99_report(h, fib.mask, zh, k_max=k_max, seed=seed)
+        cert = sz99_report(replace(fibers(h, grid, eps, k_max), mask=fib.mask), seed=seed)
         return cert.checks, {"A": cert.zak_lower, "B": cert.zak_upper,
                              "shift_bound": cert.shift_sum_bound, "normalization": "zak"}
 
@@ -290,9 +287,9 @@ def induced_subspace(space: SamplingSpace, f: Signal) -> InducedSubspace:
     """Build S(f) for a certified member f and measure both kernel identities."""
     grid = space.grid
     residual = member_residual(space, f, "signal")
-    fib = fibers(f, grid, space.eps, space.k_max)
+    fib = fibers(f, grid, space.mask.eps, space.k_max)
     h = _sampling_function(fib)
-    sub = build_space(h, grid, eps=space.eps, k_max=space.k_max)
+    sub = build_space(h, grid, eps=space.mask.eps, k_max=space.k_max)
 
     # the normalized signal itself is the sampling function of S(f); both
     # characterizations are verified against it

@@ -146,15 +146,14 @@ def check_sz99(candidate: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
     stays unseen); the shift-square sum and the two-sided Zak bound are
     evaluated at grid resolution.
     """
-    fib = fibers(candidate, grid, eps, k_max)
-    return sz99_report(candidate, fib.mask, fib.zak, k_max=k_max, seed=seed)
+    return sz99_report(fibers(candidate, grid, eps, k_max), seed=seed)
 
 
-def sz99_report(candidate: Signal, mask: SupportMask, zak: PeriodicSpectrum, *,
-                k_max: int = DEFAULT_K_MAX, seed: int = 0) -> SZ99Report:
-    """The certificate of a candidate on a support set (whose eps the Zak
-    bound is held to), given its Zak fiber: ``check_sz99`` passes the
-    candidate's own set; theorem 2 the original signal's."""
+def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
+    """The certificate of a record's signal on its support set (whose eps the
+    Zak bound is held to), Zak fiber and k_max: ``check_sz99`` passes the
+    candidate's own record; theorem 2 one that carries the original signal's set."""
+    candidate, mask, zak = fib.signal, fib.mask, fib.zak
     if mask.is_empty:
         return SZ99Report("fail", 0.0, JUMP_COEFF * np.sqrt(CONTINUITY_DX),
                           0.0, 0.0, False, 0.0, 0.0, 0.0, 0.0, False, 0.0, False,
@@ -162,7 +161,7 @@ def sz99_report(candidate: Signal, mask: SupportMask, zak: PeriodicSpectrum, *,
 
     verdict, max_jump, threshold = _continuity_check(candidate)
 
-    sss = shift_square_sum(candidate, _probe_points(seed), mask.grid, k_max)
+    sss = shift_square_sum(candidate, _probe_points(seed), fib.grid, fib.samples.k_max)
     shift_pass = bool(np.isfinite(sss.bound) and sss.bound <= SHIFT_SUM_CAP)
 
     absz = np.abs(zak.values)
@@ -197,11 +196,11 @@ class SamplingSpace:
     grid: FrequencyGrid
     grammian: PeriodicSpectrum
     mask: SupportMask
+    zak: PeriodicSpectrum            # Z(0, .) the certificate read; M * Z_parent for a component
     frame_bounds: tuple[float, float]
     sampling_spectrum: Signal
     sz99: SZ99Report
     certified: bool
-    eps: float = DEFAULT_EPS
     k_max: int = DEFAULT_K_MAX
 
     def kernel_samples(self) -> TimeSamples:
@@ -238,12 +237,12 @@ def _space(fib: Fibers, *, seed: int, checked: bool) -> SamplingSpace:
             omega=float(omega),
         )
 
-    sz99 = sz99_report(psi, fib.mask, fib.zak, k_max=k_max, seed=seed)
+    sz99 = sz99_report(fib, seed=seed)
     if checked and not sz99.passed:
         raise NotASamplingSpaceError("sampling-space certificate failed", report=sz99)
 
-    return SamplingSpace(psi, grid, fib.grammian, fib.mask, bounds, _sampling_kernel_signal(fib),
-                         sz99, certified=sz99.passed, eps=fib.mask.eps, k_max=k_max)
+    return SamplingSpace(psi, grid, fib.grammian, fib.mask, fib.zak, bounds,
+                         _sampling_kernel_signal(fib), sz99, certified=sz99.passed, k_max=k_max)
 
 
 def _sampling_kernel_signal(fib: Fibers) -> Signal:
@@ -291,7 +290,8 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> Reconst
     evaluable in closed form): its time values, summed in factored form for
     an interval-spectrum kernel and through the kernel's values at the
     differences x - k for a time kernel.  Spectral route (grid kernels): its
-    grid spectrum f_hat = Z_f(0,.) * s_hat, evaluated in time once.
+    grid spectrum f_hat = Z_f(0,.) * s_hat, evaluated in time once.  A value
+    that is not finite (|x| near 1e300) is refused, never returned.
     """
     if not space.certified:
         raise NotASamplingSpaceError(
@@ -300,13 +300,10 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> Reconst
         )
     xs = np.atleast_1d(np.asarray(x_values, dtype=float))
     kern = space.sampling_spectrum
-    if isinstance(kern, (PiecewiseConstantSpectrum, TimeKernel, ShiftCombination)):
-        vals = ShiftCombination(kern, samples).time_values(xs)
-        return ReconstructionResult(vals, "time", samples.tail_energy)
-
     grid = space.grid
     half = grid.resolution // 2
-    if samples.ks.size and (samples.ks[0] < -half or samples.ks[-1] >= half):
+    time_route = isinstance(kern, (PiecewiseConstantSpectrum, TimeKernel, ShiftCombination))
+    if not time_route and samples.ks.size and (samples.ks[0] < -half or samples.ks[-1] >= half):
         # the N-point fiber would fold such indices onto others
         reach = max(-int(samples.ks[0]), int(samples.ks[-1]) + 1)
         raise TruncationError(
@@ -314,8 +311,15 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> Reconst
             f"which the spectral route resolves at N = {grid.resolution}; "
             f"it needs N >= {pow2_at_least(2 * reach)}"
         )
-    vals = GridSpectrum(ShiftCombination(kern, samples).grid_values(grid), grid).time_values(xs)
-    return ReconstructionResult(vals, "spectral", samples.tail_energy)
+    synthesis = ShiftCombination(kern, samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        if time_route:
+            vals = synthesis.time_values(xs)
+        else:
+            vals = GridSpectrum(synthesis.grid_values(grid), grid).time_values(xs)
+    if bad := np.count_nonzero(~np.isfinite(vals)):
+        raise PreconditionError(f"reconstruction is not finite at {bad} of {xs.size} points")
+    return ReconstructionResult(vals, "time" if time_route else "spectral", samples.tail_energy)
 
 
 def project(f: Signal, space: SamplingSpace) -> GridSpectrum:

@@ -139,19 +139,20 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
     the folded spectrum.
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    if f.support is not None:
-        if not np.all(np.isfinite(xs)):
-            return ShiftSquareSum(float("nan"), 0.0, "direct")
+    direct = f.support is not None
+    tail = 0.0 if direct else f.spectral_tail_energy(grid)
+    if not np.all(np.isfinite(xs)):
+        sums = np.full(1, np.nan)
+    elif direct:
         a, b = f.support
         first = np.clip(np.ceil(a - xs) - 1, -k_max, k_max + 1).astype(int)
         count = np.clip(np.floor(b - xs) + 1, first - 1, k_max).astype(int) + 1 - first
         probe = np.repeat(np.arange(xs.size), count)
         ks = np.arange(probe.size) - np.repeat(np.cumsum(count) - count - first, count)
         sums = np.bincount(probe, np.abs(f.time_values(xs[probe] + ks)) ** 2, minlength=xs.size)
-        return ShiftSquareSum(float(np.max(sums, initial=0.0)), 0.0, "direct")
-    energy = np.mean(np.abs(twisted_sum(_fold(f, grid), grid.shifts(), xs)) ** 2, axis=1)
-    return ShiftSquareSum(float(np.max(energy, initial=0.0)),
-                          f.spectral_tail_energy(grid), "parseval")
+    else:
+        sums = np.mean(np.abs(twisted_sum(_fold(f, grid), grid.shifts(), xs)) ** 2, axis=1)
+    return ShiftSquareSum(float(np.max(sums, initial=0.0)), tail, "direct" if direct else "parseval")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from sisbox import (
     GridSpectrum,
     PiecewiseConstantSpectrum,
     TimeSamples,
+    build_signal,
     check_sz04,
     check_sz99,
     integer_samples,
@@ -330,6 +331,17 @@ class TestCLI:
         cols = sio.read_periodic_csv(out)
         np.testing.assert_allclose(cols["grammian"], 1.0)
         np.testing.assert_allclose(cols["abs_zak"], 1.0)
+
+    def test_analyze_grid_spectrum_file(self, tmp_path, capsys, grid):
+        path = tmp_path / "b.csv"
+        sio.write_grid_spectrum(build_signal("blhat", grid), path)
+        assert run_cli(["analyze", str(path)]) == 0
+        from_file = capsys.readouterr().out
+        assert run_cli(["analyze", "blhat"]) == 0
+        assert from_file == capsys.readouterr().out.replace("signal=blhat", f"signal={path}")
+        assert run_cli(["analyze", str(path), "--N", "2048"]) == 1
+        assert capsys.readouterr().err == (
+            "error: grid (K=32, N=2048) does not match (K=32, N=1024)\n")
 
     def test_env_grid_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SISBOX_GRID", "16,512")

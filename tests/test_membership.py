@@ -145,6 +145,15 @@ class TestSZ04:
         assert ratios[i] == pytest.approx(ORACLE_SZ04_WORST, rel=1e-12)
         assert ratios[i] > 20.0
 
+    def test_vanishing_periodization_with_mass_fails(self, grid):
+        # on [0, 1/2) the shifts m = 0 and m = 1 cancel: Z = 0 while G = 2
+        rep = check_sz04(PiecewiseConstantSpectrum([(0.0, 0.5, 1.0), (1.0, 1.5, -1.0)]), grid)
+        lower, upper = rep.checks
+        assert lower.passed and lower.value is None and rep.constants["A"] is None
+        assert not upper.passed and upper.value == float("inf")
+        assert upper.detail == "periodization vanishes where absolute mass remains"
+        assert not rep.passed
+
     def test_zero_is_vacuous(self, grid):
         rep = check_sz04(zero_signal(), grid)
         assert rep.passed and rep.vacuous

@@ -6,6 +6,8 @@ per-probe loops that computed the same quantities one offset at a time;
 every batched value must agree with them to 1e-12 relative.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -179,8 +181,7 @@ def test_no_probe_reads_zero(name, grid):
 
 
 def test_nan_node_fails_the_shift_square_check(blhat, grid):
-    fib = fibers(blhat, grid)
-    cert = sz99_report(nan_node_signal(grid), fib.mask, fib.zak)
+    cert = sz99_report(replace(fibers(blhat, grid), signal=nan_node_signal(grid)))
     assert np.isnan(cert.shift_sum_bound)
     assert not cert.shift_sum_pass and not cert.passed
 

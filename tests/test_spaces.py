@@ -27,6 +27,7 @@ from sisbox import (
 from sisbox.errors import (
     DegenerateSpaceError,
     NotASamplingSpaceError,
+    PreconditionError,
     TruncationError,
 )
 from sisbox.spaces import VANISH_TOL
@@ -267,6 +268,11 @@ class TestReconstruct:
         else:
             with pytest.raises(TruncationError, match=f"N >= {need}"):
                 reconstruct(ex2_space, TimeSamples.delta(k), xs)
+
+    def test_non_finite_value_is_refused(self, shannon_space):
+        # Dekker's split overflows past |x| ~ 1.3e300: the value used to come back NaN
+        with pytest.raises(PreconditionError, match="not finite at 1 of 2 points"):
+            reconstruct(shannon_space, TimeSamples.delta(0), [0.0, 1e301])
 
 
 class TestProject:
