@@ -36,6 +36,10 @@ class PeriodicPartition:
 
     masks: list[SupportMask]
 
+    def __post_init__(self):
+        if not self.masks:
+            raise PartitionError("a partition needs at least one mask")
+
     @classmethod
     def from_intervals(cls, groups, grid: FrequencyGrid) -> "PeriodicPartition":
         """Each group is a list of [start, end) subintervals of [0, 1)."""

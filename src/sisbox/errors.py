@@ -37,16 +37,11 @@ class DegenerateSpaceError(SisboxError):
 
 
 class NotASamplingSpaceError(SisboxError):
-    """The candidate fails a sampling-space certificate.
-
-    Carries the offending frequency (if a single point trips the Zak
-    guard) and/or the full certificate report.
-    """
+    """The candidate fails a sampling-space certificate, carried as ``report``."""
 
     kind, exit_code = "refused", 2
 
-    def __init__(self, message: str, omega: float | None = None, report=None):
-        self.omega = omega
+    def __init__(self, message: str, report=None):
         self.report = report
         super().__init__(message)
 

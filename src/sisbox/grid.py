@@ -199,11 +199,11 @@ class SupportMask:
 
 @dataclass(frozen=True)
 class TimeSamples:
-    """Finite map k -> f(k) on integers |k| <= k_max.
+    """Finite map k -> f(k) on integers.
 
-    Values beyond k_max are treated as zero; ``tail_energy`` records the
-    energy of the samples the truncation discarded (see the sampling
-    helpers).
+    ``k_max`` is the truncation the record's producer applied, and
+    ``tail_energy`` the energy of the samples it discarded (see the sampling
+    helpers); the record keeps every sample it is given, |k| > k_max too.
     """
 
     ks: np.ndarray

@@ -46,7 +46,6 @@ import numpy as np
 from .errors import BandwidthOverflowError, GridMismatchError, PreconditionError
 from .grid import FrequencyGrid, TimeSamples, pow2_at_least
 
-_EVAL_CHUNK = 64  # x-points per chunk in direct evaluation
 # uniform points take the chirp transform when nodes * points (the direct sum's
 # terms) exceeds this many times its length (span + points); on a 2-vCPU Xeon,
 # numpy 2.4.6, the direct sum costs 20-50 ns a term, the blocked transform ~2 ms
@@ -61,7 +60,7 @@ _CHIRP_WORK_RATIO = 4
 # 10.7 ms in one block at (32, 1024), 52 against 250 ms at (64, 8192)
 _CZT_BLOCK = 16384
 QUADRATURE_ORDER = 2048  # trapezoid nodes over a time kernel's support
-_SYNTHESIS_BLOCK = 1 << 20  # (point, shift) pairs per block of a shift-combination sum
+_SYNTHESIS_BLOCK = 1 << 20  # (point, term) pairs per block of a direct sum: grid nodes or shifts
 
 
 def _uniform_spacing(xs: np.ndarray) -> float | None:
@@ -206,7 +205,7 @@ class Signal:
         """Samples f(k) used by Zak fibers and reconstruction.
 
         A signal with a support is sampled exactly at the integers of its
-        support with |k| <= k_max, keeping the nonzero values; its tail
+        support with |k| <= k_max, keeping the nonzero values (maybe none); its tail
         energy is that of the support's samples beyond +-k_max.  Every
         other signal samples its grid projection (inverse DFT of the
         periodized spectrum) at |k| <= k_max, a full period when k_max >=
@@ -223,12 +222,11 @@ class Signal:
         inside = np.abs(ks) <= k_max
         tail = float(np.sum(np.abs(vals[~inside]) ** 2))
         keep = inside & (vals != 0)
-        if not np.any(keep):
-            return TimeSamples(np.array([0]), np.array([0.0 + 0j]), k_max, tail)
         return TimeSamples(ks[keep], vals[keep], k_max, tail_energy=tail)
 
     def required_half_bandwidth(self) -> int | None:
-        """Smallest admissible grid K, or None if unbounded (time kernels)."""
+        """Smallest grid K the spectrum fits, which the CLI widens to, or None
+        where the representation names none; ``grid_values`` alone refuses a grid."""
         return None
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:
@@ -281,8 +279,9 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
     offsets = (nz - first) / n
     vals = values[nz]
     out = np.empty(xs.size, dtype=complex)
-    for start in range(0, xs.size, _EVAL_CHUNK):
-        chunk = slice(start, start + _EVAL_CHUNK)
+    rows = max(1, _SYNTHESIS_BLOCK // nz.size)  # points per block
+    for start in range(0, xs.size, rows):
+        chunk = slice(start, start + rows)
         out[chunk] = _turns(np.outer(xs[chunk], offsets)) @ vals
     return out * kern
 
@@ -462,9 +461,6 @@ class GridSpectrum(Signal):
         self.grid = grid
         self.integrable_spectrum = integrable_spectrum
 
-    def required_half_bandwidth(self) -> int | None:
-        return self.grid.half_bandwidth
-
     def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
         if grid != self.grid:
             raise GridMismatchError(
@@ -559,9 +555,6 @@ class ShiftCombination(Signal):
         ks = coefficients.ks
         if base.support is not None and ks.size:
             self.support = (base.support[0] + float(ks.min()), base.support[1] + float(ks.max()))
-
-    def required_half_bandwidth(self) -> int | None:
-        return self.base.required_half_bandwidth()
 
     def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
         fiber = self.coefficients.fiber(grid.resolution)

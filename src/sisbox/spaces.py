@@ -71,6 +71,7 @@ class SZ99Report:
     shift_sum_tail: float
     shift_sum_pass: bool
     zak_lower: float                 # A_Z: min |Z(0,.)| on the support set
+    zak_lower_at: float              # the unit-interval node where A_Z is attained
     zak_upper: float                 # B_Z: max |Z(0,.)| on the support set
     zak_floor: float                 # eps * B_Z: A_Z must be above it
     zak_off_support_max: float
@@ -94,6 +95,7 @@ class SZ99Report:
             },
             "zak_bound": {
                 "lower": self.zak_lower,
+                "lower_at": self.zak_lower_at,
                 "upper": self.zak_upper,
                 "off_support_max": self.zak_off_support_max,
                 "passed": self.zak_pass,
@@ -111,7 +113,8 @@ class SZ99Report:
                 ConditionCheck("shift_square_sum", self.shift_sum_pass, self.shift_sum_bound,
                                SHIFT_SUM_CAP),
                 ConditionCheck("zak_two_sided", self.zak_pass, self.zak_lower, self.zak_floor,
-                               detail=f"B = {self.zak_upper:.6g}, off-support max "
+                               detail=f"A at omega = {self.zak_lower_at:.6g}, "
+                                      f"B = {self.zak_upper:.6g}, off-support max "
                                       f"{self.zak_off_support_max:.3g} vs limit "
                                       f"{VANISH_TOL * self.zak_upper:.3g}")]
 
@@ -156,7 +159,7 @@ def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
     candidate, mask, zak = fib.signal, fib.mask, fib.zak
     if mask.is_empty:
         return SZ99Report("fail", 0.0, JUMP_COEFF * np.sqrt(CONTINUITY_DX),
-                          0.0, 0.0, False, 0.0, 0.0, 0.0, 0.0, False, 0.0, False,
+                          0.0, 0.0, False, 0.0, 0.0, 0.0, 0.0, 0.0, False, 0.0, False,
                           note="degenerate: empty spectral support")
 
     verdict, max_jump, threshold = _continuity_check(candidate)
@@ -166,15 +169,16 @@ def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
 
     absz = np.abs(zak.values)
     on = mask.values
-    a_z = float(absz[on].min())
-    b_z = float(absz[on].max())
+    low = np.flatnonzero(on)[np.argmin(absz[on])]
+    a_z, b_z = float(absz[low]), float(absz[on].max())
     floor = mask.eps * b_z
     off_max = float(absz[~on].max()) if np.any(~on) else 0.0
     zak_pass = bool(a_z > floor and off_max <= VANISH_TOL * max(b_z, 1e-300))
 
     passed = verdict == "pass" and shift_pass and zak_pass
     return SZ99Report(verdict, max_jump, threshold, sss.bound, sss.tail_energy,
-                      shift_pass, a_z, b_z, floor, off_max, zak_pass, mask.measure, passed)
+                      shift_pass, a_z, float(fib.grid.unit_omegas[low]), b_z, floor, off_max,
+                      zak_pass, mask.measure, passed)
 
 
 def tight_frame_generator(psi: Signal, grid: FrequencyGrid,
@@ -215,34 +219,25 @@ def build_space(psi: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
                 checked: bool = True) -> SamplingSpace:
     """Construct V(psi) with its sampling kernel s_hat = psi_hat / Z_psi.
 
-    ``checked=True`` (default) raises if the Zak fiber vanishes on the
-    support set or the certificate fails; ``checked=False`` constructs an
-    uncertified space for exploration (reconstruction refuses to run on it).
+    ``checked=True`` (default) raises ``NotASamplingSpaceError`` with the
+    certificate when it fails; ``checked=False`` constructs an uncertified
+    space for exploration (reconstruction refuses to run on it).
     """
     return _space(fibers(psi, grid, eps, k_max), seed=seed, checked=checked)
 
 
 def _space(fib: Fibers, *, seed: int, checked: bool) -> SamplingSpace:
     """build_space on a Fibers record, whose Zak fiber it takes as given."""
-    psi, grid, k_max = fib.signal, fib.grid, fib.samples.k_max
     if fib.mask.is_empty:
         raise DegenerateSpaceError("generator has empty spectral support")
     bounds = essential_bounds(fib.grammian, fib.mask)
-
-    bad = fib.mask.values & ~fib.zak_support
-    if np.any(bad) and checked:
-        omega = grid.unit_omegas[np.flatnonzero(bad)[0]]
-        raise NotASamplingSpaceError(
-            f"Zak fiber vanishes at omega = {omega} inside the support set",
-            omega=float(omega),
-        )
-
     sz99 = sz99_report(fib, seed=seed)
     if checked and not sz99.passed:
         raise NotASamplingSpaceError("sampling-space certificate failed", report=sz99)
 
-    return SamplingSpace(psi, grid, fib.grammian, fib.mask, fib.zak, bounds,
-                         _sampling_kernel_signal(fib), sz99, certified=sz99.passed, k_max=k_max)
+    return SamplingSpace(fib.signal, fib.grid, fib.grammian, fib.mask, fib.zak, bounds,
+                         _sampling_kernel_signal(fib), sz99, certified=sz99.passed,
+                         k_max=fib.samples.k_max)
 
 
 def _sampling_kernel_signal(fib: Fibers) -> Signal:

@@ -15,11 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BandwidthOverflowError,
-    DegenerateSpaceError,
-    NotAGrammianError,
-)
+from .errors import DegenerateSpaceError, NotAGrammianError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
 from .signals import Signal, _samples_from_grid, require_finite, twisted_sum
 
@@ -28,10 +24,7 @@ DEFAULT_K_MAX = 512
 
 
 def _fold(f: Signal, grid: FrequencyGrid) -> np.ndarray:
-    """f's grid values as (2K, N): row q holds the shift m = q - K."""
-    need = f.required_half_bandwidth()
-    if need is not None and need > grid.half_bandwidth:
-        raise BandwidthOverflowError(need, grid.half_bandwidth)
+    """f's grid values as (2K, N), row q the shift m = q - K (grid_values refuses a misfit)."""
     return grid.fold(f.grid_values(grid))
 
 

@@ -176,6 +176,13 @@ class TestDecompose:
         with pytest.raises(PartitionError):
             decompose(shannon_space, part)
 
+    def test_empty_partition_and_family_rejected(self, shannon_space):
+        # an empty family of masks: a typed refusal, not an IndexError or TypeError
+        with pytest.raises(PartitionError):
+            PeriodicPartition([])
+        with pytest.raises(PartitionError):
+            check_determining_set(shannon_space, [])
+
 
 @pytest.fixture(scope="module")
 def halves(shannon_space, grid):
@@ -242,6 +249,13 @@ class TestLatticeRescale:
         rec = rs.reconstruct(samples, xs)
         oracle = rs.member_values(member, xs)
         assert float(np.max(np.abs(rec.values - oracle))) < 1e-3
+
+    def test_kernel_is_the_dilated_translated_kernel(self, shannon_space):
+        # [DERIVED] sqrt(2) sinc(2x - 1/2): the sinc kernel on the lattice (k + 1/2) / 2
+        rs = lattice_rescale(shannon_space, 2.0, 0.5)
+        xs = np.linspace(-3, 3, 31)
+        want = np.sqrt(2.0) * np.sinc(2 * xs - 0.5)
+        assert np.max(np.abs(rs.kernel_values(xs) - want)) <= 1e-14
 
     def test_rejects_nonpositive_scale(self, shannon_space):
         with pytest.raises(ValueError):

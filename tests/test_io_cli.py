@@ -100,6 +100,13 @@ class TestFileFormats:
             sio.read_samples(path)
         assert err.value.line == 3
 
+    def test_periodic_csv_needs_an_omega_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("grammian,abs_zak\n1,1\n")
+        with pytest.raises(FileFormatError, match="expected an omega") as err:
+            sio.read_periodic_csv(path)
+        assert err.value.line == 1
+
     def test_non_integer_sample_index(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("0.5,1,0\n")
@@ -350,6 +357,11 @@ class TestCLI:
         data = json.loads((tmp_path / "r.json").read_text())
         assert data["grid"] == {"K": 16, "N": 512}
 
+    def test_malformed_env_grid_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SISBOX_GRID", "16")
+        assert run_cli(["analyze", "shannon"]) == 1
+        assert capsys.readouterr().err == "usage error: SISBOX_GRID must be 'K,N', got '16'\n"
+
     def test_flags_beat_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SISBOX_GRID", "16,512")
         rc = run_cli(["analyze", "shannon", "--K", "32", "--N", "1024",
@@ -434,6 +446,20 @@ ERROR_CASES = [
     # finite ends whose points' phases overflow: no nan rows are written
     (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--from", "1e300",
       "--to", "1e301", "--out", "{d}/rec.csv"], 1, "error: reconstruction is not finite"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--lattice", "2",
+      "--out", "{d}/rec.csv"], 1, "usage error: --lattice expects 'a,b'"),
+    (["analyze", "{d}/not_a_list.json"], 1, "error: line 1: expected a JSON list"),
+    (["analyze", "{d}/no_ends.json"], 1, "error: line 1: record 0 must carry keys a, b"),
+    (["analyze", "{d}/overlapping.json"], 1, "error: line 1: intervals overlap"),
+    (["analyze", "{d}/three_rows.csv"], 1, "error: line 1: grid spectrum needs at least 4 rows"),
+    (["analyze", "{d}/uneven_omega.csv"], 1, "error: line 3: omega column must be uniformly"),
+    (["analyze", "{d}/five_rows.csv"], 1, "error: line 1: expected 4 rows covering [-1, 1), got 5"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/duplicate.csv",
+      "--out", "{d}/rec.csv"], 1, "error: line 1: duplicate sample indices"),
+    (["decompose", "--space", "shannon", "--partition", "{d}/no_masks.json"], 1,
+     "error: line 1: expected a nonempty JSON list"),
+    (["decompose", "--space", "shannon", "--partition", "{d}/past_one.json"], 1,
+     "error: line 1: mask 0 pair [0.5, 1.5) must sit inside [0, 1]"),
 ]
 
 
@@ -450,6 +476,16 @@ def error_inputs(tmp_path):
     (tmp_path / "huge_index.csv").write_text("k,re,im\n1e300,1,0\n")
     (tmp_path / "tiny_step.csv").write_text("omega,re,im\n0,1,0\n1e-320,1,0\n2e-320,1,0\n3e-320,1,0\n")
     sio.write_partition([[[0.0, 0.7]], [[0.5, 1.0]]], tmp_path / "overlap.json")
+    (tmp_path / "not_a_list.json").write_text('{"a": 0, "b": 1}')
+    (tmp_path / "no_ends.json").write_text('[{"re": 1}]')
+    (tmp_path / "overlapping.json").write_text('[{"a": 0, "b": 1, "re": 1}, {"a": 0.5, "b": 2, "re": 1}]')
+    (tmp_path / "three_rows.csv").write_text("omega,re,im\n-1,1,0\n-0.5,1,0\n0,1,0\n")
+    (tmp_path / "uneven_omega.csv").write_text("omega,re,im\n-1,1,0\n-0.5,1,0\n0.25,1,0\n0.5,1,0\n")
+    (tmp_path / "five_rows.csv").write_text("omega,re,im\n" + "".join(
+        f"{w},1,0\n" for w in (-1, -0.5, 0, 0.5, 1)))
+    (tmp_path / "duplicate.csv").write_text("k,re,im\n0,1,0\n0,2,0\n")
+    sio.write_partition([], tmp_path / "no_masks.json")
+    sio.write_partition([[[0.5, 1.5]]], tmp_path / "past_one.json")
     return tmp_path
 
 
@@ -515,6 +551,18 @@ def test_refusal_lists_each_failed_check(error_inputs, capsys):
     assert len(lines) == 2 and lines[1].startswith("  failed check continuity: value=")
     assert "tolerance=0.125" in lines[1]
     assert lines[1].endswith(" (fail)")  # the check's detail: the continuity verdict
+
+
+def test_vanishing_zak_is_refused_by_the_certificate(error_inputs, capsys):
+    # bad_gen.json's Zak fiber vanishes on its support set: the certificate's
+    # zak_two_sided check refuses it and names where A_Z is attained
+    rc = main(["reconstruct", "--space", str(error_inputs / "bad_gen.json"),
+               "--samples", str(error_inputs / "delta0.csv"), "--out", str(error_inputs / "r.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "refused: sampling-space certificate failed",
+        "  failed check zak_two_sided: value=0.0 tolerance=0.0 "
+        "(A at omega = 0, B = 0, off-support max 0 vs limit 0)"]
 
 
 @pytest.mark.parametrize("argv", [

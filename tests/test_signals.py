@@ -253,6 +253,14 @@ class TestChirpTransform:
         _grid_time_values(vals, grid, np.linspace(-8, 8, 4097))
         assert czt_sizes == []
 
+    def test_repeated_first_point_sums_directly(self, czt_sizes, blhat):
+        # a zero first difference names no spacing, however many points follow
+        xs = np.concatenate([[0.3], np.linspace(0.3, 8, 4096)])
+        got = blhat.time_values(xs)
+        assert czt_sizes == []
+        want = blhat.time_values(xs[1:])
+        assert np.max(np.abs(got[1:] - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_direct_route_does_not_cache_the_grid_nodes(self):
         grid = FrequencyGrid(32, 1024)
         vals = np.zeros(grid.size, dtype=complex)
@@ -360,10 +368,10 @@ class TestShiftCombination:
         # an unreduced phase exp(-2i*pi*e*k) alone costs 6.5e-14 here
         assert self.synthesis_error(base, coeffs, xs) <= 1e-14
 
-    @pytest.mark.parametrize("name", ["ex2", "hat"])
+    @pytest.mark.parametrize("name", ["ex2", "hat", "blhat"])
     def test_blocks_do_not_change_the_sum(self, name, request, monkeypatch):
         # one block, then one point (factored sum; poles land in every block)
-        # or one shift (time kernel) per block
+        # or one shift per block (time kernel; grid base, whose direct sum: one point)
         f = ShiftCombination(request.getfixturevalue(name), random_coefficients(47))
         xs = np.concatenate([SYNTHESIS_POINTS, np.linspace(-9, 9, 37)])
         whole = f.time_values(xs)

@@ -126,6 +126,20 @@ class TestCheckSZ99:
         assert not rep.passed
         assert "degenerate" in rep.note
 
+    def test_no_integer_in_the_support_gives_no_samples(self, grid):
+        # a bump on (1/4, 3/4) vanishes at every integer: the sample record is
+        # empty, not a stand-in zero at k = 0, and the Zak fiber is zero
+        bump = TimeKernel((0.25, 0.75), lambda x: np.sin(2 * np.pi * (x - 0.25)) ** 2,
+                          integrable_spectrum=True)
+        samples = integer_samples(bump, grid, 512)
+        assert samples.ks.size == 0 and samples.tail_energy == 0.0
+        rep = check_sz99(bump, grid)
+        assert rep.continuity_verdict == "pass" and rep.shift_sum_pass
+        assert not rep.zak_pass and not rep.passed
+        assert rep.zak_lower == rep.zak_upper == 0.0
+        with pytest.raises(NotASamplingSpaceError):
+            build_space(bump, grid)
+
 
 class TestBuildSpace:
     def test_shannon_kernel_is_generator(self, shannon_space, shannon, grid):
@@ -148,6 +162,14 @@ class TestBuildSpace:
         np.testing.assert_allclose(space.sampling_spectrum.grid_values(grid),
                                    expected.grid_values(grid), atol=1e-12)
 
+    def test_shift_combination_kernel_keeps_its_form(self, shannon_space, grid):
+        # 2 * sinc has the constant Zak fiber 2: its kernel is the synthesis
+        # rescaled, still a ShiftCombination, and equal to the sinc kernel
+        space = build_space(synthesize(shannon_space, TimeSamples.delta(0, 2.0)), grid)
+        assert isinstance(space.sampling_spectrum, ShiftCombination)
+        xs = np.linspace(-4, 4, 33)
+        assert np.max(np.abs(space.kernel_values(xs) - shannon_space.kernel_values(xs))) <= 1e-16
+
     def test_zero_raises_degenerate(self, grid):
         with pytest.raises(DegenerateSpaceError):
             build_space(zero_signal(), grid)
@@ -155,8 +177,10 @@ class TestBuildSpace:
     def test_vanishing_zak_raises_with_omega(self, grid):
         with pytest.raises(NotASamplingSpaceError) as err:
             build_space(vanishing_zak_signal(), grid)
-        assert err.value.omega is not None
-        assert 0.0 <= err.value.omega < 0.5
+        # the certificate refuses, and names where the Zak fiber is smallest
+        rep = err.value.report
+        assert not rep.zak_pass and not rep.passed
+        assert 0.0 <= rep.zak_lower_at < 0.5
 
     def test_unchecked_mode_constructs_but_wont_reconstruct(self, grid):
         space = build_space(vanishing_zak_signal(), grid, checked=False)

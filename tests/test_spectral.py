@@ -165,6 +165,13 @@ class TestBracket:
         with pytest.raises(GridMismatchError):
             bracket(shannon, other, grid)
 
+    def test_wider_grid_spectrum_is_a_mismatch(self, grid, shannon):
+        # a grid spectrum fits its own grid only, whichever way K differs
+        wide = FrequencyGrid(2 * grid.half_bandwidth, grid.resolution)
+        other = GridSpectrum(np.zeros(wide.size), wide)
+        with pytest.raises(GridMismatchError):
+            bracket(shannon, other, grid)
+
 
 class TestZakTimeFiber:
     def test_delta_is_one(self, grid):
