@@ -53,9 +53,7 @@ class PeriodicPartition:
         return cls(masks)
 
     def overlap_measure(self) -> float:
-        counts = np.zeros(self.masks[0].grid.resolution, dtype=int)
-        for m in self.masks:
-            counts += m.values.astype(int)
+        counts = np.sum([m.values for m in self.masks], axis=0)  # masks holding each node
         return float(np.count_nonzero(counts > 1)) / self.masks[0].grid.resolution
 
     def union(self) -> SupportMask:

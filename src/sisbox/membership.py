@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConstructionRefusedError, DegenerateSpaceError, PreconditionError
 from .grid import FrequencyGrid
 from .reports import ConditionCheck
-from .signals import GridSpectrum, PeriodizedProfile, Signal
+from .signals import GridSpectrum, PeriodizedProfile, Signal, dual_energy
 from .spaces import (
     KERNEL_TOL,
     MEMBER_TOL,
@@ -173,9 +173,9 @@ def check_theorem5(f: Signal, grid: FrequencyGrid, x_probes=None, *,
                                           dtype=float))
         if np.any(bad):
             l_const = float("inf")
-        else:  # one energy per probe: |dual|^2 (P, pieces) @ piece weights
-            energy = np.abs(prof.dual(probes)[:, ok]) ** 2 @ (prof.lengths[ok] / absz[ok] ** 2)
-            l_const = float(np.max(energy, initial=0.0))
+        else:  # one energy per probe, pieces weighted by length / |Z|^2 on ok, 0 off it
+            weights = np.divide(prof.lengths, absz ** 2, out=np.zeros(absz.shape), where=ok)
+            l_const = float(np.max(dual_energy(prof.coeffs, prof.shifts, probes, weights), initial=0.0))
         check_d = ConditionCheck("d_dual_energy", bool(np.isfinite(l_const)), l_const,
                                  detail=f"{probes.size} probe offsets")
 

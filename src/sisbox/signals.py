@@ -23,20 +23,13 @@ class of square-integrable functions with absolutely integrable spectrum
 (a time kernel's caller states it).
 
 Grid time evaluation takes the first nonzero node's phase exactly and sums
-the others' offsets from it directly, or at uniform points where that costs
-more (``_CHIRP_WORK_RATIO``) by a numpy chirp (Bluestein) transform over
-the nonzero span, ``_phase_czt``, which time-kernel spectra also use.  The
-transform cuts the longer of its inputs and outputs into blocks of at most
-max(``_CZT_BLOCK``, shorter side) and runs each block as one row of a
-batched FFT, at the smallest 5-smooth length that holds one block's
-convolution.  Its chirp and block phases are reduced mod 1 in exact integer
-arithmetic (the rate is a dyadic double), so the transform is accurate to
-rounding.  Dekker's split (``_product_turns``) reduces exactly the first
-node's phase in grid time evaluation, the piece phases of interval spectra
-and both sides of the factored shift-combination sum.  The direct route of
-grid time evaluation rounds each product x * offset once, then reduces it
-mod 1; ``twisted_sum`` reduces x mod 1 exactly, then rounds m * x.  Cell
-and piece integrals are sincs, which do not cancel near x = 0.
+the others' offsets from it.  At uniform points a chirp (Bluestein)
+transform, ``_phase_czt``, runs over the dense blocks of the nonzero span
+and ``_uniform_sum`` adds the other nodes, both with phases reduced mod 1
+exactly, as Dekker's split (``_product_turns``) reduces the first node's;
+at other points each product x * offset is rounded once, then reduced.
+``dual_energy`` reads probe energies from the Gram matrix of the band rows.
+Cell and piece integrals are sincs, which do not cancel near x = 0.
 """
 
 from __future__ import annotations
@@ -46,12 +39,12 @@ import numpy as np
 from .errors import BandwidthOverflowError, GridMismatchError, PreconditionError
 from .grid import FrequencyGrid, TimeSamples, pow2_at_least
 
-# uniform points take the chirp transform when nodes * points (the direct sum's
-# terms) exceeds this many times its length (span + points); on a 2-vCPU Xeon,
-# numpy 2.4.6, the direct sum costs 20-50 ns a term, the blocked transform ~2 ms
-# plus 110-170 ns a point, and over two sweeps of spans 64-262,144 at 1,001 and
-# 4,097 points the routes break even between ratios 1.5 and 20: 2.2-6.6 from
-# span 16,384 up, the rest at spans below 1,024, where both take ~2 ms
+# at uniform points a block of the span is chirp transformed when its nodes *
+# points (the direct sum's terms) exceed this many times its length plus points;
+# on a 2-vCPU Xeon, numpy 2.4.6, the direct sum costs 20-50 ns a term, the blocked
+# transform ~2 ms plus 110-170 ns a point, and over two sweeps of spans 64-262,144
+# at 1,001 and 4,097 points the routes break even between ratios 1.5 and 20:
+# 2.2-6.6 from span 16,384 up, the rest at spans below 1,024, where both take ~2 ms
 _CHIRP_WORK_RATIO = 4
 # a chirp transform cuts its longer side into blocks of at most this length (or
 # the shorter side's, if longer); the hat spectrum at (64, 4096), 2,049 ->
@@ -142,6 +135,22 @@ def _linear_turns(rate: float, rows: int, width: int) -> np.ndarray:
     exact phase per row times one per column, not an exp per element."""
     return np.multiply.outer(_rate_turns(rate, np.arange(rows) * width),
                              _rate_turns(rate, np.arange(width)))
+
+
+def _uniform_sum(coeffs, ints: np.ndarray, start: float, rate: float, count: int) -> np.ndarray:
+    """out[m] = sum_s coeffs[s] * exp(2j*pi*(start + rate*m)*ints[s]), m < count,
+    for nonnegative integers ints: with m = r * width + c, one exact phase per
+    row r times one per column c, so the sum is (rows, S) @ (S, width) products."""
+    width = int(np.ceil(np.sqrt(count)))
+    rows = -(-count // width)
+    out = np.zeros((rows, width), dtype=complex)
+    step = max(1, _SYNTHESIS_BLOCK // (rows + width))  # terms per block
+    r, c = np.arange(rows) * width, np.arange(width)
+    for s in range(0, ints.size, step):
+        k = ints[s:s + step]
+        row = coeffs[s:s + step] * _rate_turns(start, k) * _rate_turns(rate, np.outer(r, k))
+        out += row @ _rate_turns(rate, np.outer(k, c))
+    return out.ravel()[:count]
 
 
 def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
@@ -270,20 +279,27 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
     kern = grid.step * np.sinc(grid.step * xs) * _turns(_product_turns(w, xs) + grid.step / 2 * xs)
 
     spacing = _uniform_spacing(xs)
-    if spacing is not None and nz.size * xs.size > _CHIRP_WORK_RATIO * (span + xs.size):
-        # uniform x: one chirp transform over the nonzero span, the offsets'
-        # phases exp(2i*pi*x0*(j - first)/N) taken one grid row at a time
-        twist = _linear_turns(xs[0] / n, -(-span // n), n).ravel()[:span]
-        return _phase_czt(values[first:first + span] * twist, spacing / n, xs.size) * kern
+    if spacing is not None:
+        # uniform x: blocks of _CZT_BLOCK nodes from the first that pass the route
+        # rule are dense, chirp transformed from the first to the last dense node
+        block = (nz - first) // _CZT_BLOCK
+        work = np.minimum(_CZT_BLOCK, span - np.arange(0, span, _CZT_BLOCK)) + xs.size  # length + points
+        dense = np.flatnonzero((np.bincount(block) * xs.size > _CHIRP_WORK_RATIO * work)[block])
+        rest = np.delete(nz, np.s_[dense[0]:dense[-1] + 1]) if dense.size else nz
+        out = _uniform_sum(values[rest], rest - first, xs[0] / n, spacing / n, xs.size)
+        if dense.size:
+            lo, hi = nz[dense[0]], nz[dense[-1]] + 1
+            twist = _linear_turns(xs[0] / n, -(-(hi - lo) // n), n).ravel()[:hi - lo]
+            chirp = _phase_czt(values[lo:hi] * twist, spacing / n, xs.size)
+            if lo > first:  # the transform's offset from the first node, one exact phase
+                chirp *= _turns(_product_turns((lo - first) / n, xs))
+            out = chirp + out if rest.size else chirp
+        return out * kern
 
-    offsets = (nz - first) / n
-    vals = values[nz]
-    out = np.empty(xs.size, dtype=complex)
+    offsets, vals = (nz - first) / n, values[nz]
     rows = max(1, _SYNTHESIS_BLOCK // nz.size)  # points per block
-    for start in range(0, xs.size, rows):
-        chunk = slice(start, start + rows)
-        out[chunk] = _turns(np.outer(xs[chunk], offsets)) @ vals
-    return out * kern
+    return np.concatenate([_turns(np.outer(xs[i:i + rows], offsets)) @ vals
+                           for i in range(0, xs.size, rows)]) * kern
 
 
 class PiecewiseConstantSpectrum(Signal):
@@ -382,19 +398,26 @@ class PiecewiseConstantSpectrum(Signal):
         )
 
 
-def twisted_sum(coeffs: np.ndarray, shifts: np.ndarray, x) -> np.ndarray:
-    """sum over rows r of coeffs[r] exp(2i*pi*shifts[r]*x): (P, columns) for P
-    offsets from one (P, S) @ (S, columns) product; for a scalar x, one value
-    per column summed row by row like the periodization (x = 0 reproduces it
-    exactly).  The shifts are integers, so x is first reduced, exactly, to
-    [0, 1): far offsets keep the phase accuracy of near ones."""
-    xs = np.asarray(x, dtype=float)
+def twisted_sum(coeffs: np.ndarray, shifts: np.ndarray, x: float) -> np.ndarray:
+    """sum over rows r of coeffs[r] exp(2i*pi*shifts[r]*x) per column, summed row by
+    row like the periodization (x = 0 reproduces it exactly); x is first reduced,
+    exactly, to [0, 1), so far offsets keep the phase accuracy of near ones."""
     band = FrequencyGrid.band(coeffs)  # zero rows beyond it add nothing
-    coeffs, shifts = coeffs[band], shifts[band]
-    phases = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts))
-    if phases.ndim == 1:
-        return (coeffs * phases[:, None]).sum(axis=0)
-    return phases @ coeffs
+    phases = np.exp(2j * np.pi * ((x - np.floor(x)) * shifts[band]))
+    return (coeffs[band] * phases[:, None]).sum(axis=0)
+
+
+def dual_energy(coeffs: np.ndarray, shifts: np.ndarray, xs: np.ndarray, weights) -> np.ndarray:
+    """sum_c weights[c] |sum_r coeffs[r, c] exp(2i*pi*shifts[r]*x)|^2 at each x in
+    xs, as the quadratic form e G e^H of the phases e_r in the Gram matrix G =
+    rows W rows^H of the band rows: no (offsets, columns) table.  x is reduced
+    as in ``twisted_sum``; a NaN node makes G, and every energy, NaN."""
+    band = FrequencyGrid.band(coeffs)
+    weighted = np.conj(coeffs[band])
+    weighted *= weights
+    gram = np.conj(weighted @ coeffs[band].T)  # G[r, s] = sum_c rows[r, c] w_c conj(rows[s, c])
+    e = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts[band]))
+    return np.sum((e @ gram) * np.conj(e), axis=1).real
 
 
 class PeriodizedProfile:
@@ -421,9 +444,8 @@ class PeriodizedProfile:
         self.coeffs = coeffs
         self.exact = exact
 
-    def dual(self, x) -> np.ndarray:
-        """Per-piece sum_m f_hat(omega+m) exp(2i*pi*m*x): (pieces,) for a scalar
-        x, (P, pieces) for P offsets from one (P, shifts) @ (shifts, pieces) product."""
+    def dual(self, x: float) -> np.ndarray:
+        """Per-piece sum_m f_hat(omega+m) exp(2i*pi*m*x) at one offset x."""
         return twisted_sum(self.coeffs, self.shifts, x)
 
     @classmethod
@@ -607,4 +629,5 @@ class ShiftCombination(Signal):
         return out
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:
-        return self.base.spectral_tail_energy(grid)
+        # a bound: outside [-K, K) the spectrum is C * base_hat, |C| <= sum_k |c_k|
+        return float(np.sum(np.abs(self.coefficients.values))) ** 2 * self.base.spectral_tail_energy(grid)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSpaceError, NotAGrammianError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
-from .signals import Signal, _samples_from_grid, require_finite, twisted_sum
+from .signals import Signal, _samples_from_grid, dual_energy, require_finite, twisted_sum
 
 DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
@@ -127,9 +127,8 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
     evaluated at grid resolution; this sums all shifts of the
     grid-projected signal.  Writing omega = m + t with integer shift m and
     t in [0, 1), Z_f(x, t) = exp(2i*pi*t*x) * sum_m f_hat(t+m) exp(2i*pi*m*x);
-    the first factor has modulus one, so the fibers of all P probes are the
-    rows of one (P, 2K) @ (2K, N) product of the phases exp(2i*pi*x*m) with
-    the folded spectrum.
+    the first factor has modulus one, so each probe's energy is a quadratic
+    form in the Gram matrix of the occupied fold rows (``dual_energy``).
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     direct = f.support is not None
@@ -144,7 +143,7 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
         ks = np.arange(probe.size) - np.repeat(np.cumsum(count) - count - first, count)
         sums = np.bincount(probe, np.abs(f.time_values(xs[probe] + ks)) ** 2, minlength=xs.size)
     else:
-        sums = np.mean(np.abs(twisted_sum(_fold(f, grid), grid.shifts(), xs)) ** 2, axis=1)
+        sums = dual_energy(_fold(f, grid), grid.shifts(), xs, grid.step)
     return ShiftSquareSum(float(np.max(sums, initial=0.0)), tail, "direct" if direct else "parseval")
 
 

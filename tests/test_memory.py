@@ -1,0 +1,57 @@
+"""Peak traced allocation of the certificate's hot calls at (64, 4096).
+
+The probe energies come from the Gram matrix of the occupied fold rows and
+the chirp transform runs over the dense blocks of a span only, so none of
+these calls builds a (probes, N) table or transforms empty blocks.  Each
+bound sits between the peak with those temporaries and the peak without.
+"""
+
+import tracemalloc
+
+import pytest
+
+from sisbox import FrequencyGrid, build_signal, check_theorem2, check_theorem5, shift_square_sum
+from sisbox.spaces import _probe_points
+
+MIB = 2 ** 20
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of call() above what was held before it."""
+    running = tracemalloc.is_tracing()
+    if not running:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if not running:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def fine_grid():
+    return FrequencyGrid(64, 4096)
+
+
+def test_shift_square_sum_builds_no_probe_table(fine_grid):
+    # 128 probes over 2 occupied rows: a (2, 2) Gram matrix, not a (128, 4096) table
+    blhat = build_signal("blhat", fine_grid)
+    probes = _probe_points(0)
+    assert probes.size == 128
+    assert traced_peak(lambda: shift_square_sum(blhat, probes, fine_grid)) < 1 * MIB
+
+
+def test_theorem2_transforms_only_dense_blocks(fine_grid):
+    ex2 = build_signal("ex2", fine_grid)
+    assert traced_peak(lambda: check_theorem2(ex2, fine_grid)) < 30 * MIB
+
+
+def test_theorem5_dual_energy_peak(fine_grid):
+    # the kernel's spectrum is cached first: its own transform is not measured
+    hat = build_signal("hat", fine_grid)
+    hat.grid_values(fine_grid)
+    assert traced_peak(lambda: check_theorem5(hat, fine_grid)) <= 16.4 * MIB
+

@@ -1,9 +1,10 @@
 """Batched probe offsets against the per-probe loops they replace.
 
-The shift-square bound and theorem 5's dual energy evaluate all probe
-offsets with one matrix product.  The reference functions below are the
-per-probe loops that computed the same quantities one offset at a time;
-every batched value must agree with them to 1e-12 relative.
+The shift-square bound and theorem 5's dual energy read every probe offset
+from one Gram matrix of the occupied fold rows (``dual_energy``).  The
+reference functions below are the per-probe loops that computed the same
+quantities one offset at a time; every batched value must agree with them
+to 1e-12 relative.
 """
 
 from dataclasses import replace
@@ -20,7 +21,7 @@ from sisbox import (
     check_theorem5,
     shift_square_sum,
 )
-from sisbox.signals import PeriodizedProfile, twisted_sum
+from sisbox.signals import PeriodizedProfile, dual_energy, twisted_sum
 from sisbox.spaces import _probe_points, sz99_report
 from sisbox.spectral import DEFAULT_EPS, fibers, guard_level
 
@@ -40,11 +41,13 @@ def probe_signal(name, grid):
     return GridSpectrum(np.where(np.abs(grid.omegas) < 3, vals, 0.0), grid)
 
 
-def loop_energies(f, xs, grid):
-    """Per-probe mean |Z_f(x, .)|^2 with the full-line phases exp(2i*pi*omega*x)."""
+def loop_energies(f, xs, grid, weights=None):
+    """Per-probe mean |Z_f(x, .)|^2 with the full-line phases exp(2i*pi*omega*x),
+    or with ``weights`` the weighted sum over the nodes in place of the mean."""
     folded = grid.fold(f.grid_values(grid))
     om_rows = grid.fold(grid.omegas)
-    return np.array([np.mean(np.abs((folded * np.exp(2j * np.pi * om_rows * x)).sum(axis=0)) ** 2)
+    w = np.full(grid.resolution, grid.step) if weights is None else weights
+    return np.array([np.sum(w * np.abs((folded * np.exp(2j * np.pi * om_rows * x)).sum(axis=0)) ** 2)
                      for x in xs])
 
 
@@ -116,8 +119,7 @@ def test_each_probe_energy_matches_loop(name, fine_grid):
     f = probe_signal(name, fine_grid)
     xs = np.concatenate([_probe_points(0), FAR_OFFSETS])
     want = loop_energies(f, xs, fine_grid)
-    batched = np.mean(np.abs(twisted_sum(fibers(f, fine_grid).folded, fine_grid.shifts(), xs)) ** 2,
-                      axis=1)
+    batched = dual_energy(fibers(f, fine_grid).folded, fine_grid.shifts(), xs, fine_grid.step)
     np.testing.assert_allclose(batched, want, rtol=RTOL, atol=0)
     single = [shift_square_sum(f, [x], fine_grid).bound for x in FAR_OFFSETS]
     np.testing.assert_allclose(single, want[-FAR_OFFSETS.size:], rtol=RTOL, atol=0)
@@ -134,6 +136,23 @@ def test_theorem5_dual_energy_matches_loop(name, grid_name, request):
     assert rep.constants["L"] == pytest.approx(loop_dual_energy(f, grid, xs), rel=RTOL)
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("name", [*PARSEVAL_SIGNALS, "complex"])
+def test_dual_energy_matches_loop(name, weighted, fine_grid):
+    f = probe_signal(name, fine_grid)
+    xs = np.concatenate([_probe_points(1), FAR_OFFSETS])
+    w = np.random.default_rng(7).uniform(0.0, 3.0, fine_grid.resolution) if weighted else fine_grid.step
+    got = dual_energy(fine_grid.fold(f.grid_values(fine_grid)), fine_grid.shifts(), xs, w)
+    want = loop_energies(f, xs, fine_grid, w if weighted else None)
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)
+
+
+def test_dual_energy_of_an_empty_band_is_zero(fine_grid):
+    folded = np.zeros((2 * fine_grid.half_bandwidth, fine_grid.resolution), dtype=complex)
+    got = dual_energy(folded, fine_grid.shifts(), np.concatenate([_probe_points(0), FAR_OFFSETS]), 1.0)
+    np.testing.assert_array_equal(got, np.zeros(128 + FAR_OFFSETS.size))
+
+
 @pytest.mark.parametrize("name, grid_name", [("blhat", "grid"), ("ex2", "wide_grid")])
 def test_dual_keeps_scalar_shape(name, grid_name, request):
     grid = request.getfixturevalue(grid_name)
@@ -141,10 +160,10 @@ def test_dual_keeps_scalar_shape(name, grid_name, request):
     prof = PeriodizedProfile.from_fibers(fib)
     pieces = prof.starts.size
     assert prof.dual(0.25).shape == (pieces,)
-    assert prof.dual(np.array([0.25])).shape == (1, pieces)
-    np.testing.assert_allclose(prof.dual(np.array([0.25]))[0], prof.dual(0.25), rtol=RTOL)
     assert twisted_sum(fib.folded, grid.shifts(), 0.25).shape == (grid.resolution,)
-    assert twisted_sum(fib.folded, grid.shifts(), np.array([0.25])).shape == (1, grid.resolution)
+    energy = dual_energy(prof.coeffs, prof.shifts, np.array([0.25]), prof.lengths)
+    assert energy.shape == (1,)
+    assert energy[0] == pytest.approx(np.sum(prof.lengths * np.abs(prof.dual(0.25)) ** 2), rel=RTOL)
 
 
 def nan_node_signal(grid):
@@ -194,19 +213,19 @@ def test_nan_probe_fails_the_dual_energy_check(ex2, wide_grid):
 
 
 def test_empty_shift_rows_are_skipped_exactly(fine_grid):
-    # blhat fills 1 of the 128 fold rows; the product over the occupied rows
-    # equals the full (P, 2K) @ (2K, N) product
+    # blhat fills 1 of the 128 fold rows; the Gram matrix of the occupied rows
+    # gives the energies of the full (P, 2K) @ (2K, N) product
     folded = fibers(build_signal("blhat", fine_grid), fine_grid).folded
     shifts = fine_grid.shifts()
     xs = np.concatenate([_probe_points(0), FAR_OFFSETS])
     full = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts)) @ folded
-    got = twisted_sum(folded, shifts, xs)
-    assert np.max(np.abs(got - full)) <= 1e-15 * np.max(np.abs(full))
+    want = np.mean(np.abs(full) ** 2, axis=1)
+    got = dual_energy(folded, shifts, xs, fine_grid.step)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
 
 def test_nan_row_reaches_every_probe(fine_grid):
     folded = np.zeros((2 * fine_grid.half_bandwidth, fine_grid.resolution), dtype=complex)
     folded[70, 10:20] = 1.0
     folded[3, 7] = np.nan
-    energy = np.mean(np.abs(twisted_sum(folded, fine_grid.shifts(), _probe_points(0))) ** 2, axis=1)
-    assert np.all(np.isnan(energy))
+    assert np.all(np.isnan(dual_energy(folded, fine_grid.shifts(), _probe_points(0), fine_grid.step)))

@@ -14,11 +14,13 @@ from sisbox import (
     TimeSamples,
     build_signal,
     decompose,
+    shift_square_sum,
     signals,
 )
 from sisbox.errors import GridMismatchError, PreconditionError
 from sisbox.signals import PeriodizedProfile, _grid_time_values, _phase_czt
-from sisbox.spaces import _continuity_check
+from sisbox.spaces import _continuity_check, _probe_points, _sampling_function
+from sisbox.spectral import fibers
 
 
 class TestPiecewiseConstant:
@@ -261,6 +263,70 @@ class TestChirpTransform:
         want = blhat.time_values(xs[1:])
         assert np.max(np.abs(got[1:] - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @staticmethod
+    def grid_error(vals, grid, xs):
+        """Relative error of the grid time values at xs (x = 0 left out: the
+        reference's cell kernel divides by x) against the exact-phase sum."""
+        got = _grid_time_values(vals, grid, xs)
+        picks = np.flatnonzero(xs != 0)[::409]
+        nz = np.flatnonzero(vals)
+        nodes = nz - grid.half_bandwidth * grid.resolution
+        want = cell_kernel(grid, xs[picks]) * np.array(
+            [exact_phase_sum(vals[nz], nodes, Fraction(x) / grid.resolution) for x in xs[picks]])
+        return np.max(np.abs(got[picks] - want)) / np.max(np.abs(want))
+
+    @staticmethod
+    def scattered(grid, counts, seed):
+        """Random values at counts[b] random nodes of each block b of
+        _CZT_BLOCK nodes from node 1,000 of the grid."""
+        rng = np.random.default_rng(seed)
+        vals = np.zeros(grid.size, dtype=complex)
+        for b, count in enumerate(counts):
+            nodes = 1000 + b * signals._CZT_BLOCK + rng.choice(signals._CZT_BLOCK, count, replace=False)
+            vals[nodes] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        vals[1000] = 1.0  # the span starts at a block boundary
+        return vals
+
+    def test_sparse_blocks_leave_the_transform(self, czt_sizes):
+        # theorem 2's h for ex2 at (64, 4096): 8,239 nonzero nodes over a
+        # 245,761-node span, 7,680 / 480 / 30 in its first three blocks and 1-4
+        # in each of the other 13, whose nodes are summed directly
+        grid = FrequencyGrid(64, 4096)
+        h = _sampling_function(fibers(build_signal("ex2", grid), grid))
+        xs = np.linspace(-8, 8, 4097)
+        assert self.grid_error(h.values, grid, xs) <= 1e-14
+        assert len(czt_sizes) == 1 and czt_sizes[0] <= 3 * signals._CZT_BLOCK
+
+    def test_dense_block_between_sparse_ones(self, czt_sizes):
+        # the transform runs over block 2 alone, at one exact phase from the first node
+        grid = FrequencyGrid(64, 4096)
+        vals = self.scattered(grid, [3, 0, 3000, 1, 0, 0, 2], 31)
+        assert self.grid_error(vals, grid, np.linspace(-8, 8, 4097)) <= 1e-14
+        assert len(czt_sizes) == 1 and czt_sizes[0] <= signals._CZT_BLOCK
+
+    def test_every_block_sparse_sums_directly(self, czt_sizes):
+        # 8 blocks of 18-19 nodes: 151-152 nodes times 4,097 points exceeds 4
+        # times the span plus points, but no block's 19 do its length plus points
+        grid = FrequencyGrid(64, 4096)
+        vals = self.scattered(grid, [18] + [19] * 7, 32)
+        assert self.grid_error(vals, grid, np.linspace(-8, 8, 4097)) <= 1e-14
+        assert czt_sizes == []
+
+    @pytest.mark.parametrize("name", ["shannon", "blhat"])
+    def test_one_block_is_one_transform_over_the_span(self, name):
+        # every node in one block: the transform over the whole span, bit for bit
+        grid = FrequencyGrid(64, 4096)
+        vals = build_signal(name, grid).grid_values(grid)
+        xs = np.linspace(-8, 8, 4097)
+        n, nz = grid.resolution, np.flatnonzero(vals)
+        first, span = nz[0], nz[-1] + 1 - nz[0]
+        twist = signals._linear_turns(xs[0] / n, -(-span // n), n).ravel()[:span]
+        w = first / n - grid.half_bandwidth
+        kern = grid.step * np.sinc(grid.step * xs) * signals._turns(
+            signals._product_turns(w, xs) + grid.step / 2 * xs)
+        want = _phase_czt(vals[first:first + span] * twist, (xs[-1] - xs[0]) / (xs.size - 1) / n, xs.size)
+        np.testing.assert_array_equal(_grid_time_values(vals, grid, xs), want * kern)
+
     def test_direct_route_does_not_cache_the_grid_nodes(self):
         grid = FrequencyGrid(32, 1024)
         vals = np.zeros(grid.size, dtype=complex)
@@ -353,6 +419,18 @@ class TestShiftCombination:
         got = ShiftCombination(base, coeffs).time_values(xs)
         want = exact_synthesis(base.pieces, coeffs.ks, coeffs.values, xs)
         return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    def test_tail_scales_with_the_coefficients(self, hat, grid):
+        # no coefficients is the zero function, with no tail; otherwise
+        # (sum |c_k|)^2 times the base's, as |C| <= sum |c_k|
+        empty = ShiftCombination(hat, TimeSamples.from_pairs({}))
+        got = shift_square_sum(empty, _probe_points(0), grid)
+        assert got.route == "parseval" and got.tail_energy == 0.0
+        two = ShiftCombination(hat, TimeSamples.from_pairs({0: 2.0}))
+        assert two.spectral_tail_energy(grid) == pytest.approx(hat.scaled(2.0).spectral_tail_energy(grid),
+                                                               rel=1e-6)
+        three = ShiftCombination(hat, TimeSamples.from_pairs({-3: 1.0, 5: -2.0j}))
+        assert three.spectral_tail_energy(grid) == pytest.approx(9 * hat.spectral_tail_energy(grid), rel=1e-15)
 
     def test_ex2_synthesis_matches_exact_phase_sum(self, ex2):
         # 61 pieces, ends out to omega = 60 + 2^-60, 17 seeded coefficients
