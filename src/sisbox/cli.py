@@ -264,8 +264,7 @@ def cmd_reconstruct(args) -> _Outcome:
               "points": args.points, "range": [args.x_from, args.x_to]}
     results = {"route": result.route, "output": out,
                "max_abs": float(np.max(np.abs(result.values)))}
-    return _Outcome(grid, params, results, True,
-                    {"samples": samples.tail_energy, "truncation": result.truncation_tail})
+    return _Outcome(grid, params, results, True, {"samples": samples.tail_energy})
 
 
 def cmd_decompose(args) -> _Outcome:

@@ -68,7 +68,6 @@ class DeterminingSetReport:
     union_mask: SupportMask
     symmetric_difference_measure: float
     passed: bool
-    order: list[int]
     disjoint_masks: list[SupportMask]          # B_i, only on success
     multipliers: list[PeriodicSpectrum]        # alpha_i, only on success
     kernel_residual: float                     # sup |sum alpha_i f_i_hat - s_hat|
@@ -79,7 +78,6 @@ class DeterminingSetReport:
             "union_measure": self.union_mask.measure,
             "symmetric_difference_measure": self.symmetric_difference_measure,
             "passed": self.passed,
-            "order": self.order,
             "disjoint_measures": [m.measure for m in self.disjoint_masks],
             "kernel_residual": self.kernel_residual,
         }
@@ -114,8 +112,7 @@ def check_determining_set(space: SamplingSpace, funcs: list[Signal]) -> Determin
         s_vals = grid.fold(space.sampling_spectrum.grid_values(grid))
         kernel_residual = float(np.max(np.abs(recon - s_vals)))
 
-    return DeterminingSetReport(masks, union, sym, passed, list(range(len(funcs))),
-                                disjoint, alphas, kernel_residual)
+    return DeterminingSetReport(masks, union, sym, passed, disjoint, alphas, kernel_residual)
 
 
 def span_sum_check(space: SamplingSpace, report: DeterminingSetReport, funcs: list[Signal],
@@ -234,8 +231,7 @@ class RescaledSpace:
         base_samples = samples.scaled(1.0 / np.sqrt(self.scale))
         xs = np.atleast_1d(np.asarray(x_values, dtype=float))
         inner = reconstruct(self.base, base_samples, self.scale * xs - self.offset)
-        return ReconstructionResult(np.sqrt(self.scale) * inner.values, inner.route,
-                                    inner.truncation_tail)
+        return ReconstructionResult(np.sqrt(self.scale) * inner.values, inner.route)
 
 
 def lattice_rescale(space: SamplingSpace, a: float, b: float = 0.0) -> RescaledSpace:

@@ -251,4 +251,5 @@ class TimeSamples:
         return float(np.linalg.norm(self.values))
 
     def scaled(self, factor: complex) -> "TimeSamples":
-        return TimeSamples(self.ks.copy(), self.values * factor, self.k_max, self.tail_energy)
+        return TimeSamples(self.ks.copy(), self.values * factor, self.k_max,
+                           self.tail_energy * abs(factor) ** 2)

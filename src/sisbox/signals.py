@@ -22,13 +22,16 @@ Every representation carries ``integrable_spectrum``: membership in the
 class of square-integrable functions with absolutely integrable spectrum
 (a time kernel's caller states it).
 
-Grid time evaluation takes the first nonzero node's phase exactly and sums
-the others' offsets from it.  At uniform points a chirp (Bluestein)
-transform, ``_phase_czt``, runs over the dense blocks of the nonzero span
-and ``_uniform_sum`` adds the other nodes, both with phases reduced mod 1
-exactly, as Dekker's split (``_product_turns``) reduces the first node's;
-at other points each product x * offset is rounded once, then reduced.
-``dual_energy`` reads probe energies from the Gram matrix of the band rows.
+Every phase a * x is reduced mod 1 exactly, by Dekker's split
+(``_product_turns``; ``_shifted_turns`` for a piece at m + c): piece
+phases, syntheses, and grid time evaluation, which takes the first nonzero
+node's phase and sums the others' offsets from it, at uniform points by a
+chirp (Bluestein) transform, ``_phase_czt``, over the dense blocks of the
+nonzero span and by ``_uniform_sum`` over the other nodes.  Only two sites
+round a product once, then reduce it: the direct sum at other points (x *
+offset), and ``twisted_sum`` / ``dual_energy`` (an exactly reduced x times
+shifts |m| <= K); ``dual_energy`` reads probe energies from the Gram matrix
+of the band rows.
 Cell and piece integrals are sincs, which do not cancel near x = 0.
 """
 
@@ -112,35 +115,17 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _rate_turns(rate: float, ints: np.ndarray) -> np.ndarray:
-    """exp(2i*pi*rate*n) for nonnegative integers n below 2^41, the phase
-    rate*n reduced mod 1 almost exactly.
-
-    Every double is a dyadic rational: rate mod 1 splits exactly into
-    h * 2^-40 (integer h) plus a remainder below 2^-41.  h*n mod 2^40 is
-    exact in uint64 wraparound arithmetic, and the remainder times n stays
-    below 1, where plain floating point is accurate.
-    """
-    scaled = (rate - np.round(rate)) * 2.0 ** 40  # exact, in [-2^39, 2^39]
-    h = np.round(scaled)
-    low = (scaled - h) * 2.0 ** -40
-    ints = np.asarray(ints, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        top = (np.uint64(int(h) % (1 << 40)) * ints) & np.uint64((1 << 40) - 1)
-    return _turns(top * 2.0 ** -40 + low * ints.astype(float))
-
-
 def _linear_turns(rate: float, rows: int, width: int) -> np.ndarray:
     """exp(2i*pi*rate*j) for j = 0..rows*width-1, shaped (rows, width): one
     exact phase per row times one per column, not an exp per element."""
-    return np.multiply.outer(_rate_turns(rate, np.arange(rows) * width),
-                             _rate_turns(rate, np.arange(width)))
+    return np.multiply.outer(_turns(_product_turns(rate, np.arange(rows) * width)),
+                             _turns(_product_turns(rate, np.arange(width))))
 
 
 def _uniform_sum(coeffs, ints: np.ndarray, start: float, rate: float, count: int) -> np.ndarray:
     """out[m] = sum_s coeffs[s] * exp(2j*pi*(start + rate*m)*ints[s]), m < count,
-    for nonnegative integers ints: with m = r * width + c, one exact phase per
-    row r times one per column c, so the sum is (rows, S) @ (S, width) products."""
+    for integers ints: with m = r * width + c, one exact phase per row r times
+    one per column c, so the sum is (rows, S) @ (S, width) products."""
     width = int(np.ceil(np.sqrt(count)))
     rows = -(-count // width)
     out = np.zeros((rows, width), dtype=complex)
@@ -148,8 +133,8 @@ def _uniform_sum(coeffs, ints: np.ndarray, start: float, rate: float, count: int
     r, c = np.arange(rows) * width, np.arange(width)
     for s in range(0, ints.size, step):
         k = ints[s:s + step]
-        row = coeffs[s:s + step] * _rate_turns(start, k) * _rate_turns(rate, np.outer(r, k))
-        out += row @ _rate_turns(rate, np.outer(k, c))
+        row = coeffs[s:s + step] * _turns(_product_turns(start, k) + _product_turns(rate, np.outer(r, k)))
+        out += row @ _turns(_product_turns(rate, np.outer(k, c)))
     return out.ravel()[:count]
 
 
@@ -165,25 +150,25 @@ def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
     turns its sum into a convolution with the chirp exp(-i*pi*rate*k^2)
     between two offset phases.  Each block is one row of one batched FFT at
     the smallest 5-smooth length >= block in + block out - 1, and all rows
-    share one chirp.  Chirp and offset phases are reduced mod 1 almost
-    exactly (``_rate_turns``; k^2 below 2^41), so the result is accurate to
-    rounding (~1e-15 relative) for any dyadic rate.
+    share one chirp.  Chirp and offset phases are reduced mod 1 exactly
+    (``_product_turns``), so the result is accurate to rounding (~1e-15
+    relative) for any rate.
     """
     n = coeffs.size
     block = max(_CZT_BLOCK, min(n, count))
     p, q = -(-n // block), -(-count // block)
     bi, bo = -(-n // p), -(-count // q)
     size = _fast_length(bi + bo - 1)
-    k = np.arange(max(bi, bo), dtype=np.uint64)
-    w = _rate_turns(rate / 2, k * k)  # the chirp exp(i*pi*rate*k^2)
+    k = np.arange(max(bi, bo))
+    w = _turns(_product_turns(rate / 2, k * k))  # the chirp exp(i*pi*rate*k^2)
     kernel = np.zeros(size, dtype=complex)
     kernel[:bo] = np.conj(w[:bo])
     kernel[size - bi + 1:] = np.conj(w[bi - 1:0:-1])
     x = np.zeros(p * bi, dtype=complex)
     x[:n] = coeffs
-    twist = _rate_turns(rate, np.outer(np.arange(q) * bo, np.arange(bi)))  # a * t_q
+    twist = _turns(_product_turns(rate, np.outer(np.arange(q) * bo, np.arange(bi))))  # a * t_q
     pre = x.reshape(p, 1, bi) * (w[:bi] * twist)
-    post = w[:bo] * _rate_turns(rate, np.outer(np.arange(p) * bi, np.arange(bo)))  # s_p * b
+    post = w[:bo] * _turns(_product_turns(rate, np.outer(np.arange(p) * bi, np.arange(bo))))  # s_p * b
     spectrum = np.fft.fft(pre, size)
     spectrum *= np.fft.fft(kernel)
     conv = np.fft.ifft(spectrum)[..., :bo]

@@ -154,7 +154,7 @@ def check_sz99(candidate: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
 
 def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
     """The certificate of a record's signal on its support set (whose eps the
-    Zak bound is held to), Zak fiber and k_max: ``check_sz99`` passes the
+    Zak bound is held to) and Zak fiber: ``check_sz99`` passes the
     candidate's own record; theorem 2 one that carries the original signal's set."""
     candidate, mask, zak = fib.signal, fib.mask, fib.zak
     if mask.is_empty:
@@ -164,7 +164,7 @@ def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
 
     verdict, max_jump, threshold = _continuity_check(candidate)
 
-    sss = shift_square_sum(candidate, _probe_points(seed), fib.grid, fib.samples.k_max)
+    sss = shift_square_sum(candidate, _probe_points(seed), fib.grid)
     shift_pass = bool(np.isfinite(sss.bound) and sss.bound <= SHIFT_SUM_CAP)
 
     absz = np.abs(zak.values)
@@ -271,7 +271,6 @@ def synthesize(space: SamplingSpace, coeffs: TimeSamples) -> ShiftCombination:
 class ReconstructionResult:
     values: np.ndarray
     route: str                 # "time" or "spectral"
-    truncation_tail: float
 
     def __iter__(self):
         return iter(self.values)
@@ -314,7 +313,7 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> Reconst
             vals = GridSpectrum(synthesis.grid_values(grid), grid).time_values(xs)
     if bad := np.count_nonzero(~np.isfinite(vals)):
         raise PreconditionError(f"reconstruction is not finite at {bad} of {xs.size} points")
-    return ReconstructionResult(vals, "time" if time_route else "spectral", samples.tail_energy)
+    return ReconstructionResult(vals, "time" if time_route else "spectral")
 
 
 def project(f: Signal, space: SamplingSpace) -> GridSpectrum:
@@ -344,8 +343,7 @@ def member_residual(space: SamplingSpace, f: Signal, label: str = "signal") -> f
     return residual
 
 
-def gram_matrix_bounds_oracle(psi: Signal, grid: FrequencyGrid, truncation: int,
-                              k_max: int = DEFAULT_K_MAX) -> tuple[float, float]:
+def gram_matrix_bounds_oracle(psi: Signal, grid: FrequencyGrid, truncation: int) -> tuple[float, float]:
     """Independent frame-bound estimate: extreme eigenvalues of the T x T
     matrix of translate inner products <psi(.-j), psi(.-k)>.
 
@@ -355,7 +353,7 @@ def gram_matrix_bounds_oracle(psi: Signal, grid: FrequencyGrid, truncation: int,
     """
     if truncation < 2:
         raise ValueError("truncation must be at least 2")
-    limit = min(k_max, grid.resolution // 2)
+    limit = grid.resolution // 2
     if truncation > limit:
         raise TruncationError(
             f"truncation {truncation} exceeds the resolvable shift range {limit}"

@@ -114,15 +114,16 @@ class ShiftSquareSum(NamedTuple):
     route: str
 
 
-def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
-                     k_max: int = DEFAULT_K_MAX) -> ShiftSquareSum:
+def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
     """max over x_grid of sum_k |f(x+k)|^2; a NaN at any probe makes the
     bound NaN, never a silently dropped probe.
 
     A signal with a support [a, b] (time kernels and their finite shift
     combinations) is summed directly and exactly, in one time_values call
-    over the shifts |k| <= k_max with x + k in [a, b] (and one more each
-    side, for rounding).  Purely spectral representations use the Parseval
+    over every shift k with x + k in [a, b] (and one more each side, for
+    rounding), x first reduced to [0, 1), exactly: the sum is 1-periodic in
+    x, and far offsets keep their shifts in range.  Purely spectral
+    representations use the Parseval
     identity sum_k |f(x+k)|^2 = integral over one period of |Z_f(x, .)|^2,
     evaluated at grid resolution; this sums all shifts of the
     grid-projected signal.  Writing omega = m + t with integer shift m and
@@ -137,8 +138,9 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid,
         sums = np.full(1, np.nan)
     elif direct:
         a, b = f.support
-        first = np.clip(np.ceil(a - xs) - 1, -k_max, k_max + 1).astype(int)
-        count = np.clip(np.floor(b - xs) + 1, first - 1, k_max).astype(int) + 1 - first
+        xs = xs - np.floor(xs)
+        first = (np.ceil(a - xs) - 1).astype(int)
+        count = (np.floor(b - xs) + 2).astype(int) - first
         probe = np.repeat(np.arange(xs.size), count)
         ks = np.arange(probe.size) - np.repeat(np.cumsum(count) - count - first, count)
         sums = np.bincount(probe, np.abs(f.time_values(xs[probe] + ks)) ** 2, minlength=xs.size)

@@ -35,3 +35,17 @@ def test_library_modules_have_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_private_function_has_a_caller():
+    # a module-level _helper that no name or attribute in the library refers
+    # to is dead code left behind by a change that removed its last caller
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(sisbox.__file__).resolve().parent.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    helpers = [(name, node.name) for name, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
+    assert helpers
+    assert [f"{name}: {helper}" for name, helper in helpers if helper not in used] == []

@@ -102,6 +102,12 @@ class TestTimeSamples:
         assert ts.k_max == 2
         assert ts.value_at(-2) == 1j
 
+    def test_scaled_scales_the_tail_energy(self):
+        # the discarded samples scale with the kept ones: energy by |factor|^2
+        ts = TimeSamples(np.array([0, 1]), np.array([1.0, 2.0]), 1, tail_energy=1.617e-8)
+        assert ts.scaled(0.5).tail_energy == 0.25 * 1.617e-8
+        assert ts.scaled(2j).tail_energy == 4 * 1.617e-8
+
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError):
             TimeSamples(np.array([1, 1]), np.array([1.0, 2.0]), 1)

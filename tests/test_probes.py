@@ -103,15 +103,33 @@ def time_kernel_signal(name, seed, grid):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", ["hat", "ex3"])
 def test_direct_bound_matches_loop(name, seed, grid):
-    # one time_values call over the shifts that meet the support, against
-    # the per-probe sum over every |k| <= k_max
+    # one time_values call over the shifts that meet the support, against the
+    # per-probe sum over every |k| <= 1024, which holds all of them at these
+    # offsets (supports within [-41, 41]): no shift is clipped, -600.25 included
     f = time_kernel_signal(name, seed, grid)
-    ks = np.arange(-512, 513)
+    ks = np.arange(-1024, 1025)
     for xs in (_probe_points(seed), FAR_OFFSETS, [511.5], [-600.25]):
         got = shift_square_sum(f, xs, grid)
         assert got.route == "direct"
         want = max(float(np.sum(np.abs(f.time_values(x + ks)) ** 2)) for x in xs)
         assert got.bound == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("k", [0, 513, 600])
+def test_direct_bound_sums_every_shift(k, grid):
+    # hat moved to [k - 1, k + 1] past the sample truncation (512): its
+    # shifts there still count, so the bound is hat(0)^2 = 1, not 0.77 or 0
+    f = ShiftCombination(build_signal("hat", grid), TimeSamples.delta(k))
+    assert shift_square_sum(f, _probe_points(0), grid).bound == pytest.approx(1.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [1e6 + 0.25, 2.0 ** 53 + 2, 1e19, -1e300])
+def test_direct_bound_at_far_offsets(x, grid):
+    # the sum over every shift is 1-periodic in x: hat(t)^2 + hat(t - 1)^2 at
+    # t = x mod 1, where x + k would round and an integer shift k overflow
+    t = x - np.floor(x)
+    want = (1 - t) ** 2 + t ** 2
+    assert shift_square_sum(build_signal("hat", grid), [x], grid).bound == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("name", [*PARSEVAL_SIGNALS, "complex"])

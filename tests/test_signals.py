@@ -169,6 +169,25 @@ class TestChirpTransform:
         want = np.array([exact_phase_sum(coeffs, n * m, rate) for m in ms])
         assert np.max(np.abs(got[ms] - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("rate", [
+        -2.0 ** -21, -2.0 ** -23,              # chirps of the quadrature at (32, 1024), (64, 4096)
+        2.0 ** -10, 2.0 ** -12,                # quadrature offset -a/N for a = -1
+        (16 / 999) / 2048, (16 / 999) / 8192,  # chirps of linspace(-8, 8, 1000)
+        (16 / 999) / 1024,                     # its row and column phases at N = 1024
+    ])
+    def test_product_turns_matches_rational_reduction(self, rate):
+        # Dekker's split reduces rate * n mod 1 to rounding for every n, up to
+        # 2^41 - 1: squares k^2 (the chirp), and q * bo * bi of hat's spectrum
+        # at (64, 4096), 32 output blocks of 16,384 against 2,049 inputs
+        rng = np.random.default_rng(13)
+        ns = np.concatenate([rng.integers(0, 2 ** 41, 300), np.arange(20) ** 2,
+                             np.array([16383, 65535, 2 ** 20 - 1]) ** 2,
+                             [31 * 16384 * 2048, 32 * 16384 * 2049, 2 ** 41 - 1]])
+        got = signals._product_turns(rate, ns.astype(float))
+        for n, t in zip(ns, got):
+            err = Fraction(float(t)) - Fraction(rate) * int(n)
+            assert abs(err - round(err)) <= 4.5e-16
+
     def test_uniform_evaluation_keeps_the_points(self):
         # the first difference of linspace(-8, 8, 1000) is off by 3.6e-16; a
         # spacing taken from it drifts to 1.7e-10 relative at the far end
