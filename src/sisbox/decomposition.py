@@ -163,7 +163,7 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
         # Z of M psi is M Z_psi exactly, not the fiber of its K-truncated spectrum
         fib = fibers(comp_gen, grid, space.mask.eps, space.k_max)
         comp_zak = PeriodicSpectrum(np.where(mask.values, space.zak.values, 0.0), grid)
-        comp = _space(replace(fib, zak=comp_zak), seed=0, checked=True)
+        comp = _space(replace(fib, zak=comp_zak), seed=space.seed, checked=True)
         comp_kernel = comp.sampling_spectrum.grid_values(grid)
         expected = np.where(tiled, s_vals, 0.0)
         mismatch = float(np.max(np.abs(comp_kernel - expected)))

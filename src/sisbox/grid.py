@@ -202,8 +202,8 @@ class TimeSamples:
     """Finite map k -> f(k) on integers.
 
     ``k_max`` is the truncation the record's producer applied, and
-    ``tail_energy`` the energy of the samples it discarded (see the sampling
-    helpers); the record keeps every sample it is given, |k| > k_max too.
+    ``tail_energy`` the energy of a spectral period's samples it discarded (a
+    support is sampled whole); the record keeps every sample, |k| > k_max too.
     """
 
     ks: np.ndarray

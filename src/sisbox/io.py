@@ -27,14 +27,14 @@ def _number(field, line: int) -> float:
 
 
 def _write_table(path, header: str, *columns) -> None:
-    """The header line, then one line per row: the repr of each column's number.
-    Rows go out 4,096 at a time: all 65,536 rows of a grid spectrum at
-    (32, 1024) held as text set the peak memory of ``decompose``."""
+    """The header line, then one line per row: the repr of each column's number,
+    formatted a column and 4,096 rows at a time: all 65,536 rows of a grid
+    spectrum at (32, 1024) held as text set the peak memory of ``decompose``."""
     with open(path, "w") as out:
         out.write(header + "\n")
         for start in range(0, len(columns[0]), 4096):
-            rows = zip(*(np.asarray(c)[start:start + 4096].tolist() for c in columns))
-            out.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+            text = (map(repr, np.asarray(c)[start:start + 4096].tolist()) for c in columns)
+            out.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def _read_text(path) -> str:

@@ -289,7 +289,7 @@ def induced_subspace(space: SamplingSpace, f: Signal) -> InducedSubspace:
     residual = member_residual(space, f, "signal")
     fib = fibers(f, grid, space.mask.eps, space.k_max)
     h = _sampling_function(fib)
-    sub = build_space(h, grid, eps=space.mask.eps, k_max=space.k_max)
+    sub = build_space(h, grid, eps=space.mask.eps, k_max=space.k_max, seed=space.seed)
 
     # the normalized signal itself is the sampling function of S(f); both
     # characterizations are verified against it

@@ -198,25 +198,21 @@ class Signal:
     def integer_samples(self, grid: FrequencyGrid, k_max: int) -> TimeSamples:
         """Samples f(k) used by Zak fibers and reconstruction.
 
-        A signal with a support is sampled exactly at the integers of its
-        support with |k| <= k_max, keeping the nonzero values (maybe none); its tail
-        energy is that of the support's samples beyond +-k_max.  Every
-        other signal samples its grid projection (inverse DFT of the
-        periodized spectrum) at |k| <= k_max, a full period when k_max >=
-        N/2; its tail energy is that of the period's samples it drops.  Only
-        a full period makes the samples' time fiber the periodization (to
-        rounding); below it the fiber is a truncated Fourier series of it.
+        A signal with a support is sampled exactly and whole at its
+        ``_support_shifts``, keeping the nonzero values (maybe none): k_max
+        cuts no sample and leaves no tail.  Every other signal samples its grid
+        projection (inverse DFT of the periodized spectrum) at |k| <= k_max, a
+        full period when k_max >= N/2; its tail energy is that of the period's
+        samples it drops.  Only a full period makes the samples' time fiber the
+        periodization (to rounding); below it, a truncated Fourier series of it.
         """
         if self.support is None:
             folded = grid.fold(self.grid_values(grid))
             return _samples_from_grid(folded[grid.band(folded)].sum(axis=0), k_max)
-        a, b = self.support
-        ks = np.arange(int(np.ceil(a - 1e-12)), int(np.floor(b + 1e-12)) + 1)
+        ks = _support_shifts(self)
         vals = self.time_values(ks.astype(float))
-        inside = np.abs(ks) <= k_max
-        tail = float(np.sum(np.abs(vals[~inside]) ** 2))
-        keep = inside & (vals != 0)
-        return TimeSamples(ks[keep], vals[keep], k_max, tail_energy=tail)
+        keep = vals != 0
+        return TimeSamples(ks[keep], vals[keep], k_max)
 
     def required_half_bandwidth(self) -> int | None:
         """Smallest grid K the spectrum fits, which the CLI widens to, or None
@@ -226,6 +222,16 @@ class Signal:
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:
         """Energy outside [-K, K) discarded by the grid projection."""
         return 0.0
+
+
+def _support_shifts(f: Signal) -> np.ndarray:
+    """The sorted integers k at which f(x + k), x in [0, 1], can be nonzero: the
+    window floor(a) - 1 .. ceil(b) + 1 around a support [a, b], or for a combination
+    over a supported base, the base's window moved to each coefficient."""
+    if isinstance(f, ShiftCombination):
+        return np.unique(np.add.outer(f.coefficients.ks, _support_shifts(f.base)))
+    a, b = f.support
+    return np.arange(int(np.floor(a)) - 1, int(np.ceil(b)) + 2)
 
 
 def _samples_from_grid(periodized: np.ndarray, k_max: int) -> TimeSamples:

@@ -29,6 +29,7 @@ from .signals import (
     ShiftCombination,
     Signal,
     TimeKernel,
+    _support_shifts,
 )
 from .spectral import (
     DEFAULT_EPS,
@@ -68,7 +69,6 @@ class SZ99Report:
     continuity_max_jump: float
     continuity_threshold: float
     shift_sum_bound: float
-    shift_sum_tail: float
     shift_sum_pass: bool
     zak_lower: float                 # A_Z: min |Z(0,.)| on the support set
     zak_lower_at: float              # the unit-interval node where A_Z is attained
@@ -89,7 +89,6 @@ class SZ99Report:
             },
             "shift_square_sum": {
                 "bound": self.shift_sum_bound,
-                "tail_energy": self.shift_sum_tail,
                 "cap": SHIFT_SUM_CAP,
                 "passed": self.shift_sum_pass,
             },
@@ -120,11 +119,11 @@ class SZ99Report:
 
 
 def _continuity_check(candidate: Signal) -> tuple[str, float, float]:
-    if candidate.support is None:
-        lo, hi = -8.0, 8.0
-    else:
-        lo, hi = candidate.support[0] - 0.5, candidate.support[1] + 0.5
-    xs = np.linspace(lo, hi, int(round((hi - lo) / CONTINUITY_DX)) + 1)
+    """Largest step, at spacing CONTINUITY_DX, over the unit cells at the
+    ``_support_shifts`` (spectral: the cells of [-8, 8)); f vanishes at both
+    ends of each window of shifts, so a step across a gap between windows is 0."""
+    cells = np.arange(-8, 8) if candidate.support is None else _support_shifts(candidate)
+    xs = np.unique(np.add.outer(cells, np.linspace(0.0, 1.0, int(round(1 / CONTINUITY_DX)) + 1)))
     try:
         max_jump = float(np.max(np.abs(np.diff(candidate.time_values(xs)))))
     except PreconditionError:  # a non-finite spectrum node: the jump is unknown
@@ -159,7 +158,7 @@ def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
     candidate, mask, zak = fib.signal, fib.mask, fib.zak
     if mask.is_empty:
         return SZ99Report("fail", 0.0, JUMP_COEFF * np.sqrt(CONTINUITY_DX),
-                          0.0, 0.0, False, 0.0, 0.0, 0.0, 0.0, 0.0, False, 0.0, False,
+                          0.0, False, 0.0, 0.0, 0.0, 0.0, 0.0, False, 0.0, False,
                           note="degenerate: empty spectral support")
 
     verdict, max_jump, threshold = _continuity_check(candidate)
@@ -176,9 +175,9 @@ def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
     zak_pass = bool(a_z > floor and off_max <= VANISH_TOL * max(b_z, 1e-300))
 
     passed = verdict == "pass" and shift_pass and zak_pass
-    return SZ99Report(verdict, max_jump, threshold, sss.bound, sss.tail_energy,
-                      shift_pass, a_z, float(fib.grid.unit_omegas[low]), b_z, floor, off_max,
-                      zak_pass, mask.measure, passed)
+    return SZ99Report(verdict, max_jump, threshold, sss.bound, shift_pass, a_z,
+                      float(fib.grid.unit_omegas[low]), b_z, floor, off_max, zak_pass,
+                      mask.measure, passed)
 
 
 def tight_frame_generator(psi: Signal, grid: FrequencyGrid,
@@ -206,6 +205,7 @@ class SamplingSpace:
     sz99: SZ99Report
     certified: bool
     k_max: int = DEFAULT_K_MAX
+    seed: int = 0                    # the certificate's probe seed, which sub-certificates reuse
 
     def kernel_samples(self) -> TimeSamples:
         return integer_samples(self.sampling_spectrum, self.grid, self.k_max)
@@ -237,7 +237,7 @@ def _space(fib: Fibers, *, seed: int, checked: bool) -> SamplingSpace:
 
     return SamplingSpace(fib.signal, fib.grid, fib.grammian, fib.mask, fib.zak, bounds,
                          _sampling_kernel_signal(fib), sz99, certified=sz99.passed,
-                         k_max=fib.samples.k_max)
+                         k_max=fib.samples.k_max, seed=seed)
 
 
 def _sampling_kernel_signal(fib: Fibers) -> Signal:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSpaceError, NotAGrammianError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
-from .signals import Signal, _samples_from_grid, dual_energy, require_finite, twisted_sum
+from .signals import Signal, _samples_from_grid, _support_shifts, dual_energy, require_finite, twisted_sum
 
 DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
@@ -110,7 +110,6 @@ def essential_bounds(g: PeriodicSpectrum, mask: SupportMask) -> tuple[float, flo
 
 class ShiftSquareSum(NamedTuple):
     bound: float
-    tail_energy: float
     route: str
 
 
@@ -118,12 +117,11 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
     """max over x_grid of sum_k |f(x+k)|^2; a NaN at any probe makes the
     bound NaN, never a silently dropped probe.
 
-    A signal with a support [a, b] (time kernels and their finite shift
+    A signal with a support (time kernels and their finite shift
     combinations) is summed directly and exactly, in one time_values call
-    over every shift k with x + k in [a, b] (and one more each side, for
-    rounding), x first reduced to [0, 1), exactly: the sum is 1-periodic in
-    x, and far offsets keep their shifts in range.  Purely spectral
-    representations use the Parseval
+    at every probe x, first reduced to [0, 1) exactly, plus each of its
+    ``_support_shifts``: the sum is 1-periodic in x, and far offsets keep
+    their shifts in range.  Purely spectral representations use the Parseval
     identity sum_k |f(x+k)|^2 = integral over one period of |Z_f(x, .)|^2,
     evaluated at grid resolution; this sums all shifts of the
     grid-projected signal.  Writing omega = m + t with integer shift m and
@@ -133,20 +131,14 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     direct = f.support is not None
-    tail = 0.0 if direct else f.spectral_tail_energy(grid)
     if not np.all(np.isfinite(xs)):
         sums = np.full(1, np.nan)
     elif direct:
-        a, b = f.support
-        xs = xs - np.floor(xs)
-        first = (np.ceil(a - xs) - 1).astype(int)
-        count = (np.floor(b - xs) + 2).astype(int) - first
-        probe = np.repeat(np.arange(xs.size), count)
-        ks = np.arange(probe.size) - np.repeat(np.cumsum(count) - count - first, count)
-        sums = np.bincount(probe, np.abs(f.time_values(xs[probe] + ks)) ** 2, minlength=xs.size)
+        points = np.add.outer(xs - np.floor(xs), _support_shifts(f))
+        sums = np.sum(np.abs(f.time_values(points)) ** 2, axis=1)
     else:
         sums = dual_energy(_fold(f, grid), grid.shifts(), xs, grid.step)
-    return ShiftSquareSum(float(np.max(sums, initial=0.0)), tail, "direct" if direct else "parseval")
+    return ShiftSquareSum(float(np.max(sums, initial=0.0)), "direct" if direct else "parseval")
 
 
 @dataclass(frozen=True)

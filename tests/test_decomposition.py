@@ -7,6 +7,7 @@ from sisbox import (
     PeriodicPartition,
     PiecewiseConstantSpectrum,
     TimeSamples,
+    build_space,
     check_determining_set,
     decompose,
     lattice_rescale,
@@ -123,6 +124,11 @@ class TestDecompose:
         total = sum(c.sampling_spectrum.grid_values(grid) for c in comps)
         parent = shannon_space.sampling_spectrum.grid_values(grid)
         assert float(np.max(np.abs(total - parent))) < 1e-9
+
+    def test_components_keep_the_seed(self, shannon, grid):
+        space = build_space(shannon, grid, seed=7)
+        part = PeriodicPartition.from_intervals([[[0.0, 0.5]], [[0.5, 1.0]]], grid)
+        assert [c.seed for c in decompose(space, part)] == [7, 7]
 
     @pytest.mark.parametrize("space_name", ["hat_space", "ex3_space"])
     def test_time_kernel_components_are_the_masked_kernel(self, space_name, grid, request):

@@ -86,6 +86,17 @@ class TestFileFormats:
         assert (tmp_path / "long.csv").read_text() == "k,re,im\n" + "".join(
             f"{k},{k / 3!r},0.0\n" for k in ks.tolist())
 
+    def test_table_bytes_match_the_row_by_row_reference(self, tmp_path):
+        # formatted a column at a time, over two full blocks and part of a third
+        special = np.array([-0.0, 5e-324, 1e-05, 1e16, 1.2345678901234568e+17, -2.5])
+        n = 2 * 4096 + 7
+        ks = np.arange(n) - n // 2
+        re, im = np.resize(special, n), np.resize(special[::-1], n)
+        sio._write_table(tmp_path / "t.csv", "k,re,im", ks, re, im)
+        rows = zip(ks.tolist(), re.tolist(), im.tolist())
+        want = "k,re,im\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+        assert (tmp_path / "t.csv").read_bytes() == want.encode()
+
     @pytest.mark.parametrize("reader", [sio.read_samples, sio.read_reconstruction_csv,
                                         sio.read_periodic_csv, sio.read_grid_spectrum,
                                         sio.read_piecewise_spectrum, sio.read_partition])

@@ -6,7 +6,9 @@ from sisbox import (
     FrequencyGrid,
     GridSpectrum,
     PiecewiseConstantSpectrum,
+    ShiftCombination,
     TimeSamples,
+    build_space,
     check_sz04,
     check_theorem2,
     check_theorem5,
@@ -105,6 +107,12 @@ class TestTheorem5:
     def test_non_integrable_rejected(self, ex3, grid):
         with pytest.raises(PreconditionError):
             check_theorem5(ex3, grid)
+
+    @pytest.mark.parametrize("k", [513, 600])
+    def test_kernel_shifted_past_kmax_keeps_its_samples(self, k, hat, grid):
+        # the default k_max (512) cuts none of the support's samples: hat(0) = 1 at k
+        rep = check_theorem5(ShiftCombination(hat, TimeSamples.delta(k)), grid)
+        assert rep.constants["samples_l2"] == 1.0
 
     def test_probe_stability(self, ex2, wide_grid):
         # the dual-energy constant is a sup over time offsets; resampling
@@ -213,6 +221,12 @@ class TestInducedSubspace:
             sub = induced_subspace(space, f)
             assert sub.kernel_mask_residual < 1e-9
             assert sub.kernel_projection_residual < 1e-9
+
+
+    def test_subspace_keeps_the_seed(self, shannon, grid):
+        space = build_space(shannon, grid, seed=7)
+        assert space.seed == 7
+        assert induced_subspace(space, PiecewiseConstantSpectrum([(0.0, 0.5, 1.0)])).space.seed == 7
 
 
 class TestConstructKernel:

