@@ -22,17 +22,16 @@ Every representation carries ``integrable_spectrum``: membership in the
 class of square-integrable functions with absolutely integrable spectrum
 (a time kernel's caller states it).
 
-Every phase a * x is reduced mod 1 exactly, by Dekker's split
-(``_product_turns``; ``_shifted_turns`` for a piece at m + c): piece
-phases, syntheses, and grid time evaluation, which takes the first nonzero
-node's phase and sums the others' offsets from it, at uniform points by a
-chirp (Bluestein) transform, ``_phase_czt``, over the dense blocks of the
-nonzero span and by ``_uniform_sum`` over the other nodes.  Only two sites
-round a product once, then reduce it: the direct sum at other points (x *
-offset), and ``twisted_sum`` / ``dual_energy`` (an exactly reduced x times
-shifts |m| <= K); ``dual_energy`` reads probe energies from the Gram matrix
-of the band rows.
-Cell and piece integrals are sincs, which do not cancel near x = 0.
+Every phase a * x is reduced mod 1 exactly by Dekker's split (``_product_turns``;
+``_shifted_turns`` for a piece at m + c; a factor past 2^52 is an integer).
+At uniform points a phase table is one exact phase per row times one per
+column of the points (``_linear_turns``): interval spectra's time values
+(``_phase_table``) and grid time evaluation, which sums the nonzero nodes'
+offsets from the first, by a chirp transform (``_phase_czt``) over the dense
+blocks of the span and by ``_uniform_sum`` over the other nodes.  Only two
+sites round a product once, then reduce it: the direct grid sum at other
+points (x * offset), and ``twisted_sum`` / ``dual_energy`` (an exactly
+reduced x times shifts |m| <= K).  Sincs do not cancel near x = 0.
 """
 
 from __future__ import annotations
@@ -57,6 +56,13 @@ _CHIRP_WORK_RATIO = 4
 _CZT_BLOCK = 16384
 QUADRATURE_ORDER = 2048  # trapezoid nodes over a time kernel's support
 _SYNTHESIS_BLOCK = 1 << 20  # (point, term) pairs per block of a direct sum: grid nodes or shifts
+_TABLE_BLOCK = 1 << 14  # (point, frequency) entries per block of a phase table
+# a table of this many entries at uniform points is built by rows and columns; below,
+# its ~60 numpy calls and short rows cost more than they save: shannon's 2 pieces at
+# 4,097 points take 0.54-0.76 ms a pair at a time and 0.91-0.94 ms by rows and
+# columns (2-vCPU Xeon, numpy 2.4.6)
+_TABLE_MIN = 1 << 14
+_INTEGRAL = 2.0 ** 52  # every double of at least this magnitude is an integer
 
 
 def _uniform_spacing(xs: np.ndarray) -> float | None:
@@ -65,11 +71,11 @@ def _uniform_spacing(xs: np.ndarray) -> float | None:
     the rounding of the first two points."""
     if xs.size < 3:
         return None
-    d = np.diff(xs)
-    if d[0] == 0:
-        return None
-    if np.max(np.abs(d - d[0])) <= 1e-12 * max(abs(d[0]), 1.0):
-        return float((xs[-1] - xs[0]) / (xs.size - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference past 1.8e308 is no spacing
+        d = np.diff(xs)
+        if d[0] != 0 and np.max(np.abs(d - d[0])) <= 1e-12 * max(abs(d[0]), 1.0):
+            h = float((xs[-1] - xs[0]) / (xs.size - 1))
+            return h if np.isfinite(h) else None
     return None
 
 
@@ -79,19 +85,42 @@ def _turns(t: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * (t - np.round(t)))
 
 
+def _split(v):
+    """High half, of at most 26 bits, of Dekker's split (2^27 + 1); v * (2^27 + 1)
+    overflows past 1.34e300, so a factor above 2^995 is split at 2^-28 v."""
+    s = np.where(np.abs(v) > 2.0 ** 995, 2.0 ** 28, 1.0)  # scaling by it is exact
+    return (v / s * 134217729.0 - (v / s * 134217729.0 - v / s)) * s
+
+
+def _two_product(a, b):
+    """p + e = a*b exactly, p the rounded product (Dekker)."""
+    ah, bh = _split(a), _split(b)
+    al, bl, p = a - ah, b - bh, a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def _product_turns(a, x):
     """a*x less an integer (broadcast), so that _turns of it is exp(2i*pi*a*x)
     to rounding however large a*x is: Dekker's split (2^27 + 1) cuts each
     factor into halves of at most 26 bits, whose four products are exact and
-    are each reduced mod 1."""
-    ah, xh = (v * 134217729.0 - (v * 134217729.0 - v) for v in (a, x))
+    are each reduced mod 1.  A factor of magnitude >= 2^52 is an integer, so
+    the other one counts mod 1 only (exact), and the products stay finite."""
+    a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
+    if np.abs(a).max(initial=0.0) >= _INTEGRAL or np.abs(x).max(initial=0.0) >= _INTEGRAL:
+        a, x = (np.where(np.abs(o) >= _INTEGRAL, v - np.round(v), v) for v, o in ((a, x), (x, a)))
+        ah, xh = _split(a), _split(x)
+    else:
+        ah, xh = (v * 134217729.0 - (v * 134217729.0 - v) for v in (a, x))
     al, xl = a - ah, x - xh
     return sum(p - np.round(p) for p in (ah * xh, ah * xl, al * xh, al * xl))
 
 
 def _shifted_turns(m, c, x):
     """(m + c)*x less an integer, m integer and c in [0, 1]: m + c rounds to a,
-    whose remainder c - (a - m) is exact (Fast2Sum) and too small to reduce."""
+    whose remainder c - (a - m) is exact (Fast2Sum) and too small to reduce.
+    Where |x| >= 2^52, x is an integer, and so is m*x: m drops out."""
+    if np.abs(x).max(initial=0.0) >= _INTEGRAL:
+        m = np.where(np.abs(x) >= _INTEGRAL, 0, m)
     a = m + c
     return _product_turns(a, x) + (c - (a - m)) * x
 
@@ -115,11 +144,46 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _linear_turns(rate: float, rows: int, width: int) -> np.ndarray:
-    """exp(2i*pi*rate*j) for j = 0..rows*width-1, shaped (rows, width): one
-    exact phase per row times one per column, not an exp per element."""
-    return np.multiply.outer(_turns(_product_turns(rate, np.arange(rows) * width)),
-                             _turns(_product_turns(rate, np.arange(width))))
+def _linear_turns(rate, rows, width):
+    """Factors of exp(2i*pi*rate*j), j = r*width + c: rows exp(2i*pi*rate*r*width)
+    (rows, F) and columns exp(2i*pi*rate*c) (width, F), one exact phase each, for
+    F rates each the exact sum of its parts (a tuple of scalars or (F,) arrays)."""
+    n = np.concatenate([np.arange(rows) * width, np.arange(width)])[:, None, None]
+    t = _turns(_product_turns(np.stack(np.broadcast_arrays(*rate)), n).sum(axis=1))
+    return t[:rows], t[rows:]
+
+
+def _phase_table(m, c, xs: np.ndarray):
+    """Blocks (points, table) of exp(2i*pi*f*x), f = m + c (m integer, c in [0, 1]),
+    a row per f and a column per x in xs[points], each entry its exact phase's to
+    rounding.  At uniform x_j = x0 + h*j + d_j, j = r*width + c, from _TABLE_MIN
+    entries on: one exact phase per row, f*(x0 + h*r*width), times one per column,
+    f*h*c (f*h a two-product), times 1 + 2i*pi*f*d_j, which is exp(2i*pi*f*d_j)
+    to rounding as |f*d_j| <= 2^-30; elsewhere one exact phase an entry."""
+    f = m + c
+    h = _uniform_spacing(xs) if xs.size * f.size >= _TABLE_MIN else None
+    if h is not None:
+        p, e = _two_product(h, np.arange(xs.size, dtype=float))
+        s = xs[0] + p
+        z = s - xs[0]
+        d = xs - s - ((xs[0] - (s - z)) + (p - z)) - e  # x0 + h*j = s + t + e exactly (TwoSum t)
+    if h is None or not (np.max(np.abs(f)) * np.max(np.abs(d)) <= 2.0 ** -30
+                         and np.max(np.abs(f)) * abs(xs[-1] - xs[0]) < _INTEGRAL):
+        step = max(1, _TABLE_BLOCK // max(f.size, 1))
+        for i in range(0, xs.size, step):
+            yield slice(i, i + step), _turns(_shifted_turns(m[:, None], c[:, None], xs[i:i + step]))
+        return
+    width = int(np.ceil(np.sqrt(xs.size)))
+    hi, lo = _two_product(f, h)
+    row, col = _linear_turns((hi, lo + (c - (f - m)) * h), -(-xs.size // width), width)
+    row, col = (row * _turns(_shifted_turns(m, c, xs[0]))).T, col.T
+    step = max(1, _TABLE_BLOCK // (width * f.size))  # rows a block
+    for r in range(0, row.shape[1], step):
+        points = slice(r * width, min((r + step) * width, xs.size))
+        table = (row[:, r:r + step, None] * col[:, None]).reshape(f.size, -1)[:, :points.stop - points.start]
+        if np.any(d[points]):
+            table *= 1 + 2j * np.pi * np.multiply.outer(f, d[points])
+        yield points, table
 
 
 def _uniform_sum(coeffs, ints: np.ndarray, start: float, rate: float, count: int) -> np.ndarray:
@@ -280,7 +344,7 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
         out = _uniform_sum(values[rest], rest - first, xs[0] / n, spacing / n, xs.size)
         if dense.size:
             lo, hi = nz[dense[0]], nz[dense[-1]] + 1
-            twist = _linear_turns(xs[0] / n, -(-(hi - lo) // n), n).ravel()[:hi - lo]
+            twist = np.outer(*_linear_turns((xs[0] / n,), -(-(hi - lo) // n), n)).ravel()[:hi - lo]
             chirp = _phase_czt(values[lo:hi] * twist, spacing / n, xs.size)
             if lo > first:  # the transform's offset from the first node, one exact phase
                 chirp *= _turns(_product_turns((lo - first) / n, xs))
@@ -375,12 +439,15 @@ class PiecewiseConstantSpectrum(Signal):
 
     def time_values(self, xs) -> np.ndarray:
         # piece [m + lo, m + hi): v * width * sinc(width * x) * exp(2i*pi*centre*x),
-        # the phase reduced exactly; no ramp exp(...) - 1 that cancels near x = 0
+        # the phases from _phase_table; no ramp exp(...) - 1 that cancels near x = 0
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        out = np.zeros(xs.shape, dtype=complex)
-        for m, lo, hi, v in self.pieces:
-            out += v * (hi - lo) * np.sinc((hi - lo) * xs) * _turns(_shifted_turns(m, (lo + hi) / 2, xs))
-        return out
+        big = np.abs(xs).max(initial=0.0) > 2.0 ** 1000  # pi * width * x can overflow
+        m, lo, hi, v = (np.array([p[i] for p in self.pieces]) for i in range(4))
+        out = np.zeros(xs.size, dtype=complex)
+        for points, table in _phase_table(m, (lo + hi) / 2, xs.ravel()):
+            u = np.multiply.outer(hi - lo, xs.ravel()[points])  # sinc is ~0 past 2^60: capped there if big
+            out[points] = (v * (hi - lo)) @ (np.sinc(np.minimum(np.abs(u), 2.0 ** 60) if big else u) * table)
+        return out.reshape(xs.shape)
 
     def scaled(self, factor: complex) -> "PiecewiseConstantSpectrum":
         return PiecewiseConstantSpectrum.from_local_pieces(
@@ -401,12 +468,15 @@ def twisted_sum(coeffs: np.ndarray, shifts: np.ndarray, x: float) -> np.ndarray:
 def dual_energy(coeffs: np.ndarray, shifts: np.ndarray, xs: np.ndarray, weights) -> np.ndarray:
     """sum_c weights[c] |sum_r coeffs[r, c] exp(2i*pi*shifts[r]*x)|^2 at each x in
     xs, as the quadratic form e G e^H of the phases e_r in the Gram matrix G =
-    rows W rows^H of the band rows: no (offsets, columns) table.  x is reduced
-    as in ``twisted_sum``; a NaN node makes G, and every energy, NaN."""
+    rows W rows^H of the band rows: no (offsets, columns) table.  Weights are
+    nonnegative (1/N; length / |Z|^2 or 0), so with S = [Re; Im] rows sqrt(W)
+    and H = S S^T, G = H11 + H22 + i(H21 - H12).  x is reduced as in
+    ``twisted_sum``; a NaN node makes G, and every energy, NaN."""
     band = FrequencyGrid.band(coeffs)
-    weighted = np.conj(coeffs[band])
-    weighted *= weights
-    gram = np.conj(weighted @ coeffs[band].T)  # G[r, s] = sum_c rows[r, c] w_c conj(rows[s, c])
+    b, stacked = band.stop - band.start, np.concatenate([coeffs[band].real, coeffs[band].imag])
+    stacked *= np.sqrt(weights)
+    h = stacked @ stacked.T  # numpy runs S S^T as one symmetric rank-k product
+    gram = (h[:b, :b] + h[b:, b:]) + 1j * (h[b:, :b] - h[:b, b:])  # G[r, s] = sum_c rows[r, c] w_c conj(rows[s, c])
     e = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts[band]))
     return np.sum((e @ gram) * np.conj(e), axis=1).real
 
@@ -537,7 +607,7 @@ class TimeKernel(Signal):
         k, n = grid.half_bandwidth, grid.resolution
         delta = (b - a) / QUADRATURE_ORDER
         out = _phase_czt(w * s * _turns(k * xs), -delta / n, grid.size)
-        out *= _linear_turns(-a / n, 2 * k, n).ravel()
+        out *= np.outer(*_linear_turns((-a / n,), 2 * k, n)).ravel()
         return out
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:
@@ -591,9 +661,11 @@ class ShiftCombination(Signal):
         psi(y) = sum over ends e of w_e exp(2i*pi*e*y) / (2i*pi*y), w_e = +v at
         e1 and -v at e0, so the sum is, over ends, exp(2i*pi*e*x) times
         (R @ (c w_e exp(-2i*pi*e*k))) / (2i*pi), R the real Cauchy matrix
-        1/(x - k): 2 * pieces * (S + X) exps, not 2 * pieces * S * X.  Near a
-        pole the factored form cancels: entries with |x - k| < 1/2 are left out
-        of R and summed directly through the base's time values."""
+        1/(x - k).  Near a pole the factored form cancels: entries with |x - k|
+        < 1/2 are left out of R and summed directly as the pieces' sincs, their
+        phase exp(2i*pi*centre*(x - k)) the x-side one times exp(-2i*pi*centre*k).
+        The x-side phases of ends and centres are one ``_phase_table``: at
+        uniform points one exact phase per row and per column of the points."""
         ks, cs = self.coefficients.ks, self.coefficients.values
         if not ks.size:
             return np.zeros(xs.size, dtype=complex)
@@ -602,21 +674,24 @@ class ShiftCombination(Signal):
         idx = np.clip(np.searchsorted(ks, near), 0, ks.size - 1)
         at = np.flatnonzero((np.abs(y) < 0.5) & (ks[idx] == near))  # not NaN or inf
         idx = idx[at]
-        m, lo, hi, v = (np.array(col) for col in zip(*self.base.pieces))
-        m, frac, w = np.tile(m, 2), np.concatenate([hi, lo]), np.concatenate([v, -v])
-        # (S, 2E) real view of the k-side factor: e*k mod 1 drops e's integer part
-        coef = (cs[:, None] * w / (2j * np.pi) * _turns(-_product_turns(frac, ks[:, None]))).view(float)
+        m, lo, hi, v = (np.array([p[i] for p in self.base.pieces]) for i in range(4))
+        ends = 2 * m.size
+        # frequencies: the ends m + hi and m + lo, then the centres; each k-side factor
+        # drops the integer part m*k: (S, 2E) real view for R, (S, E) at the poles
+        frac = np.concatenate([hi, lo, (lo + hi) / 2])
+        k_turns = _turns(-_product_turns(frac, ks[:, None]))
+        coef = (cs[:, None] * np.concatenate([v, -v]) / (2j * np.pi) * k_turns[:, :ends]).view(float)
+        pole = cs[:, None] * v * (hi - lo) * k_turns[:, ends:]
         out = np.empty(xs.size, dtype=complex)
-        rows = max(1, _SYNTHESIS_BLOCK // max(ks.size, m.size))
-        for start in range(0, xs.size, rows):
-            xb = xs[start:start + rows, None]
-            r = xb - ks
-            pole = slice(*np.searchsorted(at, [start, start + rows]))
-            r[at[pole] - start, idx[pole]] = np.inf  # left out: summed directly below
+        for points, table in _phase_table(np.tile(m, 3), frac, xs):
+            r = xs[points, None] - ks
+            block = slice(*np.searchsorted(at, [points.start, points.stop]))
+            rows = at[block] - points.start
+            r[rows, idx[block]] = np.inf  # left out: summed directly below
             np.reciprocal(r, out=r)
-            ends = _turns(_shifted_turns(m, frac, xb))
-            out[start:start + rows] = np.sum(ends * (r @ coef).view(complex), axis=1)
-        out[at] += cs[idx] * self.base.time_values(y[at])
+            out[points] = np.einsum("ji,ij->i", table[:ends], (r @ coef).view(complex))
+            sincs = np.sinc(np.multiply.outer(hi - lo, y[at[block]]))
+            out[at[block]] += np.einsum("ji,ji,ij->i", sincs, table[ends:, rows], pole[idx[block]])
         return out
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:

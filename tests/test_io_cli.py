@@ -454,9 +454,9 @@ ERROR_CASES = [
       "--out", "{d}/rec.csv"], 1, "usage error: argument --to"),
     (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--lattice", "1,nan",
       "--out", "{d}/rec.csv"], 1, "usage error: --lattice"),
-    # finite ends whose points' phases overflow: no nan rows are written
-    (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--from", "1e300",
-      "--to", "1e301", "--out", "{d}/rec.csv"], 1, "error: reconstruction is not finite"),
+    # samples whose sum overflows at x = 1/2: no inf or nan rows are written
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/huge_values.csv", "--from", "0",
+      "--to", "1", "--points", "3", "--out", "{d}/rec.csv"], 1, "error: reconstruction is not finite"),
     (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--lattice", "2",
       "--out", "{d}/rec.csv"], 1, "usage error: --lattice expects 'a,b'"),
     (["analyze", "{d}/not_a_list.json"], 1, "error: line 1: expected a JSON list"),
@@ -485,6 +485,7 @@ def error_inputs(tmp_path):
     (tmp_path / "delta0.csv").write_text("k,re,im\n0,1,0\n")
     (tmp_path / "far_samples.csv").write_text("k,re,im\n0,1,0\n1024,1,0\n")
     (tmp_path / "huge_index.csv").write_text("k,re,im\n1e300,1,0\n")
+    (tmp_path / "huge_values.csv").write_text("k,re,im\n0,1.7e308,0\n1,1.7e308,0\n")
     (tmp_path / "tiny_step.csv").write_text("omega,re,im\n0,1,0\n1e-320,1,0\n2e-320,1,0\n3e-320,1,0\n")
     sio.write_partition([[[0.0, 0.7]], [[0.5, 1.0]]], tmp_path / "overlap.json")
     (tmp_path / "not_a_list.json").write_text('{"a": 0, "b": 1}')
@@ -512,10 +513,10 @@ def test_error_exit_codes_without_traceback(error_inputs, capsys, argv, code, pr
 @pytest.mark.parametrize("argv, prefix", [
     (["reconstruct", "--space", "shannon", "--samples", "{d}/huge_index.csv", "--out", "{d}/rec.csv"],
      "error: line 2: sample index 1e+300 is not a machine integer"),
-    (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--from", "1e300",
-      "--to", "1e301", "--out", "{d}/rec.csv"], "error: reconstruction is not finite"),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/huge_values.csv", "--from", "0",
+      "--to", "1", "--points", "3", "--out", "{d}/rec.csv"], "error: reconstruction is not finite"),
     (["analyze", "{d}/tiny_step.csv"], "error: line 1: omegas do not form a power-of-two grid")],
-    ids=["index-cast", "phase-overflow", "step-overflow"])
+    ids=["index-cast", "value-overflow", "step-overflow"])
 def test_refusal_raises_no_numpy_warning(error_inputs, capsys, argv, prefix):
     # the error line is all stderr carries: no cast or overflow warning ahead of it
     with warnings.catch_warnings():
@@ -523,6 +524,18 @@ def test_refusal_raises_no_numpy_warning(error_inputs, capsys, argv, prefix):
         rc = main([a.format(d=error_inputs) for a in argv])
     assert rc == 1
     assert capsys.readouterr().err.startswith(prefix)
+
+
+def test_points_past_the_split_overflow_reconstruct(error_inputs, capsys):
+    # Dekker's split overflowed past |x| ~ 1.34e300: this run exited 1 ("not finite")
+    out = error_inputs / "rec.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["reconstruct", "--space", "shannon", "--samples", str(error_inputs / "delta0.csv"),
+                   "--from", "1.5e300", "--to", "1.6e300", "--points", "3", "--out", str(out)])
+    assert rc == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 1:], np.zeros((3, 2)))  # sinc at integers
 
 
 def test_file_spectrum_widens_grid(error_inputs, capsys):

@@ -8,6 +8,7 @@ bound sits between the peak with those temporaries and the peak without.
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sisbox import (
@@ -21,6 +22,8 @@ from sisbox import (
     shift_square_sum,
 )
 from sisbox.spaces import _probe_points
+
+from conftest import random_coefficients
 
 MIB = 2 ** 20
 
@@ -64,6 +67,20 @@ def test_theorem5_dual_energy_peak(fine_grid):
     hat.grid_values(fine_grid)
     assert traced_peak(lambda: check_theorem5(hat, fine_grid)) <= 16.4 * MIB
 
+
+def test_interval_spectrum_table_runs_in_blocks():
+    # ex2's 61 pieces at the continuity falsifier's 4,097 uniform points: the
+    # phase table is built a block of rows at a time, never (4,097, 61) at once
+    ex2 = build_signal("ex2", FrequencyGrid(64, 1024))
+    xs = np.unique(np.add.outer(np.arange(-8, 8), np.linspace(0.0, 1.0, 257)))
+    assert traced_peak(lambda: ex2.time_values(xs)) <= 2 * MIB
+
+
+def test_interval_synthesis_peak():
+    # 17 coefficients over ex2 at 1,000 uniform points: a (1,000, 122) table of
+    # exact phases and its split halves read 6.75 MiB
+    f = ShiftCombination(build_signal("ex2", FrequencyGrid(64, 1024)), random_coefficients(41))
+    assert traced_peak(lambda: f.time_values(np.linspace(-8, 8, 1000))) <= 6.75 * MIB
 
 
 def test_spread_combination_reads_only_its_windows():

@@ -195,6 +195,17 @@ def test_nan_node_makes_the_bound_nan(grid):
     assert np.isnan(shift_square_sum(nan_node_signal(grid), _probe_points(0), grid).bound)
 
 
+@pytest.mark.parametrize("weights", ["step", "zero-at-nan"])
+def test_nan_node_makes_every_energy_nan(weights, grid):
+    # a NaN node in one band row: G's row and column are NaN, and every e G e^H reads them
+    vals = nan_node_signal(grid).grid_values(grid)
+    w = np.full(grid.resolution, grid.step)
+    if weights == "zero-at-nan":
+        w[3] = 0.0
+    energies = dual_energy(grid.fold(vals), grid.shifts(), np.concatenate([_probe_points(0), FAR_OFFSETS]), w)
+    assert np.all(np.isnan(energies))
+
+
 @pytest.mark.parametrize("probes", [[0.25, np.nan], [np.inf], [-np.inf, 0.5]],
                          ids=["nan", "inf", "minus-inf"])
 @pytest.mark.parametrize("name", ["hat", "ex3", "hat-combination", "blhat"])

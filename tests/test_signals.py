@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -153,6 +154,10 @@ def exact_phase_sum(coeffs, ints, rate) -> complex:
     return complex(np.sum(coeffs * np.exp(2j * np.pi * turns.astype(float))))
 
 
+# past the split's overflow at 1.34e300, and integers past 2^52
+HUGE_POINTS = [1.5e300, -1.5e300, 1.7e308, -1.7e308, 2.0 ** 53 + 2, 1e16 + 2]
+
+
 class TestChirpTransform:
     @pytest.mark.parametrize("size, count, rate", [
         (2049, 65536, -2.0 ** -20),          # TimeKernel spectrum: M = 2048 at (32, 1024)
@@ -187,6 +192,31 @@ class TestChirpTransform:
         for n, t in zip(ns, got):
             err = Fraction(float(t)) - Fraction(rate) * int(n)
             assert abs(err - round(err)) <= 4.5e-16
+
+    @pytest.mark.parametrize("rate", [2.0 ** -10, 0.75, -2.0 ** -61, (16 / 999) / 1024, 0.3, 60.3])
+    def test_product_turns_past_the_split_overflow(self, rate):
+        # v * (2^27 + 1) overflows past 1.34e300; a factor of at least 2^52 is an
+        # integer, so the other counts mod 1 only; both orders of the factors
+        for x in HUGE_POINTS:
+            for got in (signals._product_turns(rate, x), signals._product_turns(x, rate)):
+                err = Fraction(float(got)) - Fraction(rate) * Fraction(x)
+                assert abs(err - round(err)) <= 4.5e-16
+
+    @pytest.mark.parametrize("m, c", [(60, 2.0 ** -61), (0, 0.25), (-3, 0.3), (59, 0.7), (7, 1.0)])
+    def test_shifted_turns_past_the_split_overflow(self, m, c):
+        got = signals._shifted_turns(m, c, np.array(HUGE_POINTS))
+        for x, t in zip(HUGE_POINTS, got):
+            err = Fraction(float(t)) - (m + Fraction(c)) * Fraction(x)
+            assert abs(err - round(err)) <= 4.5e-16
+
+    @pytest.mark.parametrize("name", ["shannon", "ex2", "blhat", "synthesis"])
+    def test_time_values_past_the_split_overflow(self, name, ex2, request):
+        f = ShiftCombination(ex2, random_coefficients(41)) if name == "synthesis" else (
+            ex2 if name == "ex2" else request.getfixturevalue(name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(f.time_values(HUGE_POINTS)))
+            assert np.all(np.isfinite(f.time_values([-1e308, 0.0, 1e308])))
 
     def test_uniform_evaluation_keeps_the_points(self):
         # the first difference of linspace(-8, 8, 1000) is off by 3.6e-16; a
@@ -339,7 +369,7 @@ class TestChirpTransform:
         xs = np.linspace(-8, 8, 4097)
         n, nz = grid.resolution, np.flatnonzero(vals)
         first, span = nz[0], nz[-1] + 1 - nz[0]
-        twist = signals._linear_turns(xs[0] / n, -(-span // n), n).ravel()[:span]
+        twist = np.outer(*signals._linear_turns((xs[0] / n,), -(-span // n), n)).ravel()[:span]
         w = first / n - grid.half_bandwidth
         kern = grid.step * np.sinc(grid.step * xs) * signals._turns(
             signals._product_turns(w, xs) + grid.step / 2 * xs)
@@ -467,12 +497,13 @@ class TestShiftCombination:
 
     @pytest.mark.parametrize("name", ["ex2", "hat", "blhat"])
     def test_blocks_do_not_change_the_sum(self, name, request, monkeypatch):
-        # one block, then one point (factored sum; poles land in every block)
+        # one block, then one point (factored sum's phase table; poles land in every block)
         # or one shift per block (time kernel; grid base, whose direct sum: one point)
         f = ShiftCombination(request.getfixturevalue(name), random_coefficients(47))
         xs = np.concatenate([SYNTHESIS_POINTS, np.linspace(-9, 9, 37)])
         whole = f.time_values(xs)
         monkeypatch.setattr(signals, "_SYNTHESIS_BLOCK", 1)
+        monkeypatch.setattr(signals, "_TABLE_BLOCK", 1)
         assert np.max(np.abs(f.time_values(xs) - whole)) <= 1e-15 * np.max(np.abs(whole))
 
     def test_interval_base_is_summed_in_factored_form(self, shannon, monkeypatch):
@@ -567,3 +598,78 @@ class TestGridSamples:
         else:
             assert samples.tail_energy > 0.0
             assert abs(samples.tail_energy - dropped) <= 1e-12 * total
+
+
+FALSIFIER_POINTS = np.unique(np.add.outer(np.arange(-8, 8), np.linspace(0, 1, 257)))
+FAR_PIECE = PiecewiseConstantSpectrum.from_local_pieces([(60, 0.25, 0.625, 1.0 - 2.0j)])
+
+
+class TestUniformTable:
+    """Interval spectra at uniform points: phases from one exact phase per row
+    and per column of the points (``_phase_table``), against the exact-phase
+    sums and against the per-pair route at the same floats.  The points of
+    ``linspace(-8, 8, 1000)`` carry residuals from x0 + h*j; the falsifier's
+    dyadic points carry none."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        # the table at any size; records each one built by rows and columns
+        monkeypatch.setattr(signals, "_TABLE_MIN", 0)
+        built, plain = [], signals._linear_turns
+        monkeypatch.setattr(signals, "_linear_turns", lambda *args: built.append(args) or plain(*args))
+        return built
+
+    @staticmethod
+    def signal(name, ex2):
+        if name == "synthesis":
+            return ShiftCombination(ex2, random_coefficients(41)), ex2.pieces
+        base = ex2 if name == "ex2" else FAR_PIECE
+        return base, base.pieces
+
+    @pytest.mark.parametrize("points", [np.linspace(-8, 8, 1000), FALSIFIER_POINTS, np.linspace(492, 508, 1000)],
+                             ids=["residuals", "dyadic", "far"])
+    @pytest.mark.parametrize("name", ["ex2", "far-piece", "synthesis"])
+    def test_matches_exact_phase_sums(self, name, points, ex2, tables):
+        f, pieces = self.signal(name, ex2)
+        got = f.time_values(points)
+        assert len(tables) == 1
+        picks = np.r_[0:points.size:29, points.size - 1]
+        if isinstance(f, ShiftCombination):
+            want = exact_synthesis(pieces, f.coefficients.ks, f.coefficients.values, points[picks])
+        else:  # the sincs as computed: at x ~ 500, sinc's own rounding is ~1e-13 of it
+            want = [exact_phase_sum(np.array([v * (hi - lo) * np.sinc((hi - lo) * x) for _, lo, hi, v in pieces]),
+                                    [m + (Fraction(lo) + Fraction(hi)) / 2 for m, lo, hi, _ in pieces], x)
+                    for x in points[picks]]
+        assert np.max(np.abs(got[picks] - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("points", [np.linspace(-8, 8, 1000), FALSIFIER_POINTS, np.linspace(492, 508, 1000)],
+                             ids=["residuals", "dyadic", "far"])
+    @pytest.mark.parametrize("name", ["ex2", "far-piece", "synthesis"])
+    def test_matches_the_per_pair_route(self, name, points, ex2, tables, monkeypatch):
+        # one interior point moved by one ulp is one residual more for the table
+        f, _ = self.signal(name, ex2)
+        moved = points.copy()
+        moved[points.size // 2 + 1] = np.nextafter(moved[points.size // 2 + 1], np.inf)
+        for xs in (points, moved):
+            table = f.time_values(xs)
+            monkeypatch.setattr(signals, "_TABLE_MIN", np.inf)
+            pairs = f.time_values(xs)
+            monkeypatch.setattr(signals, "_TABLE_MIN", 0)
+            assert np.max(np.abs(table - pairs)) <= 2e-15 * np.max(np.abs(pairs))
+        assert len(tables) == 2
+
+    def test_member_takes_a_phase_per_row_and_column(self, ex2, monkeypatch):
+        # 1,000 points against 61 pieces (122 ends and 61 centres) and 17 coefficients;
+        # one exact phase per (point, frequency) would be 183,000
+        seen, plain = [], signals._turns
+        monkeypatch.setattr(signals, "_turns", lambda t: seen.append(np.size(t)) or plain(t))
+        ShiftCombination(ex2, random_coefficients(41)).time_values(np.linspace(-8, 8, 1000))
+        assert sum(seen) < 50_000
+
+    def test_points_off_uniform_take_the_per_pair_route(self, ex2, tables):
+        xs = np.concatenate([np.linspace(-8, 0, 500), np.linspace(0.5, 8, 500)])
+        f = ShiftCombination(ex2, random_coefficients(41))
+        want = exact_synthesis(ex2.pieces, f.coefficients.ks, f.coefficients.values, xs[::50])
+        got = f.time_values(xs)
+        assert not tables
+        assert np.max(np.abs(got[::50] - want)) <= 1e-14 * np.max(np.abs(want))

@@ -315,9 +315,17 @@ class TestReconstruct:
                 reconstruct(ex2_space, TimeSamples.delta(k), xs)
 
     def test_non_finite_value_is_refused(self, shannon_space):
-        # Dekker's split overflows past |x| ~ 1.3e300: the value used to come back NaN
+        # f(1/2) = 1.7e308 * 2 * sinc(1/2) overflows; f(0) = 1.7e308 does not
         with pytest.raises(PreconditionError, match="not finite at 1 of 2 points"):
-            reconstruct(shannon_space, TimeSamples.delta(0), [0.0, 1e301])
+            reconstruct(shannon_space, TimeSamples.from_pairs({0: 1.7e308, 1: 1.7e308}), [0.0, 0.5])
+
+    def test_points_past_the_split_overflow_are_finite(self, shannon_space):
+        # Dekker's split used to overflow past |x| ~ 1.34e300 and return NaN;
+        # sinc vanishes at these points, all integers
+        xs = [0.0, 1e301, 1.5e300, -1.7e308]
+        with np.errstate(over="raise", invalid="raise"):
+            rec = reconstruct(shannon_space, TimeSamples.delta(0), xs)
+        np.testing.assert_array_equal(rec.values, [1.0, 0.0, 0.0, 0.0])
 
 
 class TestProject:
