@@ -56,12 +56,10 @@ _CHIRP_WORK_RATIO = 4
 _CZT_BLOCK = 16384
 QUADRATURE_ORDER = 2048  # trapezoid nodes over a time kernel's support
 _SYNTHESIS_BLOCK = 1 << 20  # (point, term) pairs per block of a direct sum: grid nodes or shifts
-_TABLE_BLOCK = 1 << 14  # (point, frequency) entries per block of a phase table
-# a table of this many entries at uniform points is built by rows and columns; below,
-# its ~60 numpy calls and short rows cost more than they save: shannon's 2 pieces at
-# 4,097 points take 0.54-0.76 ms a pair at a time and 0.91-0.94 ms by rows and
-# columns (2-vCPU Xeon, numpy 2.4.6)
-_TABLE_MIN = 1 << 14
+# entries of a phase table per block; at uniform points a table of one block or more
+# is built by rows and columns, a smaller one a pair at a time: shannon's 2 pieces at
+# 4,097 points take 0.54-0.76 ms by pairs, 0.91-0.94 by rows (2-vCPU Xeon, numpy 2.4.6)
+_TABLE_BLOCK = 1 << 14
 _INTEGRAL = 2.0 ** 52  # every double of at least this magnitude is an integer
 
 
@@ -86,10 +84,8 @@ def _turns(t: np.ndarray) -> np.ndarray:
 
 
 def _split(v):
-    """High half, of at most 26 bits, of Dekker's split (2^27 + 1); v * (2^27 + 1)
-    overflows past 1.34e300, so a factor above 2^995 is split at 2^-28 v."""
-    s = np.where(np.abs(v) > 2.0 ** 995, 2.0 ** 28, 1.0)  # scaling by it is exact
-    return (v / s * 134217729.0 - (v / s * 134217729.0 - v / s)) * s
+    """High half, of at most 26 bits, of Dekker's split (2^27 + 1): finite to 2^995."""
+    return v * 134217729.0 - (v * 134217729.0 - v)
 
 
 def _two_product(a, b):
@@ -103,14 +99,13 @@ def _product_turns(a, x):
     """a*x less an integer (broadcast), so that _turns of it is exp(2i*pi*a*x)
     to rounding however large a*x is: Dekker's split (2^27 + 1) cuts each
     factor into halves of at most 26 bits, whose four products are exact and
-    are each reduced mod 1.  A factor of magnitude >= 2^52 is an integer, so
-    the other one counts mod 1 only (exact), and the products stay finite."""
-    a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
-    if np.abs(a).max(initial=0.0) >= _INTEGRAL or np.abs(x).max(initial=0.0) >= _INTEGRAL:
+    are each reduced mod 1.  A factor past 2^52 is an integer: the other counts
+    mod 1 only; one past 2^995 is split at 2^-28 of itself (both exact)."""
+    if max(np.fmax.reduce(np.abs(v), axis=None, initial=0.0) for v in (a, x)) >= _INTEGRAL:  # NaN left out
         a, x = (np.where(np.abs(o) >= _INTEGRAL, v - np.round(v), v) for v, o in ((a, x), (x, a)))
-        ah, xh = _split(a), _split(x)
+        ah, xh = (_split(v / s) * s for v in (a, x) for s in [np.where(np.abs(v) > 2.0 ** 995, 2.0 ** 28, 1.0)])
     else:
-        ah, xh = (v * 134217729.0 - (v * 134217729.0 - v) for v in (a, x))
+        ah, xh = _split(a), _split(x)
     al, xl = a - ah, x - xh
     return sum(p - np.round(p) for p in (ah * xh, ah * xl, al * xh, al * xl))
 
@@ -119,7 +114,7 @@ def _shifted_turns(m, c, x):
     """(m + c)*x less an integer, m integer and c in [0, 1]: m + c rounds to a,
     whose remainder c - (a - m) is exact (Fast2Sum) and too small to reduce.
     Where |x| >= 2^52, x is an integer, and so is m*x: m drops out."""
-    if np.abs(x).max(initial=0.0) >= _INTEGRAL:
+    if np.fmax.reduce(np.abs(x), axis=None, initial=0.0) >= _INTEGRAL:
         m = np.where(np.abs(x) >= _INTEGRAL, 0, m)
     a = m + c
     return _product_turns(a, x) + (c - (a - m)) * x
@@ -153,23 +148,24 @@ def _linear_turns(rate, rows, width):
     return t[:rows], t[rows:]
 
 
-def _phase_table(m, c, xs: np.ndarray):
-    """Blocks (points, table) of exp(2i*pi*f*x), f = m + c (m integer, c in [0, 1]),
-    a row per f and a column per x in xs[points], each entry its exact phase's to
-    rounding.  At uniform x_j = x0 + h*j + d_j, j = r*width + c, from _TABLE_MIN
-    entries on: one exact phase per row, f*(x0 + h*r*width), times one per column,
-    f*h*c (f*h a two-product), times 1 + 2i*pi*f*d_j, which is exp(2i*pi*f*d_j)
-    to rounding as |f*d_j| <= 2^-30; elsewhere one exact phase an entry."""
+def _phase_table(m, c, xs: np.ndarray, terms: int = 1):
+    """Blocks (points, table) of exp(2i*pi*f*x), f = m + c (m integer, c in [0, 1]), a
+    row per f and a column per x in xs[points]: at most _TABLE_BLOCK entries, and
+    _SYNTHESIS_BLOCK pairs of x and the caller's ``terms``.  Each entry is its exact
+    phase's to rounding: one a pair, or at uniform x_j = x0 + h*j + d_j, from one
+    block on, one exact phase per row r, f*(x0 + h*r*width), times one per column c,
+    f*h*c (f*h a two-product), times 1 + 2i*pi*f*d_j (|f*d_j| <= 2^-30)."""
     f = m + c
-    h = _uniform_spacing(xs) if xs.size * f.size >= _TABLE_MIN else None
+    step = max(1, min(_TABLE_BLOCK // max(f.size, 1), _SYNTHESIS_BLOCK // terms))  # points a block
+    top = np.max(np.abs(f), initial=0.0)  # by rows only while |f*x| < 2^51: a span < 2^52 turns
+    by_rows = xs.size * f.size >= _TABLE_BLOCK and top * max(abs(xs[0]), abs(xs[-1])) < 2.0 ** 51
+    h = _uniform_spacing(xs) if by_rows else None
     if h is not None:
         p, e = _two_product(h, np.arange(xs.size, dtype=float))
         s = xs[0] + p
         z = s - xs[0]
         d = xs - s - ((xs[0] - (s - z)) + (p - z)) - e  # x0 + h*j = s + t + e exactly (TwoSum t)
-    if h is None or not (np.max(np.abs(f)) * np.max(np.abs(d)) <= 2.0 ** -30
-                         and np.max(np.abs(f)) * abs(xs[-1] - xs[0]) < _INTEGRAL):
-        step = max(1, _TABLE_BLOCK // max(f.size, 1))
+    if h is None or not top * np.max(np.abs(d)) <= 2.0 ** -30:
         for i in range(0, xs.size, step):
             yield slice(i, i + step), _turns(_shifted_turns(m[:, None], c[:, None], xs[i:i + step]))
         return
@@ -177,7 +173,7 @@ def _phase_table(m, c, xs: np.ndarray):
     hi, lo = _two_product(f, h)
     row, col = _linear_turns((hi, lo + (c - (f - m)) * h), -(-xs.size // width), width)
     row, col = (row * _turns(_shifted_turns(m, c, xs[0]))).T, col.T
-    step = max(1, _TABLE_BLOCK // (width * f.size))  # rows a block
+    step = max(1, step // width)  # rows a block
     for r in range(0, row.shape[1], step):
         points = slice(r * width, min((r + step) * width, xs.size))
         table = (row[:, r:r + step, None] * col[:, None]).reshape(f.size, -1)[:, :points.stop - points.start]
@@ -441,12 +437,11 @@ class PiecewiseConstantSpectrum(Signal):
         # piece [m + lo, m + hi): v * width * sinc(width * x) * exp(2i*pi*centre*x),
         # the phases from _phase_table; no ramp exp(...) - 1 that cancels near x = 0
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        big = np.abs(xs).max(initial=0.0) > 2.0 ** 1000  # pi * width * x can overflow
         m, lo, hi, v = (np.array([p[i] for p in self.pieces]) for i in range(4))
         out = np.zeros(xs.size, dtype=complex)
         for points, table in _phase_table(m, (lo + hi) / 2, xs.ravel()):
-            u = np.multiply.outer(hi - lo, xs.ravel()[points])  # sinc is ~0 past 2^60: capped there if big
-            out[points] = (v * (hi - lo)) @ (np.sinc(np.minimum(np.abs(u), 2.0 ** 60) if big else u) * table)
+            u = np.clip(np.multiply.outer(hi - lo, xs.ravel()[points]), -2.0 ** 60, 2.0 ** 60)  # pi * u finite
+            out[points] = (v * (hi - lo)) @ (np.sinc(u) * table)  # |sinc| < 3e-19 past 2^60
         return out.reshape(xs.shape)
 
     def scaled(self, factor: complex) -> "PiecewiseConstantSpectrum":
@@ -468,10 +463,9 @@ def twisted_sum(coeffs: np.ndarray, shifts: np.ndarray, x: float) -> np.ndarray:
 def dual_energy(coeffs: np.ndarray, shifts: np.ndarray, xs: np.ndarray, weights) -> np.ndarray:
     """sum_c weights[c] |sum_r coeffs[r, c] exp(2i*pi*shifts[r]*x)|^2 at each x in
     xs, as the quadratic form e G e^H of the phases e_r in the Gram matrix G =
-    rows W rows^H of the band rows: no (offsets, columns) table.  Weights are
-    nonnegative (1/N; length / |Z|^2 or 0), so with S = [Re; Im] rows sqrt(W)
-    and H = S S^T, G = H11 + H22 + i(H21 - H12).  x is reduced as in
-    ``twisted_sum``; a NaN node makes G, and every energy, NaN."""
+    rows W rows^H of the band rows, W >= 0 (1/N; length / |Z|^2 or 0): H = S S^T
+    for S = [Re; Im] rows sqrt(W), G = H11 + H22 + i(H21 - H12).  x is reduced as
+    in ``twisted_sum``; a NaN node makes G, and every energy, NaN."""
     band = FrequencyGrid.band(coeffs)
     b, stacked = band.stop - band.start, np.concatenate([coeffs[band].real, coeffs[band].imag])
     stacked *= np.sqrt(weights)
@@ -664,8 +658,8 @@ class ShiftCombination(Signal):
         1/(x - k).  Near a pole the factored form cancels: entries with |x - k|
         < 1/2 are left out of R and summed directly as the pieces' sincs, their
         phase exp(2i*pi*centre*(x - k)) the x-side one times exp(-2i*pi*centre*k).
-        The x-side phases of ends and centres are one ``_phase_table``: at
-        uniform points one exact phase per row and per column of the points."""
+        The x-side phases of ends and centres are one ``_phase_table``, whose
+        blocks also bound R's rows."""
         ks, cs = self.coefficients.ks, self.coefficients.values
         if not ks.size:
             return np.zeros(xs.size, dtype=complex)
@@ -676,14 +670,13 @@ class ShiftCombination(Signal):
         idx = idx[at]
         m, lo, hi, v = (np.array([p[i] for p in self.base.pieces]) for i in range(4))
         ends = 2 * m.size
-        # frequencies: the ends m + hi and m + lo, then the centres; each k-side factor
-        # drops the integer part m*k: (S, 2E) real view for R, (S, E) at the poles
+        # ends m + hi, m + lo, then centres; k-side factors drop m*k: (S, 2E) real for R
         frac = np.concatenate([hi, lo, (lo + hi) / 2])
         k_turns = _turns(-_product_turns(frac, ks[:, None]))
         coef = (cs[:, None] * np.concatenate([v, -v]) / (2j * np.pi) * k_turns[:, :ends]).view(float)
         pole = cs[:, None] * v * (hi - lo) * k_turns[:, ends:]
         out = np.empty(xs.size, dtype=complex)
-        for points, table in _phase_table(np.tile(m, 3), frac, xs):
+        for points, table in _phase_table(np.tile(m, 3), frac, xs, ks.size):
             r = xs[points, None] - ks
             block = slice(*np.searchsorted(at, [points.start, points.stop]))
             rows = at[block] - points.start

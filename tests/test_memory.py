@@ -83,6 +83,16 @@ def test_interval_synthesis_peak():
     assert traced_peak(lambda: f.time_values(np.linspace(-8, 8, 1000))) <= 6.75 * MIB
 
 
+@pytest.mark.parametrize("count", [2000, 3000])  # a pair at a time; by rows and columns
+def test_interval_synthesis_rows_per_block_shrink_with_the_coefficients(count):
+    # 4,001 coefficients over shannon: each block's (points, coefficients) Cauchy
+    # matrix holds at most 2^20 entries (8 MiB), however few the pieces; two are
+    # alive as one block's replaces the last's.  Blocks sized by the 6 frequencies
+    # alone held all the points: 62 and 93 MiB
+    f = ShiftCombination(build_signal("shannon", FrequencyGrid(32, 1024)), random_coefficients(53, span=2000))
+    assert traced_peak(lambda: f.time_values(np.linspace(-8, 8, count))) <= 17 * MIB
+
+
 def test_spread_combination_reads_only_its_windows():
     # hat at 0 and at 4000: every probe is summed, and the signal sampled, at
     # the 10 shifts of the two windows, not at the 4,003 of the hull between

@@ -217,6 +217,8 @@ class TestChirpTransform:
             warnings.simplefilter("error")
             assert np.all(np.isfinite(f.time_values(HUGE_POINTS)))
             assert np.all(np.isfinite(f.time_values([-1e308, 0.0, 1e308])))
+            # a NaN point beside them hides no huge factor from the split
+            assert np.isfinite(f.time_values([np.nan, 1.5e300, 0.5])).tolist() == [False, True, True]
 
     def test_uniform_evaluation_keeps_the_points(self):
         # the first difference of linspace(-8, 8, 1000) is off by 3.6e-16; a
@@ -503,7 +505,6 @@ class TestShiftCombination:
         xs = np.concatenate([SYNTHESIS_POINTS, np.linspace(-9, 9, 37)])
         whole = f.time_values(xs)
         monkeypatch.setattr(signals, "_SYNTHESIS_BLOCK", 1)
-        monkeypatch.setattr(signals, "_TABLE_BLOCK", 1)
         assert np.max(np.abs(f.time_values(xs) - whole)) <= 1e-15 * np.max(np.abs(whole))
 
     def test_interval_base_is_summed_in_factored_form(self, shannon, monkeypatch):
@@ -613,8 +614,8 @@ class TestUniformTable:
 
     @pytest.fixture
     def tables(self, monkeypatch):
-        # the table at any size; records each one built by rows and columns
-        monkeypatch.setattr(signals, "_TABLE_MIN", 0)
+        # the table by rows at any size (a row a block); records each one built so
+        monkeypatch.setattr(signals, "_TABLE_BLOCK", 0)
         built, plain = [], signals._linear_turns
         monkeypatch.setattr(signals, "_linear_turns", lambda *args: built.append(args) or plain(*args))
         return built
@@ -652,9 +653,9 @@ class TestUniformTable:
         moved[points.size // 2 + 1] = np.nextafter(moved[points.size // 2 + 1], np.inf)
         for xs in (points, moved):
             table = f.time_values(xs)
-            monkeypatch.setattr(signals, "_TABLE_MIN", np.inf)
+            monkeypatch.setattr(signals, "_TABLE_BLOCK", 1 << 40)
             pairs = f.time_values(xs)
-            monkeypatch.setattr(signals, "_TABLE_MIN", 0)
+            monkeypatch.setattr(signals, "_TABLE_BLOCK", 0)
             assert np.max(np.abs(table - pairs)) <= 2e-15 * np.max(np.abs(pairs))
         assert len(tables) == 2
 
