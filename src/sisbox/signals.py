@@ -23,15 +23,13 @@ class of square-integrable functions with absolutely integrable spectrum
 (a time kernel's caller states it).
 
 Every phase a * x is reduced mod 1 exactly by Dekker's split (``_product_turns``;
-``_shifted_turns`` for a piece at m + c; a factor past 2^52 is an integer).
-At uniform points a phase table is one exact phase per row times one per
-column of the points (``_linear_turns``): interval spectra's time values
-(``_phase_table``) and grid time evaluation, which sums the nonzero nodes'
-offsets from the first, by a chirp transform (``_phase_czt``) over the dense
-blocks of the span and by ``_uniform_sum`` over the other nodes.  Only two
-sites round a product once, then reduce it: the direct grid sum at other
-points (x * offset), and ``twisted_sum`` / ``dual_energy`` (an exactly
-reduced x times shifts |m| <= K).  Sincs do not cancel near x = 0.
+``_shifted_turns`` for a piece at m + c; a factor past 2^52 is an integer).  One
+direct sum serves both spectrum kinds, ``_phase_table``'s exact phases (a pair at a
+time, or at uniform points one per row times one per column, ``_linear_turns``):
+interval spectra's pieces, and the grid nodes' offsets from the first that the
+chirp transform (``_phase_czt``) over the dense blocks leaves.  Only ``twisted_sum``
+/ ``dual_energy`` round a product once, then reduce it: an x reduced exactly to
+[0, 1) times shifts |m| <= K.  Sincs do not cancel near x = 0.
 """
 
 from __future__ import annotations
@@ -41,12 +39,11 @@ import numpy as np
 from .errors import BandwidthOverflowError, GridMismatchError, PreconditionError
 from .grid import FrequencyGrid, TimeSamples, pow2_at_least
 
-# at uniform points a block of the span is chirp transformed when its nodes *
-# points (the direct sum's terms) exceed this many times its length plus points;
-# on a 2-vCPU Xeon, numpy 2.4.6, the direct sum costs 20-50 ns a term, the blocked
-# transform ~2 ms plus 110-170 ns a point, and over two sweeps of spans 64-262,144
-# at 1,001 and 4,097 points the routes break even between ratios 1.5 and 20:
-# 2.2-6.6 from span 16,384 up, the rest at spans below 1,024, where both take ~2 ms
+# at uniform points a block of the span is chirp transformed when its nodes * points (the
+# direct sum's terms) exceed this many times its length plus points.  Dense spans 64-262,144 at
+# 1,001 and 4,097 points (2-vCPU Xeon, numpy 2.4.6): 2.5-26 ns a direct term on one BLAS thread,
+# 1.7-39 ms a transform, break-even at ratios 25-175; on two threads the direct products wait
+# (190-460 ns a term below span 1,024 at 1,001 points, break-even 4-7): 4 errs toward the transform
 _CHIRP_WORK_RATIO = 4
 # a chirp transform cuts its longer side into blocks of at most this length (or
 # the shorter side's, if longer); the hat spectrum at (64, 4096), 2,049 ->
@@ -55,31 +52,27 @@ _CHIRP_WORK_RATIO = 4
 # 10.7 ms in one block at (32, 1024), 52 against 250 ms at (64, 8192)
 _CZT_BLOCK = 16384
 QUADRATURE_ORDER = 2048  # trapezoid nodes over a time kernel's support
-_SYNTHESIS_BLOCK = 1 << 20  # (point, term) pairs per block of a direct sum: grid nodes or shifts
-# entries of a phase table per block; at uniform points a table of one block or more
-# is built by rows and columns, a smaller one a pair at a time: shannon's 2 pieces at
-# 4,097 points take 0.54-0.76 ms by pairs, 0.91-0.94 by rows (2-vCPU Xeon, numpy 2.4.6)
+_SYNTHESIS_BLOCK = 1 << 20  # (point, term) pairs per block of a sum over shifts or coefficients
+# entries of a phase table (weighted: row and column phases) per block; at uniform points a
+# table of one block or more is built by rows and columns, a smaller one a pair at a time: shannon's
+# 2 pieces at 4,097 points take 0.54-0.76 ms by pairs, 0.91-0.94 by rows (2-vCPU Xeon, numpy 2.4.6)
 _TABLE_BLOCK = 1 << 14
 _INTEGRAL = 2.0 ** 52  # every double of at least this magnitude is an integer
 
 
 def _uniform_spacing(xs: np.ndarray) -> float | None:
-    """Common spacing of a monotone uniform array, else None.  The spacing
-    is the span over the count, not the first difference, which carries
-    the rounding of the first two points."""
+    """Common spacing of a monotone uniform array, else None: the span over the
+    count, not the first difference, which carries the first two points' rounding."""
     if xs.size < 3:
         return None
     with np.errstate(over="ignore", invalid="ignore"):  # a difference past 1.8e308 is no spacing
-        d = np.diff(xs)
-        if d[0] != 0 and np.max(np.abs(d - d[0])) <= 1e-12 * max(abs(d[0]), 1.0):
-            h = float((xs[-1] - xs[0]) / (xs.size - 1))
-            return h if np.isfinite(h) else None
-    return None
+        d, h = np.diff(xs), float((xs[-1] - xs[0]) / (xs.size - 1))
+        uniform = d[0] != 0 and np.max(np.abs(d - d[0])) <= 1e-12 * max(abs(d[0]), 1.0)
+    return h if uniform and np.isfinite(h) else None
 
 
 def _turns(t: np.ndarray) -> np.ndarray:
-    """exp(2i*pi*t), with t first reduced mod 1 (exactly) so large phases
-    lose no accuracy to the multiplication by 2*pi."""
+    """exp(2i*pi*t), t first reduced mod 1 (exactly): large phases lose nothing to 2*pi."""
     return np.exp(2j * np.pi * (t - np.round(t)))
 
 
@@ -139,22 +132,23 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _linear_turns(rate, rows, width):
-    """Factors of exp(2i*pi*rate*j), j = r*width + c: rows exp(2i*pi*rate*r*width)
-    (rows, F) and columns exp(2i*pi*rate*c) (width, F), one exact phase each, for
-    F rates each the exact sum of its parts (a tuple of scalars or (F,) arrays)."""
-    n = np.concatenate([np.arange(rows) * width, np.arange(width)])[:, None, None]
-    t = _turns(_product_turns(np.stack(np.broadcast_arrays(*rate)), n).sum(axis=1))
-    return t[:rows], t[rows:]
+def _linear_turns(rate, rows, width, ints=1):
+    """Factors of exp(2i*pi*rate*ints*j), j = r*width + c: rows (rows, F) at r*width
+    and columns (width, F) at c, one exact phase each, for F rates each the exact sum
+    of its parts (a tuple of scalars or (F,) arrays), times integers ``ints`` (F,)."""
+    n = np.concatenate([np.arange(rows) * width, np.arange(width)])[:, None, None] * ints
+    return np.split(_turns(_product_turns(np.stack(np.broadcast_arrays(*rate)), n).sum(axis=1)), [rows])
 
 
-def _phase_table(m, c, xs: np.ndarray, terms: int = 1):
+def _phase_table(m, c, xs: np.ndarray, terms: int = 1, weights=None):
     """Blocks (points, table) of exp(2i*pi*f*x), f = m + c (m integer, c in [0, 1]), a
     row per f and a column per x in xs[points]: at most _TABLE_BLOCK entries, and
     _SYNTHESIS_BLOCK pairs of x and the caller's ``terms``.  Each entry is its exact
-    phase's to rounding: one a pair, or at uniform x_j = x0 + h*j + d_j, from one
-    block on, one exact phase per row r, f*(x0 + h*r*width), times one per column c,
-    f*h*c (f*h a two-product), times 1 + 2i*pi*f*d_j (|f*d_j| <= 2^-30)."""
+    phase's to rounding: one a pair, or at uniform x_j = x0 + h*j + d_j, from one block
+    on, one exact phase per row r, f*(x0 + h*r*width), times one per column c, f*h*c (f*h
+    a two-product, or h times the integer f*c), times 1 + 2i*pi*f*d_j (|f*d_j| <= 2^-30).
+    With ``weights`` (F,), blocks (points, weights @ table), at uniform points with no
+    table: (rows, F) @ (F, width) products of the weights, and of weights * f for d_j."""
     f = m + c
     step = max(1, min(_TABLE_BLOCK // max(f.size, 1), _SYNTHESIS_BLOCK // terms))  # points a block
     top = np.max(np.abs(f), initial=0.0)  # by rows only while |f*x| < 2^51: a span < 2^52 turns
@@ -167,12 +161,30 @@ def _phase_table(m, c, xs: np.ndarray, terms: int = 1):
         d = xs - s - ((xs[0] - (s - z)) + (p - z)) - e  # x0 + h*j = s + t + e exactly (TwoSum t)
     if h is None or not top * np.max(np.abs(d)) <= 2.0 ** -30:
         for i in range(0, xs.size, step):
-            yield slice(i, i + step), _turns(_shifted_turns(m[:, None], c[:, None], xs[i:i + step]))
+            table = _turns(_shifted_turns(m[:, None], c[:, None], xs[i:i + step]))
+            yield slice(i, i + step), table if weights is None else weights @ table
         return
     width = int(np.ceil(np.sqrt(xs.size)))
-    hi, lo = _two_product(f, h)
-    row, col = _linear_turns((hi, lo + (c - (f - m)) * h), -(-xs.size // width), width)
-    row, col = (row * _turns(_shifted_turns(m, c, xs[0]))).T, col.T
+    rows = -(-xs.size // width)
+
+    def factors(b):  # rows (rows, F) with the phase at x0 and columns (width, F) of f[b]
+        if not np.any(c[b]):  # integer f: h times the integers f*j
+            row, col = _linear_turns((h,), rows, width, m[b])
+            return row * _turns(_product_turns(m[b], xs[0])), col
+        hi, lo = _two_product(f[b], h)
+        row, col = _linear_turns((hi, lo + (c[b] - (f[b] - m[b])) * h), rows, width)
+        return row * _turns(_shifted_turns(m[b], c[b], xs[0])), col
+
+    if weights is not None:  # no table: rows @ columns of the weights, and of weights * f for d_j
+        w, sums = np.stack([weights, weights * f]) if np.any(d) else weights[None], 0
+        per = max(1, _TABLE_BLOCK // (rows + width))  # frequencies a block
+        for b in (slice(i, i + per) for i in range(0, f.size, per)):
+            row, col = factors(b)
+            sums = sums + (w[:, None, b] * row) @ col.T
+        sums = sums.reshape(len(w), -1)[:, :xs.size]
+        yield slice(0, xs.size), sums[0] + 2j * np.pi * d * sums[-1]
+        return
+    row, col = (t.T for t in factors(slice(None)))
     step = max(1, step // width)  # rows a block
     for r in range(0, row.shape[1], step):
         points = slice(r * width, min((r + step) * width, xs.size))
@@ -180,22 +192,6 @@ def _phase_table(m, c, xs: np.ndarray, terms: int = 1):
         if np.any(d[points]):
             table *= 1 + 2j * np.pi * np.multiply.outer(f, d[points])
         yield points, table
-
-
-def _uniform_sum(coeffs, ints: np.ndarray, start: float, rate: float, count: int) -> np.ndarray:
-    """out[m] = sum_s coeffs[s] * exp(2j*pi*(start + rate*m)*ints[s]), m < count,
-    for integers ints: with m = r * width + c, one exact phase per row r times
-    one per column c, so the sum is (rows, S) @ (S, width) products."""
-    width = int(np.ceil(np.sqrt(count)))
-    rows = -(-count // width)
-    out = np.zeros((rows, width), dtype=complex)
-    step = max(1, _SYNTHESIS_BLOCK // (rows + width))  # terms per block
-    r, c = np.arange(rows) * width, np.arange(width)
-    for s in range(0, ints.size, step):
-        k = ints[s:s + step]
-        row = coeffs[s:s + step] * _turns(_product_turns(start, k) + _product_turns(rate, np.outer(r, k)))
-        out += row @ _turns(_product_turns(rate, np.outer(k, c)))
-    return out.ravel()[:count]
 
 
 def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
@@ -313,44 +309,43 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
 
     Exact when ``values`` are constant on grid cells (each node represents
     its half-open cell [omega_j, omega_j + 1/N)); refuses a non-finite node.
+    At uniform points a chirp transform runs over the dense blocks of the band at
+    x0 + h*j (a point's residual from it would take a second transform); every other
+    nonzero node is its integer offset from the first, at x/N, in ``_phase_table``.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    shape, xs = xs.shape, xs.ravel()
     n = grid.resolution
     band = grid.band(grid.fold(values))
     nz = band.start * n + np.flatnonzero(values[band.start * n:band.stop * n])
     if not nz.size:
-        return np.zeros(xs.size, dtype=complex)
+        return np.zeros(shape, dtype=complex)
     require_finite(values[nz])
     first, span = nz[0], nz[-1] + 1 - nz[0]
-    # cell kernel: integral of exp(2i*pi*omega*x) over one cell [w, w + step) at
-    # the first nonzero node w, step * sinc(step * x) * exp(2i*pi*(w + step/2)*x)
-    # with the phase reduced exactly, so both routes below sum only the offsets
-    # (j - first) / N; the sinc form does not cancel near x = 0 as exp(...) - 1 does
+    # cell kernel: integral of exp(2i*pi*omega*x) over one cell [w, w + step) at the first
+    # nonzero node w, step * sinc(step * x) * exp(2i*pi*(w + step/2)*x), the phase reduced
+    # exactly; both routes sum only offsets (j - first) / N, and no exp(...) - 1 cancels at 0
     w = first / n - grid.half_bandwidth
     kern = grid.step * np.sinc(grid.step * xs) * _turns(_product_turns(w, xs) + grid.step / 2 * xs)
 
-    spacing = _uniform_spacing(xs)
+    spacing, rest, out = _uniform_spacing(xs), nz, np.zeros(xs.size, dtype=complex)
     if spacing is not None:
         # uniform x: blocks of _CZT_BLOCK nodes from the first that pass the route
         # rule are dense, chirp transformed from the first to the last dense node
         block = (nz - first) // _CZT_BLOCK
         work = np.minimum(_CZT_BLOCK, span - np.arange(0, span, _CZT_BLOCK)) + xs.size  # length + points
         dense = np.flatnonzero((np.bincount(block) * xs.size > _CHIRP_WORK_RATIO * work)[block])
-        rest = np.delete(nz, np.s_[dense[0]:dense[-1] + 1]) if dense.size else nz
-        out = _uniform_sum(values[rest], rest - first, xs[0] / n, spacing / n, xs.size)
         if dense.size:
+            rest = np.delete(nz, np.s_[dense[0]:dense[-1] + 1])
             lo, hi = nz[dense[0]], nz[dense[-1]] + 1
             twist = np.outer(*_linear_turns((xs[0] / n,), -(-(hi - lo) // n), n)).ravel()[:hi - lo]
-            chirp = _phase_czt(values[lo:hi] * twist, spacing / n, xs.size)
+            out = _phase_czt(values[lo:hi] * twist, spacing / n, xs.size)
             if lo > first:  # the transform's offset from the first node, one exact phase
-                chirp *= _turns(_product_turns((lo - first) / n, xs))
-            out = chirp + out if rest.size else chirp
-        return out * kern
-
-    offsets, vals = (nz - first) / n, values[nz]
-    rows = max(1, _SYNTHESIS_BLOCK // nz.size)  # points per block
-    return np.concatenate([_turns(np.outer(xs[i:i + rows], offsets)) @ vals
-                           for i in range(0, xs.size, rows)]) * kern
+                out *= _turns(_product_turns((lo - first) / n, xs))
+    if rest.size:  # every other node: its offset from the first, at x/N
+        for points, sums in _phase_table(rest - first, np.zeros(rest.size), xs / n, weights=values[rest]):
+            out[points] += sums
+    return (out * kern).reshape(shape)
 
 
 class PiecewiseConstantSpectrum(Signal):
@@ -477,14 +472,13 @@ def dual_energy(coeffs: np.ndarray, shifts: np.ndarray, xs: np.ndarray, weights)
 
 class PeriodizedProfile:
     """Per-piece view of the periodized quantities of one signal over one
-    period [0, 1): periodization ``z``, absolute periodization ``abs_sum``,
-    Grammian ``sq_sum`` and the phase-twisted fiber ``dual(x)``, read from
-    ``coeffs``: the spectrum on each piece, one row per shift in ``shifts``.
+    period [0, 1): periodization ``z``, absolute periodization ``abs_sum`` and
+    Grammian ``sq_sum``, read from ``coeffs``: the spectrum on each piece, one
+    row per shift in ``shifts`` (``twisted_sum`` of them: the twisted fiber).
 
-    ``from_pieces`` (``exact=True``): pieces follow the folded breakpoints
-    of a piecewise-constant spectrum.  On each piece the set of
-    contributing (value, shift) pairs is constant, so every quantity is
-    evaluated in closed form and sub-grid detail is preserved.
+    ``from_pieces`` (``exact=True``): pieces follow the folded breakpoints of a
+    piecewise-constant spectrum, on each of which the contributing (value, shift)
+    pairs are constant: every quantity is in closed form, sub-grid detail kept.
     ``from_fibers``: that exact profile for a piecewise-constant signal,
     otherwise (``exact=False``) one piece per unit-grid cell.
     """
@@ -498,10 +492,6 @@ class PeriodizedProfile:
         self.shifts = np.asarray(shifts)
         self.coeffs = coeffs
         self.exact = exact
-
-    def dual(self, x: float) -> np.ndarray:
-        """Per-piece sum_m f_hat(omega+m) exp(2i*pi*m*x) at one offset x."""
-        return twisted_sum(self.coeffs, self.shifts, x)
 
     @classmethod
     def from_pieces(cls, pieces) -> "PeriodizedProfile":

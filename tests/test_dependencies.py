@@ -37,6 +37,23 @@ def test_library_modules_have_no_unused_imports():
     assert unused == []
 
 
+def test_every_module_name_has_a_reader():
+    # a constant or name bound at module level in a library module that no name
+    # or attribute in the library reads is left behind by the change that
+    # removed its last reader (__init__ is left out: its names are re-exports)
+    package = Path(sisbox.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = [(name, target.id) for name, tree in trees.items() if name != "__init__.py" for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)]
+    assert bound
+    assert [f"{name}: {target}" for name, target in bound if target not in read] == []
+
+
 def test_every_private_function_has_a_caller():
     # a module-level _helper that no name or attribute in the library refers
     # to is dead code left behind by a change that removed its last caller

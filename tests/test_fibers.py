@@ -17,7 +17,7 @@ from sisbox import (
     zak_time_fiber,
 )
 from sisbox.errors import DegenerateSpaceError
-from sisbox.signals import GridSpectrum, PeriodizedProfile, PiecewiseConstantSpectrum
+from sisbox.signals import GridSpectrum, PeriodizedProfile, PiecewiseConstantSpectrum, twisted_sum
 from sisbox.spaces import _sampling_function
 from sisbox.spectral import DEFAULT_EPS, DEFAULT_K_MAX, divide_on_support, fibers
 
@@ -113,7 +113,7 @@ def test_grid_profile_reads_the_record(blhat, grid):
     prof = PeriodizedProfile.from_fibers(fib)
     assert not prof.exact
     assert np.array_equal(prof.sq_sum, fib.grammian.real_values)
-    assert np.array_equal(prof.dual(0.25), zak_dual_fiber(blhat, 0.25, grid).values)
+    assert np.array_equal(twisted_sum(prof.coeffs, prof.shifts, 0.25), zak_dual_fiber(blhat, 0.25, grid).values)
 
 
 def test_piecewise_profile_stays_exact(ex2, wide_grid):

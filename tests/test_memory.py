@@ -76,6 +76,14 @@ def test_interval_spectrum_table_runs_in_blocks():
     assert traced_peak(lambda: ex2.time_values(xs)) <= 2 * MIB
 
 
+def test_grid_spectrum_at_scattered_points_runs_in_blocks(fine_grid):
+    # blhat's 4,095 nodes at 4,097 sorted random points: exact phases a block of
+    # at most 16,384 (node, point) pairs at a time; 2^20-pair blocks read 40 MiB
+    blhat = build_signal("blhat", fine_grid)
+    xs = np.sort(np.random.default_rng(63).uniform(-8, 8, 4097))
+    assert traced_peak(lambda: blhat.time_values(xs)) <= 4 * MIB
+
+
 def test_interval_synthesis_peak():
     # 17 coefficients over ex2 at 1,000 uniform points: a (1,000, 122) table of
     # exact phases and its split halves read 6.75 MiB

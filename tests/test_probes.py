@@ -177,11 +177,12 @@ def test_dual_keeps_scalar_shape(name, grid_name, request):
     fib = fibers(build_signal(name, grid), grid)
     prof = PeriodizedProfile.from_fibers(fib)
     pieces = prof.starts.size
-    assert prof.dual(0.25).shape == (pieces,)
+    dual = twisted_sum(prof.coeffs, prof.shifts, 0.25)
+    assert dual.shape == (pieces,)
     assert twisted_sum(fib.folded, grid.shifts(), 0.25).shape == (grid.resolution,)
     energy = dual_energy(prof.coeffs, prof.shifts, np.array([0.25]), prof.lengths)
     assert energy.shape == (1,)
-    assert energy[0] == pytest.approx(np.sum(prof.lengths * np.abs(prof.dual(0.25)) ** 2), rel=RTOL)
+    assert energy[0] == pytest.approx(np.sum(prof.lengths * np.abs(dual) ** 2), rel=RTOL)
 
 
 def nan_node_signal(grid):

@@ -140,6 +140,19 @@ class TestGridSpectrum:
             GridSpectrum(vals, blhat.grid).time_values(np.linspace(-8, 8, 40))
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 2)])
+@pytest.mark.parametrize("name", ["shannon", "hat", "blhat", "synthesis"])
+def test_time_values_keep_the_shape_of_the_points(name, shape, request):
+    # an interval spectrum, a time kernel, a grid spectrum and a combination
+    f = request.getfixturevalue("shannon" if name == "synthesis" else name)
+    if name == "synthesis":
+        f = ShiftCombination(f, random_coefficients(41))
+    xs = np.linspace(-2, 2, np.prod(shape))
+    got = f.time_values(xs.reshape(shape))
+    assert got.shape == shape
+    assert np.array_equal(got.ravel(), f.time_values(xs))
+
+
 def cell_kernel(grid, x):
     """Integral of exp(2i*pi*omega*x) over one grid cell [0, 1/N), with the
     ramp exp(...) - 1 taken by expm1, which does not cancel near x = 0."""
@@ -156,6 +169,9 @@ def exact_phase_sum(coeffs, ints, rate) -> complex:
 
 # past the split's overflow at 1.34e300, and integers past 2^52
 HUGE_POINTS = [1.5e300, -1.5e300, 1.7e308, -1.7e308, 2.0 ** 53 + 2, 1e16 + 2]
+# linspace(-8, 8, 1000) with point 500 moved by 5e-13: still uniform, but off x0 + h*j there
+MOVED_POINTS = np.linspace(-8, 8, 1000)
+MOVED_POINTS[500] += 5e-13
 
 
 class TestChirpTransform:
@@ -315,11 +331,12 @@ class TestChirpTransform:
         assert np.max(np.abs(got[1:] - want)) <= 1e-14 * np.max(np.abs(want))
 
     @staticmethod
-    def grid_error(vals, grid, xs):
-        """Relative error of the grid time values at xs (x = 0 left out: the
-        reference's cell kernel divides by x) against the exact-phase sum."""
+    def grid_error(vals, grid, xs, picks=None):
+        """Relative error of the grid time values at xs[picks] (by default
+        every 409th; x = 0 left out: the reference's cell kernel divides by
+        x) against the exact-phase sum."""
         got = _grid_time_values(vals, grid, xs)
-        picks = np.flatnonzero(xs != 0)[::409]
+        picks = np.flatnonzero(xs != 0)[::409] if picks is None else picks
         nz = np.flatnonzero(vals)
         nodes = nz - grid.half_bandwidth * grid.resolution
         want = cell_kernel(grid, xs[picks]) * np.array(
@@ -361,6 +378,22 @@ class TestChirpTransform:
         grid = FrequencyGrid(64, 4096)
         vals = self.scattered(grid, [18] + [19] * 7, 32)
         assert self.grid_error(vals, grid, np.linspace(-8, 8, 4097)) <= 1e-14
+        assert czt_sizes == []
+
+    @pytest.mark.parametrize("points", [
+        np.linspace(-8, 8, 1000), np.linspace(492, 508, 1000),
+        np.sort(np.random.default_rng(62).uniform(492, 508, 1000)), MOVED_POINTS],
+        ids=["residuals", "far", "scattered", "moved"])
+    def test_off_chirp_nodes_match_exact_phase_sum(self, points, czt_sizes):
+        # 60 random nodes of (64, 1024), all off the chirp: exact phases at the
+        # points as given, with the residuals of the uniform ones from x0 + h*j
+        # (a once-rounded product read 9e-12 at x ~ 500, x0 + h*j 1.2e-10 at the move)
+        grid = FrequencyGrid(64, 1024)
+        rng = np.random.default_rng(61)
+        vals = np.zeros(grid.size, dtype=complex)
+        vals[rng.choice(grid.size, 60, replace=False)] = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+        picks = np.r_[0:points.size:37, 499:502, points.size - 1]
+        assert self.grid_error(vals, grid, points, picks) <= 1e-14
         assert czt_sizes == []
 
     @pytest.mark.parametrize("name", ["shannon", "blhat"])
