@@ -16,7 +16,8 @@ Three primary representations plus one derived:
 * ``ShiftCombination`` -- finite combination sum_k c_k phi(. - k) of the
   integer translates of a base signal; keeps both its time-domain sum
   (factored around one Cauchy-matrix product over an interval spectrum,
-  poles summed directly) and the exact grid spectrum C(omega) * phi_hat.
+  poles summed directly) and the exact grid spectrum C(omega) * phi_hat,
+  and over a spectral base is sampled from its coefficients (a convolution).
 
 Every representation carries ``integrable_spectrum``: membership in the
 class of square-integrable functions with absolutely integrable spectrum
@@ -27,9 +28,10 @@ Every phase a * x is reduced mod 1 exactly by Dekker's split (``_product_turns``
 direct sum serves both spectrum kinds, ``_phase_table``'s exact phases (a pair at a
 time, or at uniform points one per row times one per column, ``_linear_turns``):
 interval spectra's pieces, and the grid nodes' offsets from the first that the
-chirp transform (``_phase_czt``) over the dense blocks leaves.  Only ``twisted_sum``
-/ ``dual_energy`` round a product once, then reduce it: an x reduced exactly to
-[0, 1) times shifts |m| <= K.  Sincs do not cancel near x = 0.
+chirp transform (``_phase_czt``) over the dense blocks leaves, a point's residual from
+the uniform one applied after each contraction.  Only ``twisted_sum`` / ``dual_energy``
+round a product once, then reduce it: an x reduced exactly to [0, 1) times shifts |m| <=
+K.  Sincs (``_sincs``) reduce w * x mod 2 exactly, and none cancels near x = 0.
 """
 
 from __future__ import annotations
@@ -113,6 +115,29 @@ def _shifted_turns(m, c, x):
     return _product_turns(a, x) + (c - (a - m)) * x
 
 
+def _unit_sinc(wx):  # sinc(w*x) = 1 - (pi*w*x)^2/6 + ... rounds to 1 below sqrt(6)*2^-27/pi
+    return wx < np.sqrt(6) * 2.0 ** -27 / np.pi
+
+
+def _sincs(w, x):
+    """sinc(w*x), a row per width w > 0 and a column per x, 1 in rows where it rounds to 1.
+    Where |w*x| may pass 1, w*x is reduced mod 2 exactly (a two-product; x cut at 2^995,
+    where the split is finite) before the sine: np.sinc rounds pi*w*x first, ~|w*x| ulps."""
+    out, top, x = np.ones((w.size, x.size)), np.max(np.abs(x), initial=0.0), np.clip(x, -2.0 ** 995, 2.0 ** 995)
+    rows = np.flatnonzero(~_unit_sinc(w * top))
+    t = p = np.multiply.outer(w[rows], x)
+    if np.any(far := w[rows] * top >= 1):
+        q, e = _two_product(w[rows[far], None], x)
+        t = p.copy()
+        t[far] = (q - 2 * np.round(q / 2)) + (e - 2 * np.round(e / 2))
+    out[rows] = np.divide(np.sin(np.pi * t), np.pi * p, out=np.ones(p.shape), where=p != 0)
+    return out
+
+
+def _at_points(s, d):  # sums at x0 + h*j + d_j from s[0] at x0 + h*j and s[1] of f times the terms
+    return s[0] if d is None else s[0] + 2j * np.pi * d * s[1]  # |f*d| <= 2^-30 (_phase_table)
+
+
 def require_finite(values: np.ndarray) -> None:
     """Refuse spectrum values with a NaN or infinite node."""
     if bad := np.count_nonzero(~np.isfinite(values)):
@@ -141,14 +166,15 @@ def _linear_turns(rate, rows, width, ints=1):
 
 
 def _phase_table(m, c, xs: np.ndarray, terms: int = 1, weights=None):
-    """Blocks (points, table) of exp(2i*pi*f*x), f = m + c (m integer, c in [0, 1]), a
+    """Blocks (points, table, d) of exp(2i*pi*f*x), f = m + c (m integer, c in [0, 1]), a
     row per f and a column per x in xs[points]: at most _TABLE_BLOCK entries, and
-    _SYNTHESIS_BLOCK pairs of x and the caller's ``terms``.  Each entry is its exact
-    phase's to rounding: one a pair, or at uniform x_j = x0 + h*j + d_j, from one block
-    on, one exact phase per row r, f*(x0 + h*r*width), times one per column c, f*h*c (f*h
-    a two-product, or h times the integer f*c), times 1 + 2i*pi*f*d_j (|f*d_j| <= 2^-30).
-    With ``weights`` (F,), blocks (points, weights @ table), at uniform points with no
-    table: (rows, F) @ (F, width) products of the weights, and of weights * f for d_j."""
+    _SYNTHESIS_BLOCK pairs of x and the caller's ``terms``.  Each entry is its exact phase's
+    to rounding: one a pair (d None), or at uniform x_j = x0 + h*j + d_j, from one block on,
+    one exact phase per row r, f*(x0 + h*r*width), times one per column c, f*h*c (f*h a
+    two-product, or h times the integer f*c), at x0 + h*j; the caller applies d (None if 0,
+    |f*d_j| <= 2^-30) after its contraction (``_at_points``).  With ``weights`` (F,), blocks
+    (points, weights @ table, None), at uniform points with no table: (rows, F) @ (F, width)
+    products of the weights, and of weights * f for d_j."""
     f = m + c
     step = max(1, min(_TABLE_BLOCK // max(f.size, 1), _SYNTHESIS_BLOCK // terms))  # points a block
     top = np.max(np.abs(f), initial=0.0)  # by rows only while |f*x| < 2^51: a span < 2^52 turns
@@ -162,7 +188,7 @@ def _phase_table(m, c, xs: np.ndarray, terms: int = 1, weights=None):
     if h is None or not top * np.max(np.abs(d)) <= 2.0 ** -30:
         for i in range(0, xs.size, step):
             table = _turns(_shifted_turns(m[:, None], c[:, None], xs[i:i + step]))
-            yield slice(i, i + step), table if weights is None else weights @ table
+            yield slice(i, i + step), table if weights is None else weights @ table, None
         return
     width = int(np.ceil(np.sqrt(xs.size)))
     rows = -(-xs.size // width)
@@ -182,16 +208,14 @@ def _phase_table(m, c, xs: np.ndarray, terms: int = 1, weights=None):
             row, col = factors(b)
             sums = sums + (w[:, None, b] * row) @ col.T
         sums = sums.reshape(len(w), -1)[:, :xs.size]
-        yield slice(0, xs.size), sums[0] + 2j * np.pi * d * sums[-1]
+        yield slice(0, xs.size), _at_points(sums, d if np.any(d) else None), None
         return
     row, col = (t.T for t in factors(slice(None)))
     step = max(1, step // width)  # rows a block
     for r in range(0, row.shape[1], step):
         points = slice(r * width, min((r + step) * width, xs.size))
         table = (row[:, r:r + step, None] * col[:, None]).reshape(f.size, -1)[:, :points.stop - points.start]
-        if np.any(d[points]):
-            table *= 1 + 2j * np.pi * np.multiply.outer(f, d[points])
-        yield points, table
+        yield points, table, d[points] if np.any(d[points]) else None
 
 
 def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
@@ -204,11 +228,11 @@ def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
     t_q, index m = t_q + b), where s_p or t_q is 0, is one Bluestein chirp
     transform in a and b: n*m = (a^2 + b^2 - (b - a)^2) / 2 + a*t_q + s_p*b
     turns its sum into a convolution with the chirp exp(-i*pi*rate*k^2)
-    between two offset phases.  Each block is one row of one batched FFT at
-    the smallest 5-smooth length >= block in + block out - 1, and all rows
-    share one chirp.  Chirp and offset phases are reduced mod 1 exactly
-    (``_product_turns``), so the result is accurate to rounding (~1e-15
-    relative) for any rate.
+    between two offset phases (exp(0), and not computed, in one block).  Each
+    block is one row of one batched FFT at the smallest 5-smooth length >=
+    block in + block out - 1, and all rows share one chirp.  Chirp and offset
+    phases are reduced mod 1 exactly (``_product_turns``), so the result is
+    accurate to rounding (~1e-15 relative) for any rate.
     """
     n = coeffs.size
     block = max(_CZT_BLOCK, min(n, count))
@@ -222,9 +246,10 @@ def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
     kernel[size - bi + 1:] = np.conj(w[bi - 1:0:-1])
     x = np.zeros(p * bi, dtype=complex)
     x[:n] = coeffs
-    twist = _turns(_product_turns(rate, np.outer(np.arange(q) * bo, np.arange(bi))))  # a * t_q
+    # offset phases a * t_q and s_p * b: exp(0) with one block out, or in
+    twist = _turns(_product_turns(rate, np.outer(np.arange(q) * bo, np.arange(bi)))) if q > 1 else 1
     pre = x.reshape(p, 1, bi) * (w[:bi] * twist)
-    post = w[:bo] * _turns(_product_turns(rate, np.outer(np.arange(p) * bi, np.arange(bo))))  # s_p * b
+    post = w[:bo] * _turns(_product_turns(rate, np.outer(np.arange(p) * bi, np.arange(bo)))) if p > 1 else w[None, :bo]
     spectrum = np.fft.fft(pre, size)
     spectrum *= np.fft.fft(kernel)
     conv = np.fft.ifft(spectrum)[..., :bo]
@@ -257,14 +282,15 @@ class Signal:
         A signal with a support is sampled exactly and whole at its
         ``_support_shifts``, keeping the nonzero values (maybe none): k_max
         cuts no sample and leaves no tail.  Every other signal samples its grid
-        projection (inverse DFT of the periodized spectrum) at |k| <= k_max, a
-        full period when k_max >= N/2; its tail energy is that of the period's
-        samples it drops.  Only a full period makes the samples' time fiber the
-        periodization (to rounding); below it, a truncated Fourier series of it.
+        projection (inverse DFT of the periodized spectrum; a combination, by a
+        convolution) at |k| <= k_max, a full period when k_max >= N/2; its tail
+        energy is that of the period's samples it drops.  Only a full period
+        makes the samples' time fiber the periodization (to rounding); below
+        it, a truncated Fourier series of it.
         """
         if self.support is None:
             folded = grid.fold(self.grid_values(grid))
-            return _samples_from_grid(folded[grid.band(folded)].sum(axis=0), k_max)
+            return _period_samples(np.fft.ifft(folded[grid.band(folded)].sum(axis=0)), k_max)
         ks = _support_shifts(self)
         vals = self.time_values(ks.astype(float))
         keep = vals != 0
@@ -290,9 +316,8 @@ def _support_shifts(f: Signal) -> np.ndarray:
     return np.arange(int(np.floor(a)) - 1, int(np.ceil(b)) + 2)
 
 
-def _samples_from_grid(periodized: np.ndarray, k_max: int) -> TimeSamples:
-    a = np.fft.ifft(periodized)  # a[r] = grid-projected f(r), N-periodic in r
-    n = periodized.size
+def _period_samples(a: np.ndarray, k_max: int) -> TimeSamples:
+    n = a.size  # a[r] = grid-projected f(r), N-periodic in r: a periodization's inverse DFT
     half = n // 2
     ks = np.arange(-half, half) if k_max >= half else np.arange(-k_max, k_max + 1)
     vals = a[ks % n]
@@ -343,7 +368,7 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
             if lo > first:  # the transform's offset from the first node, one exact phase
                 out *= _turns(_product_turns((lo - first) / n, xs))
     if rest.size:  # every other node: its offset from the first, at x/N
-        for points, sums in _phase_table(rest - first, np.zeros(rest.size), xs / n, weights=values[rest]):
+        for points, sums, _ in _phase_table(rest - first, np.zeros(rest.size), xs / n, weights=values[rest]):
             out[points] += sums
     return (out * kern).reshape(shape)
 
@@ -433,10 +458,10 @@ class PiecewiseConstantSpectrum(Signal):
         # the phases from _phase_table; no ramp exp(...) - 1 that cancels near x = 0
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
         m, lo, hi, v = (np.array([p[i] for p in self.pieces]) for i in range(4))
-        out = np.zeros(xs.size, dtype=complex)
-        for points, table in _phase_table(m, (lo + hi) / 2, xs.ravel()):
-            u = np.clip(np.multiply.outer(hi - lo, xs.ravel()[points]), -2.0 ** 60, 2.0 ** 60)  # pi * u finite
-            out[points] = (v * (hi - lo)) @ (np.sinc(u) * table)  # |sinc| < 3e-19 past 2^60
+        x, c, out = xs.ravel(), (lo + hi) / 2, np.zeros(xs.size, dtype=complex)
+        w = v * (hi - lo) * np.stack([np.ones(m.size), m + c])  # and times f for the residuals
+        for points, table, d in _phase_table(m, c, x):
+            out[points] = _at_points(w @ (_sincs(hi - lo, x[points]) * table), d)
         return out.reshape(xs.shape)
 
     def scaled(self, factor: complex) -> "PiecewiseConstantSpectrum":
@@ -612,7 +637,8 @@ class ShiftCombination(Signal):
     Time values are the finite sum: in factored form over a piecewise-
     constant base (``_interval_sum``), otherwise through the base's time
     values at blocks of (point, shift) differences; the grid spectrum is the
-    exact product C(omega) * base_hat(omega) with C the coefficient fiber.
+    exact product C(omega) * base_hat(omega) with C the coefficient fiber;
+    over a spectral base the samples convolve c with the base's (no zeros).
     """
 
     def __init__(self, base: Signal, coefficients: TimeSamples):
@@ -626,6 +652,22 @@ class ShiftCombination(Signal):
     def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
         fiber = self.coefficients.fiber(grid.resolution)
         return (fiber * grid.fold(self.base.grid_values(grid))).ravel()
+
+    def integer_samples(self, grid: FrequencyGrid, k_max: int) -> TimeSamples:
+        """Over a base with no support: f(k) = sum_j c_j a[(k - j) mod N], a the base's period
+        samples, one direct convolution (the coefficients on at most a period): the inverse DFT
+        of C * base_hat's periodization without its rounding noise.  Nonzero samples are kept."""
+        if self.base.support is not None:
+            return super().integer_samples(grid, k_max)
+        n, ks = grid.resolution, self.coefficients.ks
+        base, a = self.base.integer_samples(grid, n // 2), np.zeros(n, dtype=complex)
+        if ks.size and (nz := np.flatnonzero(base.values)).size:
+            c = np.zeros(min(ks[-1] + 1 - ks[0], n), dtype=complex)
+            np.add.at(c, (ks - ks[0]) % n, self.coefficients.values)
+            conv = np.convolve(c, base.values[nz[0]:nz[-1] + 1])
+            np.add.at(a, (ks[0] + base.ks[nz[0]] + np.arange(conv.size)) % n, conv)
+        s = _period_samples(a, k_max)
+        return TimeSamples(s.ks[s.values != 0], s.values[s.values != 0], k_max, s.tail_energy)
 
     def time_values(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -647,11 +689,12 @@ class ShiftCombination(Signal):
         (R @ (c w_e exp(-2i*pi*e*k))) / (2i*pi), R the real Cauchy matrix
         1/(x - k).  Near a pole the factored form cancels: entries with |x - k|
         < 1/2 are left out of R and summed directly as the pieces' sincs, their
-        phase exp(2i*pi*centre*(x - k)) the x-side one times exp(-2i*pi*centre*k).
-        The x-side phases of ends and centres are one ``_phase_table``, whose
-        blocks also bound R's rows."""
+        phase exp(2i*pi*centre*(x - k)) the x-side one times exp(-2i*pi*centre*k);
+        a piece whose sinc rounds to 1 at every x - k is only that phase, summed over
+        k once.  The x-side phases are one ``_phase_table``, whose blocks also bound
+        R's rows; its residuals are applied after each contraction (``_at_points``)."""
         ks, cs = self.coefficients.ks, self.coefficients.values
-        if not ks.size:
+        if not (ks.size and xs.size):
             return np.zeros(xs.size, dtype=complex)
         near = np.round(xs)
         y = xs - near  # R's entry at the nearest integer, exact (Sterbenz)
@@ -659,22 +702,28 @@ class ShiftCombination(Signal):
         at = np.flatnonzero((np.abs(y) < 0.5) & (ks[idx] == near))  # not NaN or inf
         idx = idx[at]
         m, lo, hi, v = (np.array([p[i] for p in self.base.pieces]) for i in range(4))
-        ends = 2 * m.size
-        # ends m + hi, m + lo, then centres; k-side factors drop m*k: (S, 2E) real for R
-        frac = np.concatenate([hi, lo, (lo + hi) / 2])
+        unit = _unit_sinc((hi - lo) * max(np.max(xs) - ks[0], ks[-1] - np.min(xs)))  # at every x - k
+        m, lo, hi, v = (a[np.argsort(unit, kind="stable")] for a in (m, lo, hi, v))
+        ends = 2 * (cut := m.size - np.count_nonzero(unit))
+        # ends m + hi, m + lo of the pieces with sincs, then centres; k-side factors drop m*k
+        frac = np.concatenate([hi[:cut], lo[:cut], (lo + hi) / 2])
+        m = np.concatenate([m[:cut], m[:cut], m])
+        f = np.stack([np.ones(m.size), m + frac])  # and times f for the residuals
         k_turns = _turns(-_product_turns(frac, ks[:, None]))
-        coef = (cs[:, None] * np.concatenate([v, -v]) / (2j * np.pi) * k_turns[:, :ends]).view(float)
+        coef = (cs[:, None] * np.concatenate([v[:cut], -v[:cut]]) / (2j * np.pi) * k_turns[:, :ends]).view(float)
         pole = cs[:, None] * v * (hi - lo) * k_turns[:, ends:]
+        direct = pole[:, cut:].sum(axis=0) * f[:, ends + cut:]
         out = np.empty(xs.size, dtype=complex)
-        for points, table in _phase_table(np.tile(m, 3), frac, xs, ks.size):
+        for points, table, d in _phase_table(m, frac, xs, ks.size):
             r = xs[points, None] - ks
             block = slice(*np.searchsorted(at, [points.start, points.stop]))
             rows = at[block] - points.start
             r[rows, idx[block]] = np.inf  # left out: summed directly below
             np.reciprocal(r, out=r)
-            out[points] = np.einsum("ji,ij->i", table[:ends], (r @ coef).view(complex))
-            sincs = np.sinc(np.multiply.outer(hi - lo, y[at[block]]))
-            out[at[block]] += np.einsum("ji,ji,ij->i", sincs, table[ends:, rows], pole[idx[block]])
+            s = (table[:ends].T * (r @ coef).view(complex)) @ f[:, :ends].T
+            out[points] = _at_points(s.T + direct @ table[ends + cut:], d)
+            s = (_sincs(hi[:cut] - lo[:cut], y[at[block]]) * table[ends:ends + cut, rows]).T * pole[idx[block], :cut]
+            out[at[block]] += _at_points((s @ f[:, ends:ends + cut].T).T, None if d is None else d[rows])
         return out
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:

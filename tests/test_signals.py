@@ -19,9 +19,9 @@ from sisbox import (
     signals,
 )
 from sisbox.errors import GridMismatchError, PreconditionError
-from sisbox.signals import PeriodizedProfile, _grid_time_values, _phase_czt
+from sisbox.signals import PeriodizedProfile, _grid_time_values, _period_samples, _phase_czt
 from sisbox.spaces import _continuity_check, _probe_points, _sampling_function
-from sisbox.spectral import fibers
+from sisbox.spectral import fibers, periodize
 
 
 class TestPiecewiseConstant:
@@ -86,6 +86,15 @@ class TestPiecewiseConstant:
         xs = np.array([0.0, 1e-9, -1e-9, 1e-6, 1 / 256, 0.3, -2.75])
         want = exact_synthesis(sig.pieces, [0], [1.0], xs)
         assert np.max(np.abs(sig.time_values(xs) - want)) <= 1e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", ["ex2", "far-piece"])
+    def test_far_sincs_keep_their_relative_accuracy(self, name):
+        # np.sinc rounds pi*w*x before the sine: at x ~ 500 that read 5.6e-14 (ex2)
+        # and 1.1e-13 (the piece at 60) of the max; w*x reduced mod 2 exactly does not
+        sig = build_signal("ex2", FrequencyGrid(64, 1024)) if name == "ex2" else FAR_PIECE
+        xs, picks = np.linspace(492, 508, 1000), np.r_[0:1000:7, 999]
+        want = exact_synthesis(sig.pieces, [0], [1.0], xs[picks])
+        assert np.max(np.abs(sig.time_values(xs)[picks] - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_scaled(self, grid):
         sig = PiecewiseConstantSpectrum([(0.0, 1.0, 2.0)])
@@ -606,6 +615,31 @@ class TestShiftCombination:
         assert samples.tail_energy == 0.0
 
 
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_spectral_base_samples_carry_the_coefficients(self, shannon, n):
+        # shannon's period samples are one exact 1 at k = 0: its member is sampled
+        # at its 17 coefficients, not at the period's 1,024 or 4,096 (~1e-16 noise)
+        coeffs = random_coefficients(44)
+        samples = ShiftCombination(shannon, coeffs).integer_samples(FrequencyGrid(32, n), 512)
+        assert samples.ks.tolist() == coeffs.ks.tolist()
+        assert np.array_equal(samples.values, coeffs.values)
+        assert samples.tail_energy == 0.0
+
+    @pytest.mark.parametrize("k_max", [512, 2048])
+    def test_spectral_base_samples_match_the_grid_route(self, k_max, monkeypatch):
+        # from the coefficients and the base's period samples, never the member's
+        # grid spectrum: ex2's samples, and the tail that k_max < N/2 leaves
+        grid = FrequencyGrid(64, 4096)
+        f = ShiftCombination(build_signal("ex2", grid), random_coefficients(44))
+        want = _period_samples(np.fft.ifft(periodize(f, grid).values), k_max)
+        monkeypatch.setattr(ShiftCombination, "grid_values", lambda *args: pytest.fail("grid spectrum built"))
+        got = f.integer_samples(grid, k_max)
+        assert got.ks.tolist() == want.ks.tolist()
+        assert np.max(np.abs(got.values - want.values)) <= 1e-15 * np.max(np.abs(want.values))
+        assert abs(got.tail_energy - want.tail_energy) <= 1e-15 * want.tail_energy
+        assert (want.tail_energy > 0) == (k_max < grid.resolution // 2)
+
+
 class TestGridSamples:
     @staticmethod
     def band_member():
@@ -668,12 +702,8 @@ class TestUniformTable:
         got = f.time_values(points)
         assert len(tables) == 1
         picks = np.r_[0:points.size:29, points.size - 1]
-        if isinstance(f, ShiftCombination):
-            want = exact_synthesis(pieces, f.coefficients.ks, f.coefficients.values, points[picks])
-        else:  # the sincs as computed: at x ~ 500, sinc's own rounding is ~1e-13 of it
-            want = [exact_phase_sum(np.array([v * (hi - lo) * np.sinc((hi - lo) * x) for _, lo, hi, v in pieces]),
-                                    [m + (Fraction(lo) + Fraction(hi)) / 2 for m, lo, hi, _ in pieces], x)
-                    for x in points[picks]]
+        ks, cs = (f.coefficients.ks, f.coefficients.values) if isinstance(f, ShiftCombination) else ([0], [1.0])
+        want = exact_synthesis(pieces, ks, cs, points[picks])
         assert np.max(np.abs(got[picks] - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("points", [np.linspace(-8, 8, 1000), FALSIFIER_POINTS, np.linspace(492, 508, 1000)],

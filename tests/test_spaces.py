@@ -284,10 +284,13 @@ class TestReconstruct:
         np.testing.assert_allclose(rec.values, expected, atol=1e-12)
 
     def test_time_route_matches_exact_phase_sum(self, shannon_space, grid):
-        # a member's 1,024 grid samples, summed against the kernel at points on,
-        # within 1e-9 of and halfway between the integers
-        samples = integer_samples(synthesize(shannon_space, random_coefficients(44)), grid, 512)
-        assert samples.ks.size == 1024
+        # a member's samples spread over the full period, 1,024 of them with its 17
+        # nonzero ones, summed against the kernel at points on, within 1e-9 of and
+        # halfway between the integers
+        member = integer_samples(synthesize(shannon_space, random_coefficients(44)), grid, 512)
+        assert member.ks.size == 17
+        ks = np.arange(-512, 512)
+        samples = TimeSamples(ks, [member.value_at(k) for k in ks], 512)
         rec = reconstruct(shannon_space, samples, SYNTHESIS_POINTS)
         want = exact_synthesis(shannon_space.sampling_spectrum.pieces, samples.ks, samples.values,
                                SYNTHESIS_POINTS)
