@@ -13,11 +13,10 @@ Three primary representations plus one derived:
 * ``TimeKernel`` -- compactly supported continuous time function given by
   an evaluator; its spectrum is obtained by trapezoid quadrature of order
   QUADRATURE_ORDER (Bluestein-transform accelerated).
-* ``ShiftCombination`` -- finite combination sum_k c_k phi(. - k) of the
-  integer translates of a base signal; keeps both its time-domain sum
-  (factored around one Cauchy-matrix product over an interval spectrum,
-  poles summed directly) and the exact grid spectrum C(omega) * phi_hat,
-  and over a spectral base is sampled from its coefficients (a convolution).
+* ``ShiftCombination`` -- finite combination sum_k c_k phi(. - k) of the integer
+  translates of a base signal; keeps both its time-domain sum (factored around one
+  Cauchy-matrix product over an interval spectrum, poles summed directly) and the exact
+  grid spectrum C(omega) * phi_hat; over a spectral base, sampled from its coefficients.
 
 Every representation carries ``integrable_spectrum``: membership in the
 class of square-integrable functions with absolutely integrable spectrum
@@ -26,12 +25,11 @@ class of square-integrable functions with absolutely integrable spectrum
 Every phase a * x is reduced mod 1 exactly by Dekker's split (``_product_turns``;
 ``_shifted_turns`` for a piece at m + c; a factor past 2^52 is an integer).  One
 direct sum serves both spectrum kinds, ``_phase_table``'s exact phases (a pair at a
-time, or at uniform points one per row times one per column, ``_linear_turns``):
-interval spectra's pieces, and the grid nodes' offsets from the first that the
-chirp transform (``_phase_czt``) over the dense blocks leaves, a point's residual from
-the uniform one applied after each contraction.  Only ``twisted_sum`` / ``dual_energy``
-round a product once, then reduce it: an x reduced exactly to [0, 1) times shifts |m| <=
-K.  Sincs (``_sincs``) reduce w * x mod 2 exactly, and none cancels near x = 0.
+time, or at uniform points one per row times one per column, ``_linear_turns``, each
+point's residual applied after the contraction): interval spectra's pieces, and the grid
+nodes' offsets from the first that the chirp transform (``_phase_czt``) leaves.  Only
+``twisted_sum`` / ``dual_energy`` round a product once, then reduce it: an x reduced
+exactly to [0, 1) times shifts |m| <= K.  Sincs (``_sincs``) reduce w * x mod 2 exactly.
 """
 
 from __future__ import annotations
@@ -120,10 +118,10 @@ def _unit_sinc(wx):  # sinc(w*x) = 1 - (pi*w*x)^2/6 + ... rounds to 1 below sqrt
 
 
 def _sincs(w, x):
-    """sinc(w*x), a row per width w > 0 and a column per x, 1 in rows where it rounds to 1.
-    Where |w*x| may pass 1, w*x is reduced mod 2 exactly (a two-product; x cut at 2^995,
-    where the split is finite) before the sine: np.sinc rounds pi*w*x first, ~|w*x| ulps."""
-    out, top, x = np.ones((w.size, x.size)), np.max(np.abs(x), initial=0.0), np.clip(x, -2.0 ** 995, 2.0 ** 995)
+    """sinc(w*x), a row per width w > 0 and a column per x: 1 in rows where it rounds to 1 at
+    max|x| (NaN hides no |x|); where |w*x| may pass 1, w*x reduced mod 2 exactly (a
+    two-product, x cut at 2^995) before the sine, which np.sinc rounds first."""
+    out, top, x = np.ones((w.size, x.size)), np.fmax.reduce(np.abs(x), initial=0.0), np.clip(x, -2.0 ** 995, 2.0 ** 995)
     rows = np.flatnonzero(~_unit_sinc(w * top))
     t = p = np.multiply.outer(w[rows], x)
     if np.any(far := w[rows] * top >= 1):
@@ -166,15 +164,14 @@ def _linear_turns(rate, rows, width, ints=1):
 
 
 def _phase_table(m, c, xs: np.ndarray, terms: int = 1, weights=None):
-    """Blocks (points, table, d) of exp(2i*pi*f*x), f = m + c (m integer, c in [0, 1]), a
-    row per f and a column per x in xs[points]: at most _TABLE_BLOCK entries, and
-    _SYNTHESIS_BLOCK pairs of x and the caller's ``terms``.  Each entry is its exact phase's
-    to rounding: one a pair (d None), or at uniform x_j = x0 + h*j + d_j, from one block on,
-    one exact phase per row r, f*(x0 + h*r*width), times one per column c, f*h*c (f*h a
-    two-product, or h times the integer f*c), at x0 + h*j; the caller applies d (None if 0,
-    |f*d_j| <= 2^-30) after its contraction (``_at_points``).  With ``weights`` (F,), blocks
-    (points, weights @ table, None), at uniform points with no table: (rows, F) @ (F, width)
-    products of the weights, and of weights * f for d_j."""
+    """Blocks (points, table, d) of exp(2i*pi*f*x), f = m + c (m integer, c in [0, 1]), a row
+    per f and a column per x in xs[points]: at most _TABLE_BLOCK entries, and _SYNTHESIS_BLOCK
+    pairs of x and the caller's ``terms``.  Each entry is its exact phase's to rounding: one a
+    pair (d None), or at uniform x_j = x0 + h*j + d_j, from one block on, one exact phase per
+    row r, f*(x0 + h*r*width), times one per column c, f*h*c (f*h a two-product, or h times the
+    integer f*c): at x0 + h*j, d (None if 0, |f*d_j| <= 2^-30) left to ``_at_points``.  With
+    ``weights`` (F,), blocks (points, weights @ table, None), at uniform points with no table:
+    (rows, F) @ (F, width) products of the weights, and of weights * f for d_j."""
     f = m + c
     step = max(1, min(_TABLE_BLOCK // max(f.size, 1), _SYNTHESIS_BLOCK // terms))  # points a block
     top = np.max(np.abs(f), initial=0.0)  # by rows only while |f*x| < 2^51: a span < 2^52 turns
@@ -246,7 +243,6 @@ def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
     kernel[size - bi + 1:] = np.conj(w[bi - 1:0:-1])
     x = np.zeros(p * bi, dtype=complex)
     x[:n] = coeffs
-    # offset phases a * t_q and s_p * b: exp(0) with one block out, or in
     twist = _turns(_product_turns(rate, np.outer(np.arange(q) * bo, np.arange(bi)))) if q > 1 else 1
     pre = x.reshape(p, 1, bi) * (w[:bi] * twist)
     post = w[:bo] * _turns(_product_turns(rate, np.outer(np.arange(p) * bi, np.arange(bo)))) if p > 1 else w[None, :bo]
@@ -282,11 +278,10 @@ class Signal:
         A signal with a support is sampled exactly and whole at its
         ``_support_shifts``, keeping the nonzero values (maybe none): k_max
         cuts no sample and leaves no tail.  Every other signal samples its grid
-        projection (inverse DFT of the periodized spectrum; a combination, by a
-        convolution) at |k| <= k_max, a full period when k_max >= N/2; its tail
-        energy is that of the period's samples it drops.  Only a full period
-        makes the samples' time fiber the periodization (to rounding); below
-        it, a truncated Fourier series of it.
+        projection (inverse DFT of the periodized spectrum) at |k| <= k_max, a
+        full period when k_max >= N/2; its tail energy is that of the period's
+        samples it drops.  Only a full period makes the samples' time fiber the
+        periodization (to rounding); below it, a truncated Fourier series of it.
         """
         if self.support is None:
             folded = grid.fold(self.grid_values(grid))
@@ -634,11 +629,10 @@ class TimeKernel(Signal):
 class ShiftCombination(Signal):
     """f = sum_k c_k * base(. - k) for finitely many coefficients c_k.
 
-    Time values are the finite sum: in factored form over a piecewise-
-    constant base (``_interval_sum``), otherwise through the base's time
-    values at blocks of (point, shift) differences; the grid spectrum is the
-    exact product C(omega) * base_hat(omega) with C the coefficient fiber;
-    over a spectral base the samples convolve c with the base's (no zeros).
+    Time values are the finite sum: in factored form over a piecewise-constant base
+    (``_interval_sum``), otherwise through the base's time values at blocks of (point,
+    shift) differences; the grid spectrum is the exact product C(omega) * base_hat(omega)
+    with C the coefficient fiber.  Over a spectral base it samples from its coefficients.
     """
 
     def __init__(self, base: Signal, coefficients: TimeSamples):
@@ -654,18 +648,18 @@ class ShiftCombination(Signal):
         return (fiber * grid.fold(self.base.grid_values(grid))).ravel()
 
     def integer_samples(self, grid: FrequencyGrid, k_max: int) -> TimeSamples:
-        """Over a base with no support: f(k) = sum_j c_j a[(k - j) mod N], a the base's period
-        samples, one direct convolution (the coefficients on at most a period): the inverse DFT
-        of C * base_hat's periodization without its rounding noise.  Nonzero samples are kept."""
+        """Over a base with no support: f(k) = sum_j c_j b[(k - j) mod N], b the base's period
+        samples: one term per pair of nonzero c_j and b_i while they are at most N pairs (a
+        sparse base: no rounding noise), else by FFT.  Only nonzero samples are kept."""
         if self.base.support is not None:
             return super().integer_samples(grid, k_max)
-        n, ks = grid.resolution, self.coefficients.ks
-        base, a = self.base.integer_samples(grid, n // 2), np.zeros(n, dtype=complex)
-        if ks.size and (nz := np.flatnonzero(base.values)).size:
-            c = np.zeros(min(ks[-1] + 1 - ks[0], n), dtype=complex)
-            np.add.at(c, (ks - ks[0]) % n, self.coefficients.values)
-            conv = np.convolve(c, base.values[nz[0]:nz[-1] + 1])
-            np.add.at(a, (ks[0] + base.ks[nz[0]] + np.arange(conv.size)) % n, conv)
+        n, base = grid.resolution, self.base.integer_samples(grid, grid.resolution // 2)
+        (kc, c), (kb, b) = ((t.ks[t.values != 0], t.values[t.values != 0]) for t in (self.coefficients, base))
+        if c.size * b.size <= n:
+            a = np.zeros(n, dtype=complex)
+            np.add.at(a, np.add.outer(kc, kb) % n, np.multiply.outer(c, b))
+        else:
+            a = np.fft.ifft(self.coefficients.fiber(n) * base.fiber(n))
         s = _period_samples(a, k_max)
         return TimeSamples(s.ks[s.values != 0], s.values[s.values != 0], k_max, s.tail_energy)
 
@@ -689,10 +683,10 @@ class ShiftCombination(Signal):
         (R @ (c w_e exp(-2i*pi*e*k))) / (2i*pi), R the real Cauchy matrix
         1/(x - k).  Near a pole the factored form cancels: entries with |x - k|
         < 1/2 are left out of R and summed directly as the pieces' sincs, their
-        phase exp(2i*pi*centre*(x - k)) the x-side one times exp(-2i*pi*centre*k);
-        a piece whose sinc rounds to 1 at every x - k is only that phase, summed over
-        k once.  The x-side phases are one ``_phase_table``, whose blocks also bound
-        R's rows; its residuals are applied after each contraction (``_at_points``)."""
+        phase exp(2i*pi*centre*(x - k)) the x-side one times exp(-2i*pi*centre*k).  A
+        piece whose sinc is 1 at every x - k is only that phase, summed over k once: its
+        ends leave R.  The x-side phases are one ``_phase_table``, whose blocks bound R's
+        rows, and whose residuals are applied after both contractions (``_at_points``)."""
         ks, cs = self.coefficients.ks, self.coefficients.values
         if not (ks.size and xs.size):
             return np.zeros(xs.size, dtype=complex)
@@ -702,28 +696,28 @@ class ShiftCombination(Signal):
         at = np.flatnonzero((np.abs(y) < 0.5) & (ks[idx] == near))  # not NaN or inf
         idx = idx[at]
         m, lo, hi, v = (np.array([p[i] for p in self.base.pieces]) for i in range(4))
-        unit = _unit_sinc((hi - lo) * max(np.max(xs) - ks[0], ks[-1] - np.min(xs)))  # at every x - k
-        m, lo, hi, v = (a[np.argsort(unit, kind="stable")] for a in (m, lo, hi, v))
-        ends = 2 * (cut := m.size - np.count_nonzero(unit))
-        # ends m + hi, m + lo of the pieces with sincs, then centres; k-side factors drop m*k
-        frac = np.concatenate([hi[:cut], lo[:cut], (lo + hi) / 2])
-        m = np.concatenate([m[:cut], m[:cut], m])
-        f = np.stack([np.ones(m.size), m + frac])  # and times f for the residuals
+        reach = max(np.fmax.reduce(xs) - ks[0], ks[-1] - np.fmin.reduce(xs))  # largest |x - k|, NaN left out
+        one = _unit_sinc((hi - lo) * reach)  # sinc 1 at every x - k: these pieces go last
+        m, lo, hi, v = (np.concatenate([a[~one], a[one]]) for a in (m, lo, hi, v))
+        ends = 2 * (cut := np.count_nonzero(~one))
+        # ends m + hi, m + lo of the first cut pieces, then every centre; k-side factors drop m*k
+        frac, mf = np.concatenate([hi[:cut], lo[:cut], (lo + hi) / 2]), np.concatenate([m[:cut], m[:cut], m])
+        f = np.stack([np.ones(mf.size), mf + frac])  # and times f for the residuals
         k_turns = _turns(-_product_turns(frac, ks[:, None]))
         coef = (cs[:, None] * np.concatenate([v[:cut], -v[:cut]]) / (2j * np.pi) * k_turns[:, :ends]).view(float)
         pole = cs[:, None] * v * (hi - lo) * k_turns[:, ends:]
-        direct = pole[:, cut:].sum(axis=0) * f[:, ends + cut:]
+        direct = pole[:, cut:].sum(axis=0) * f[:, ends + cut:]  # the last pieces' sums over k
         out = np.empty(xs.size, dtype=complex)
-        for points, table, d in _phase_table(m, frac, xs, ks.size):
+        for points, table, d in _phase_table(mf, frac, xs, ks.size):
             r = xs[points, None] - ks
             block = slice(*np.searchsorted(at, [points.start, points.stop]))
             rows = at[block] - points.start
             r[rows, idx[block]] = np.inf  # left out: summed directly below
             np.reciprocal(r, out=r)
-            s = (table[:ends].T * (r @ coef).view(complex)) @ f[:, :ends].T
-            out[points] = _at_points(s.T + direct @ table[ends + cut:], d)
-            s = (_sincs(hi[:cut] - lo[:cut], y[at[block]]) * table[ends:ends + cut, rows]).T * pole[idx[block], :cut]
-            out[at[block]] += _at_points((s @ f[:, ends:ends + cut].T).T, None if d is None else d[rows])
+            s = f[:, :ends] @ (table[:ends] * (r @ coef).view(complex).T) + direct @ table[ends + cut:]
+            out[points] = _at_points(s, d)
+            s = _sincs(hi[:cut] - lo[:cut], y[at[block]]) * table[ends:ends + cut, rows] * pole[idx[block], :cut].T
+            out[at[block]] += _at_points(f[:, ends:ends + cut] @ s, None if d is None else d[rows])
         return out
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSpaceError, NotAGrammianError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
-from .signals import Signal, _period_samples, _support_shifts, dual_energy, require_finite, twisted_sum
+from .signals import ShiftCombination, Signal, _period_samples, _support_shifts, dual_energy, require_finite, twisted_sum
 
 DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
@@ -176,7 +176,8 @@ def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
     g = PeriodicSpectrum((modulus ** 2).sum(axis=0), grid)
     mask = support_mask(g, eps)
     periodization = band.sum(axis=0)
-    samples = f.integer_samples(grid, k_max) if f.support else _period_samples(np.fft.ifft(periodization), k_max)
+    own = f.support or isinstance(f, ShiftCombination)  # one sampling rule per signal
+    samples = f.integer_samples(grid, k_max) if own else _period_samples(np.fft.ifft(periodization), k_max)
     return Fibers(f, grid, folded, PeriodicSpectrum(periodization, grid), g,
                   PeriodicSpectrum(modulus.sum(axis=0), grid), mask,
                   samples, zak_time_fiber(samples, grid))

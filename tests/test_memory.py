@@ -101,8 +101,8 @@ def test_interval_synthesis_rows_per_block_shrink_with_the_coefficients(count):
     assert traced_peak(lambda: f.time_values(np.linspace(-8, 8, count))) <= 17 * MIB
 
 
-def test_combination_over_a_spectral_base_is_sampled_by_one_convolution():
-    # 4,001 coefficients over ex2's 1,024 period samples: one direct convolution of
+def test_combination_over_a_spectral_base_is_sampled_from_period_arrays():
+    # 4,001 coefficients over ex2's 1,024 period samples: one FFT convolution of
     # period-sized arrays, not the member's (128, 1,024) grid spectrum (4.3 MiB)
     grid = FrequencyGrid(64, 1024)
     f = ShiftCombination(build_signal("ex2", grid), random_coefficients(53, span=2000))

@@ -90,11 +90,15 @@ class TestPiecewiseConstant:
     @pytest.mark.parametrize("name", ["ex2", "far-piece"])
     def test_far_sincs_keep_their_relative_accuracy(self, name):
         # np.sinc rounds pi*w*x before the sine: at x ~ 500 that read 5.6e-14 (ex2)
-        # and 1.1e-13 (the piece at 60) of the max; w*x reduced mod 2 exactly does not
+        # and 1.1e-13 (the piece at 60) of the max; w*x reduced mod 2 exactly does not,
+        # and a NaN point beside them hides none of their magnitudes
         sig = build_signal("ex2", FrequencyGrid(64, 1024)) if name == "ex2" else FAR_PIECE
         xs, picks = np.linspace(492, 508, 1000), np.r_[0:1000:7, 999]
         want = exact_synthesis(sig.pieces, [0], [1.0], xs[picks])
         assert np.max(np.abs(sig.time_values(xs)[picks] - want)) <= 1e-15 * np.max(np.abs(want))
+        got = sig.time_values(np.append(xs, np.nan))
+        assert np.isnan(got[-1])
+        assert np.max(np.abs(got[picks] - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_scaled(self, grid):
         sig = PiecewiseConstantSpectrum([(0.0, 1.0, 2.0)])
@@ -624,6 +628,25 @@ class TestShiftCombination:
         assert samples.ks.tolist() == coeffs.ks.tolist()
         assert np.array_equal(samples.values, coeffs.values)
         assert samples.tail_energy == 0.0
+
+    def test_nested_combination_samples_keep_their_gaps(self, shannon):
+        # the base's own samples sit at k = 0 and 2, not at consecutive k: each
+        # pair of nonzeros lands at its own sum of indices, as on the grid route
+        grid = FrequencyGrid(32, 1024)
+        base = ShiftCombination(shannon, TimeSamples.from_pairs({0: 1.0, 2: 0.5}))
+        f = ShiftCombination(base, random_coefficients(44))
+        want = _period_samples(np.fft.ifft(periodize(f, grid).values), 512)
+        keep = np.abs(want.values) > 1e-12
+        got = f.integer_samples(grid, 512)
+        assert got.ks.tolist() == want.ks[keep].tolist() == list(range(-8, 11))
+        assert np.max(np.abs(got.values - want.values[keep])) <= 1e-15 * np.max(np.abs(want.values))
+
+    def test_fibers_read_the_combination_samples(self, shannon, grid):
+        # one rule samples a combination: its Fibers record holds the 17 samples
+        f = ShiftCombination(shannon, random_coefficients(44))
+        fib, want = fibers(f, grid), f.integer_samples(grid, 512)
+        assert fib.samples.ks.tolist() == want.ks.tolist() == list(range(-8, 9))
+        assert np.array_equal(fib.samples.values, want.values)
 
     @pytest.mark.parametrize("k_max", [512, 2048])
     def test_spectral_base_samples_match_the_grid_route(self, k_max, monkeypatch):
