@@ -20,11 +20,11 @@ def shannon_signal() -> PiecewiseConstantSpectrum:
 def blhat_signal(grid: FrequencyGrid) -> GridSpectrum:
     """Band-limited triangle spectrum (1 - 2|omega|) on [-1/2, 1/2),
     sampled on the grid; time function is half a squared sinc."""
-    n = grid.resolution
+    n, k = grid.resolution, grid.half_bandwidth
     d = np.arange(-((n - 1) // 2), (n + 1) // 2)  # the nodes omega = d/N with |omega| < 1/2
-    vals = np.zeros(grid.size, dtype=complex)
-    vals[grid.size // 2 + d] = 1.0 - 2.0 * np.abs(d / n)  # node KN is omega = 0
-    return GridSpectrum(vals, grid)
+    rows = np.zeros((2, n), dtype=complex)  # fold rows of the shifts -1 and 0
+    rows.ravel()[n + d] = 1.0 - 2.0 * np.abs(d / n)  # node n is omega = 0
+    return GridSpectrum.from_band(slice(k - 1, k + 1), rows, grid)
 
 
 def ex2_signal(n_max: int = 60) -> PiecewiseConstantSpectrum:

@@ -101,14 +101,14 @@ def check_determining_set(space: SamplingSpace, funcs: list[Signal]) -> Determin
     kernel_residual = float("nan")
     if passed:
         taken = np.zeros(grid.resolution, dtype=bool)
-        recon = np.zeros(fibs[0].folded.shape, dtype=complex)
+        recon = np.zeros((2 * grid.half_bandwidth, grid.resolution), dtype=complex)
         for fib in fibs:
             b = SupportMask(fib.mask.values & ~taken, grid, fib.mask.eps)
             taken |= b.values
             disjoint.append(b)
             alpha = divide_on_support(np.ones(grid.resolution), fib.zak.values, b)
             alphas.append(PeriodicSpectrum(alpha, grid))
-            recon += alpha * fib.folded
+            recon[fib.band] += alpha * fib.rows
         s_vals = grid.fold(space.sampling_spectrum.grid_values(grid))
         kernel_residual = float(np.max(np.abs(recon - s_vals)))
 
@@ -124,11 +124,12 @@ def span_sum_check(space: SamplingSpace, report: DeterminingSetReport, funcs: li
     grid = space.grid
     member_residual(space, probe, "probe")
     fib = fibers(probe, grid, space.mask.eps, space.k_max)
-    recon = np.zeros(fib.folded.shape, dtype=complex)
+    folded = grid.fold(probe.grid_values(grid))
+    recon = np.zeros(folded.shape, dtype=complex)
     for f, alpha, b in zip(funcs, report.multipliers, report.disjoint_masks):
         beta = np.where(b.values, alpha.values * fib.zak.values, 0.0)
         recon += beta * grid.fold(f.grid_values(grid))
-    return spectral_norm(recon - fib.folded, grid) / max(spectral_norm(fib.folded, grid), 1e-300)
+    return spectral_norm(recon - folded, grid) / max(spectral_norm(folded, grid), 1e-300)
 
 
 def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[SamplingSpace]:

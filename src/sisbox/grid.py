@@ -83,12 +83,6 @@ class FrequencyGrid:
         """Reshape full-line values into (2K, N): row q holds shift m = q - K."""
         return np.asarray(values).reshape(2 * self.half_bandwidth, self.resolution)
 
-    @staticmethod
-    def band(folded: np.ndarray) -> slice:
-        """Rows [first, last] of a fold holding a nonzero node, NaN and inf included."""
-        rows = np.flatnonzero(folded.any(axis=1))
-        return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
-
     def shifts(self) -> np.ndarray:
         """Integer shifts m covered by the grid, in fold() row order."""
         return np.arange(-self.half_bandwidth, self.half_bandwidth)

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConstructionRefusedError, DegenerateSpaceError, PreconditionError
 from .grid import FrequencyGrid
 from .reports import ConditionCheck
-from .signals import GridSpectrum, PeriodizedProfile, Signal, dual_energy
+from .signals import GridSpectrum, PeriodizedProfile, Signal, dual_energy, pad_band
 from .spaces import (
     KERNEL_TOL,
     MEMBER_TOL,
@@ -252,8 +252,9 @@ def check_theorem2(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
     from zero exactly on the support set.
     """
     def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray):
-        h = _sampling_function(fib)  # the certificate reads only h's Zak fiber, on f's set
-        cert = sz99_report(replace(fib, signal=h, zak=zak_time_fiber(h.integer_samples(grid, k_max), grid)), seed=seed)
+        h = _sampling_function(fib)  # the certificate reads h's band and Zak fiber, on f's set
+        zak = zak_time_fiber(h.integer_samples(grid, k_max), grid)
+        cert = sz99_report(replace(fib, signal=h, band=h.band, rows=h.rows, zak=zak), seed=seed)
         return cert.checks, {"A": cert.zak_lower, "B": cert.zak_upper,
                              "shift_bound": cert.shift_sum_bound, "normalization": "zak"}
 
@@ -330,17 +331,18 @@ def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
     if fib.mask.is_empty:
         raise DegenerateSpaceError("empty support set: canonical kernel is degenerate")
 
-    zak = fib.periodization.values
-    svals = divide_on_support(fib.folded, zak, fib.mask)
-    svals[grid.half_bandwidth, ~_guarded_support(zak, fib.mask)] = 1.0  # fold row of m = 0
+    zak, k = fib.periodization.values, grid.half_bandwidth
+    band = slice(min(fib.band.start, k), max(fib.band.stop, k + 1))  # f's rows and the row of m = 0
+    svals = pad_band(fib.band, divide_on_support(fib.rows, zak, fib.mask), band)
+    svals[k - band.start, ~_guarded_support(zak, fib.mask)] = 1.0
 
-    s_sig = GridSpectrum(svals.ravel(), grid, integrable_spectrum=True)
+    s_sig = GridSpectrum.from_band(band, svals, grid, integrable_spectrum=True)
     space = build_space(s_sig, grid, eps=eps, k_max=k_max, seed=seed)
 
     # internal consistency: f_hat = Z_f * s_hat and s(k) = delta_0k
     recon = zak * grid.fold(space.sampling_spectrum.grid_values(grid))
-    scale = max(float(np.max(np.abs(fib.folded))), 1e-300)
-    dev = float(np.max(np.abs(recon - fib.folded)))
+    scale = max(float(np.max(np.abs(fib.rows))), 1e-300)
+    dev = float(np.max(np.abs(recon - grid.fold(f.grid_values(grid)))))
     if dev > VANISH_TOL * scale:
         raise ConstructionRefusedError(
             f"constructed kernel fails to reproduce the signal (relative deviation "

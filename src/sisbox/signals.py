@@ -20,7 +20,9 @@ Three primary representations plus one derived:
 
 Every representation carries ``integrable_spectrum``: membership in the
 class of square-integrable functions with absolutely integrable spectrum
-(a time kernel's caller states it).
+(a time kernel's caller states it).  On a grid each is held as its band (``band_values``):
+the fold rows that can hold a nonzero node, alone (an interval spectrum's pieces' rows, a
+combination's base's, every row of a time kernel); ``grid_values`` pads it with zero rows.
 
 Every phase a * x is reduced mod 1 exactly by Dekker's split (``_product_turns``;
 ``_shifted_turns`` for a piece at m + c; a factor past 2^52 is an integer).  One
@@ -33,6 +35,8 @@ exactly to [0, 1) times shifts |m| <= K.  Sincs (``_sincs``) reduce w * x mod 2 
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -93,24 +97,27 @@ def _product_turns(a, x):
     to rounding however large a*x is: Dekker's split (2^27 + 1) cuts each
     factor into halves of at most 26 bits, whose four products are exact and
     are each reduced mod 1.  A factor past 2^52 is an integer: the other counts
-    mod 1 only; one past 2^995 is split at 2^-28 of itself (both exact)."""
+    mod 1 only; one past 2^995 is split at 2^-28 of itself (both exact).  An all-0 low
+    half of a (integers below 2^26) skips its two products, each +0 (a non-finite x: NaN)."""
     if max(np.fmax.reduce(np.abs(v), axis=None, initial=0.0) for v in (a, x)) >= _INTEGRAL:  # NaN left out
         a, x = (np.where(np.abs(o) >= _INTEGRAL, v - np.round(v), v) for v, o in ((a, x), (x, a)))
         ah, xh = (_split(v / s) * s for v in (a, x) for s in [np.where(np.abs(v) > 2.0 ** 995, 2.0 ** 28, 1.0)])
     else:
         ah, xh = _split(a), _split(x)
     al, xl = a - ah, x - xh
-    return sum(p - np.round(p) for p in (ah * xh, ah * xl, al * xh, al * xl))
+    halves = ((ah, xh), (ah, xl), (al, xh), (al, xl)) if np.any(al) else ((ah, xh), (ah, xl))
+    return sum(p - np.round(p) for p in (u * v for u, v in halves))
 
 
 def _shifted_turns(m, c, x):
     """(m + c)*x less an integer, m integer and c in [0, 1]: m + c rounds to a,
-    whose remainder c - (a - m) is exact (Fast2Sum) and too small to reduce.
-    Where |x| >= 2^52, x is an integer, and so is m*x: m drops out."""
+    whose remainder c - (a - m) is exact (Fast2Sum), too small to reduce, and skipped
+    where all 0.  Where |x| >= 2^52, x is an integer, and so is m*x: m drops out."""
     if np.fmax.reduce(np.abs(x), axis=None, initial=0.0) >= _INTEGRAL:
         m = np.where(np.abs(x) >= _INTEGRAL, 0, m)
     a = m + c
-    return _product_turns(a, x) + (c - (a - m)) * x
+    rest = c - (a - m)
+    return _product_turns(a, x) + rest * x if np.any(rest) else _product_turns(a, x)
 
 
 def _unit_sinc(wx):  # sinc(w*x) = 1 - (pi*w*x)^2/6 + ... rounds to 1 below sqrt(6)*2^-27/pi
@@ -264,9 +271,14 @@ class Signal:
     # the spectrum is known
     support: tuple[float, float] | None = None
 
-    def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
-        """Spectrum values at all 2KN grid nodes."""
+    def band_values(self, grid: FrequencyGrid) -> tuple[slice, np.ndarray]:
+        """(band, rows): the slice of fold rows (row q the shift m = q - K) that can hold
+        a nonzero or non-finite node, and the spectrum on those rows only, (rows, N)."""
         raise NotImplementedError
+
+    def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
+        """Spectrum values at all 2KN grid nodes: the band, padded with zeros."""
+        return pad_band(*self.band_values(grid), slice(0, 2 * grid.half_bandwidth)).ravel()
 
     def time_values(self, xs) -> np.ndarray:
         """Values of the time function at arbitrary real points."""
@@ -284,8 +296,7 @@ class Signal:
         periodization (to rounding); below it, a truncated Fourier series of it.
         """
         if self.support is None:
-            folded = grid.fold(self.grid_values(grid))
-            return _period_samples(np.fft.ifft(folded[grid.band(folded)].sum(axis=0)), k_max)
+            return _period_samples(np.fft.ifft(self.band_values(grid)[1].sum(axis=0)), k_max)
         ks = _support_shifts(self)
         vals = self.time_values(ks.astype(float))
         keep = vals != 0
@@ -299,6 +310,15 @@ class Signal:
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:
         """Energy outside [-K, K) discarded by the grid projection."""
         return 0.0
+
+
+def pad_band(band: slice, rows: np.ndarray, span: slice) -> np.ndarray:
+    """The fold rows of band placed among zero rows over span, which holds band."""
+    if band == span:
+        return rows
+    out = np.zeros((span.stop - span.start, rows.shape[1]), dtype=complex)
+    out[band.start - span.start:band.stop - span.start] = rows
+    return out
 
 
 def _support_shifts(f: Signal) -> np.ndarray:
@@ -324,10 +344,10 @@ def _period_samples(a: np.ndarray, k_max: int) -> TimeSamples:
     return TimeSamples(ks, vals, k_max, tail_energy=tail)
 
 
-def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -> np.ndarray:
-    """Integrate the cell-constant spectral model against exp(2i*pi*omega*x).
+def _grid_time_values(band: slice, rows: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -> np.ndarray:
+    """Integrate the cell-constant model of the fold rows of band against exp(2i*pi*omega*x).
 
-    Exact when ``values`` are constant on grid cells (each node represents
+    Exact when ``rows`` are constant on grid cells (each node represents
     its half-open cell [omega_j, omega_j + 1/N)); refuses a non-finite node.
     At uniform points a chirp transform runs over the dense blocks of the band at
     x0 + h*j (a point's residual from it would take a second transform); every other
@@ -335,9 +355,8 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     shape, xs = xs.shape, xs.ravel()
-    n = grid.resolution
-    band = grid.band(grid.fold(values))
-    nz = band.start * n + np.flatnonzero(values[band.start * n:band.stop * n])
+    n, values = grid.resolution, rows.ravel()
+    nz = np.flatnonzero(values)  # node j of the grid is nz + band.start * n
     if not nz.size:
         return np.zeros(shape, dtype=complex)
     require_finite(values[nz])
@@ -345,7 +364,7 @@ def _grid_time_values(values: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -
     # cell kernel: integral of exp(2i*pi*omega*x) over one cell [w, w + step) at the first
     # nonzero node w, step * sinc(step * x) * exp(2i*pi*(w + step/2)*x), the phase reduced
     # exactly; both routes sum only offsets (j - first) / N, and no exp(...) - 1 cancels at 0
-    w = first / n - grid.half_bandwidth
+    w = (first + band.start * n) / n - grid.half_bandwidth
     kern = grid.step * np.sinc(grid.step * xs) * _turns(_product_turns(w, xs) + grid.step / 2 * xs)
 
     spacing, rest, out = _uniform_spacing(xs), nz, np.zeros(xs.size, dtype=complex)
@@ -426,15 +445,17 @@ class PiecewiseConstantSpectrum(Signal):
         # 0 <= lo < hi <= 1: exact also where m + hi rounds to m (m + 2^-64)
         return pow2_at_least(max((max(m + 1, -m) for m, _, _, _ in self.pieces), default=1))
 
-    def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
+    def band_values(self, grid: FrequencyGrid) -> tuple[slice, np.ndarray]:
         need = self.required_half_bandwidth()
         if need > grid.half_bandwidth:
             raise BandwidthOverflowError(need, grid.half_bandwidth)
         n = grid.resolution
         k = grid.half_bandwidth
-        out = np.zeros(grid.size, dtype=complex)
+        ms = [m for m, _, _, _ in self.pieces]
+        band = slice(min(ms) + k, max(ms) + k + 1) if ms else slice(0, 0)
+        out = np.zeros((band.stop - band.start) * n, dtype=complex)
         for m, lo, hi, v in self.pieces:
-            base = (m + k) * n
+            base = (m + k - band.start) * n
             s = lo * n  # piece endpoints in cell units; exact for dyadic data
             e = hi * n
             i0 = int(np.floor(s))
@@ -446,7 +467,7 @@ class PiecewiseConstantSpectrum(Signal):
             out[base + i0 + 1:base + i1] += v
             if i1 < n and e > i1:
                 out[base + i1] += v * (e - i1)
-        return out
+        return band, out.reshape(-1, n)
 
     def time_values(self, xs) -> np.ndarray:
         # piece [m + lo, m + hi): v * width * sinc(width * x) * exp(2i*pi*centre*x),
@@ -466,27 +487,25 @@ class PiecewiseConstantSpectrum(Signal):
         )
 
 
-def twisted_sum(coeffs: np.ndarray, shifts: np.ndarray, x: float) -> np.ndarray:
-    """sum over rows r of coeffs[r] exp(2i*pi*shifts[r]*x) per column, summed row by
+def twisted_sum(rows: np.ndarray, shifts: np.ndarray, x: float) -> np.ndarray:
+    """sum over rows r of rows[r] exp(2i*pi*shifts[r]*x) per column, summed row by
     row like the periodization (x = 0 reproduces it exactly); x is first reduced,
     exactly, to [0, 1), so far offsets keep the phase accuracy of near ones."""
-    band = FrequencyGrid.band(coeffs)  # zero rows beyond it add nothing
-    phases = np.exp(2j * np.pi * ((x - np.floor(x)) * shifts[band]))
-    return (coeffs[band] * phases[:, None]).sum(axis=0)
+    phases = np.exp(2j * np.pi * ((x - np.floor(x)) * shifts))
+    return (rows * phases[:, None]).sum(axis=0)
 
 
-def dual_energy(coeffs: np.ndarray, shifts: np.ndarray, xs: np.ndarray, weights) -> np.ndarray:
-    """sum_c weights[c] |sum_r coeffs[r, c] exp(2i*pi*shifts[r]*x)|^2 at each x in
+def dual_energy(rows: np.ndarray, shifts: np.ndarray, xs: np.ndarray, weights) -> np.ndarray:
+    """sum_c weights[c] |sum_r rows[r, c] exp(2i*pi*shifts[r]*x)|^2 at each x in
     xs, as the quadratic form e G e^H of the phases e_r in the Gram matrix G =
-    rows W rows^H of the band rows, W >= 0 (1/N; length / |Z|^2 or 0): H = S S^T
-    for S = [Re; Im] rows sqrt(W), G = H11 + H22 + i(H21 - H12).  x is reduced as
+    rows W rows^H, W >= 0 (1/N; length / |Z|^2 or 0): H = S S^T for
+    S = [Re; Im] rows sqrt(W), G = H11 + H22 + i(H21 - H12).  x is reduced as
     in ``twisted_sum``; a NaN node makes G, and every energy, NaN."""
-    band = FrequencyGrid.band(coeffs)
-    b, stacked = band.stop - band.start, np.concatenate([coeffs[band].real, coeffs[band].imag])
+    b, stacked = rows.shape[0], np.concatenate([rows.real, rows.imag])
     stacked *= np.sqrt(weights)
     h = stacked @ stacked.T  # numpy runs S S^T as one symmetric rank-k product
     gram = (h[:b, :b] + h[b:, b:]) + 1j * (h[b:, :b] - h[:b, b:])  # G[r, s] = sum_c rows[r, c] w_c conj(rows[s, c])
-    e = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts[band]))
+    e = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts))
     return np.sum((e @ gram) * np.conj(e), axis=1).real
 
 
@@ -534,30 +553,41 @@ class PeriodizedProfile:
         n = fib.grid.resolution
         return cls(fib.grid.unit_omegas, np.full(n, 1.0 / n), fib.periodization.values,
                    fib.abs_periodization.real_values, fib.grammian.real_values,
-                   fib.grid.shifts(), fib.folded, exact=False)
+                   fib.grid.shifts()[fib.band], fib.rows, exact=False)
 
 
 class GridSpectrum(Signal):
-    """Spectrum known only through its values at the nodes of one grid."""
+    """Spectrum known only at the nodes of one grid, held as its band; ``values`` pads it once."""
 
     def __init__(self, values: np.ndarray, grid: FrequencyGrid, integrable_spectrum: bool = True):
         values = np.asarray(values, dtype=complex)
         if values.shape != (grid.size,):
             raise ValueError(f"expected {grid.size} spectrum values, got {values.shape}")
-        self.values = values
-        self.grid = grid
-        self.integrable_spectrum = integrable_spectrum
+        folded = grid.fold(values)
+        occupied = np.flatnonzero(folded.any(axis=1))  # the one scan; a NaN or inf node is nonzero
+        self.band = slice(occupied[0], occupied[-1] + 1) if occupied.size else slice(0, 0)
+        self.rows, self.grid, self.integrable_spectrum = folded[self.band], grid, integrable_spectrum
 
-    def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
+    @classmethod
+    def from_band(cls, band: slice, rows: np.ndarray, grid: FrequencyGrid,
+                  integrable_spectrum: bool = True) -> "GridSpectrum":
+        """Construct from the fold rows of band, (rows, N); every other row is zero."""
+        obj = cls.__new__(cls)
+        obj.band, obj.rows, obj.grid, obj.integrable_spectrum = band, rows, grid, integrable_spectrum
+        return obj
+
+    values = cached_property(lambda self: self.grid_values(self.grid))
+
+    def band_values(self, grid: FrequencyGrid) -> tuple[slice, np.ndarray]:
         if grid != self.grid:
             raise GridMismatchError(
                 f"grid spectrum lives on (K={self.grid.half_bandwidth}, N={self.grid.resolution}), "
                 f"requested (K={grid.half_bandwidth}, N={grid.resolution})"
             )
-        return self.values
+        return self.band, self.rows
 
     def time_values(self, xs) -> np.ndarray:
-        return _grid_time_values(self.values, self.grid, np.asarray(xs, dtype=float))
+        return _grid_time_values(self.band, self.rows, self.grid, np.asarray(xs, dtype=float))
 
 
 class TimeKernel(Signal):
@@ -592,6 +622,9 @@ class TimeKernel(Signal):
         if key not in self._spectrum_cache:
             self._spectrum_cache[key] = self._compute_spectrum(grid)
         return self._spectrum_cache[key]
+
+    def band_values(self, grid: FrequencyGrid) -> tuple[slice, np.ndarray]:
+        return slice(0, 2 * grid.half_bandwidth), grid.fold(self.grid_values(grid))
 
     def _trapezoid(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the trapezoid rule over the support."""
@@ -643,9 +676,9 @@ class ShiftCombination(Signal):
         if base.support is not None and ks.size:
             self.support = (base.support[0] + float(ks.min()), base.support[1] + float(ks.max()))
 
-    def grid_values(self, grid: FrequencyGrid) -> np.ndarray:
-        fiber = self.coefficients.fiber(grid.resolution)
-        return (fiber * grid.fold(self.base.grid_values(grid))).ravel()
+    def band_values(self, grid: FrequencyGrid) -> tuple[slice, np.ndarray]:
+        band, rows = self.base.band_values(grid)
+        return band, self.coefficients.fiber(grid.resolution) * rows
 
     def integer_samples(self, grid: FrequencyGrid, k_max: int) -> TimeSamples:
         """Over a base with no support: f(k) = sum_j c_j b[(k - j) mod N], b the base's period

@@ -152,7 +152,7 @@ def check_sz99(candidate: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
 
 
 def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
-    """The certificate of a record's signal on its support set (whose eps the
+    """The certificate of a record's signal on its band, support set (whose eps the
     Zak bound is held to) and Zak fiber: ``check_sz99`` passes the
     candidate's own record; theorem 2 one that carries the original signal's set."""
     candidate, mask, zak = fib.signal, fib.mask, fib.zak
@@ -163,7 +163,8 @@ def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
 
     verdict, max_jump, threshold = _continuity_check(candidate)
 
-    sss = shift_square_sum(candidate, _probe_points(seed), fib.grid)
+    probe = candidate if candidate.support else GridSpectrum.from_band(fib.band, fib.rows, fib.grid)
+    sss = shift_square_sum(probe, _probe_points(seed), fib.grid)
     shift_pass = bool(np.isfinite(sss.bound) and sss.bound <= SHIFT_SUM_CAP)
 
     absz = np.abs(zak.values)
@@ -187,8 +188,8 @@ def tight_frame_generator(psi: Signal, grid: FrequencyGrid,
     fib = fibers(psi, grid, eps)
     if fib.mask.is_empty:
         raise DegenerateSpaceError("zero generator has no tight-frame normalization")
-    out = divide_on_support(fib.folded, np.sqrt(fib.grammian.real_values), fib.mask)
-    return GridSpectrum(out.ravel(), grid, integrable_spectrum=psi.integrable_spectrum)
+    out = divide_on_support(fib.rows, np.sqrt(fib.grammian.real_values), fib.mask)
+    return GridSpectrum.from_band(fib.band, out, grid, integrable_spectrum=psi.integrable_spectrum)
 
 
 @dataclass(frozen=True)
@@ -258,8 +259,8 @@ def _sampling_kernel_signal(fib: Fibers) -> Signal:
 def _sampling_function(fib: Fibers) -> GridSpectrum:
     """h_hat = f_hat / Z_f(0,.) on the support set, zero off it: the sampling
     function of V(f), and theorem 2's normalized signal."""
-    out = divide_on_support(fib.folded, fib.zak.values, fib.mask)
-    return GridSpectrum(out.ravel(), fib.grid, integrable_spectrum=fib.signal.integrable_spectrum)
+    out = divide_on_support(fib.rows, fib.zak.values, fib.mask)
+    return GridSpectrum.from_band(fib.band, out, fib.grid, integrable_spectrum=fib.signal.integrable_spectrum)
 
 
 def synthesize(space: SamplingSpace, coeffs: TimeSamples) -> ShiftCombination:
@@ -310,7 +311,7 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> Reconst
         if time_route:
             vals = synthesis.time_values(xs)
         else:
-            vals = GridSpectrum(synthesis.grid_values(grid), grid).time_values(xs)
+            vals = GridSpectrum.from_band(*synthesis.band_values(grid), grid).time_values(xs)
     if bad := np.count_nonzero(~np.isfinite(vals)):
         raise PreconditionError(f"reconstruction is not finite at {bad} of {xs.size} points")
     return ReconstructionResult(vals, "time" if time_route else "spectral")
@@ -322,8 +323,8 @@ def project(f: Signal, space: SamplingSpace) -> GridSpectrum:
     grid = space.grid
     r = divide_on_support(bracket(f, space.generator, grid).values,
                           space.grammian.real_values, space.mask)
-    out = r * grid.fold(space.generator.grid_values(grid))
-    return GridSpectrum(out.ravel(), grid, integrable_spectrum=f.integrable_spectrum)
+    band, rows = space.generator.band_values(grid)
+    return GridSpectrum.from_band(band, r * rows, grid, integrable_spectrum=f.integrable_spectrum)
 
 
 def member_residual(space: SamplingSpace, f: Signal, label: str = "signal") -> float:

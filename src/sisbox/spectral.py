@@ -4,8 +4,8 @@ All operations discretize almost-everywhere statements to "at every grid
 node": periodization is an exact finite sum over the 2K integer shifts
 the grid holds, the time fiber of a sample sequence is an exact discrete
 Fourier series, and set measure is the fraction of unit-grid nodes.
-``fibers`` and ``divide_on_support`` reduce over the band of the fold: rows
-[first, last] hold a nonzero node, NaN and inf included (``FrequencyGrid.band``).
+A spectrum is read as its band (``Signal.band_values``), the fold rows that can
+hold a nonzero node, NaN and inf included: every sum over the shifts runs over them alone.
 """
 
 from __future__ import annotations
@@ -17,35 +17,33 @@ import numpy as np
 
 from .errors import DegenerateSpaceError, NotAGrammianError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
-from .signals import ShiftCombination, Signal, _period_samples, _support_shifts, dual_energy, require_finite, twisted_sum
+from .signals import (ShiftCombination, Signal, _period_samples, _support_shifts, dual_energy, pad_band,
+                      require_finite, twisted_sum)
 
 DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
 
 
-def _fold(f: Signal, grid: FrequencyGrid) -> np.ndarray:
-    """f's grid values as (2K, N), row q the shift m = q - K (grid_values refuses a misfit)."""
-    return grid.fold(f.grid_values(grid))
-
-
 def periodize(f: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
     """sum_m f_hat(omega + m) over all shifts the grid covers (exact)."""
-    return PeriodicSpectrum(_fold(f, grid).sum(axis=0), grid)
+    return PeriodicSpectrum(f.band_values(grid)[1].sum(axis=0), grid)
 
 
 def grammian(f: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
     """sum_m |f_hat(omega + m)|^2; real and nonnegative."""
-    return PeriodicSpectrum((np.abs(_fold(f, grid)) ** 2).sum(axis=0), grid)
+    return PeriodicSpectrum((np.abs(f.band_values(grid)[1]) ** 2).sum(axis=0), grid)
 
 
 def abs_periodize(f: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
     """sum_m |f_hat(omega + m)|, the absolute-value periodization."""
-    return PeriodicSpectrum(np.abs(_fold(f, grid)).sum(axis=0), grid)
+    return PeriodicSpectrum(np.abs(f.band_values(grid)[1]).sum(axis=0), grid)
 
 
 def bracket(f: Signal, g: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
-    """Fiberwise inner product sum_m f_hat(omega+m) * conj(g_hat(omega+m))."""
-    return PeriodicSpectrum((_fold(f, grid) * np.conj(_fold(g, grid))).sum(axis=0), grid)
+    """Fiberwise inner product sum_m f_hat(omega+m) * conj(g_hat(omega+m)) over both bands."""
+    (bf, rf), (bg, rg) = f.band_values(grid), g.band_values(grid)
+    span = slice(min(bf.start, bg.start), max(bf.stop, bg.stop))
+    return PeriodicSpectrum((pad_band(bf, rf, span) * np.conj(pad_band(bg, rg, span))).sum(axis=0), grid)
 
 
 def zak_time_fiber(samples: TimeSamples, grid: FrequencyGrid) -> PeriodicSpectrum:
@@ -55,7 +53,8 @@ def zak_time_fiber(samples: TimeSamples, grid: FrequencyGrid) -> PeriodicSpectru
 
 def zak_dual_fiber(f: Signal, x: float, grid: FrequencyGrid) -> PeriodicSpectrum:
     """Phase-twisted periodization sum_m f_hat(omega+m) exp(2i*pi*m*x)."""
-    return PeriodicSpectrum(twisted_sum(_fold(f, grid), grid.shifts(), x), grid)
+    band, rows = f.band_values(grid)
+    return PeriodicSpectrum(twisted_sum(rows, grid.shifts()[band], x), grid)
 
 
 def guard_level(magnitude: np.ndarray, eps: float) -> float:
@@ -87,14 +86,13 @@ def _guarded_support(denom: np.ndarray, mask: SupportMask) -> np.ndarray:
 def divide_on_support(values: np.ndarray, denom: np.ndarray, mask: SupportMask) -> np.ndarray:
     """values / denom on the guarded support of denom, zero elsewhere.
 
-    denom is periodic; values is periodic, full-line or folded and keeps its
-    shape.  Each row of its fold is divided, so denom is broadcast, never tiled.
+    denom is periodic; values is periodic, full-line or fold rows (a band) and
+    keeps its shape.  Each row is divided, so denom is broadcast, never tiled.
     """
     on = _guarded_support(denom, mask)
     rows = np.reshape(values, (-1, mask.grid.resolution))
-    band = mask.grid.band(rows)
     out = np.zeros(rows.shape, dtype=complex)
-    np.divide(rows[band], denom, out=out[band], where=on, dtype=complex)
+    np.divide(rows, denom, out=out, where=on, dtype=complex)
     return out.reshape(np.shape(values))
 
 
@@ -127,7 +125,7 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
     grid-projected signal.  Writing omega = m + t with integer shift m and
     t in [0, 1), Z_f(x, t) = exp(2i*pi*t*x) * sum_m f_hat(t+m) exp(2i*pi*m*x);
     the first factor has modulus one, so each probe's energy is a quadratic
-    form in the Gram matrix of the occupied fold rows (``dual_energy``).
+    form in the Gram matrix of the band's rows (``dual_energy``).
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     direct = f.support is not None
@@ -137,7 +135,8 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
         points = np.add.outer(xs - np.floor(xs), _support_shifts(f))
         sums = np.sum(np.abs(f.time_values(points)) ** 2, axis=1)
     else:
-        sums = dual_energy(_fold(f, grid), grid.shifts(), xs, grid.step)
+        band, rows = f.band_values(grid)
+        sums = dual_energy(rows, grid.shifts()[band], xs, grid.step)
     return ShiftSquareSum(float(np.max(sums, initial=0.0)), "direct" if direct else "parseval")
 
 
@@ -145,12 +144,13 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
 class Fibers:
     """The periodized objects of one signal on one grid.  Every verdict on
     a signal reads its Grammian G_f, Zak fiber Z_f(0, .) and support set
-    E_f; ``fibers`` sums them over the band of one fold (rows [first, last] with
-    a nonzero node, NaN and inf included); callers pass the record down, not recompute."""
+    E_f; ``fibers`` sums them over the signal's band (``Signal.band_values``), which
+    the record keeps in place of a full grid; callers pass the record down, not recompute."""
 
     signal: Signal
     grid: FrequencyGrid
-    folded: np.ndarray                   # grid values as (2K, N), a view
+    band: slice                          # fold rows (row q: shift q - K) of the spectrum
+    rows: np.ndarray                     # the spectrum on them, (rows, N); zero elsewhere
     periodization: PeriodicSpectrum      # sum_m f_hat(. + m)
     grammian: PeriodicSpectrum           # G_f = sum_m |f_hat(. + m)|^2
     abs_periodization: PeriodicSpectrum  # sum_m |f_hat(. + m)|
@@ -169,17 +169,16 @@ def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
     """Build the Fibers record of f on the grid; refuses a spectrum with a
     NaN or infinite node, which would otherwise empty the support set and
     pass every verdict as vacuous."""
-    folded = _fold(f, grid)
-    band = folded[grid.band(folded)]
-    require_finite(band)
-    modulus = np.abs(band)
-    g = PeriodicSpectrum((modulus ** 2).sum(axis=0), grid)
+    band, rows = f.band_values(grid)
+    require_finite(rows)
+    abs_periodization = (modulus := np.abs(rows)).sum(axis=0)
+    g = PeriodicSpectrum(np.square(modulus, out=modulus).sum(axis=0), grid)
     mask = support_mask(g, eps)
-    periodization = band.sum(axis=0)
+    periodization = rows.sum(axis=0)
     own = f.support or isinstance(f, ShiftCombination)  # one sampling rule per signal
     samples = f.integer_samples(grid, k_max) if own else _period_samples(np.fft.ifft(periodization), k_max)
-    return Fibers(f, grid, folded, PeriodicSpectrum(periodization, grid), g,
-                  PeriodicSpectrum(modulus.sum(axis=0), grid), mask,
+    return Fibers(f, grid, band, rows, PeriodicSpectrum(periodization, grid), g,
+                  PeriodicSpectrum(abs_periodization, grid), mask,
                   samples, zak_time_fiber(samples, grid))
 
 

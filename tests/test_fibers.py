@@ -16,8 +16,8 @@ from sisbox import (
     zak_dual_fiber,
     zak_time_fiber,
 )
-from sisbox.errors import DegenerateSpaceError
-from sisbox.signals import GridSpectrum, PeriodizedProfile, PiecewiseConstantSpectrum, twisted_sum
+from sisbox.errors import DegenerateSpaceError, PreconditionError
+from sisbox.signals import GridSpectrum, PeriodizedProfile, PiecewiseConstantSpectrum, pad_band, twisted_sum
 from sisbox.spaces import _sampling_function
 from sisbox.spectral import DEFAULT_EPS, DEFAULT_K_MAX, divide_on_support, fibers
 
@@ -59,7 +59,9 @@ def tiled_division(vals, denom, mask, grid, eps=DEFAULT_EPS):
 def test_record_matches_one_quantity_functions(band_signal):
     f, grid = band_signal
     fib = fibers(f, grid)
-    assert np.array_equal(fib.folded.ravel(), f.grid_values(grid))
+    folded, outside = grid.fold(f.grid_values(grid)), np.ones(2 * grid.half_bandwidth, dtype=bool)
+    outside[fib.band] = False
+    assert np.array_equal(fib.rows, folded[fib.band]) and not np.any(folded[outside])
     assert np.array_equal(fib.periodization.values, periodize(f, grid).values)
     assert np.array_equal(fib.grammian.values, grammian(f, grid).values)
     assert np.array_equal(fib.abs_periodization.values, abs_periodize(f, grid).values)
@@ -75,7 +77,8 @@ def test_kernel_equals_tiled_formula(band_signal):
     zak = zak_time_fiber(integer_samples(f, grid, DEFAULT_K_MAX), grid).values
     want = tiled_division(f.grid_values(grid), zak, mask, grid)
     fib = fibers(f, grid)
-    assert np.array_equal(divide_on_support(fib.folded, fib.zak.values, fib.mask).ravel(), want)
+    full = slice(0, 2 * grid.half_bandwidth)
+    assert np.array_equal(pad_band(fib.band, divide_on_support(fib.rows, fib.zak.values, fib.mask), full).ravel(), want)
     if mask.is_empty:  # the zero spectrum spans no space
         with pytest.raises(DegenerateSpaceError):
             build_space(f, grid, checked=False)
@@ -106,6 +109,16 @@ def test_divide_on_support_keeps_shape_and_zeroes_guarded_nodes():
     full = divide_on_support(np.ones(grid.size), denom, mask)
     assert full.shape == (grid.size,)
     assert np.array_equal(grid.fold(full), np.broadcast_to(periodic, (4, 8)))
+
+
+def test_nan_node_outside_the_nonzero_rows_is_refused(blhat, grid):
+    # blhat fills the rows of the shifts -1 and 0; a NaN in row 5 widens the band to it
+    vals = blhat.grid_values(grid).copy()
+    vals[5 * grid.resolution + 7] = np.nan
+    sig = GridSpectrum(vals, grid)
+    assert sig.band == slice(5, grid.half_bandwidth + 1)
+    with pytest.raises(PreconditionError, match="1 non-finite"):
+        fibers(sig, grid)
 
 
 def test_grid_profile_reads_the_record(blhat, grid):

@@ -16,6 +16,7 @@ from sisbox import (
     ShiftCombination,
     TimeSamples,
     build_signal,
+    build_space,
     check_sz99,
     check_theorem2,
     check_theorem5,
@@ -54,6 +55,13 @@ def test_shift_square_sum_builds_no_probe_table(fine_grid):
     probes = _probe_points(0)
     assert probes.size == 128
     assert traced_peak(lambda: shift_square_sum(blhat, probes, fine_grid)) < 1 * MIB
+
+
+@pytest.mark.parametrize("call", [check_theorem2, check_sz99, build_space], ids=lambda c: c.__name__)
+def test_certificate_of_a_band_signal_holds_only_its_rows(call, fine_grid):
+    # shannon fills 2 of the 128 fold rows (128 KiB); one whole (2K, N) grid is 8 MiB
+    shannon = build_signal("shannon", fine_grid)
+    assert traced_peak(lambda: call(shannon, fine_grid)) < 2 * MIB
 
 
 def test_theorem2_transforms_only_dense_blocks(fine_grid):

@@ -137,7 +137,8 @@ def test_each_probe_energy_matches_loop(name, fine_grid):
     f = probe_signal(name, fine_grid)
     xs = np.concatenate([_probe_points(0), FAR_OFFSETS])
     want = loop_energies(f, xs, fine_grid)
-    batched = dual_energy(fibers(f, fine_grid).folded, fine_grid.shifts(), xs, fine_grid.step)
+    fib = fibers(f, fine_grid)
+    batched = dual_energy(fib.rows, fine_grid.shifts()[fib.band], xs, fine_grid.step)
     np.testing.assert_allclose(batched, want, rtol=RTOL, atol=0)
     single = [shift_square_sum(f, [x], fine_grid).bound for x in FAR_OFFSETS]
     np.testing.assert_allclose(single, want[-FAR_OFFSETS.size:], rtol=RTOL, atol=0)
@@ -166,8 +167,8 @@ def test_dual_energy_matches_loop(name, weighted, fine_grid):
 
 
 def test_dual_energy_of_an_empty_band_is_zero(fine_grid):
-    folded = np.zeros((2 * fine_grid.half_bandwidth, fine_grid.resolution), dtype=complex)
-    got = dual_energy(folded, fine_grid.shifts(), np.concatenate([_probe_points(0), FAR_OFFSETS]), 1.0)
+    rows = np.zeros((0, fine_grid.resolution), dtype=complex)
+    got = dual_energy(rows, fine_grid.shifts()[:0], np.concatenate([_probe_points(0), FAR_OFFSETS]), 1.0)
     np.testing.assert_array_equal(got, np.zeros(128 + FAR_OFFSETS.size))
 
 
@@ -179,7 +180,7 @@ def test_dual_keeps_scalar_shape(name, grid_name, request):
     pieces = prof.starts.size
     dual = twisted_sum(prof.coeffs, prof.shifts, 0.25)
     assert dual.shape == (pieces,)
-    assert twisted_sum(fib.folded, grid.shifts(), 0.25).shape == (grid.resolution,)
+    assert twisted_sum(fib.rows, grid.shifts()[fib.band], 0.25).shape == (grid.resolution,)
     energy = dual_energy(prof.coeffs, prof.shifts, np.array([0.25]), prof.lengths)
     assert energy.shape == (1,)
     assert energy[0] == pytest.approx(np.sum(prof.lengths * np.abs(dual) ** 2), rel=RTOL)
@@ -230,7 +231,8 @@ def test_no_probe_reads_zero(name, grid):
 
 
 def test_nan_node_fails_the_shift_square_check(blhat, grid):
-    cert = sz99_report(replace(fibers(blhat, grid), signal=nan_node_signal(grid)))
+    nan_sig = nan_node_signal(grid)  # the record carries the signal's band, as theorem 2's does
+    cert = sz99_report(replace(fibers(blhat, grid), signal=nan_sig, band=nan_sig.band, rows=nan_sig.rows))
     assert np.isnan(cert.shift_sum_bound)
     assert not cert.shift_sum_pass and not cert.passed
 
@@ -243,14 +245,15 @@ def test_nan_probe_fails_the_dual_energy_check(ex2, wide_grid):
 
 
 def test_empty_shift_rows_are_skipped_exactly(fine_grid):
-    # blhat fills 1 of the 128 fold rows; the Gram matrix of the occupied rows
+    # blhat fills 2 of the 128 fold rows; the Gram matrix of its band's rows
     # gives the energies of the full (P, 2K) @ (2K, N) product
-    folded = fibers(build_signal("blhat", fine_grid), fine_grid).folded
-    shifts = fine_grid.shifts()
+    blhat = build_signal("blhat", fine_grid)
+    fib, shifts = fibers(blhat, fine_grid), fine_grid.shifts()
     xs = np.concatenate([_probe_points(0), FAR_OFFSETS])
-    full = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts)) @ folded
+    phases = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts))
+    full = phases @ fine_grid.fold(blhat.grid_values(fine_grid))
     want = np.mean(np.abs(full) ** 2, axis=1)
-    got = dual_energy(folded, shifts, xs, fine_grid.step)
+    got = dual_energy(fib.rows, shifts[fib.band], xs, fine_grid.step)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
 

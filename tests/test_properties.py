@@ -9,9 +9,11 @@ from sisbox import (
     FrequencyGrid,
     GridSpectrum,
     PiecewiseConstantSpectrum,
+    ShiftCombination,
     SupportMask,
     TimeSamples,
     bracket,
+    build_signal,
     build_space,
     grammian,
     periodize,
@@ -137,3 +139,80 @@ def test_zak_fiber_linearity_in_samples(coeffs):
     for k, c in zip(ks, coeffs):
         direct += c * np.exp(-2j * np.pi * k * SMALL.unit_omegas)
     np.testing.assert_allclose(z, direct, atol=1e-9)
+
+
+BAND_GRID = FrequencyGrid(8, 64)
+
+
+def full_grid_reference(f, grid):
+    """All 2KN values as the full-grid forms computed them: an interval spectrum's
+    cell averages written into a zero grid, a combination's coefficient fiber times
+    its base's whole fold."""
+    if isinstance(f, ShiftCombination):
+        return (f.coefficients.fiber(grid.resolution) * grid.fold(full_grid_reference(f.base, grid))).ravel()
+    n, k = grid.resolution, grid.half_bandwidth
+    out = np.zeros(grid.size, dtype=complex)
+    for m, lo, hi, v in f.pieces:
+        base, s, e = (m + k) * n, lo * n, hi * n
+        i0, i1 = int(np.floor(s)), int(np.floor(e))
+        if i0 == i1:
+            out[base + i0] += v * (e - s)
+            continue
+        out[base + i0] += v * (i0 + 1 - s)
+        out[base + i0 + 1:base + i1] += v
+        if i1 < n and e > i1:
+            out[base + i1] += v * (e - i1)
+    return out
+
+
+def assert_band_pads_to(f, grid, want):
+    """grid_values is want (np.array_equal: a combination's rows off its band are +0
+    where the full product may read -0), and the band holds every nonzero node."""
+    band, rows = f.band_values(grid)
+    assert np.array_equal(f.grid_values(grid), want)
+    folded, outside = grid.fold(want), np.ones(2 * grid.half_bandwidth, dtype=bool)
+    outside[band] = False
+    assert np.array_equal(rows, folded[band]) and not np.any(folded[outside])
+
+
+def seeded_intervals(rng, grid=BAND_GRID):
+    """1-4 disjoint intervals with random ends in [-K, K), about half of them
+    narrower than a cell."""
+    k, n = grid.half_bandwidth, grid.resolution
+    cuts = np.sort(rng.uniform(-k, k, rng.integers(2, 6)))
+    ends = [(a, min(b, a + rng.uniform(0, 1) / n) if rng.random() < 0.5 else b) for a, b in zip(cuts, cuts[1:])]
+    return PiecewiseConstantSpectrum([(a, b, complex(*rng.standard_normal(2))) for a, b in ends if b > a] or
+                                     [(0.0, 1.0, 1.0)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_interval_spectra_and_combinations_pad_their_band(seed):
+    rng = np.random.default_rng(seed)
+    f = seeded_intervals(rng)
+    assert_band_pads_to(f, BAND_GRID, full_grid_reference(f, BAND_GRID))
+    ks = np.unique(rng.integers(-20, 21, rng.integers(1, 8)))
+    c = ShiftCombination(f, TimeSamples(ks, rng.standard_normal(ks.size) + 1j * rng.standard_normal(ks.size), 20))
+    assert_band_pads_to(c, BAND_GRID, full_grid_reference(c, BAND_GRID))
+
+
+@pytest.mark.parametrize("kn", [(1, 1), (1, 2), (8, 64), (64, 4096)])
+def test_blhat_pads_its_band(kn):
+    grid = FrequencyGrid(*kn)
+    n = grid.resolution
+    d = np.arange(-((n - 1) // 2), (n + 1) // 2)
+    want = np.zeros(grid.size, dtype=complex)
+    want[grid.size // 2 + d] = 1.0 - 2.0 * np.abs(d / n)
+    assert_band_pads_to(build_signal("blhat", grid), grid, want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_grid_spectra_read_from_files_pad_their_band(tmp_path_factory, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.zeros(BAND_GRID.size, dtype=complex)
+    nodes = rng.choice(BAND_GRID.size, rng.integers(0, 40), replace=False)
+    vals[nodes] = rng.standard_normal(nodes.size) + 1j * rng.standard_normal(nodes.size)
+    path = tmp_path_factory.mktemp("io") / "spectrum.csv"
+    sio.write_grid_spectrum(GridSpectrum(vals, BAND_GRID), path)
+    assert_band_pads_to(sio.read_grid_spectrum(path), BAND_GRID, vals)

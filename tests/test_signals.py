@@ -119,8 +119,8 @@ class TestGridSpectrum:
         sel = slice(30 * 1024, 34 * 1024)
         vals[sel] = rng.standard_normal(4 * 1024) + 1j * rng.standard_normal(4 * 1024)
         xs_uniform = np.linspace(-3, 3, 200)      # triggers the Bluestein path
-        got = _grid_time_values(vals, grid, xs_uniform)
-        want = np.array([_grid_time_values(vals, grid, np.array([x]))[0] for x in xs_uniform])
+        got = GridSpectrum(vals, grid).time_values(xs_uniform)
+        want = np.array([GridSpectrum(vals, grid).time_values(np.array([x]))[0] for x in xs_uniform])
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     @pytest.mark.parametrize("count", [4097, 40])  # Bluestein span, direct sums
@@ -256,7 +256,7 @@ class TestChirpTransform:
         rng = np.random.default_rng(12)
         vals = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         xs = np.linspace(-8, 8, 1000)
-        got = _grid_time_values(vals, grid, xs)
+        got = GridSpectrum(vals, grid).time_values(xs)
         nodes = np.arange(grid.size) - grid.half_bandwidth * grid.resolution
         picks = [0, 1, 333, 500, 998, 999]
         want = []
@@ -281,7 +281,7 @@ class TestChirpTransform:
         xs = np.linspace(-8, 8, 1001)
         if drop_zero:
             xs = xs[xs != 0]
-        got = _grid_time_values(vals, grid, xs)
+        got = GridSpectrum(vals, grid).time_values(xs)
         keep = xs != 0  # the reference's cell kernel divides by x
         got, xs = got[keep], xs[keep]
         nodes = np.arange(grid.size)[band] - grid.half_bandwidth * n
@@ -332,7 +332,7 @@ class TestChirpTransform:
         grid = FrequencyGrid(64, 4096)
         vals = np.zeros(grid.size, dtype=complex)
         vals[[0, grid.size // 2, grid.size - 1]] = [1.0, -2.0j, 0.5]
-        _grid_time_values(vals, grid, np.linspace(-8, 8, 4097))
+        GridSpectrum(vals, grid).time_values(np.linspace(-8, 8, 4097))
         assert czt_sizes == []
 
     def test_repeated_first_point_sums_directly(self, czt_sizes, blhat):
@@ -348,7 +348,7 @@ class TestChirpTransform:
         """Relative error of the grid time values at xs[picks] (by default
         every 409th; x = 0 left out: the reference's cell kernel divides by
         x) against the exact-phase sum."""
-        got = _grid_time_values(vals, grid, xs)
+        got = GridSpectrum(vals, grid).time_values(xs)
         picks = np.flatnonzero(xs != 0)[::409] if picks is None else picks
         nz = np.flatnonzero(vals)
         nodes = nz - grid.half_bandwidth * grid.resolution
@@ -413,7 +413,8 @@ class TestChirpTransform:
     def test_one_block_is_one_transform_over_the_span(self, name):
         # every node in one block: the transform over the whole span, bit for bit
         grid = FrequencyGrid(64, 4096)
-        vals = build_signal(name, grid).grid_values(grid)
+        sig = build_signal(name, grid)
+        vals = sig.grid_values(grid)
         xs = np.linspace(-8, 8, 4097)
         n, nz = grid.resolution, np.flatnonzero(vals)
         first, span = nz[0], nz[-1] + 1 - nz[0]
@@ -422,13 +423,13 @@ class TestChirpTransform:
         kern = grid.step * np.sinc(grid.step * xs) * signals._turns(
             signals._product_turns(w, xs) + grid.step / 2 * xs)
         want = _phase_czt(vals[first:first + span] * twist, (xs[-1] - xs[0]) / (xs.size - 1) / n, xs.size)
-        np.testing.assert_array_equal(_grid_time_values(vals, grid, xs), want * kern)
+        np.testing.assert_array_equal(_grid_time_values(*sig.band_values(grid), grid, xs), want * kern)
 
     def test_direct_route_does_not_cache_the_grid_nodes(self):
         grid = FrequencyGrid(32, 1024)
         vals = np.zeros(grid.size, dtype=complex)
         vals[grid.size // 2:grid.size // 2 + 10] = 1.0
-        _grid_time_values(vals, grid, np.array([-3.0, 0.2, 0.25, 7.5]))
+        GridSpectrum(vals, grid).time_values(np.array([-3.0, 0.2, 0.25, 7.5]))
         assert "omegas" not in grid.__dict__
 
 
