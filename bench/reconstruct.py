@@ -8,18 +8,15 @@ member's trip through the path, at 1,000 points in [-8, 8], on the four spaces o
 perfbench's reconstruct workload (shannon, ex3, hat at (32, 1024), ex2 at (64, 1024)):
 ``synthesize``, ``integer_samples``, the time route (kernels in closed form), the
 spectral route (every kernel: the synthesis' grid spectrum, evaluated in time) and
-the member's exact ``time_values``.  BLAS runs on one thread; labels alternate from
-round to round, and a worker interleaves its repeats over every (space, stage).
-Medians in ms go to OUT.json and to a table on stdout (ratios to the first label).
+the member's exact ``time_values``.  A worker interleaves its repeats over every
+(space, stage); ``harness`` runs the workers and writes the medians in ms.
 """
 
-import json
-import os
-import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from harness import main
 
 REPEATS = 8  # per worker, after one warm-up pass
 SPACES = {"shannon": (32, 1024), "ex3": (32, 1024), "hat": (32, 1024), "ex2": (64, 1024)}
@@ -55,24 +52,5 @@ def worker(src: str) -> dict:
     return times
 
 
-if __name__ == "__main__" and sys.argv[1] == "--worker":
-    print(json.dumps(worker(sys.argv[2])))
-elif __name__ == "__main__":
-    out, rounds = Path(sys.argv[1]), int(sys.argv[sys.argv.index("--rounds") + 1]) if "--rounds" in sys.argv else 5
-    sources = dict(arg.split("=", 1) for arg in sys.argv[2:] if "=" in arg)
-    env = {**os.environ, **{v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}}
-    runs = {label: [] for label in sources}
-    for r in range(rounds):
-        for label in list(sources)[::1 if r % 2 == 0 else -1]:
-            done = subprocess.run([sys.executable, __file__, "--worker", sources[label]], env=env,
-                                  capture_output=True, text=True, check=True)
-            runs[label].append(json.loads(done.stdout))
-    medians = {label: {name: {stage: round(1e3 * statistics.median(t for w in ws for t in w[name][stage]), 4)
-                              for stage in ws[0][name]} for name in SPACES} for label, ws in runs.items()}
-    out.write_text(json.dumps({"repeats": rounds * REPEATS, "medians_ms": medians}, indent=1) + "\n")
-    labels = list(medians)
-    print(f"{'space':8} {'stage':18}" + "".join(f"{lab:>10}" for lab in labels) + "   ratios to " + labels[0])
-    for name in SPACES:
-        for stage, base in medians[labels[0]][name].items():
-            ms = [medians[lab][name][stage] for lab in labels]
-            print(f"{name:8} {stage:18}" + "".join(f"{v:10.3f}" for v in ms) + "".join(f"{v / base:8.2f}" for v in ms[1:]))
+if __name__ == "__main__":
+    main(__file__, worker, REPEATS, "medians_ms")

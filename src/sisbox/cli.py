@@ -47,9 +47,8 @@ from .membership import (
     induced_subspace,
 )
 from .reports import ConditionCheck, ReportDocument
-from .signals import GridSpectrum
 from .spaces import KERNEL_TOL, build_space, reconstruct, sz99_report
-from .spectral import DEFAULT_EPS, DEFAULT_K_MAX, essential_bounds, fibers
+from .spectral import DEFAULT_EPS, DEFAULT_K_MAX, essential_bounds, fibers, union_rows
 
 
 # largest grid (nodes) the spectrum of an input may widen the default to
@@ -273,17 +272,16 @@ def cmd_decompose(args) -> _Outcome:
     groups = sio.read_partition(args.partition)
     components = decompose(space, PeriodicPartition.from_intervals(groups, grid))
 
-    total = np.zeros(grid.size, dtype=complex)
     prefix = args.out_prefix or "component"
     files = []
     for j, comp in enumerate(components):
-        vals = comp.sampling_spectrum.grid_values(grid)
-        total += vals
         path = f"{prefix}_{j}.csv"
-        sio.write_grid_spectrum(GridSpectrum(vals, grid), path)
+        sio.write_grid_spectrum(comp.sampling_spectrum, path)
         files.append(path)
         print(f"[decompose] component {j}: measure={comp.mask.measure:.6g} wrote {path}")
-    gap = float(np.max(np.abs(total - space.sampling_spectrum.grid_values(grid))))
+    kernels = [c.sampling_spectrum for c in components]
+    s_rows, *comp_rows = union_rows([space.sampling_spectrum, *kernels], grid)
+    gap = float(np.max(np.abs(sum(comp_rows) - s_rows)))
     print(f"[decompose] kernel sum gap={gap:.3g}")
     check = ConditionCheck("kernel_sum_gap", gap <= KERNEL_TOL, gap, KERNEL_TOL)
 

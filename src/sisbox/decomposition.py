@@ -1,11 +1,12 @@
 """Determining sets, direct-sum decompositions and lattice rescaling.
 
 A finite family of members determines the space exactly when the union of
-their support sets covers the generator's support set (up to one grid
-cell).  A passing family yields disjoint masks B_i and periodic
-multipliers alpha_i with kernel = sum_i alpha_i * f_i_hat; any periodic
-partition of the support set splits the space into an orthogonal direct
-sum of smaller sampling spaces with masked kernels.
+their support sets is the generator's support set, node for node.  A
+passing family yields disjoint masks B_i and periodic multipliers alpha_i
+with kernel = sum_i alpha_i * f_i_hat; any periodic partition of the
+support set (its nodes, each in exactly one mask) splits the space into an
+orthogonal direct sum of smaller sampling spaces with masked kernels.
+Every comparison reads fold rows over the signals' bands (``union_rows``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .spaces import (
     project,
     reconstruct,
 )
-from .spectral import divide_on_support, fibers, spectral_norm
+from .spectral import divide_on_support, fibers, spectral_norm, union_rows
 
 
 @dataclass(frozen=True)
@@ -94,23 +95,22 @@ def check_determining_set(space: SamplingSpace, funcs: list[Signal]) -> Determin
     masks = [fib.mask for fib in fibs]
     union = PeriodicPartition(masks).union()
     sym = union.symmetric_difference(space.mask).measure
-    passed = sym <= 1.0 / grid.resolution
+    passed = sym == 0.0
 
     disjoint: list[SupportMask] = []
     alphas: list[PeriodicSpectrum] = []
     kernel_residual = float("nan")
     if passed:
         taken = np.zeros(grid.resolution, dtype=bool)
-        recon = np.zeros((2 * grid.half_bandwidth, grid.resolution), dtype=complex)
         for fib in fibs:
             b = SupportMask(fib.mask.values & ~taken, grid, fib.mask.eps)
             taken |= b.values
             disjoint.append(b)
             alpha = divide_on_support(np.ones(grid.resolution), fib.zak.values, b)
             alphas.append(PeriodicSpectrum(alpha, grid))
-            recon[fib.band] += alpha * fib.rows
-        s_vals = grid.fold(space.sampling_spectrum.grid_values(grid))
-        kernel_residual = float(np.max(np.abs(recon - s_vals)))
+        s_rows, *f_rows = union_rows([space.sampling_spectrum, *funcs], grid)
+        recon = sum(alpha.values * rows for alpha, rows in zip(alphas, f_rows))
+        kernel_residual = float(np.max(np.abs(recon - s_rows)))
 
     return DeterminingSetReport(masks, union, sym, passed, disjoint, alphas, kernel_residual)
 
@@ -124,51 +124,46 @@ def span_sum_check(space: SamplingSpace, report: DeterminingSetReport, funcs: li
     grid = space.grid
     member_residual(space, probe, "probe")
     fib = fibers(probe, grid, space.mask.eps, space.k_max)
-    folded = grid.fold(probe.grid_values(grid))
-    recon = np.zeros(folded.shape, dtype=complex)
-    for f, alpha, b in zip(funcs, report.multipliers, report.disjoint_masks):
-        beta = np.where(b.values, alpha.values * fib.zak.values, 0.0)
-        recon += beta * grid.fold(f.grid_values(grid))
-    return spectral_norm(recon - folded, grid) / max(spectral_norm(folded, grid), 1e-300)
+    p_rows, *f_rows = union_rows([probe, *funcs], grid)
+    recon = sum(np.where(b.values, alpha.values * fib.zak.values, 0.0) * rows
+                for rows, alpha, b in zip(f_rows, report.multipliers, report.disjoint_masks))
+    return spectral_norm(recon - p_rows, grid) / max(spectral_norm(p_rows, grid), 1e-300)
 
 
 def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[SamplingSpace]:
     """Split the space along a periodic partition of its support set.
 
+    Each mask is first cut to the support set: a node off it belongs to no
+    component.  The cut masks must hold every support node exactly once.
     Components with empty masks are dropped; each surviving component is
-    built from the masked generator and the masked Zak fiber of the space
-    (``space.zak``), certified, and checked to have the masked parent
-    kernel.  A component keeps that fiber, so it can be split again.
+    built from the masked rows of the generator and the masked Zak fiber of
+    the space (``space.zak``), certified, and checked to have the masked
+    parent kernel.  A component keeps that fiber, so it can be split again.
     """
     grid = space.grid
-    cell = 1.0 / grid.resolution
+    partition = PeriodicPartition([mask.intersection(space.mask) for mask in partition.masks])
     overlap = partition.overlap_measure()
-    if overlap > cell:
+    if overlap > 0:
         raise PartitionError(f"masks overlap on measure {overlap:.6g}", measure=overlap)
     uncovered = partition.union().symmetric_difference(space.mask).measure
-    if uncovered > cell:
-        raise PartitionError(
-            f"union differs from the support set by measure {uncovered:.6g}",
-            measure=uncovered,
-        )
+    if uncovered > 0:
+        raise PartitionError(f"masks leave support nodes of measure {uncovered:.6g} uncovered",
+                             measure=uncovered)
 
-    gen_vals = space.generator.grid_values(grid)
-    s_vals = space.sampling_spectrum.grid_values(grid)
+    band, gen_rows = space.generator.band_values(grid)
     out: list[SamplingSpace] = []
     for mask in partition.masks:
         if mask.is_empty:
             continue
-        tiled = mask.tile()
-        comp_gen = GridSpectrum(np.where(tiled, gen_vals, 0.0), grid,
-                                integrable_spectrum=space.generator.integrable_spectrum)
+        comp_gen = GridSpectrum.from_band(band, np.where(mask.values, gen_rows, 0.0), grid,
+                                          integrable_spectrum=space.generator.integrable_spectrum)
         # Z of M psi is M Z_psi exactly, not the fiber of its K-truncated spectrum
         fib = fibers(comp_gen, grid, space.mask.eps, space.k_max)
         comp_zak = PeriodicSpectrum(np.where(mask.values, space.zak.values, 0.0), grid)
         comp = _space(replace(fib, zak=comp_zak), seed=space.seed, checked=True)
-        comp_kernel = comp.sampling_spectrum.grid_values(grid)
-        expected = np.where(tiled, s_vals, 0.0)
-        mismatch = float(np.max(np.abs(comp_kernel - expected)))
-        if mismatch > KERNEL_TOL * max(float(np.max(np.abs(s_vals))), 1e-300):
+        comp_rows, s_rows = union_rows([comp.sampling_spectrum, space.sampling_spectrum], grid)
+        mismatch = float(np.max(np.abs(comp_rows - np.where(mask.values, s_rows, 0.0))))
+        if mismatch > KERNEL_TOL * max(float(np.max(np.abs(s_rows))), 1e-300):
             raise PartitionError(
                 f"component kernel deviates from the masked kernel by {mismatch:.3g}"
             )
@@ -187,19 +182,16 @@ def verify_direct_sum(space: SamplingSpace, components: list[SamplingSpace],
     """Project a probe onto every component and check that the pieces sum
     back to the probe with no cross-talk."""
     grid = space.grid
-    fvals = f.grid_values(grid)
     pieces = [project(f, comp) for comp in components]
-    total = np.zeros(grid.size, dtype=complex)
-    for p in pieces:
-        total += p.values
-    residual = spectral_norm(total - fvals, grid)
+    f_rows, *piece_rows = union_rows([f, *pieces], grid)
+    residual = spectral_norm(sum(piece_rows) - f_rows, grid)
 
     cross = 0.0
     for j, piece in enumerate(pieces):
         for l, other in enumerate(components):
             if j == l:
                 continue
-            cross = max(cross, spectral_norm(project(piece, other).values, grid))
+            cross = max(cross, spectral_norm(project(piece, other).rows, grid))
     return DirectSumCheck(residual, cross)
 
 

@@ -115,10 +115,6 @@ class PeriodicSpectrum:
     def value_at(self, omega: float) -> complex:
         return self.values[self.grid.unit_index(omega)]
 
-    def tile(self) -> np.ndarray:
-        """Values repeated over the full grid [-K, K)."""
-        return np.tile(self.values, 2 * self.grid.half_bandwidth)
-
     @property
     def real_values(self) -> np.ndarray:
         return np.real(self.values)
@@ -137,8 +133,8 @@ class PeriodicSpectrum:
 class SupportMask:
     """Boolean per unit-grid node; discretization of a periodic set.
 
-    Measure is the fraction of true nodes, so all set comparisons are
-    meaningful up to 1/N.
+    Measure is the fraction of true nodes.  Set decisions compare node sets
+    exactly; structure finer than one cell 1/N is not resolved.
     """
 
     values: np.ndarray
@@ -158,9 +154,6 @@ class SupportMask:
     @property
     def is_empty(self) -> bool:
         return not bool(np.any(self.values))
-
-    def tile(self) -> np.ndarray:
-        return np.tile(self.values, 2 * self.grid.half_bandwidth)
 
     def _combine(self, other: "SupportMask", op) -> "SupportMask":
         """The nodewise op of two masks on one grid, at the larger eps."""

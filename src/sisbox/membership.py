@@ -53,6 +53,7 @@ from .spectral import (
     fibers,
     guard_level,
     spectral_norm,
+    union_rows,
     zak_time_fiber,
 )
 
@@ -295,13 +296,10 @@ def induced_subspace(space: SamplingSpace, f: Signal) -> InducedSubspace:
 
     # the normalized signal itself is the sampling function of S(f); both
     # characterizations are verified against it
-    h_vals = h.grid_values(grid)
-    s_parent = space.sampling_spectrum.grid_values(grid)
-    masked_parent = np.where(fib.mask.tile(), s_parent, 0.0)
-    d_mask = float(np.max(np.abs(h_vals - masked_parent)))
-
-    proj = project(space.sampling_spectrum, sub).values
-    d_proj = spectral_norm(h_vals - proj, grid)
+    kernel = space.sampling_spectrum
+    h_rows, s_rows, p_rows = union_rows([h, kernel, project(kernel, sub)], grid)
+    d_mask = float(np.max(np.abs(h_rows - np.where(fib.mask.values, s_rows, 0.0))))
+    d_proj = spectral_norm(h_rows - p_rows, grid)
 
     return InducedSubspace(space, f, sub, h,
                            member_residual=residual,
@@ -340,9 +338,9 @@ def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
     space = build_space(s_sig, grid, eps=eps, k_max=k_max, seed=seed)
 
     # internal consistency: f_hat = Z_f * s_hat and s(k) = delta_0k
-    recon = zak * grid.fold(space.sampling_spectrum.grid_values(grid))
+    s_rows, f_rows = union_rows([space.sampling_spectrum, f], grid)
     scale = max(float(np.max(np.abs(fib.rows))), 1e-300)
-    dev = float(np.max(np.abs(recon - grid.fold(f.grid_values(grid)))))
+    dev = float(np.max(np.abs(zak * s_rows - f_rows)))
     if dev > VANISH_TOL * scale:
         raise ConstructionRefusedError(
             f"constructed kernel fails to reproduce the signal (relative deviation "

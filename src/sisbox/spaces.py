@@ -43,6 +43,7 @@ from .spectral import (
     integer_samples,
     shift_square_sum,
     spectral_norm,
+    union_rows,
 )
 
 # continuity falsifier: max jump on a dense grid must stay below
@@ -330,11 +331,11 @@ def project(f: Signal, space: SamplingSpace) -> GridSpectrum:
 def member_residual(space: SamplingSpace, f: Signal, label: str = "signal") -> float:
     """Relative residual of f's projection onto the space; raises
     NotInSpaceError when f is zero or the residual exceeds MEMBER_TOL."""
-    fvals = f.grid_values(space.grid)
-    norm = spectral_norm(fvals, space.grid)
+    frows, prows = union_rows([f, project(f, space)], space.grid)
+    norm = spectral_norm(frows, space.grid)
     if norm == 0.0:
         raise NotInSpaceError(f"{label} is identically zero", residual=0.0)
-    residual = spectral_norm(project(f, space).values - fvals, space.grid) / norm
+    residual = spectral_norm(prows - frows, space.grid) / norm
     if residual > MEMBER_TOL:
         raise NotInSpaceError(
             f"{label} is not a member (projection residual {residual:.3g}, "

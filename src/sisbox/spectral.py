@@ -4,8 +4,10 @@ All operations discretize almost-everywhere statements to "at every grid
 node": periodization is an exact finite sum over the 2K integer shifts
 the grid holds, the time fiber of a sample sequence is an exact discrete
 Fourier series, and set measure is the fraction of unit-grid nodes.
-A spectrum is read as its band (``Signal.band_values``), the fold rows that can
-hold a nonzero node, NaN and inf included: every sum over the shifts runs over them alone.
+A spectrum has one layout: its band (``Signal.band_values``), the fold rows that can
+hold a nonzero node, NaN and inf included.  Every sum over the shifts runs over them alone,
+and signals are compared over the hull of their bands (``union_rows``).  The padded 2K x N
+grid is left to the file boundary (``io``) and to a time kernel's quadrature.
 """
 
 from __future__ import annotations
@@ -39,11 +41,18 @@ def abs_periodize(f: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
     return PeriodicSpectrum(np.abs(f.band_values(grid)[1]).sum(axis=0), grid)
 
 
+def union_rows(signals, grid: FrequencyGrid) -> list[np.ndarray]:
+    """Each signal's fold rows over the hull of their bands, so that rows of one shift
+    line up; an array returned may be a signal's own rows, not to be written."""
+    bands = [f.band_values(grid) for f in signals]
+    span = slice(min(band.start for band, _ in bands), max(band.stop for band, _ in bands))
+    return [pad_band(band, rows, span) for band, rows in bands]
+
+
 def bracket(f: Signal, g: Signal, grid: FrequencyGrid) -> PeriodicSpectrum:
     """Fiberwise inner product sum_m f_hat(omega+m) * conj(g_hat(omega+m)) over both bands."""
-    (bf, rf), (bg, rg) = f.band_values(grid), g.band_values(grid)
-    span = slice(min(bf.start, bg.start), max(bf.stop, bg.stop))
-    return PeriodicSpectrum((pad_band(bf, rf, span) * np.conj(pad_band(bg, rg, span))).sum(axis=0), grid)
+    rf, rg = union_rows([f, g], grid)
+    return PeriodicSpectrum((rf * np.conj(rg)).sum(axis=0), grid)
 
 
 def zak_time_fiber(samples: TimeSamples, grid: FrequencyGrid) -> PeriodicSpectrum:
@@ -188,5 +197,6 @@ def integer_samples(f: Signal, grid: FrequencyGrid, k_max: int = DEFAULT_K_MAX) 
 
 
 def spectral_norm(values: np.ndarray, grid: FrequencyGrid) -> float:
-    """Grid L2 norm: sqrt of (1/N) * sum of squared moduli over all nodes."""
+    """Grid L2 norm: sqrt of (1/N) * sum of squared moduli over the nodes given, of any
+    shape: full-line values or fold rows, a band or a hull of bands (zero rows add nothing)."""
     return float(np.sqrt(np.sum(np.abs(values) ** 2) / grid.resolution))

@@ -140,7 +140,7 @@ class TestDecompose:
         comps = decompose(space, part)
         parent = space.sampling_spectrum.grid_values(grid)
         for comp in comps:
-            masked = np.where(comp.mask.tile(), parent, 0.0)
+            masked = np.where(np.tile(comp.mask.values, 2 * grid.half_bandwidth), parent, 0.0)
             gap = np.max(np.abs(comp.sampling_spectrum.grid_values(grid) - masked))
             assert gap <= KERNEL_TOL * np.max(np.abs(parent))
         assert [c.mask.measure for c in comps] == [0.5, 0.5]
@@ -157,7 +157,7 @@ class TestDecompose:
         subs = decompose(half, quarters)
         kernel = half.sampling_spectrum.grid_values(grid)
         for sub in subs:
-            masked = np.where(sub.mask.tile(), kernel, 0.0)
+            masked = np.where(np.tile(sub.mask.values, 2 * grid.half_bandwidth), kernel, 0.0)
             gap = np.max(np.abs(sub.sampling_spectrum.grid_values(grid) - masked))
             assert gap <= KERNEL_TOL * np.max(np.abs(kernel))
             assert np.array_equal(sub.zak.values, np.where(sub.mask.values, space.zak.values, 0.0))
@@ -188,6 +188,39 @@ class TestDecompose:
             PeriodicPartition([])
         with pytest.raises(PartitionError):
             check_determining_set(shannon_space, [])
+
+
+class TestExactNodeSets:
+    # set decisions compare node sets exactly: one node too few or too many is refused
+
+    @pytest.mark.parametrize("gap", [1.0 / 1024, 1.5 / 1024])
+    def test_family_missing_a_node_is_refused(self, shannon_space, gap):
+        rep = check_determining_set(
+            shannon_space, [half_band_high(), PiecewiseConstantSpectrum([(gap, 0.5, 1.0)])])
+        assert not rep.passed
+        assert rep.symmetric_difference_measure > 0.0
+
+    @pytest.mark.parametrize("edge", [0.5 - 1.0 / 1024, 0.5 + 1.0 / 1024])
+    def test_partition_one_node_off_is_refused(self, shannon_space, grid, edge):
+        part = PeriodicPartition.from_intervals([[[0.0, edge]], [[0.5, 1.0]]], grid)
+        with pytest.raises(PartitionError) as err:
+            decompose(shannon_space, part)
+        assert err.value.measure == 1.0 / 1024
+
+    def test_nodes_off_the_support_set_belong_to_no_component(self, blhat, grid):
+        # blhat's support set lacks the node 1/2, which the second half holds
+        space = build_space(blhat, grid)
+        assert np.flatnonzero(~space.mask.values).tolist() == [grid.unit_index(0.5)]
+        part = PeriodicPartition.from_intervals([[[0.0, 0.5]], [[0.5, 1.0]]], grid)
+        comps = decompose(space, part)
+        assert [c.mask.measure for c in comps] == [0.5, 511 / 1024]
+
+    def test_mask_empty_on_the_support_set_is_dropped(self, blhat, grid):
+        space = build_space(blhat, grid)
+        cut = 0.5 + 1.0 / 1024
+        part = PeriodicPartition.from_intervals([[[0.0, 0.5]], [[0.5, cut]], [[cut, 1.0]]], grid)
+        assert not part.masks[1].is_empty
+        assert len(decompose(space, part)) == 2
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,10 @@
-"""Peak traced allocation of the certificate's hot calls at (64, 4096).
+"""Peak traced allocation of the certificate's hot calls, and of the space
+operations, at (64, 4096).
 
 The probe energies come from the Gram matrix of the occupied fold rows and
 the chirp transform runs over the dense blocks of a span only, so none of
-these calls builds a (probes, N) table or transforms empty blocks.  Each
+these calls builds a (probes, N) table or transforms empty blocks; the space
+operations compare signals over their bands' rows, not the full grid.  Each
 bound sits between the peak with those temporaries and the peak without.
 """
 
@@ -13,14 +15,21 @@ import pytest
 
 from sisbox import (
     FrequencyGrid,
+    PeriodicPartition,
+    PiecewiseConstantSpectrum,
     ShiftCombination,
     TimeSamples,
     build_signal,
     build_space,
+    check_determining_set,
     check_sz99,
     check_theorem2,
     check_theorem5,
+    decompose,
+    induced_subspace,
     shift_square_sum,
+    synthesize,
+    verify_direct_sum,
 )
 from sisbox.spaces import _probe_points
 
@@ -62,6 +71,28 @@ def test_certificate_of_a_band_signal_holds_only_its_rows(call, fine_grid):
     # shannon fills 2 of the 128 fold rows (128 KiB); one whole (2K, N) grid is 8 MiB
     shannon = build_signal("shannon", fine_grid)
     assert traced_peak(lambda: call(shannon, fine_grid)) < 2 * MIB
+
+
+@pytest.fixture(scope="module")
+def shannon_space_fine(fine_grid):
+    return build_space(build_signal("shannon", fine_grid), fine_grid)
+
+
+@pytest.mark.parametrize("op", ["decompose", "check_determining_set", "induced_subspace", "verify_direct_sum"])
+def test_space_operations_read_band_rows(op, shannon_space_fine, fine_grid):
+    # every signal here fills 2 of the 128 fold rows; each comparison reads them over
+    # the union of the bands, never one (2K, N) grid (8 MiB), nor a tiled mask
+    space = shannon_space_fine
+    halves = PeriodicPartition.from_intervals([[[0.0, 0.5]], [[0.5, 1.0]]], fine_grid)
+    family = [PiecewiseConstantSpectrum([(-0.5, 0.0, 1.0)]), PiecewiseConstantSpectrum([(0.0, 0.5, 1.0)])]
+    member = synthesize(space, random_coefficients(31))
+    calls = {"decompose": lambda: decompose(space, halves),
+             "check_determining_set": lambda: check_determining_set(space, family),
+             "induced_subspace": lambda: induced_subspace(space, member)}
+    if op == "verify_direct_sum":
+        components = decompose(space, halves)
+        calls[op] = lambda: verify_direct_sum(space, components, member)
+    assert traced_peak(calls[op]) <= 4 * MIB
 
 
 def test_theorem2_transforms_only_dense_blocks(fine_grid):
