@@ -9,7 +9,8 @@ from the catalog: ``build_space`` shannon, ex2; ``check_sz99`` blhat;
 ``check_theorem2`` shannon, blhat, ex2; ``check_theorem5`` shannon, blhat, ex2, hat;
 ``check_sz04`` ex2.  Each operation records its wall time and the minor page faults
 (``ru_minflt``) the worker took during it; a worker interleaves its repeats over every
-operation.  ``harness`` runs the workers and writes the medians (ms, faults).
+operation, in a seeded order new for each repeat.  ``harness`` runs the workers and
+writes the medians and spreads (ms, faults).
 """
 
 import sys
@@ -24,19 +25,19 @@ OPS = [("build_space", "shannon"), ("build_space", "ex2"), ("check_sz99", "blhat
        *[("check_theorem5", n) for n in ("shannon", "blhat", "ex2", "hat")], ("check_sz04", "ex2")]
 
 
-def worker(src: str) -> dict:
+def worker(src: str, order) -> dict:
     """{"fn name": [[seconds, minor faults] per repeat]} for the sisbox under src."""
     sys.path.insert(0, str(Path(src).resolve()))
     import sisbox
 
-    grid, out = sisbox.FrequencyGrid(64, 4096), {}
+    grid, out = sisbox.FrequencyGrid(64, 4096), {f"{fn} {name}": [] for fn, name in OPS}
     for repeat in range(REPEATS + 1):
-        for fn, name in OPS:
+        for fn, name in order.sample(OPS, len(OPS)):
             sig = sisbox.build_signal(name, grid)
             kwargs = {} if fn == "check_sz04" else {"seed": SEED}
             took = timed(lambda: getattr(sisbox, fn)(sig, grid, **kwargs))
             if repeat:
-                out.setdefault(f"{fn} {name}", []).append(took)
+                out[f"{fn} {name}"].append(took)
     return out
 
 

@@ -2,17 +2,24 @@
 
     python bench/<bench>.py OUT.json LABEL=SRC [LABEL=SRC ...] [--rounds R]
 
-Each SRC is a ``src`` directory (this checkout's, or another commit's).  A bench
-module passes ``main`` its ``worker(src)``, which imports sisbox from SRC and returns
-its repeats by key (dicts may nest): seconds, or [seconds, minor faults] from
-``timed``.  A worker process runs per (round, label) with BLAS on one thread; labels
-alternate from round to round.  The medians of each key over every worker's repeats
-(ms, and faults where taken) go to OUT.json and to a table on stdout, with ratios to
-the first label.
+Each SRC is a ``src`` directory (this checkout's, or another commit's); a label may
+name the same SRC as another (an A/A run, whose spread is the noise floor a
+per-operation claim must clear).  A bench module passes ``main`` its
+``worker(src, order)``, which imports sisbox from SRC and returns its repeats by key
+(dicts may nest): seconds, or [seconds, minor faults] from ``timed``.  The worker
+runs its operations in an order it draws from ``order`` (a ``random.Random``) anew
+for each repeat, so that no operation always runs after the same one: what ran
+before moves the heap, and with it an operation's time and faults.  ``order`` is
+seeded with the round, so the labels of one round see the same orders.  A worker
+process runs per (round, label) with BLAS on one thread; labels alternate from
+round to round.  The median and the spread (interquartile range) of each key over
+every worker's repeats, in ms, and the median faults where taken, go to OUT.json
+and to a table on stdout, with ratios of the medians to the first label.
 """
 
 import json
 import os
+import random
 import resource
 import statistics
 import subprocess
@@ -37,13 +44,17 @@ def _pool(trees: list):
     return [repeat for tree in trees for repeat in tree]
 
 
-def _median(tree):
+def _summary(tree):
+    """{"ms": median, "iqr_ms": spread} of each key's repeats, and "minflt", the median
+    faults, where taken."""
     if isinstance(tree, dict):
-        return {key: _median(sub) for key, sub in tree.items()}
+        return {key: _summary(sub) for key, sub in tree.items()}
+    seconds = [t for t, _ in tree] if isinstance(tree[0], list) else tree
+    q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+    out = {"ms": round(1e3 * statistics.median(seconds), 4), "iqr_ms": round(1e3 * (q3 - q1), 4)}
     if isinstance(tree[0], list):
-        return {"ms": round(1e3 * statistics.median(t for t, _ in tree), 4),
-                "minflt": statistics.median(f for _, f in tree)}
-    return round(1e3 * statistics.median(tree), 4)
+        out["minflt"] = statistics.median(f for _, f in tree)
+    return out
 
 
 def _rows(tree, prefix: str = "") -> dict:
@@ -53,28 +64,27 @@ def _rows(tree, prefix: str = "") -> dict:
     return {prefix.strip(): tree}
 
 
-def _print_table(medians: dict) -> None:
-    labels = list(medians)
-    rows = {label: _rows(medians[label]) for label in labels}
-    faults = isinstance(next(iter(rows[labels[0]].values())), dict)
+def _print_table(summaries: dict) -> None:
+    labels = list(summaries)
+    rows = {label: _rows(summaries[label]) for label in labels}
+    faults = "minflt" in next(iter(rows[labels[0]].values()))
     width = max(map(len, rows[labels[0]])) + 2
-    print(f"{'operation':{width}}" + "".join(f"{lab:>10}" + (f"{'flt':>7}" if faults else "") for lab in labels)
-          + "   ratios to " + labels[0])
+    print(f"{'operation':{width}}" + "".join(f" {lab:>10}{'iqr':>8}" + (f"{'flt':>7}" if faults else "")
+                                             for lab in labels) + "   ratios to " + labels[0])
     for key in rows[labels[0]]:
         got = [rows[lab][key] for lab in labels]
-        ms = [g["ms"] if faults else g for g in got]
-        cells = (f"{m:10.3f}" + (f"{g['minflt']:7.0f}" if faults else "") for m, g in zip(ms, got))
-        print(f"{key:{width}}" + "".join(cells) + "".join(f"{m / ms[0]:8.2f}" for m in ms[1:]))
+        cells = (f" {g['ms']:10.3f}{g['iqr_ms']:8.3f}" + (f"{g['minflt']:7.0f}" if faults else "") for g in got)
+        print(f"{key:{width}}" + "".join(cells) + "".join(f"{g['ms'] / got[0]['ms']:8.2f}" for g in got[1:]))
     if faults:
         for lab in labels:
             print(f"{lab}: {sum(m['ms'] for m in rows[lab].values()):.1f} ms, "
                   f"{sum(m['minflt'] for m in rows[lab].values()):.0f} minor faults per pass of medians")
 
 
-def main(script: str, worker, repeats: int, medians_key: str = "medians") -> None:
+def main(script: str, worker, repeats: int) -> None:
     """Run the bench whose file is script: as a worker, or as the driver of its workers."""
     if sys.argv[1] == "--worker":
-        print(json.dumps(worker(sys.argv[2])))
+        print(json.dumps(worker(sys.argv[2], random.Random(int(sys.argv[3])))))
         return
     out = Path(sys.argv[1])
     rounds = int(sys.argv[sys.argv.index("--rounds") + 1]) if "--rounds" in sys.argv else 5
@@ -83,9 +93,9 @@ def main(script: str, worker, repeats: int, medians_key: str = "medians") -> Non
     runs = {label: [] for label in sources}
     for r in range(rounds):
         for label in list(sources)[::1 if r % 2 == 0 else -1]:
-            done = subprocess.run([sys.executable, script, "--worker", sources[label]], env=env,
+            done = subprocess.run([sys.executable, script, "--worker", sources[label], str(r)], env=env,
                                   capture_output=True, text=True, check=True)
             runs[label].append(json.loads(done.stdout))
-    medians = {label: _median(_pool(ws)) for label, ws in runs.items()}
-    out.write_text(json.dumps({"repeats": rounds * repeats, medians_key: medians}, indent=1) + "\n")
-    _print_table(medians)
+    summaries = {label: _summary(_pool(ws)) for label, ws in runs.items()}
+    out.write_text(json.dumps({"repeats": rounds * repeats, "medians": summaries}, indent=1) + "\n")
+    _print_table(summaries)

@@ -9,7 +9,9 @@ perfbench's reconstruct workload (shannon, ex3, hat at (32, 1024), ex2 at (64, 1
 ``synthesize``, ``integer_samples``, the time route (kernels in closed form), the
 spectral route (every kernel: the synthesis' grid spectrum, evaluated in time) and
 the member's exact ``time_values``.  A worker interleaves its repeats over every
-(space, stage); ``harness`` runs the workers and writes the medians in ms.
+(space, stage), the spaces in a seeded order new for each repeat (a space's stages
+run in turn: each reads the one before); ``harness`` runs the workers and writes the
+medians and spreads in ms.
 """
 
 import sys
@@ -22,7 +24,7 @@ REPEATS = 8  # per worker, after one warm-up pass
 SPACES = {"shannon": (32, 1024), "ex3": (32, 1024), "hat": (32, 1024), "ex2": (64, 1024)}
 
 
-def worker(src: str) -> dict:
+def worker(src: str, order) -> dict:
     """{space: {stage: [seconds per repeat]}} for the sisbox under src."""
     sys.path.insert(0, str(Path(src).resolve()))
     import numpy as np
@@ -34,7 +36,8 @@ def worker(src: str) -> dict:
     spaces = {name: sisbox.build_space(sisbox.build_signal(name, grid), grid) for name, grid in grids.items()}
     times = {name: {} for name in spaces}
     for repeat in range(REPEATS + 1):
-        for name, space in spaces.items():
+        for name in order.sample(list(spaces), len(spaces)):
+            space = spaces[name]
             kern, grid, out = space.sampling_spectrum, space.grid, {}
             stages = {"synthesize": lambda: sisbox.synthesize(space, coeffs),
                       "integer_samples": lambda: sisbox.integer_samples(out["synthesize"], grid, space.k_max),
@@ -53,4 +56,4 @@ def worker(src: str) -> dict:
 
 
 if __name__ == "__main__":
-    main(__file__, worker, REPEATS, "medians_ms")
+    main(__file__, worker, REPEATS)

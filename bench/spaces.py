@@ -9,8 +9,9 @@ fold rows: ``decompose`` into the halves [0, 1/2) and [1/2, 1); ``check_determin
 of the family [-1/2, 0), [0, 1/2); ``induced_subspace`` of a seeded member (17
 coefficients); ``verify_direct_sum`` of that member over the halves.  Each operation
 records its wall time and the minor page faults (``ru_minflt``) the worker took during
-it; a worker interleaves its repeats over every operation.  ``harness`` runs the
-workers and writes the medians (ms, faults).
+it; a worker interleaves its repeats over every operation, in a seeded order new for
+each repeat.  ``harness`` runs the workers and writes the medians and spreads (ms,
+faults).
 """
 
 import sys
@@ -22,7 +23,7 @@ REPEATS = 6  # per worker, after one warm-up pass
 GRIDS = [(32, 1024), (64, 4096)]
 
 
-def worker(src: str) -> dict:
+def worker(src: str, order) -> dict:
     """{"op KxN": [[seconds, minor faults] per repeat]} for the sisbox under src."""
     sys.path.insert(0, str(Path(src).resolve()))
     import numpy as np
@@ -41,12 +42,12 @@ def worker(src: str) -> dict:
         ops[f"check_determining_set {k}x{n}"] = lambda s=space: sisbox.check_determining_set(s, family)
         ops[f"induced_subspace {k}x{n}"] = lambda s=space, f=member: sisbox.induced_subspace(s, f)
         ops[f"verify_direct_sum {k}x{n}"] = lambda s=space, c=components, f=member: sisbox.verify_direct_sum(s, c, f)
-    out = {}
+    out = {key: [] for key in ops}  # keys in the order of ops, whatever order they run in
     for repeat in range(REPEATS + 1):
-        for key, call in ops.items():
-            took = timed(call)
+        for key in order.sample(list(ops), len(ops)):
+            took = timed(ops[key])
             if repeat:
-                out.setdefault(key, []).append(took)
+                out[key].append(took)
     return out
 
 

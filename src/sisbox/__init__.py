@@ -8,11 +8,11 @@ criteria, determining sets and direct-sum decompositions.
 from .catalog import build_signal, catalog_names
 from .decomposition import (
     DeterminingSetReport,
-    DirectSumCheck,
     PeriodicPartition,
     RescaledSpace,
     check_determining_set,
     decompose,
+    kernel_sum_gap,
     lattice_rescale,
     span_sum_check,
     verify_direct_sum,

@@ -35,6 +35,7 @@ from .decomposition import (
     PeriodicPartition,
     check_determining_set,
     decompose,
+    kernel_sum_gap,
     lattice_rescale,
 )
 from .errors import FileFormatError, SisboxError
@@ -46,9 +47,9 @@ from .membership import (
     construct_s_from_f,
     induced_subspace,
 )
-from .reports import ConditionCheck, ReportDocument
-from .spaces import KERNEL_TOL, build_space, reconstruct, sz99_report
-from .spectral import DEFAULT_EPS, DEFAULT_K_MAX, essential_bounds, fibers, union_rows
+from .reports import ReportDocument
+from .spaces import build_space, reconstruct, sz99_report
+from .spectral import DEFAULT_EPS, DEFAULT_K_MAX, essential_bounds, fibers
 
 
 # largest grid (nodes) the spectrum of an input may widen the default to
@@ -210,24 +211,21 @@ def cmd_membership(args) -> _Outcome:
     sig = _load_signal(args.signal, grid, args)
     if args.theorem == "1":
         sub = induced_subspace(_space(args, grid), sig)
-        checks = sub.checks
+        criterion, checks = "theorem1", sub.checks
         results = {"induced": {**{c.name: c for c in checks},
                                "subspace_measure": sub.space.mask.measure}}
-        print(f"[membership] theorem 1: kernel identities "
-              f"mask={sub.kernel_mask_residual:.3g} proj={sub.kernel_projection_residual:.3g}")
     else:
         report = _CRITERIA[args.theorem](sig, grid, args)
-        checks = report.checks
-        results = {"report": report}
-        for check in checks:
-            val = "n/a" if check.value is None else f"{check.value:.6g}"
-            print(f"[membership] {report.criterion} {check.name}: value={val} "
-                  f"passed={check.passed}" + (f" ({check.detail})" if check.detail else ""))
-        if args.theorem == "5" and report.passed and args.emit_s:
-            space = construct_s_from_f(sig, grid, eps=args.eps, k_max=args.kmax,
-                                       seed=args.seed, report=report)
-            sio.write_grid_spectrum(space.sampling_spectrum, args.emit_s)
-            print(f"[membership] wrote kernel spectrum to {args.emit_s}")
+        criterion, checks, results = report.criterion, report.checks, {"report": report}
+    for check in checks:
+        val = "n/a" if check.value is None else f"{check.value:.6g}"
+        print(f"[membership] {criterion} {check.name}: value={val} "
+              f"passed={check.passed}" + (f" ({check.detail})" if check.detail else ""))
+    if args.theorem == "5" and report.passed and args.emit_s:
+        space = construct_s_from_f(sig, grid, eps=args.eps, k_max=args.kmax,
+                                   seed=args.seed, report=report)
+        sio.write_grid_spectrum(space.sampling_spectrum, args.emit_s)
+        print(f"[membership] wrote kernel spectrum to {args.emit_s}")
 
     params = {"signal": args.signal, "theorem": args.theorem, "space": args.space,
               "eps": args.eps, "kmax": args.kmax}
@@ -279,11 +277,8 @@ def cmd_decompose(args) -> _Outcome:
         sio.write_grid_spectrum(comp.sampling_spectrum, path)
         files.append(path)
         print(f"[decompose] component {j}: measure={comp.mask.measure:.6g} wrote {path}")
-    kernels = [c.sampling_spectrum for c in components]
-    s_rows, *comp_rows = union_rows([space.sampling_spectrum, *kernels], grid)
-    gap = float(np.max(np.abs(sum(comp_rows) - s_rows)))
-    print(f"[decompose] kernel sum gap={gap:.3g}")
-    check = ConditionCheck("kernel_sum_gap", gap <= KERNEL_TOL, gap, KERNEL_TOL)
+    check = kernel_sum_gap(space, components)
+    print(f"[decompose] kernel sum gap={check.value:.3g}")
 
     results = {"components": len(components), "files": files,
                "component_measures": [c.mask.measure for c in components],
@@ -300,8 +295,9 @@ def cmd_determine(args) -> _Outcome:
     report = check_determining_set(space, funcs)
 
     print(f"[determine] union measure={report.union_mask.measure:.6g} "
-          f"symmetric difference={report.symmetric_difference_measure:.6g} "
+          f"symmetric difference={report.checks[0].value:.6g} "
           f"passed={report.passed}")
+    _print_failed(report.checks)
     files = []
     if report.passed and args.out_prefix:
         for i, (mask, alpha) in enumerate(zip(report.disjoint_masks, report.multipliers)):
@@ -369,16 +365,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _print_failed(checks) -> None:
+    """One stderr line for each failed check: its value, tolerance and detail."""
+    for check in checks:
+        if not check.passed:
+            detail = f" ({check.detail})" if check.detail else ""
+            print(f"  failed check {check.name}: value={check.value} "
+                  f"tolerance={check.tolerance}{detail}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         return _run(_build_parser().parse_args(argv))
     except SisboxError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
-        for check in getattr(getattr(exc, "report", None), "checks", ()):
-            if not check.passed:
-                detail = f" ({check.detail})" if check.detail else ""
-                print(f"  failed check {check.name}: value={check.value} "
-                      f"tolerance={check.tolerance}{detail}", file=sys.stderr)
+        _print_failed(getattr(getattr(exc, "report", None), "checks", ()))
         return exc.exit_code
 
 

@@ -1,12 +1,13 @@
 """Determining sets, direct-sum decompositions and lattice rescaling.
 
 A finite family of members determines the space exactly when the union of
-their support sets is the generator's support set, node for node.  A
-passing family yields disjoint masks B_i and periodic multipliers alpha_i
-with kernel = sum_i alpha_i * f_i_hat; any periodic partition of the
-support set (its nodes, each in exactly one mask) splits the space into an
-orthogonal direct sum of smaller sampling spaces with masked kernels.
-Every comparison reads fold rows over the signals' bands (``union_rows``).
+their support sets is the generator's support set, node for node, and its
+disjoint masks B_i and periodic multipliers alpha_i recover the kernel,
+kernel = sum_i alpha_i * f_i_hat; any periodic partition of the support set
+(its nodes, each in exactly one mask) splits the space into an orthogonal
+direct sum of smaller sampling spaces with masked kernels.  Each residual is
+a ``ConditionCheck``, held to KERNEL_TOL of sup |kernel| or to MEMBER_TOL of
+a probe's norm; comparisons read fold rows over the bands (``union_rows``).
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ import numpy as np
 
 from .errors import PartitionError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
+from .reports import ConditionCheck
 from .signals import GridSpectrum, Signal
 from .spaces import (
     KERNEL_TOL,
+    MEMBER_TOL,
     ReconstructionResult,
     SamplingSpace,
     _space,
@@ -53,10 +56,6 @@ class PeriodicPartition:
             masks.append(SupportMask(sel, grid))
         return cls(masks)
 
-    def overlap_measure(self) -> float:
-        counts = np.sum([m.values for m in self.masks], axis=0)  # masks holding each node
-        return float(np.count_nonzero(counts > 1)) / self.masks[0].grid.resolution
-
     def union(self) -> SupportMask:
         return reduce(SupportMask.union, self.masks)
 
@@ -67,26 +66,37 @@ class DeterminingSetReport:
 
     member_masks: list[SupportMask]
     union_mask: SupportMask
-    symmetric_difference_measure: float
-    passed: bool
-    disjoint_masks: list[SupportMask]          # B_i, only on success
-    multipliers: list[PeriodicSpectrum]        # alpha_i, only on success
-    kernel_residual: float                     # sup |sum alpha_i f_i_hat - s_hat|
+    checks: list[ConditionCheck]               # symmetric_difference, kernel_residual (NaN if the first fails)
+    disjoint_masks: list[SupportMask]          # B_i, only when the node sets agree
+    multipliers: list[PeriodicSpectrum]        # alpha_i, only when the node sets agree
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
+        sym, kernel = self.checks
         return {
             "member_measures": [m.measure for m in self.member_masks],
             "union_measure": self.union_mask.measure,
-            "symmetric_difference_measure": self.symmetric_difference_measure,
+            "symmetric_difference_measure": sym.value,
             "passed": self.passed,
             "disjoint_measures": [m.measure for m in self.disjoint_masks],
-            "kernel_residual": self.kernel_residual,
+            "kernel_residual": kernel.value,
+            "checks": self.checks,
         }
 
 
+def _kernel_check(name: str, rows: np.ndarray, kernel_rows: np.ndarray) -> ConditionCheck:
+    """sup |rows - kernel_rows|, held to KERNEL_TOL of sup |kernel_rows|."""
+    gap = float(np.max(np.abs(rows - kernel_rows)))
+    tol = KERNEL_TOL * max(float(np.max(np.abs(kernel_rows))), 1e-300)
+    return ConditionCheck(name, gap <= tol, gap, tol)
+
+
 def check_determining_set(space: SamplingSpace, funcs: list[Signal]) -> DeterminingSetReport:
-    """Decide whether the family determines the space and, on success,
-    build the disjoint masks and the recovery multipliers."""
+    """Decide whether the family determines the space and, when its node sets
+    cover the support set, build the disjoint masks and recovery multipliers."""
     grid = space.grid
     for i, f in enumerate(funcs):
         member_residual(space, f, f"function {i}")
@@ -94,13 +104,14 @@ def check_determining_set(space: SamplingSpace, funcs: list[Signal]) -> Determin
     fibs = [fibers(f, grid, space.mask.eps, space.k_max) for f in funcs]
     masks = [fib.mask for fib in fibs]
     union = PeriodicPartition(masks).union()
-    sym = union.symmetric_difference(space.mask).measure
-    passed = sym == 0.0
+    diff = union.symmetric_difference(space.mask)
+    sym = ConditionCheck("symmetric_difference", diff.is_empty, diff.measure, 0.0,
+                         "" if diff.is_empty else diff.describe())
 
     disjoint: list[SupportMask] = []
     alphas: list[PeriodicSpectrum] = []
-    kernel_residual = float("nan")
-    if passed:
+    kernel = ConditionCheck("kernel_residual", False, float("nan"), detail="node sets differ")
+    if sym.passed:
         taken = np.zeros(grid.resolution, dtype=bool)
         for fib in fibs:
             b = SupportMask(fib.mask.values & ~taken, grid, fib.mask.eps)
@@ -110,15 +121,15 @@ def check_determining_set(space: SamplingSpace, funcs: list[Signal]) -> Determin
             alphas.append(PeriodicSpectrum(alpha, grid))
         s_rows, *f_rows = union_rows([space.sampling_spectrum, *funcs], grid)
         recon = sum(alpha.values * rows for alpha, rows in zip(alphas, f_rows))
-        kernel_residual = float(np.max(np.abs(recon - s_rows)))
+        kernel = _kernel_check("kernel_residual", recon, s_rows)
 
-    return DeterminingSetReport(masks, union, sym, passed, disjoint, alphas, kernel_residual)
+    return DeterminingSetReport(masks, union, [sym, kernel], disjoint, alphas)
 
 
 def span_sum_check(space: SamplingSpace, report: DeterminingSetReport, funcs: list[Signal],
-                   probe: Signal) -> float:
-    """Express a probe member through the family and return the spectral
-    residual of the expansion."""
+                   probe: Signal) -> ConditionCheck:
+    """Express a probe member through the family; the spectral residual of
+    the expansion, relative to the probe's norm, is held to MEMBER_TOL."""
     if not report.passed:
         raise ValueError("span check requires a passing determining-set report")
     grid = space.grid
@@ -127,7 +138,8 @@ def span_sum_check(space: SamplingSpace, report: DeterminingSetReport, funcs: li
     p_rows, *f_rows = union_rows([probe, *funcs], grid)
     recon = sum(np.where(b.values, alpha.values * fib.zak.values, 0.0) * rows
                 for rows, alpha, b in zip(f_rows, report.multipliers, report.disjoint_masks))
-    return spectral_norm(recon - p_rows, grid) / max(spectral_norm(p_rows, grid), 1e-300)
+    residual = spectral_norm(recon - p_rows, grid) / max(spectral_norm(p_rows, grid), 1e-300)
+    return ConditionCheck("span_residual", residual <= MEMBER_TOL, residual, MEMBER_TOL)
 
 
 def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[SamplingSpace]:
@@ -137,18 +149,17 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
     component.  The cut masks must hold every support node exactly once.
     Components with empty masks are dropped; each surviving component is
     built from the masked rows of the generator and the masked Zak fiber of
-    the space (``space.zak``), certified, and checked to have the masked
-    parent kernel.  A component keeps that fiber, so it can be split again.
+    the space (``space.zak``) and certified; their kernels must sum to the
+    kernel (``kernel_sum_gap``).  A component keeps that fiber, so it can be
+    split again.
     """
     grid = space.grid
     partition = PeriodicPartition([mask.intersection(space.mask) for mask in partition.masks])
-    overlap = partition.overlap_measure()
-    if overlap > 0:
-        raise PartitionError(f"masks overlap on measure {overlap:.6g}", measure=overlap)
-    uncovered = partition.union().symmetric_difference(space.mask).measure
-    if uncovered > 0:
-        raise PartitionError(f"masks leave support nodes of measure {uncovered:.6g} uncovered",
-                             measure=uncovered)
+    counts = np.sum([m.values for m in partition.masks], axis=0)  # masks holding each node
+    for nodes, fault in ((counts > 1, "overlap on"), (space.mask.values & (counts == 0), "leave uncovered")):
+        if not (bad := SupportMask(nodes, grid)).is_empty:
+            raise PartitionError(f"masks {fault} support nodes of measure {bad.measure:.6g}: "
+                                 f"{bad.describe()}", measure=bad.measure)
 
     band, gen_rows = space.generator.band_values(grid)
     out: list[SamplingSpace] = []
@@ -160,39 +171,34 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
         # Z of M psi is M Z_psi exactly, not the fiber of its K-truncated spectrum
         fib = fibers(comp_gen, grid, space.mask.eps, space.k_max)
         comp_zak = PeriodicSpectrum(np.where(mask.values, space.zak.values, 0.0), grid)
-        comp = _space(replace(fib, zak=comp_zak), seed=space.seed, checked=True)
-        comp_rows, s_rows = union_rows([comp.sampling_spectrum, space.sampling_spectrum], grid)
-        mismatch = float(np.max(np.abs(comp_rows - np.where(mask.values, s_rows, 0.0))))
-        if mismatch > KERNEL_TOL * max(float(np.max(np.abs(s_rows))), 1e-300):
-            raise PartitionError(
-                f"component kernel deviates from the masked kernel by {mismatch:.3g}"
-            )
-        out.append(comp)
+        out.append(_space(replace(fib, zak=comp_zak), seed=space.seed, checked=True))
+    if not (gap := kernel_sum_gap(space, out)).passed:
+        raise PartitionError(f"component kernels deviate from the masked kernel by {gap.value:.3g}")
     return out
 
 
-@dataclass(frozen=True)
-class DirectSumCheck:
-    residual: float
-    max_cross_projection: float
+def kernel_sum_gap(space: SamplingSpace, components: list[SamplingSpace]) -> ConditionCheck:
+    """sup |sum of the component kernels - the kernel masked to the support
+    set|, held to KERNEL_TOL of sup |kernel|: the components split the kernel."""
+    s_rows, *comp_rows = union_rows([space.sampling_spectrum,
+                                     *(c.sampling_spectrum for c in components)], space.grid)
+    return _kernel_check("kernel_sum_gap", sum(comp_rows), np.where(space.mask.values, s_rows, 0.0))
 
 
 def verify_direct_sum(space: SamplingSpace, components: list[SamplingSpace],
-                      f: Signal) -> DirectSumCheck:
-    """Project a probe onto every component and check that the pieces sum
-    back to the probe with no cross-talk."""
+                      f: Signal) -> list[ConditionCheck]:
+    """Project a probe onto every component: the pieces must sum back to the
+    probe and show no cross-talk, each to MEMBER_TOL of the probe's norm."""
     grid = space.grid
     pieces = [project(f, comp) for comp in components]
     f_rows, *piece_rows = union_rows([f, *pieces], grid)
     residual = spectral_norm(sum(piece_rows) - f_rows, grid)
 
-    cross = 0.0
-    for j, piece in enumerate(pieces):
-        for l, other in enumerate(components):
-            if j == l:
-                continue
-            cross = max(cross, spectral_norm(project(piece, other).rows, grid))
-    return DirectSumCheck(residual, cross)
+    cross = max((spectral_norm(project(piece, other).rows, grid) for j, piece in enumerate(pieces)
+                 for l, other in enumerate(components) if j != l), default=0.0)
+    tol = MEMBER_TOL * spectral_norm(f_rows, grid)
+    return [ConditionCheck("residual", residual <= tol, residual, tol),
+            ConditionCheck("max_cross_projection", cross <= tol, cross, tol)]
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,11 @@ class SupportMask:
         n = self.grid.resolution
         return [(int(i) / n, int(j) / n) for i, j in zip(edges[::2], edges[1::2])]
 
+    def describe(self) -> str:
+        """Where the mask holds, for a message: its interval count and first three intervals."""
+        runs = self.intervals()
+        return f"{len(runs)} interval(s) of omega in [0, 1), from " + ", ".join(f"[{a}, {b})" for a, b in runs[:3])
+
 
 @dataclass(frozen=True)
 class TimeSamples:

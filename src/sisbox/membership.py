@@ -70,7 +70,7 @@ class ConditionReport:
     """Verdicts and computed constants for one membership criterion."""
 
     criterion: str
-    checks: list[ConditionCheck]
+    checks: list[ConditionCheck]  # member_residual, kernel_mask_residual, kernel_projection_residual
     passed: bool
     vacuous: bool = False
     constants: dict = field(default_factory=dict)
@@ -273,17 +273,7 @@ class InducedSubspace:
     member: Signal
     space: SamplingSpace
     sampling_function: Signal
-    member_residual: float
-    kernel_mask_residual: float        # sup |s_f_hat - s_hat * chi_{E_f}|
-    kernel_projection_residual: float  # || s_f - project(parent kernel, S(f)) ||
-
-    @property
-    def checks(self) -> list[ConditionCheck]:
-        """The three identities of theorem 1, each held to its tolerance."""
-        return [ConditionCheck(name, bool(getattr(self, name) <= tol), getattr(self, name), tol)
-                for name, tol in (("member_residual", MEMBER_TOL),
-                                  ("kernel_mask_residual", KERNEL_TOL),
-                                  ("kernel_projection_residual", KERNEL_TOL))]
+    checks: list[ConditionCheck]  # member_residual, kernel_mask_residual, kernel_projection_residual
 
 
 def induced_subspace(space: SamplingSpace, f: Signal) -> InducedSubspace:
@@ -301,10 +291,10 @@ def induced_subspace(space: SamplingSpace, f: Signal) -> InducedSubspace:
     d_mask = float(np.max(np.abs(h_rows - np.where(fib.mask.values, s_rows, 0.0))))
     d_proj = spectral_norm(h_rows - p_rows, grid)
 
-    return InducedSubspace(space, f, sub, h,
-                           member_residual=residual,
-                           kernel_mask_residual=d_mask,
-                           kernel_projection_residual=d_proj)
+    return InducedSubspace(space, f, sub, h, [
+        ConditionCheck("member_residual", residual <= MEMBER_TOL, residual, MEMBER_TOL),
+        ConditionCheck("kernel_mask_residual", d_mask <= KERNEL_TOL, d_mask, KERNEL_TOL),
+        ConditionCheck("kernel_projection_residual", d_proj <= KERNEL_TOL, d_proj, KERNEL_TOL)])
 
 
 def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,

@@ -274,9 +274,6 @@ class ReconstructionResult:
     values: np.ndarray
     route: str                 # "time" or "spectral"
 
-    def __iter__(self):
-        return iter(self.values)
-
 
 def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> ReconstructionResult:
     """Rebuild a member from its integer samples and evaluate it.

@@ -119,9 +119,9 @@ class TestAcceptance:
         for label, space in spaces.items():
             for seed in range(20):
                 f = synthesize(space, random_coefficients(9000 + seed))
-                sub = induced_subspace(space, f)
-                worst_mask = max(worst_mask, sub.kernel_mask_residual)
-                worst_proj = max(worst_proj, sub.kernel_projection_residual)
+                _, mask_check, proj_check = induced_subspace(space, f).checks
+                worst_mask = max(worst_mask, mask_check.value)
+                worst_proj = max(worst_proj, proj_check.value)
         report(4, worst_mask < 1e-9 and worst_proj < 1e-9,
                f"20 members x {len(spaces)} spaces: sup |s_f - s*chi| = {worst_mask:.3g}, "
                f"sup ||s_f - P(s)|| = {worst_proj:.3g} (tol 1e-9)")
@@ -154,9 +154,9 @@ class TestAcceptance:
         worst_cross = 0.0
         for seed in range(10):
             f = synthesize(shannon_space, random_coefficients(7000 + seed))
-            chk = verify_direct_sum(shannon_space, comps, f)
-            worst_res = max(worst_res, chk.residual)
-            worst_cross = max(worst_cross, chk.max_cross_projection)
+            residual, cross = verify_direct_sum(shannon_space, comps, f)
+            worst_res = max(worst_res, residual.value)
+            worst_cross = max(worst_cross, cross.value)
         total = sum(c.sampling_spectrum.grid_values(grid) for c in comps)
         gap = float(np.max(np.abs(total - shannon_space.sampling_spectrum.grid_values(grid))))
         report(7, certified and worst_res < 1e-6 and gap < 1e-9,
@@ -168,12 +168,13 @@ class TestAcceptance:
         high = PiecewiseConstantSpectrum([(-0.5, 0.0, 1.0)])
         pair = check_determining_set(shannon_space, [low, high])
         single = check_determining_set(shannon_space, [low])
-        sym_ok = abs(single.symmetric_difference_measure - 0.5) <= 1.0 / grid.resolution
-        report(8, pair.passed and pair.kernel_residual < 1e-9
+        (_, pair_kernel), (single_sym, _) = pair.checks, single.checks
+        sym_ok = abs(single_sym.value - 0.5) <= 1.0 / grid.resolution
+        report(8, pair.passed and pair_kernel.value < 1e-9
                and not single.passed and sym_ok,
-               f"pair: pass with kernel residual {pair.kernel_residual:.3g} (tol 1e-9); "
+               f"pair: pass with kernel residual {pair_kernel.value:.3g} (tol 1e-9); "
                f"single: fail with symmetric difference "
-               f"{single.symmetric_difference_measure:.4g} (0.5 +- 1/N)")
+               f"{single_sym.value:.4g} (0.5 +- 1/N)")
 
     def test_9_lattice_rescaling(self, shannon_space):
         rs = lattice_rescale(shannon_space, 2.0, 0.0)

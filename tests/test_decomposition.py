@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,20 +39,21 @@ class TestDeterminingSet:
     def test_generator_alone_determines(self, shannon_space, shannon, grid):
         rep = check_determining_set(shannon_space, [shannon])
         assert rep.passed
-        assert rep.symmetric_difference_measure == 0.0
+        sym, kernel = rep.checks
+        assert sym.value == 0.0
         # multiplier is the reciprocal Zak fiber on the support set
         np.testing.assert_allclose(rep.multipliers[0].values, 1.0, atol=1e-12)
-        assert rep.kernel_residual < 1e-9
+        assert kernel.value < 1e-9
 
     def test_single_half_band_fails(self, shannon_space):
         rep = check_determining_set(shannon_space, [half_band_low()])
         assert not rep.passed
-        assert rep.symmetric_difference_measure == pytest.approx(0.5, abs=1.0 / 1024)
+        assert rep.checks[0].value == pytest.approx(0.5, abs=1.0 / 1024)
 
     def test_half_band_pair_passes(self, shannon_space):
         rep = check_determining_set(shannon_space, [half_band_low(), half_band_high()])
         assert rep.passed
-        assert rep.kernel_residual < 1e-9
+        assert rep.checks[1].value < 1e-9
         # disjoint masks partition the union exactly
         overlap = rep.disjoint_masks[0].intersection(rep.disjoint_masks[1])
         assert overlap.measure == 0.0
@@ -74,7 +77,7 @@ class TestDeterminingSet:
         assert modified.passed == base.passed
         for a, b in zip(base.member_masks, modified.member_masks):
             assert a == b
-        assert modified.kernel_residual < 1e-9
+        assert modified.checks[1].value < 1e-9
 
     def test_expansion_is_order_independent(self, shannon_space, grid):
         # the disjoint masks depend on the order, the recovered kernel does not
@@ -82,21 +85,21 @@ class TestDeterminingSet:
         r12 = check_determining_set(shannon_space, [f1, f2])
         r21 = check_determining_set(shannon_space, [f2, f1])
         assert r12.passed and r21.passed
-        assert r12.kernel_residual < 1e-9 and r21.kernel_residual < 1e-9
+        assert r12.checks[1].value < 1e-9 and r21.checks[1].value < 1e-9
         assert r12.disjoint_masks[0] != r21.disjoint_masks[0]
 
     def test_span_sum_on_kernel(self, shannon_space, shannon):
         rep = check_determining_set(shannon_space, [half_band_low(), half_band_high()])
-        residual = span_sum_check(shannon_space, rep, [half_band_low(), half_band_high()],
-                                  shannon)
-        assert residual < 1e-9
+        check = span_sum_check(shannon_space, rep, [half_band_low(), half_band_high()],
+                               shannon)
+        assert check.value < 1e-9
 
     def test_span_sum_on_random_member(self, shannon_space):
         rep = check_determining_set(shannon_space, [half_band_low(), half_band_high()])
         probe = synthesize(shannon_space, random_coefficients(55))
-        residual = span_sum_check(shannon_space, rep,
-                                  [half_band_low(), half_band_high()], probe)
-        assert residual < 1e-6
+        check = span_sum_check(shannon_space, rep,
+                               [half_band_low(), half_band_high()], probe)
+        assert check.value < 1e-6
 
     def test_span_sum_rejects_non_member(self, shannon_space):
         rep = check_determining_set(shannon_space, [half_band_low(), half_band_high()])
@@ -190,6 +193,35 @@ class TestDecompose:
             check_determining_set(shannon_space, [])
 
 
+class TestConstructionChecks:
+    # every residual a construction computes is a check it is held to
+
+    def test_perturbed_kernel_is_not_determined(self, shannon_space):
+        # the node sets still agree; only the recovered kernel misses, by 1e-6
+        space = replace(shannon_space,
+                        sampling_spectrum=shannon_space.sampling_spectrum.scaled(1 + 1e-6))
+        rep = check_determining_set(space, [half_band_low(), half_band_high()])
+        assert not rep.passed
+        assert [c.name for c in rep.checks if not c.passed] == ["kernel_residual"]
+        assert rep.checks[1].value == pytest.approx(1e-6, rel=1e-6)
+        assert rep.checks[1].tolerance == KERNEL_TOL * (1 + 1e-6)
+
+    def test_perturbed_kernel_is_not_decomposed(self, shannon_space, grid):
+        space = replace(shannon_space,
+                        sampling_spectrum=shannon_space.sampling_spectrum.scaled(1 + 1e-6))
+        part = PeriodicPartition.from_intervals([[[0.0, 0.5]], [[0.5, 1.0]]], grid)
+        with pytest.raises(PartitionError, match="deviate from the masked kernel by 1e-06"):
+            decompose(space, part)
+
+    def test_symmetric_difference_names_its_intervals(self, shannon_space):
+        rep = check_determining_set(
+            shannon_space, [half_band_high(), PiecewiseConstantSpectrum([(1.0 / 1024, 0.5, 1.0)])])
+        sym, kernel = rep.checks
+        assert not sym.passed and sym.value == 1.0 / 1024
+        assert sym.detail == "1 interval(s) of omega in [0, 1), from [0.0, 0.0009765625)"
+        assert not kernel.passed and np.isnan(kernel.value)
+
+
 class TestExactNodeSets:
     # set decisions compare node sets exactly: one node too few or too many is refused
 
@@ -198,7 +230,7 @@ class TestExactNodeSets:
         rep = check_determining_set(
             shannon_space, [half_band_high(), PiecewiseConstantSpectrum([(gap, 0.5, 1.0)])])
         assert not rep.passed
-        assert rep.symmetric_difference_measure > 0.0
+        assert rep.checks[0].value > 0.0
 
     @pytest.mark.parametrize("edge", [0.5 - 1.0 / 1024, 0.5 + 1.0 / 1024])
     def test_partition_one_node_off_is_refused(self, shannon_space, grid, edge):
@@ -206,6 +238,8 @@ class TestExactNodeSets:
         with pytest.raises(PartitionError) as err:
             decompose(shannon_space, part)
         assert err.value.measure == 1.0 / 1024
+        lo, hi = sorted((edge, 0.5))  # the node overlapped or left uncovered
+        assert str(err.value).endswith(f": 1 interval(s) of omega in [0, 1), from [{lo}, {hi})")
 
     def test_nodes_off_the_support_set_belong_to_no_component(self, blhat, grid):
         # blhat's support set lacks the node 1/2, which the second half holds
@@ -231,21 +265,27 @@ def halves(shannon_space, grid):
 
 class TestVerifyDirectSum:
     def test_kernel_splits_cleanly(self, shannon_space, halves, grid):
-        chk = verify_direct_sum(shannon_space, halves, shannon_space.sampling_spectrum)
-        assert chk.residual < 1e-9
-        assert chk.max_cross_projection < 1e-9
+        residual, cross = verify_direct_sum(shannon_space, halves, shannon_space.sampling_spectrum)
+        assert residual.value < 1e-9
+        assert cross.value < 1e-9
 
     def test_random_member(self, shannon_space, halves):
         f = synthesize(shannon_space, random_coefficients(60))
-        chk = verify_direct_sum(shannon_space, halves, f)
-        assert chk.residual < 1e-6
-        assert chk.max_cross_projection < 1e-6
+        residual, cross = verify_direct_sum(shannon_space, halves, f)
+        assert residual.value < 1e-6
+        assert cross.value < 1e-6
+
+    def test_missing_component_fails_the_residual(self, shannon_space, halves):
+        f = synthesize(shannon_space, random_coefficients(60))
+        residual, cross = verify_direct_sum(shannon_space, halves[:1], f)
+        assert not residual.passed and residual.value > residual.tolerance > 0.0
+        assert cross.passed
 
     def test_zero_probe(self, shannon_space, halves, grid):
         zero = PiecewiseConstantSpectrum([(0.0, 1.0, 0.0)])
-        chk = verify_direct_sum(shannon_space, halves, zero)
-        assert chk.residual == 0.0
-        assert chk.max_cross_projection == 0.0
+        residual, cross = verify_direct_sum(shannon_space, halves, zero)
+        assert residual.value == 0.0
+        assert cross.value == 0.0
 
 
 class TestLatticeRescale:

@@ -343,6 +343,26 @@ class TestCLI:
         rc_single = run_cli(["determine", "--space", "shannon", "--functions", str(f1)])
         assert rc_single == 2
 
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_determine_holds_the_kernel_residual(self, tmp_path, capsys, n):
+        # the half-band pair covers the support set at both resolutions; at
+        # N = 4096 the multipliers divide by the Zak fiber of samples cut at the
+        # default --kmax 512, the recovered kernel misses by 0.6, and that fails
+        for name, piece in (("low", (-0.5, 0.0, 1.0)), ("high", (0.0, 0.5, 1.0))):
+            sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([piece]), tmp_path / f"{name}.json")
+        report = tmp_path / "r.json"
+        rc = run_cli(["determine", "--space", "shannon", "--functions",
+                      f"{tmp_path}/low.json,{tmp_path}/high.json", "--N", str(n), "--json", str(report)])
+        err = capsys.readouterr().err
+        checks = json.loads(report.read_text())["results"]["checks"]
+        assert [c["name"] for c in checks] == ["symmetric_difference", "kernel_residual"]
+        assert checks[0]["passed"]
+        if n == 1024:
+            assert rc == 0 and checks[1]["passed"] and err == ""
+        else:
+            assert rc == 2 and not checks[1]["passed"]
+            assert err.startswith("  failed check kernel_residual: value=0.6")
+
     def test_analyze_csv_reparses(self, tmp_path):
         out = tmp_path / "gz.csv"
         assert run_cli(["analyze", "shannon", "--csv", str(out)]) == 0

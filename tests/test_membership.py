@@ -184,8 +184,9 @@ class TestInducedSubspace:
     def test_kernel_itself_returns_whole_space(self, shannon_space, shannon, grid):
         sub = induced_subspace(shannon_space, shannon)
         assert sub.space.mask == shannon_space.mask
-        assert sub.kernel_mask_residual < 1e-9
-        assert sub.kernel_projection_residual < 1e-9
+        _, mask_check, proj_check = sub.checks
+        assert mask_check.value < 1e-9
+        assert proj_check.value < 1e-9
 
     def test_half_mask_member(self, shannon_space, grid):
         # member with spectrum s_hat * chi_{[0,1/2)}: the induced kernel is
@@ -193,8 +194,9 @@ class TestInducedSubspace:
         f = PiecewiseConstantSpectrum([(0.0, 0.5, 1.0)])
         sub = induced_subspace(shannon_space, f)
         assert sub.space.mask.measure == pytest.approx(0.5, abs=1e-3)
-        assert sub.kernel_mask_residual < 1e-9
-        assert sub.kernel_projection_residual < 1e-9
+        _, mask_check, proj_check = sub.checks
+        assert mask_check.value < 1e-9
+        assert proj_check.value < 1e-9
 
     def test_member_with_spectral_notch(self, shannon_space, grid):
         # coefficient fiber with a zero inside the band: the induced
@@ -204,8 +206,9 @@ class TestInducedSubspace:
         f = synthesize(shannon_space, coeffs)
         sub = induced_subspace(shannon_space, f)
         assert sub.space.mask.measure < shannon_space.mask.measure
-        assert sub.kernel_mask_residual < 1e-9
-        assert sub.kernel_projection_residual < 1e-9
+        _, mask_check, proj_check = sub.checks
+        assert mask_check.value < 1e-9
+        assert proj_check.value < 1e-9
 
     def test_non_member_rejected(self, shannon_space):
         outside = PiecewiseConstantSpectrum([(2.0, 3.0, 1.0)])
@@ -219,8 +222,9 @@ class TestInducedSubspace:
         for seed in range(3):
             f = synthesize(space, random_coefficients(1000 + seed))
             sub = induced_subspace(space, f)
-            assert sub.kernel_mask_residual < 1e-9
-            assert sub.kernel_projection_residual < 1e-9
+            _, mask_check, proj_check = sub.checks
+            assert mask_check.value < 1e-9
+            assert proj_check.value < 1e-9
 
 
     def test_subspace_keeps_the_seed(self, shannon, grid):
