@@ -15,11 +15,11 @@ Four criteria are implemented:
 * ``check_sz04`` -- the stronger sufficient-condition pair; its second
   inequality can fail where the characterization above still passes.
 
-The last three share one skeleton (``_judge``): precondition, fibers,
-support set, tail energy and the vacuous report of a zero signal.
-Piecewise-constant spectra are analyzed on their exact periodized piece
-structure (resolving detail far below grid resolution); everything else
-is analyzed at grid resolution, one piece per unit-grid cell.
+The last three share one skeleton (``_judge``): precondition, fibers, support
+set, the one guard on the Zak fiber, tail energy and the vacuous report of a
+zero signal.  It reads the record's profile (``Fibers.profile``): piecewise-constant
+spectra's exact periodized pieces (resolving detail far below grid resolution),
+everything else's unit-grid cells.
 """
 
 from __future__ import annotations
@@ -49,12 +49,12 @@ from .spectral import (
     DEFAULT_K_MAX,
     Fibers,
     _guarded_support,
+    _sampled_zak,
     divide_on_support,
     fibers,
     guard_level,
     spectral_norm,
     union_rows,
-    zak_time_fiber,
 )
 
 # unbounded-ratio falsifier: flag when the per-piece sup is attained at the
@@ -110,25 +110,27 @@ def _judge(f: Signal, grid: FrequencyGrid, eps: float, k_max: int, criterion: st
            requires: str = "") -> ConditionReport:
     """The skeleton of theorems 2, 5 and sz04.  Refuses a signal outside
     the integrable-spectrum class when ``requires`` names the criterion;
-    builds the fibers, the periodized profile, the support set (pieces
-    above the Grammian's guard level) and the tail energy; reports a zero
-    signal as a vacuous pass of the checks ``names``, with the constants
-    ``vacuous`` and the ``note``.  Otherwise ``body(fib, prof, on)``
-    returns the checks and constants."""
+    builds the fibers; on their profile, the support set ``on`` (pieces above the Grammian's
+    guard level) and ``ok``, its pieces where |Z| = ``absz`` is above its ``guard``; and
+    the tail energy.  It reports a zero signal as a vacuous pass of the checks ``names``,
+    with the constants ``vacuous`` and the ``note``; otherwise ``body(fib, prof, on, ok,
+    absz, guard)`` returns the checks and constants."""
     if requires and not f.integrable_spectrum:
         raise PreconditionError(
             f"{requires} requires an absolutely integrable spectrum; "
             "this signal is flagged outside that class -- use the theorem-2 criterion"
         )
     fib = fibers(f, grid, eps, k_max)
-    prof = PeriodizedProfile.from_fibers(fib)
+    prof = fib.profile
     on = prof.sq_sum > guard_level(prof.sq_sum, eps)
+    absz = np.abs(prof.z)
+    guard = guard_level(absz, eps)
     tail = f.spectral_tail_energy(grid) + f.series_tail
     if not np.any(on):
         checks = [ConditionCheck(name, True, detail="vacuous") for name in names]
         return ConditionReport(criterion, checks, True, vacuous=True, constants=dict(vacuous),
                                tail_energy=tail, note=note)
-    checks, constants = body(fib, prof, on)
+    checks, constants = body(fib, prof, on, on & (absz > guard), absz, guard)
     return ConditionReport(criterion, checks, all(c.passed for c in checks),
                            constants=constants, tail_energy=tail)
 
@@ -144,14 +146,11 @@ def check_theorem5(f: Signal, grid: FrequencyGrid, x_probes=None, *,
     uniformly bounded over a probe set of time offsets (the integrand is
     1-periodic in the offset, so probing [0, 1) covers the line).
     """
-    def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray):
+    def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray, ok: np.ndarray, absz: np.ndarray, guard: float):
         l2 = fib.samples.l2_norm
         check_a = ConditionCheck("a_samples_l2", bool(np.isfinite(l2)), l2,
                                  detail=f"tail energy {fib.samples.tail_energy:.3g}")
 
-        absz = np.abs(prof.z)
-        guard = guard_level(absz, eps)
-        ok = on & (absz > guard)
         bad = on & ~ok
         if np.any(bad):
             a_const = float("inf")
@@ -199,11 +198,7 @@ def check_sz04(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS) -> C
     vanishing where absolute mass remains) or by an unbounded fine-scale
     ratio trend.
     """
-    def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray):
-        absz = np.abs(prof.z)
-        guard = guard_level(absz, eps)
-        ok = on & (absz > guard)
-
+    def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray, ok: np.ndarray, absz: np.ndarray, guard: float):
         # A |Z|^2 <= G: constrained only where Z is nonzero; best A = min G/|Z|^2
         if np.any(ok):
             a_const = float(np.min(prof.sq_sum[ok] / absz[ok] ** 2))
@@ -252,10 +247,10 @@ def check_theorem2(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
     continuous, bounded shift-square sum, and Zak modulus bounded away
     from zero exactly on the support set.
     """
-    def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray):
-        h = _sampling_function(fib)  # the certificate reads h's band and Zak fiber, on f's set
-        zak = zak_time_fiber(h.integer_samples(grid, k_max), grid)
-        cert = sz99_report(replace(fib, signal=h, band=h.band, rows=h.rows, zak=zak), seed=seed)
+    def body(fib: Fibers, *_):
+        h = _sampling_function(fib)  # the certificate reads h and its Zak fiber, on f's set
+        zak = _sampled_zak(h, h.rows.sum(axis=0), grid, k_max)[1]
+        cert = sz99_report(replace(fib, signal=h, zak=zak), seed=seed)
         return cert.checks, {"A": cert.zak_lower, "B": cert.zak_upper,
                              "shift_bound": cert.shift_sum_bound, "normalization": "zak"}
 
@@ -321,7 +316,7 @@ def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
 
     zak, k = fib.periodization.values, grid.half_bandwidth
     band = slice(min(fib.band.start, k), max(fib.band.stop, k + 1))  # f's rows and the row of m = 0
-    svals = pad_band(fib.band, divide_on_support(fib.rows, zak, fib.mask), band)
+    svals = pad_band(fib.band, divide_on_support(fib.cells.coeffs, zak, fib.mask), band)
     svals[k - band.start, ~_guarded_support(zak, fib.mask)] = 1.0
 
     s_sig = GridSpectrum.from_band(band, svals, grid, integrable_spectrum=True)
@@ -329,7 +324,7 @@ def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
 
     # internal consistency: f_hat = Z_f * s_hat and s(k) = delta_0k
     s_rows, f_rows = union_rows([space.sampling_spectrum, f], grid)
-    scale = max(float(np.max(np.abs(fib.rows))), 1e-300)
+    scale = max(float(np.max(np.abs(fib.cells.coeffs))), 1e-300)
     dev = float(np.max(np.abs(zak * s_rows - f_rows)))
     if dev > VANISH_TOL * scale:
         raise ConstructionRefusedError(

@@ -511,49 +511,48 @@ def dual_energy(rows: np.ndarray, shifts: np.ndarray, xs: np.ndarray, weights) -
 
 class PeriodizedProfile:
     """Per-piece view of the periodized quantities of one signal over one
-    period [0, 1): periodization ``z``, absolute periodization ``abs_sum`` and
-    Grammian ``sq_sum``, read from ``coeffs``: the spectrum on each piece, one
-    row per shift in ``shifts`` (``twisted_sum`` of them: the twisted fiber).
+    period [0, 1): the spectrum on each piece in ``coeffs``, one row per shift in
+    ``shifts`` (``twisted_sum`` of them: the twisted fiber), whose periodization
+    ``z``, absolute periodization ``abs_sum`` and Grammian ``sq_sum`` the profile
+    sums on first read.
 
-    ``from_pieces`` (``exact=True``): pieces follow the folded breakpoints of a
-    piecewise-constant spectrum, on each of which the contributing (value, shift)
-    pairs are constant: every quantity is in closed form, sub-grid detail kept.
-    ``from_fibers``: that exact profile for a piecewise-constant signal,
-    otherwise (``exact=False``) one piece per unit-grid cell.
+    ``of`` is the one rule: an interval spectrum's pieces follow its folded
+    breakpoints, on each of which the contributing (value, shift) pairs are
+    constant (``exact``: every quantity in closed form, sub-grid detail kept);
+    every other signal has one piece per unit-grid cell of its band rows.
     """
 
-    def __init__(self, starts, lengths, z, abs_sum, sq_sum, shifts, coeffs, exact: bool):
-        self.starts = np.asarray(starts, dtype=float)
-        self.lengths = np.asarray(lengths, dtype=float)
-        self.z = np.asarray(z, dtype=complex)
-        self.abs_sum = np.asarray(abs_sum, dtype=float)
-        self.sq_sum = np.asarray(sq_sum, dtype=float)
-        self.shifts = np.asarray(shifts)
-        self.coeffs = coeffs
-        self.exact = exact
+    def __init__(self, starts, lengths, shifts, coeffs, exact: bool):
+        self.starts, self.lengths = np.asarray(starts, dtype=float), np.asarray(lengths, dtype=float)
+        self.shifts, self.coeffs, self.exact = np.asarray(shifts), coeffs, exact
 
     @classmethod
-    def from_pieces(cls, pieces) -> "PeriodizedProfile":
-        """Exact profile of (shift, local start, local end, value) pieces."""
-        cut = np.unique([0.0, 1.0] + [t for _, lo, hi, _ in pieces for t in (lo, hi)])
+    def of(cls, f: Signal, grid: FrequencyGrid) -> "PeriodizedProfile":
+        """The profile of f: its exact pieces for an interval spectrum, else its cells."""
+        if not isinstance(f, PiecewiseConstantSpectrum):
+            return cls.cells(*f.band_values(grid), grid)
+        cut = np.unique([0.0, 1.0] + [t for _, lo, hi, _ in f.pieces for t in (lo, hi)])
         mid = 0.5 * (cut[:-1] + cut[1:])
-        shifts = np.unique([m for m, _, _, _ in pieces])
+        shifts = np.unique([m for m, _, _, _ in f.pieces])
         coeffs = np.zeros((shifts.size, mid.size), dtype=complex)
-        for m, lo, hi, v in pieces:  # pieces of one shift never overlap
+        for m, lo, hi, v in f.pieces:  # pieces of one shift never overlap
             coeffs[np.searchsorted(shifts, m), (lo <= mid) & (mid < hi)] = v
-        modulus = np.abs(coeffs)
-        return cls(cut[:-1], cut[1:] - cut[:-1], coeffs.sum(axis=0), modulus.sum(axis=0),
-                   (modulus ** 2).sum(axis=0), shifts, coeffs, exact=True)
+        return cls(cut[:-1], cut[1:] - cut[:-1], shifts, coeffs, exact=True)
 
     @classmethod
-    def from_fibers(cls, fib) -> "PeriodizedProfile":
-        """Profile of the signal of a ``spectral.Fibers`` record."""
-        if isinstance(fib.signal, PiecewiseConstantSpectrum):
-            return cls.from_pieces(fib.signal.pieces)
-        n = fib.grid.resolution
-        return cls(fib.grid.unit_omegas, np.full(n, 1.0 / n), fib.periodization.values,
-                   fib.abs_periodization.real_values, fib.grammian.real_values,
-                   fib.grid.shifts()[fib.band], fib.rows, exact=False)
+    def cells(cls, band: slice, rows: np.ndarray, grid: FrequencyGrid) -> "PeriodizedProfile":
+        """One piece per unit-grid cell of the fold rows of band."""
+        return cls(grid.unit_omegas, np.full(grid.resolution, grid.step), grid.shifts()[band], rows, exact=False)
+
+    z = cached_property(lambda self: self.coeffs.sum(axis=0))
+
+    @cached_property
+    def _moduli(self) -> tuple[np.ndarray, np.ndarray]:
+        abs_sum = (modulus := np.abs(self.coeffs)).sum(axis=0)
+        return abs_sum, np.square(modulus, out=modulus).sum(axis=0)  # the one modulus, squared in place
+
+    abs_sum = property(lambda self: self._moduli[0])
+    sq_sum = property(lambda self: self._moduli[1])
 
 
 class GridSpectrum(Signal):

@@ -35,6 +35,7 @@ from .spectral import (
     DEFAULT_EPS,
     DEFAULT_K_MAX,
     Fibers,
+    _guarded_support,
     bracket,
     divide_on_support,
     essential_bounds,
@@ -146,16 +147,16 @@ def check_sz99(candidate: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
     """Run the sampling-space certificate on a candidate generator.
 
     Continuity is a falsifier (a discontinuity this dense grid cannot see
-    stays unseen); the shift-square sum and the two-sided Zak bound are
-    evaluated at grid resolution.
+    stays unseen); the two-sided Zak bound is evaluated at grid resolution,
+    the shift-square sum over the candidate's profile (``shift_square_sum``).
     """
     return sz99_report(fibers(candidate, grid, eps, k_max), seed=seed)
 
 
 def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
-    """The certificate of a record's signal on its band, support set (whose eps the
-    Zak bound is held to) and Zak fiber: ``check_sz99`` passes the
-    candidate's own record; theorem 2 one that carries the original signal's set."""
+    """The certificate of a record's signal, support set (whose eps the Zak bound
+    is held to) and Zak fiber: ``check_sz99`` passes the candidate's own record;
+    theorem 2 one that carries the original signal's set."""
     candidate, mask, zak = fib.signal, fib.mask, fib.zak
     if mask.is_empty:
         return SZ99Report("fail", 0.0, JUMP_COEFF * np.sqrt(CONTINUITY_DX),
@@ -164,8 +165,7 @@ def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
 
     verdict, max_jump, threshold = _continuity_check(candidate)
 
-    probe = candidate if candidate.support else GridSpectrum.from_band(fib.band, fib.rows, fib.grid)
-    sss = shift_square_sum(probe, _probe_points(seed), fib.grid)
+    sss = shift_square_sum(candidate, _probe_points(seed), fib.grid)
     shift_pass = bool(np.isfinite(sss.bound) and sss.bound <= SHIFT_SUM_CAP)
 
     absz = np.abs(zak.values)
@@ -189,7 +189,7 @@ def tight_frame_generator(psi: Signal, grid: FrequencyGrid,
     fib = fibers(psi, grid, eps)
     if fib.mask.is_empty:
         raise DegenerateSpaceError("zero generator has no tight-frame normalization")
-    out = divide_on_support(fib.rows, np.sqrt(fib.grammian.real_values), fib.mask)
+    out = divide_on_support(fib.cells.coeffs, np.sqrt(fib.grammian.real_values), fib.mask)
     return GridSpectrum.from_band(fib.band, out, grid, integrable_spectrum=psi.integrable_spectrum)
 
 
@@ -245,7 +245,7 @@ def _space(fib: Fibers, *, seed: int, checked: bool) -> SamplingSpace:
 def _sampling_kernel_signal(fib: Fibers) -> Signal:
     psi = fib.signal
     zak = fib.zak.values
-    if bool(np.all(fib.zak_support)):
+    if bool(np.all(_guarded_support(zak, fib.mask))):  # |Z| above its guard on all of E_f
         z0 = complex(zak[0])
         if z0 != 0 and float(np.max(np.abs(zak - z0))) <= 1e-12 * abs(z0):
             # constant Zak fiber on a full support set: the kernel is the
@@ -260,7 +260,7 @@ def _sampling_kernel_signal(fib: Fibers) -> Signal:
 def _sampling_function(fib: Fibers) -> GridSpectrum:
     """h_hat = f_hat / Z_f(0,.) on the support set, zero off it: the sampling
     function of V(f), and theorem 2's normalized signal."""
-    out = divide_on_support(fib.rows, fib.zak.values, fib.mask)
+    out = divide_on_support(fib.cells.coeffs, fib.zak.values, fib.mask)
     return GridSpectrum.from_band(fib.band, out, fib.grid, integrable_spectrum=fib.signal.integrable_spectrum)
 
 

@@ -13,14 +13,15 @@ grid is left to the file boundary (``io``) and to a time kernel's quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSpaceError, NotAGrammianError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
-from .signals import (ShiftCombination, Signal, _period_samples, _support_shifts, dual_energy, pad_band,
-                      require_finite, twisted_sum)
+from .signals import (PeriodizedProfile, PiecewiseConstantSpectrum, ShiftCombination, Signal, _period_samples,
+                      _support_shifts, dual_energy, pad_band, require_finite, twisted_sum)
 
 DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
@@ -129,12 +130,12 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
     at every probe x, first reduced to [0, 1) exactly, plus each of its
     ``_support_shifts``: the sum is 1-periodic in x, and far offsets keep
     their shifts in range.  Purely spectral representations use the Parseval
-    identity sum_k |f(x+k)|^2 = integral over one period of |Z_f(x, .)|^2,
-    evaluated at grid resolution; this sums all shifts of the
-    grid-projected signal.  Writing omega = m + t with integer shift m and
-    t in [0, 1), Z_f(x, t) = exp(2i*pi*t*x) * sum_m f_hat(t+m) exp(2i*pi*m*x);
-    the first factor has modulus one, so each probe's energy is a quadratic
-    form in the Gram matrix of the band's rows (``dual_energy``).
+    identity sum_k |f(x+k)|^2 = integral over one period of |Z_f(x, .)|^2 over the
+    pieces of ``PeriodizedProfile.of`` the signal.  Writing omega = m + t with integer
+    shift m and t in [0, 1), Z_f(x, t) = exp(2i*pi*t*x) * sum_m f_hat(t+m) exp(2i*pi*m*x);
+    the first factor has modulus one, so each probe's energy is a quadratic form in the
+    Gram matrix of the pieces' rows (``dual_energy``, weights the piece lengths where
+    theorem 5's condition (d) takes length / |Z|^2).
     """
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     direct = f.support is not None
@@ -144,8 +145,8 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
         points = np.add.outer(xs - np.floor(xs), _support_shifts(f))
         sums = np.sum(np.abs(f.time_values(points)) ** 2, axis=1)
     else:
-        band, rows = f.band_values(grid)
-        sums = dual_energy(rows, grid.shifts()[band], xs, grid.step)
+        prof = PeriodizedProfile.of(f, grid)
+        sums = dual_energy(prof.coeffs, prof.shifts, xs, prof.lengths)
     return ShiftSquareSum(float(np.max(sums, initial=0.0)), "direct" if direct else "parseval")
 
 
@@ -153,24 +154,34 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
 class Fibers:
     """The periodized objects of one signal on one grid.  Every verdict on
     a signal reads its Grammian G_f, Zak fiber Z_f(0, .) and support set
-    E_f; ``fibers`` sums them over the signal's band (``Signal.band_values``), which
-    the record keeps in place of a full grid; callers pass the record down, not recompute."""
+    E_f; ``fibers`` sums them over the ``cells`` of the signal's band (``Signal.band_values``),
+    which the record keeps in place of a full grid; callers pass the record down, not recompute."""
 
     signal: Signal
     grid: FrequencyGrid
     band: slice                          # fold rows (row q: shift q - K) of the spectrum
-    rows: np.ndarray                     # the spectrum on them, (rows, N); zero elsewhere
-    periodization: PeriodicSpectrum      # sum_m f_hat(. + m)
-    grammian: PeriodicSpectrum           # G_f = sum_m |f_hat(. + m)|^2
-    abs_periodization: PeriodicSpectrum  # sum_m |f_hat(. + m)|
+    cells: PeriodizedProfile             # one piece per unit-grid cell; coeffs: the band, (rows, N)
     mask: SupportMask                    # E_f: G_f above its guard level
     samples: TimeSamples                 # integer samples f(k)
     zak: PeriodicSpectrum                # Z_f(0, .), from the samples
 
-    @property
-    def zak_support(self) -> np.ndarray:
-        """Nodes of E_f where |Z_f(0, .)| is above its guard level."""
-        return _guarded_support(self.zak.values, self.mask)
+    periodization = property(lambda self: PeriodicSpectrum(self.cells.z, self.grid))
+    grammian = property(lambda self: PeriodicSpectrum(self.cells.sq_sum, self.grid))
+    abs_periodization = property(lambda self: PeriodicSpectrum(self.cells.abs_sum, self.grid))
+
+    @cached_property
+    def profile(self) -> PeriodizedProfile:
+        """``PeriodizedProfile.of`` the signal, which theorems 5 and sz04 read; built on first read."""
+        exact = isinstance(self.signal, PiecewiseConstantSpectrum)
+        return PeriodizedProfile.of(self.signal, self.grid) if exact else self.cells
+
+
+def _sampled_zak(f: Signal, z: np.ndarray, grid: FrequencyGrid, k_max: int) -> tuple[TimeSamples, PeriodicSpectrum]:
+    """f's integer samples, by its own rule or from the inverse DFT of its periodization z
+    (a truncated Fourier series below N/2), and the Zak fiber Z_f(0, .) of them."""
+    own = f.support or isinstance(f, ShiftCombination)  # one sampling rule per signal
+    samples = f.integer_samples(grid, k_max) if own else _period_samples(np.fft.ifft(z), k_max)
+    return samples, zak_time_fiber(samples, grid)
 
 
 def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
@@ -180,15 +191,9 @@ def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
     pass every verdict as vacuous."""
     band, rows = f.band_values(grid)
     require_finite(rows)
-    abs_periodization = (modulus := np.abs(rows)).sum(axis=0)
-    g = PeriodicSpectrum(np.square(modulus, out=modulus).sum(axis=0), grid)
-    mask = support_mask(g, eps)
-    periodization = rows.sum(axis=0)
-    own = f.support or isinstance(f, ShiftCombination)  # one sampling rule per signal
-    samples = f.integer_samples(grid, k_max) if own else _period_samples(np.fft.ifft(periodization), k_max)
-    return Fibers(f, grid, band, rows, PeriodicSpectrum(periodization, grid), g,
-                  PeriodicSpectrum(abs_periodization, grid), mask,
-                  samples, zak_time_fiber(samples, grid))
+    cells = PeriodizedProfile.cells(band, rows, grid)
+    mask = support_mask(PeriodicSpectrum(cells.sq_sum, grid), eps)
+    return Fibers(f, grid, band, cells, mask, *_sampled_zak(f, cells.z, grid, k_max))
 
 
 def integer_samples(f: Signal, grid: FrequencyGrid, k_max: int = DEFAULT_K_MAX) -> TimeSamples:

@@ -61,7 +61,7 @@ def test_record_matches_one_quantity_functions(band_signal):
     fib = fibers(f, grid)
     folded, outside = grid.fold(f.grid_values(grid)), np.ones(2 * grid.half_bandwidth, dtype=bool)
     outside[fib.band] = False
-    assert np.array_equal(fib.rows, folded[fib.band]) and not np.any(folded[outside])
+    assert np.array_equal(fib.cells.coeffs, folded[fib.band]) and not np.any(folded[outside])
     assert np.array_equal(fib.periodization.values, periodize(f, grid).values)
     assert np.array_equal(fib.grammian.values, grammian(f, grid).values)
     assert np.array_equal(fib.abs_periodization.values, abs_periodize(f, grid).values)
@@ -78,7 +78,8 @@ def test_kernel_equals_tiled_formula(band_signal):
     want = tiled_division(f.grid_values(grid), zak, mask, grid)
     fib = fibers(f, grid)
     full = slice(0, 2 * grid.half_bandwidth)
-    assert np.array_equal(pad_band(fib.band, divide_on_support(fib.rows, fib.zak.values, fib.mask), full).ravel(), want)
+    quotient = divide_on_support(fib.cells.coeffs, fib.zak.values, fib.mask)
+    assert np.array_equal(pad_band(fib.band, quotient, full).ravel(), want)
     if mask.is_empty:  # the zero spectrum spans no space
         with pytest.raises(DegenerateSpaceError):
             build_space(f, grid, checked=False)
@@ -123,13 +124,21 @@ def test_nan_node_outside_the_nonzero_rows_is_refused(blhat, grid):
 
 def test_grid_profile_reads_the_record(blhat, grid):
     fib = fibers(blhat, grid)
-    prof = PeriodizedProfile.from_fibers(fib)
-    assert not prof.exact
+    prof = fib.profile
+    assert not prof.exact and prof is fib.cells
     assert np.array_equal(prof.sq_sum, fib.grammian.real_values)
     assert np.array_equal(twisted_sum(prof.coeffs, prof.shifts, 0.25), zak_dual_fiber(blhat, 0.25, grid).values)
+    alone = PeriodizedProfile.of(blhat, grid)  # the one rule, outside the record
+    for got, want in ((alone.z, prof.z), (alone.abs_sum, prof.abs_sum), (alone.sq_sum, prof.sq_sum),
+                      (alone.lengths, prof.lengths), (alone.starts, prof.starts)):
+        assert np.array_equal(got, want)
 
 
 def test_piecewise_profile_stays_exact(ex2, wide_grid):
-    prof = PeriodizedProfile.from_fibers(fibers(ex2, wide_grid))
-    assert prof.exact
-    assert np.array_equal(prof.lengths, PeriodizedProfile.from_pieces(ex2.pieces).lengths)
+    fib = fibers(ex2, wide_grid)
+    prof = fib.profile
+    assert prof.exact and not fib.cells.exact
+    assert prof is fib.profile  # built once, on first read
+    # ex2's folded breakpoints: 0 and the block ends 2^-n, n = 1..60, of one period
+    assert np.array_equal(prof.starts, np.r_[0.0, 0.5 ** np.arange(60, 0, -1)])
+    assert np.array_equal(prof.lengths, np.diff(np.r_[prof.starts, 1.0]))

@@ -1,10 +1,11 @@
 """Batched probe offsets against the per-probe loops they replace.
 
 The shift-square bound and theorem 5's dual energy read every probe offset
-from one Gram matrix of the occupied fold rows (``dual_energy``).  The
-reference functions below are the per-probe loops that computed the same
-quantities one offset at a time; every batched value must agree with them
-to 1e-12 relative.
+from one Gram matrix of the rows of a signal's profile (``dual_energy``): an
+interval spectrum's exact folded pieces, every other signal's occupied fold
+rows.  The reference functions below are the per-probe loops that computed
+the same quantities one offset at a time; every batched value must agree
+with them to 1e-12 relative.
 """
 
 from dataclasses import replace
@@ -18,6 +19,8 @@ from sisbox import (
     ShiftCombination,
     TimeSamples,
     build_signal,
+    PiecewiseConstantSpectrum,
+    check_sz99,
     check_theorem5,
     shift_square_sum,
 )
@@ -65,9 +68,20 @@ def loop_dual(prof, f, grid, x):
                     dtype=complex)
 
 
+def loop_shift_squares(f, xs, grid):
+    """Per-probe Parseval shift-square sums over the profile: for an interval spectrum
+    the per-piece loop, sum of length * |dual fiber|^2 over its exact pieces; for any
+    other signal the grid loop (``loop_energies``)."""
+    prof = PeriodizedProfile.of(f, grid)
+    if not prof.exact:
+        return loop_energies(f, xs, grid)
+    lengths = np.diff(np.r_[prof.starts, 1.0])  # loop_dual checks the starts against the breakpoints
+    return np.array([np.sum(lengths * np.abs(loop_dual(prof, f, grid, x)) ** 2) for x in xs])
+
+
 def loop_dual_energy(f, grid, xs):
     """Theorem 5's L: the largest per-probe dual-fiber energy on the guarded support."""
-    prof = PeriodizedProfile.from_fibers(fibers(f, grid))
+    prof = fibers(f, grid).profile
     on = prof.sq_sum > guard_level(prof.sq_sum, DEFAULT_EPS)
     absz = np.abs(prof.z)
     ok = on & (absz > guard_level(absz, DEFAULT_EPS))
@@ -87,7 +101,40 @@ def test_shift_square_bound_matches_loop(name, seed, fine_grid):
     xs = _probe_points(seed)
     got = shift_square_sum(f, xs, fine_grid)
     assert got.route == "parseval"
-    assert got.bound == pytest.approx(float(np.max(loop_energies(f, xs, fine_grid))), rel=RTOL)
+    assert got.bound == pytest.approx(float(np.max(loop_shift_squares(f, xs, fine_grid))), rel=RTOL)
+
+
+# ex2's bound over the default probes, summed over its exact pieces; the grid rows
+# read 2.125376679646494 at (64, 1024) and 2.125385108832255 at (64, 4096)
+EX2_SHIFT_SUM_BOUND = 2.1253870807664277
+
+
+@pytest.mark.parametrize("n", [1024, 4096, 8192])
+def test_interval_shift_sum_bound_is_the_piece_sum(n):
+    grid = FrequencyGrid(64, n)
+    ex2 = build_signal("ex2", grid)
+    bound = check_sz99(ex2, grid).shift_sum_bound
+    assert bound == EX2_SHIFT_SUM_BOUND
+    assert bound == pytest.approx(float(np.max(loop_shift_squares(ex2, _probe_points(0), grid))), rel=RTOL)
+
+
+def sub_cell_spectrum(seed):
+    """A seeded interval spectrum at shifts -4..3: on each, three pieces with dyadic
+    ends at 2^-20 resolution (most narrower than a cell at N = 4096), complex values."""
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for m in range(-4, 4):
+        ends = np.sort(rng.choice(2 ** 20, 6, replace=False)) / 2.0 ** 20
+        pieces += [(m, lo, hi, complex(*rng.standard_normal(2))) for lo, hi in zip(ends[::2], ends[1::2])]
+    return PiecewiseConstantSpectrum.from_local_pieces(pieces)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_sub_cell_shift_sum_bound_is_the_piece_sum(seed):
+    f, xs = sub_cell_spectrum(seed), np.concatenate([_probe_points(seed), FAR_OFFSETS])
+    bounds = [shift_square_sum(f, xs, FrequencyGrid(4, n)).bound for n in (1024, 4096)]
+    assert bounds[0] == bounds[1]  # the pieces, not the grid's cells
+    assert bounds[0] == pytest.approx(float(np.max(loop_shift_squares(f, xs, FrequencyGrid(4, 1024)))), rel=RTOL)
 
 
 def time_kernel_signal(name, seed, grid):
@@ -138,10 +185,10 @@ def test_each_probe_energy_matches_loop(name, fine_grid):
     xs = np.concatenate([_probe_points(0), FAR_OFFSETS])
     want = loop_energies(f, xs, fine_grid)
     fib = fibers(f, fine_grid)
-    batched = dual_energy(fib.rows, fine_grid.shifts()[fib.band], xs, fine_grid.step)
+    batched = dual_energy(fib.cells.coeffs, fine_grid.shifts()[fib.band], xs, fine_grid.step)
     np.testing.assert_allclose(batched, want, rtol=RTOL, atol=0)
     single = [shift_square_sum(f, [x], fine_grid).bound for x in FAR_OFFSETS]
-    np.testing.assert_allclose(single, want[-FAR_OFFSETS.size:], rtol=RTOL, atol=0)
+    np.testing.assert_allclose(single, loop_shift_squares(f, FAR_OFFSETS, fine_grid), rtol=RTOL, atol=0)
 
 
 @pytest.mark.parametrize("name, grid_name", [("blhat", "grid"), ("hat", "grid"),
@@ -176,11 +223,11 @@ def test_dual_energy_of_an_empty_band_is_zero(fine_grid):
 def test_dual_keeps_scalar_shape(name, grid_name, request):
     grid = request.getfixturevalue(grid_name)
     fib = fibers(build_signal(name, grid), grid)
-    prof = PeriodizedProfile.from_fibers(fib)
+    prof = fib.profile
     pieces = prof.starts.size
     dual = twisted_sum(prof.coeffs, prof.shifts, 0.25)
     assert dual.shape == (pieces,)
-    assert twisted_sum(fib.rows, grid.shifts()[fib.band], 0.25).shape == (grid.resolution,)
+    assert twisted_sum(fib.cells.coeffs, grid.shifts()[fib.band], 0.25).shape == (grid.resolution,)
     energy = dual_energy(prof.coeffs, prof.shifts, np.array([0.25]), prof.lengths)
     assert energy.shape == (1,)
     assert energy[0] == pytest.approx(np.sum(prof.lengths * np.abs(dual) ** 2), rel=RTOL)
@@ -231,8 +278,8 @@ def test_no_probe_reads_zero(name, grid):
 
 
 def test_nan_node_fails_the_shift_square_check(blhat, grid):
-    nan_sig = nan_node_signal(grid)  # the record carries the signal's band, as theorem 2's does
-    cert = sz99_report(replace(fibers(blhat, grid), signal=nan_sig, band=nan_sig.band, rows=nan_sig.rows))
+    nan_sig = nan_node_signal(grid)  # the certificate reads the record's signal, as theorem 2's does
+    cert = sz99_report(replace(fibers(blhat, grid), signal=nan_sig))
     assert np.isnan(cert.shift_sum_bound)
     assert not cert.shift_sum_pass and not cert.passed
 
@@ -253,7 +300,7 @@ def test_empty_shift_rows_are_skipped_exactly(fine_grid):
     phases = np.exp(2j * np.pi * np.multiply.outer(xs - np.floor(xs), shifts))
     full = phases @ fine_grid.fold(blhat.grid_values(fine_grid))
     want = np.mean(np.abs(full) ** 2, axis=1)
-    got = dual_energy(fib.rows, shifts[fib.band], xs, fine_grid.step)
+    got = dual_energy(fib.cells.coeffs, shifts[fib.band], xs, fine_grid.step)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
 
 

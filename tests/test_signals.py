@@ -75,7 +75,7 @@ class TestPiecewiseConstant:
         # blocks at large shifts keep exact dyadic lengths
         sig = PiecewiseConstantSpectrum.from_local_pieces(
             [(48, 0.0, 0.5 ** 48, 1.0), (50, 0.0, 0.5 ** 50, -1.0)])
-        prof = PeriodizedProfile.from_pieces(sig.pieces)
+        prof = PeriodizedProfile.of(sig, FrequencyGrid(64, 1024))
         assert prof.lengths[0] == pytest.approx(0.5 ** 50)
         assert complex(prof.z[0]) == pytest.approx(0.0)  # 1 - 1 on the overlap
 
