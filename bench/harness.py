@@ -11,10 +11,11 @@ runs its operations in an order it draws from ``order`` (a ``random.Random``) an
 for each repeat, so that no operation always runs after the same one: what ran
 before moves the heap, and with it an operation's time and faults.  ``order`` is
 seeded with the round, so the labels of one round see the same orders.  A worker
-process runs per (round, label) with BLAS on one thread; labels alternate from
-round to round.  The median and the spread (interquartile range) of each key over
-every worker's repeats, in ms, and the median faults where taken, go to OUT.json
-and to a table on stdout, with ratios of the medians to the first label.
+process runs per (round, label) with BLAS on one thread; the label order rotates
+(round r starts at label r mod L), so that each of L labels runs first in one round
+of every L, and last in another.  The median and the spread (interquartile range)
+of each key over every worker's repeats, in ms, and the median faults where taken,
+go to OUT.json and to a table on stdout, with ratios of the medians to the first label.
 """
 
 import json
@@ -90,9 +91,9 @@ def main(script: str, worker, repeats: int) -> None:
     rounds = int(sys.argv[sys.argv.index("--rounds") + 1]) if "--rounds" in sys.argv else 5
     sources = dict(arg.split("=", 1) for arg in sys.argv[2:] if "=" in arg)
     env = {**os.environ, **BLAS_PINS}
-    runs = {label: [] for label in sources}
+    runs, labels = {label: [] for label in sources}, list(sources)
     for r in range(rounds):
-        for label in list(sources)[::1 if r % 2 == 0 else -1]:
+        for label in labels[r % len(labels):] + labels[:r % len(labels)]:
             done = subprocess.run([sys.executable, script, "--worker", sources[label], str(r)], env=env,
                                   capture_output=True, text=True, check=True)
             runs[label].append(json.loads(done.stdout))

@@ -12,7 +12,7 @@ a probe's norm; comparisons read fold rows over the bands (``union_rows``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import PartitionError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
 from .reports import ConditionCheck
-from .signals import GridSpectrum, Signal
+from .signals import GridSpectrum, Signal, _period_samples
 from .spaces import (
     KERNEL_TOL,
     MEMBER_TOL,
@@ -31,7 +31,7 @@ from .spaces import (
     project,
     reconstruct,
 )
-from .spectral import divide_on_support, fibers, spectral_norm, union_rows
+from .spectral import Fibers, _cells_and_mask, divide_on_support, fibers, spectral_norm, union_rows
 
 
 @dataclass(frozen=True)
@@ -168,10 +168,11 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
             continue
         comp_gen = GridSpectrum.from_band(band, np.where(mask.values, gen_rows, 0.0), grid,
                                           integrable_spectrum=space.generator.integrable_spectrum)
-        # Z of M psi is M Z_psi exactly, not the fiber of its K-truncated spectrum
-        fib = fibers(comp_gen, grid, space.mask.eps, space.k_max)
-        comp_zak = PeriodicSpectrum(np.where(mask.values, space.zak.values, 0.0), grid)
-        out.append(_space(replace(fib, zak=comp_zak), seed=space.seed, checked=True))
+        # Z of M psi is M Z_psi exactly, not the fiber of its K-truncated spectrum; its samples, Z's inverse DFT
+        zak = np.where(mask.values, space.zak.values, 0.0)
+        fib = Fibers(comp_gen, grid, *_cells_and_mask(comp_gen, grid, space.mask.eps),
+                     _period_samples(np.fft.ifft(zak), space.k_max), PeriodicSpectrum(zak, grid))
+        out.append(_space(fib, seed=space.seed, checked=True))
     if not (gap := kernel_sum_gap(space, out)).passed:
         raise PartitionError(f"component kernels deviate from the masked kernel by {gap.value:.3g}")
     return out

@@ -22,6 +22,12 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def _sorted_unique(values) -> np.ndarray:
+    """np.unique of NaN-free values by one sort and a neighbour mask: np.unique imports numpy.ma."""
+    a = np.sort(np.ravel(values))
+    return a[np.append(True, a[1:] != a[:-1])[:a.size]]  # no first value to keep in an empty a
+
+
 def pow2_at_least(x: float) -> int:
     """Smallest power of two >= max(x, 1)."""
     k = 1
@@ -208,10 +214,10 @@ class TimeSamples:
         vals = np.asarray(self.values, dtype=complex)
         if ks.shape != vals.shape or ks.ndim != 1:
             raise ValueError("ks and values must be 1-d arrays of equal length")
-        if np.unique(ks).size != ks.size:
-            raise ValueError("duplicate sample indices")
         order = np.argsort(ks)
-        object.__setattr__(self, "ks", ks[order])
+        if np.any((ks := ks[order])[1:] == ks[:-1]):
+            raise ValueError("duplicate sample indices")
+        object.__setattr__(self, "ks", ks)
         object.__setattr__(self, "values", vals[order])
 
     @classmethod

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError
-from .grid import FrequencyGrid, SupportMask, TimeSamples
+from .grid import FrequencyGrid, SupportMask, TimeSamples, _sorted_unique
 from .signals import GridSpectrum, PiecewiseConstantSpectrum
 
 
@@ -138,7 +138,7 @@ def read_samples(path, k_max: int | None = None) -> TimeSamples:
     if (off := np.flatnonzero((np.abs(table[:, 0] - ks) > 1e-9) | ~(np.abs(ks) < 2.0 ** 63))).size:
         raise FileFormatError(f"sample index {table[off[0], 0]} is not a machine integer",
                               line=lines[off[0]])
-    if len(np.unique(ks)) != len(ks):
+    if _sorted_unique(ks).size != ks.size:
         raise FileFormatError("duplicate sample indices", line=1)
     if k_max is None:
         k_max = int(np.max(np.abs(ks)))

@@ -8,10 +8,9 @@ Four criteria are implemented:
   identities come with their verdicts (``InducedSubspace.checks``).
 * ``check_theorem2`` -- normalize f by its Zak fiber and run the
   sampling-space certificate on the normalized function.
-* ``check_theorem5`` -- the four-condition characterization for signals
-  with absolutely integrable spectrum (square-summable samples, two-sided
-  Grammian/Zak ratio, integrable kernel mass, uniformly bounded dual-fiber
-  energy).
+* ``check_theorem5`` -- the four-condition characterization for signals with absolutely
+  integrable spectrum (square-summable samples, two-sided Grammian/Zak ratio, integrable
+  kernel mass, dual-fiber energy uniformly bounded: from exact time values given a support).
 * ``check_sz04`` -- the stronger sufficient-condition pair; its second
   inequality can fail where the characterization above still passes.
 
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import ConstructionRefusedError, DegenerateSpaceError, PreconditionError
 from .grid import FrequencyGrid
 from .reports import ConditionCheck
-from .signals import GridSpectrum, PeriodizedProfile, Signal, dual_energy, pad_band
+from .signals import GridSpectrum, PeriodizedProfile, Signal, _support_shifts, dual_energy, pad_band
 from .spaces import (
     KERNEL_TOL,
     MEMBER_TOL,
@@ -140,11 +139,11 @@ def check_theorem5(f: Signal, grid: FrequencyGrid, x_probes=None, *,
                    seed: int = 0) -> ConditionReport:
     """Four-condition membership characterization (integrable-spectrum class).
 
-    a) integer samples square-summable; b) two-sided bound of
-    Grammian / |Zak|^2 on the support set; c) finite integral of the
-    absolute periodization over the Zak modulus; d) dual-fiber energy
-    uniformly bounded over a probe set of time offsets (the integrand is
-    1-periodic in the offset, so probing [0, 1) covers the line).
+    a) integer samples square-summable; b) two-sided bound of Grammian / |Zak|^2 on the
+    support set; c) finite integral of the absolute periodization over the Zak modulus;
+    d) dual-fiber energy uniformly bounded over a probe set of time offsets (the integrand is
+    1-periodic in the offset, so probing [0, 1) covers the line): the profile's Gram matrix, or
+    for a signal with a support its time values at its shifts, over the exact samples' |Zak|^2.
     """
     def body(fib: Fibers, prof: PeriodizedProfile, on: np.ndarray, ok: np.ndarray, absz: np.ndarray, guard: float):
         l2 = fib.samples.l2_norm
@@ -172,11 +171,17 @@ def check_theorem5(f: Signal, grid: FrequencyGrid, x_probes=None, *,
 
         probes = np.atleast_1d(np.asarray(_probe_points(seed) if x_probes is None else x_probes,
                                           dtype=float))
-        if np.any(bad):
+        if np.any(bad) or f.support is not None and np.any(ok & (fib.zak.values == 0)):  # the samples' Z vanishes
             l_const = float("inf")
-        else:  # one energy per probe, pieces weighted by length / |Z|^2 on ok, 0 off it
+        elif f.support is None:  # one energy per probe, pieces weighted by length / |Z|^2 on ok, 0 off it
             weights = np.divide(prof.lengths, absz ** 2, out=np.zeros(absz.shape), where=ok)
             l_const = float(np.max(dual_energy(prof.coeffs, prof.shifts, probes, weights), initial=0.0))
+        else:  # v G v^H over v_k = f(x - floor(x) + k), G[k, l] = sum_c w_c exp(-2i*pi*(k - l)*c/N)
+            weights = np.divide(prof.lengths, np.abs(fib.zak.values) ** 2, out=np.zeros(absz.shape), where=ok)
+            ks = _support_shifts(f)
+            v = f.time_values(np.add.outer(probes - np.floor(probes), ks))
+            gram = np.fft.fft(weights)[np.subtract.outer(ks, ks) % grid.resolution]
+            l_const = float(np.max(np.sum((v @ gram) * np.conj(v), axis=1).real, initial=0.0))
         check_d = ConditionCheck("d_dual_energy", bool(np.isfinite(l_const)), l_const,
                                  detail=f"{probes.size} probe offsets")
 

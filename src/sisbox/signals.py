@@ -10,9 +10,9 @@ Three primary representations plus one derived:
   model exactly (each node value stands for its half-open cell), which is
   exact for spectra that are constant on grid cells and first-order
   accurate for smooth ones.
-* ``TimeKernel`` -- compactly supported continuous time function given by
-  an evaluator; its spectrum is obtained by trapezoid quadrature of order
-  QUADRATURE_ORDER (Bluestein-transform accelerated).
+* ``TimeKernel`` -- compactly supported continuous time function given by an evaluator; its
+  spectrum is obtained by trapezoid quadrature of order QUADRATURE_ORDER (Bluestein-transform
+  accelerated; a real kernel's at omega < 0 only, mirrored to omega > 0: it is Hermitian).
 * ``ShiftCombination`` -- finite combination sum_k c_k phi(. - k) of the integer
   translates of a base signal; keeps both its time-domain sum (factored around one
   Cauchy-matrix product over an interval spectrum, poles summed directly) and the exact
@@ -36,12 +36,12 @@ exactly to [0, 1) times shifts |m| <= K.  Sincs (``_sincs``) reduce w * x mod 2 
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import BandwidthOverflowError, GridMismatchError, PreconditionError
-from .grid import FrequencyGrid, TimeSamples, pow2_at_least
+from .grid import FrequencyGrid, TimeSamples, _sorted_unique, pow2_at_least
 
 # at uniform points a block of the span is chirp transformed when its nodes * points (the
 # direct sum's terms) exceed this many times its length plus points.  Dense spans 64-262,144 at
@@ -222,6 +222,27 @@ def _phase_table(m, c, xs: np.ndarray, terms: int = 1, weights=None):
         yield points, table, d[points] if np.any(d[points]) else None
 
 
+@lru_cache(maxsize=8)
+def _chirp_filter(rate: float, n: int, count: int) -> tuple:
+    """``_phase_czt``'s shape for n inputs and count outputs, kept read-only (a new one faults in fresh pages):
+    input and output blocks bi, bo, the FFT length, the chirp times each output block's offset phase (q, bi),
+    the FFT of the chirp's conjugate over lags 1 - bi .. bo - 1, and the chirp times each input block's (p, bo)."""
+    block = max(_CZT_BLOCK, min(n, count))
+    p, q = -(-n // block), -(-count // block)
+    bi, bo = -(-n // p), -(-count // q)
+    size = _fast_length(bi + bo - 1)
+    k = np.arange(max(bi, bo))
+    w = _turns(_product_turns(rate / 2, k * k))  # the chirp exp(i*pi*rate*k^2)
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:bo] = np.conj(w[:bo])
+    kernel[size - bi + 1:] = np.conj(w[bi - 1:0:-1])
+    lead = w[:bi] * (_turns(_product_turns(rate, np.outer(np.arange(q) * bo, np.arange(bi)))) if q > 1 else 1)
+    post = w[:bo] * _turns(_product_turns(rate, np.outer(np.arange(p) * bi, np.arange(bo)))) if p > 1 else w[None, :bo]
+    kernel = np.fft.fft(kernel)
+    lead.flags.writeable = kernel.flags.writeable = post.flags.writeable = False
+    return bi, bo, size, lead, kernel, post
+
+
 def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
     """out[m] = sum_n coeffs[n] * exp(2j*pi*rate*n*m) for m = 0..count-1.
 
@@ -234,27 +255,16 @@ def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
     turns its sum into a convolution with the chirp exp(-i*pi*rate*k^2)
     between two offset phases (exp(0), and not computed, in one block).  Each
     block is one row of one batched FFT at the smallest 5-smooth length >=
-    block in + block out - 1, and all rows share one chirp.  Chirp and offset
-    phases are reduced mod 1 exactly (``_product_turns``), so the result is
-    accurate to rounding (~1e-15 relative) for any rate.
+    block in + block out - 1, and all rows share one chirp.  Chirp and offset phases
+    (the shape's alone: ``_chirp_filter``) are reduced mod 1 exactly (``_product_turns``),
+    so the result is accurate to rounding (~1e-15 relative) for any rate.
     """
     n = coeffs.size
-    block = max(_CZT_BLOCK, min(n, count))
-    p, q = -(-n // block), -(-count // block)
-    bi, bo = -(-n // p), -(-count // q)
-    size = _fast_length(bi + bo - 1)
-    k = np.arange(max(bi, bo))
-    w = _turns(_product_turns(rate / 2, k * k))  # the chirp exp(i*pi*rate*k^2)
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:bo] = np.conj(w[:bo])
-    kernel[size - bi + 1:] = np.conj(w[bi - 1:0:-1])
-    x = np.zeros(p * bi, dtype=complex)
+    bi, bo, size, lead, kernel, post = _chirp_filter(rate, n, count)
+    x = np.zeros(-(-n // bi) * bi, dtype=complex)
     x[:n] = coeffs
-    twist = _turns(_product_turns(rate, np.outer(np.arange(q) * bo, np.arange(bi)))) if q > 1 else 1
-    pre = x.reshape(p, 1, bi) * (w[:bi] * twist)
-    post = w[:bo] * _turns(_product_turns(rate, np.outer(np.arange(p) * bi, np.arange(bo)))) if p > 1 else w[None, :bo]
-    spectrum = np.fft.fft(pre, size)
-    spectrum *= np.fft.fft(kernel)
+    spectrum = np.fft.fft(x.reshape(-1, 1, bi) * lead, size)
+    spectrum *= kernel
     conv = np.fft.ifft(spectrum)[..., :bo]
     out = conv[0] * post[0]
     for rows, phase in zip(conv[1:], post[1:]):  # not .sum(axis=0): slow for one input block
@@ -326,7 +336,7 @@ def _support_shifts(f: Signal) -> np.ndarray:
     window floor(a) - 1 .. ceil(b) + 1 around a support [a, b], or for a combination
     over a supported base, the base's window moved to each coefficient."""
     if isinstance(f, ShiftCombination):
-        return np.unique(np.add.outer(f.coefficients.ks, _support_shifts(f.base)))
+        return _sorted_unique(np.add.outer(f.coefficients.ks, _support_shifts(f.base)))
     a, b = f.support
     return np.arange(int(np.floor(a)) - 1, int(np.ceil(b)) + 2)
 
@@ -531,9 +541,9 @@ class PeriodizedProfile:
         """The profile of f: its exact pieces for an interval spectrum, else its cells."""
         if not isinstance(f, PiecewiseConstantSpectrum):
             return cls.cells(*f.band_values(grid), grid)
-        cut = np.unique([0.0, 1.0] + [t for _, lo, hi, _ in f.pieces for t in (lo, hi)])
+        cut = _sorted_unique([0.0, 1.0] + [t for _, lo, hi, _ in f.pieces for t in (lo, hi)])
         mid = 0.5 * (cut[:-1] + cut[1:])
-        shifts = np.unique([m for m, _, _, _ in f.pieces])
+        shifts = _sorted_unique([m for m, _, _, _ in f.pieces])
         coeffs = np.zeros((shifts.size, mid.size), dtype=complex)
         for m, lo, hi, v in f.pieces:  # pieces of one shift never overlap
             coeffs[np.searchsorted(shifts, m), (lo <= mid) & (mid < hi)] = v
@@ -637,13 +647,17 @@ class TimeKernel(Signal):
         a, b = self.support
         xs, w = self._trapezoid()
         s = np.asarray(self.evaluator(xs), dtype=complex)
-        # spectrum at omega_j = -K + j/N is sum_m w_m s(x_m) exp(-2i*pi*x_m*omega_j)
-        # with x_m = a + m*delta: K*x_m is exact (K is a power of two), the sum over
-        # m*j one chirp transform, and exp(-2i*pi*a*j/N) a row times a column phase
+        # spectrum at omega_j = -K + j/N is sum_m w_m s(x_m) exp(-2i*pi*x_m*omega_j) with x_m = a + m*delta:
+        # K*x_m is exact (K is a power of two), the sum over m*j one chirp transform, and exp(-2i*pi*a*j/N) a row
+        # times a column phase; a real kernel's is Hermitian: [-K, 0) transformed, 0 summed, (0, K) mirrored
         k, n = grid.half_bandwidth, grid.resolution
         delta = (b - a) / QUADRATURE_ORDER
-        out = _phase_czt(w * s * _turns(k * xs), -delta / n, grid.size)
-        out *= np.outer(*_linear_turns((-a / n,), 2 * k, n)).ravel()
+        rows, out = 2 * k if np.any(s.imag) else k, np.empty(grid.size, dtype=complex)
+        np.multiply(_phase_czt(w * s * _turns(k * xs), -delta / n, rows * n),
+                    np.outer(*_linear_turns((-a / n,), rows, n)).ravel(), out=out[:rows * n])
+        if rows == k:
+            out[k * n] = np.sum(w * s)
+            np.conj(out[k * n - 1:0:-1], out=out[k * n + 1:])
         return out
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:

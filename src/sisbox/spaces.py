@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
     TruncationError,
 )
-from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples, pow2_at_least
+from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples, _sorted_unique, pow2_at_least
 from .reports import ConditionCheck
 from .signals import (
     GridSpectrum,
@@ -125,7 +125,7 @@ def _continuity_check(candidate: Signal) -> tuple[str, float, float]:
     ``_support_shifts`` (spectral: the cells of [-8, 8)); f vanishes at both
     ends of each window of shifts, so a step across a gap between windows is 0."""
     cells = np.arange(-8, 8) if candidate.support is None else _support_shifts(candidate)
-    xs = np.unique(np.add.outer(cells, np.linspace(0.0, 1.0, int(round(1 / CONTINUITY_DX)) + 1)))
+    xs = _sorted_unique(np.add.outer(cells, np.linspace(0.0, 1.0, int(round(1 / CONTINUITY_DX)) + 1)))
     try:
         max_jump = float(np.max(np.abs(np.diff(candidate.time_values(xs)))))
     except PreconditionError:  # a non-finite spectrum node: the jump is unknown

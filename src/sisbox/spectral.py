@@ -184,15 +184,19 @@ def _sampled_zak(f: Signal, z: np.ndarray, grid: FrequencyGrid, k_max: int) -> t
     return samples, zak_time_fiber(samples, grid)
 
 
-def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
-           k_max: int = DEFAULT_K_MAX) -> Fibers:
-    """Build the Fibers record of f on the grid; refuses a spectrum with a
-    NaN or infinite node, which would otherwise empty the support set and
-    pass every verdict as vacuous."""
+def _cells_and_mask(f: Signal, grid: FrequencyGrid, eps: float) -> tuple[slice, PeriodizedProfile, SupportMask]:
+    """The band, cells and support set of f's record; refuses a spectrum with a NaN or
+    infinite node, which would otherwise empty the support set and pass every verdict as vacuous."""
     band, rows = f.band_values(grid)
     require_finite(rows)
     cells = PeriodizedProfile.cells(band, rows, grid)
-    mask = support_mask(PeriodicSpectrum(cells.sq_sum, grid), eps)
+    return band, cells, support_mask(PeriodicSpectrum(cells.sq_sum, grid), eps)
+
+
+def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
+           k_max: int = DEFAULT_K_MAX) -> Fibers:
+    """Build the Fibers record of f on the grid (``_cells_and_mask``, then f's samples and Zak fiber)."""
+    band, cells, mask = _cells_and_mask(f, grid, eps)
     return Fibers(f, grid, band, cells, mask, *_sampled_zak(f, cells.z, grid, k_max))
 
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import sisbox
 
 
@@ -66,3 +68,36 @@ def test_every_private_function_has_a_caller():
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
     assert helpers
     assert [f"{name}: {helper}" for name, helper in helpers if helper not in used] == []
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call: 8-11 ms of every command that reached it
+    from sisbox import FrequencyGrid, PiecewiseConstantSpectrum, ShiftCombination, TimeSamples, build_signal
+    from sisbox import io as sio
+
+    grid = FrequencyGrid(32, 1024)
+    member = ShiftCombination(build_signal("shannon", grid), TimeSamples(np.arange(-2, 3), np.arange(1.0, 6.0), 2))
+    sio.write_samples(member.integer_samples(grid, 512), tmp_path / "samples.csv")
+    sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([(-0.5, -0.125, 1.0), (-0.125, 0.5, 2.0)]),
+                                 tmp_path / "member.json")
+    sio.write_partition([[[0.0, 0.5]], [[0.5, 1.0]]], tmp_path / "halves.json")
+    sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([(-0.5, 0.0, 1.0)]), tmp_path / "low.json")
+    sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([(0.0, 0.5, 1.0)]), tmp_path / "high.json")
+    commands = [*(["analyze", name] for name in ("shannon", "blhat", "ex2", "ex3", "hat")),
+                *(["membership", "ex2", "--theorem", t] for t in ("2", "5", "sz04")),
+                ["membership", "member.json", "--theorem", "1", "--space", "shannon"],
+                ["reconstruct", "--space", "shannon", "--samples", "samples.csv", "--out", "rec.csv"],
+                ["decompose", "--space", "shannon", "--partition", "halves.json", "--out-prefix", "comp"],
+                ["determine", "--space", "shannon", "--functions", "low.json,high.json", "--out-prefix", "det"]]
+    env = dict(os.environ)
+    src = str(Path(sisbox.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import contextlib, io, sys; from sisbox.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        print(main(argv), file=sys.stderr)\n"
+            "print('numpy.ma' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, check=True)
+    assert done.stderr.split() == [*"0000000", "2", *"0000"]  # ex2 fails the sufficient pair
+    assert done.stdout.strip() == "False"

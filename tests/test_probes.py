@@ -17,6 +17,7 @@ from sisbox import (
     FrequencyGrid,
     GridSpectrum,
     ShiftCombination,
+    TimeKernel,
     TimeSamples,
     build_signal,
     PiecewiseConstantSpectrum,
@@ -87,6 +88,22 @@ def loop_dual_energy(f, grid, xs):
     ok = on & (absz > guard_level(absz, DEFAULT_EPS))
     return max(float(np.sum(prof.lengths[ok] * np.abs(loop_dual(prof, f, grid, x)[ok]) ** 2
                             / absz[ok] ** 2)) for x in xs)
+
+
+def loop_time_dual_energy(f, grid, xs):
+    """Theorem 5's L of a signal with a support from its exact time values, probe by probe:
+    at each node c/N of the guarded support, |sum_k f(x - floor(x) + k) exp(-2i*pi*k*c/N)|^2
+    over |Z_f(0, c/N)|^2, Z_f(0, .) the same sum over the samples f(k), times 1/N."""
+    prof = fibers(f, grid).profile
+    on = prof.sq_sum > guard_level(prof.sq_sum, DEFAULT_EPS)
+    absz = np.abs(prof.z)
+    ok = on & (absz > guard_level(absz, DEFAULT_EPS))
+    a, b = f.support
+    ks = np.arange(np.floor(a) - 1, np.ceil(b) + 2)  # every k with x + k in [a, b] for x in [0, 1)
+    phases = np.exp(-2j * np.pi * np.outer(ks, grid.unit_omegas[ok]))
+    zak = f.time_values(ks) @ phases
+    return max(float(np.sum(grid.step * np.abs(f.time_values(x - np.floor(x) + ks) @ phases) ** 2
+                            / np.abs(zak) ** 2)) for x in xs)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +216,29 @@ def test_theorem5_dual_energy_matches_loop(name, grid_name, request):
     xs = np.concatenate([_probe_points(0), FAR_OFFSETS])
     rep = check_theorem5(f, grid, x_probes=xs)
     assert rep.constants["exact_pieces"] is (name == "ex2")
-    assert rep.constants["L"] == pytest.approx(loop_dual_energy(f, grid, xs), rel=RTOL)
+    loop = loop_dual_energy if f.support is None else loop_time_dual_energy  # hat: its time values
+    assert rep.constants["L"] == pytest.approx(loop(f, grid, xs), rel=RTOL)
+
+
+def supported_signal(name, grid):
+    """hat, a seeded complex combination of its translates, or an asymmetric smooth kernel."""
+    if name == "skew":  # (x + 1/2)(3/2 - x)^2 on [-1/2, 3/2]: f(0) = 9/8, f(1) = 3/8
+        return TimeKernel((-0.5, 1.5), lambda x: (x + 0.5) * (1.5 - x) ** 2, integrable_spectrum=True)
+    return time_kernel_signal("hat", 1 if name == "combination" else 0, grid)
+
+
+@pytest.mark.parametrize("name", ["hat", "combination", "skew"])
+def test_supported_dual_energy_is_the_time_value_loop(name, grid):
+    # condition (d) of a signal with a support reads its exact time values: v G v^H,
+    # G the lags of one FFT of the weights, against the node-by-node loop
+    f = supported_signal(name, grid)
+    xs = np.concatenate([_probe_points(3), FAR_OFFSETS, [511.5, -600.25]])
+    rep = check_theorem5(f, grid, x_probes=xs)
+    assert rep.constants["L"] == pytest.approx(loop_time_dual_energy(f, grid, xs), rel=RTOL)
+    if name == "hat":  # sum_k hat(x + k)^2 over |Z| = 1: 1 at x = 0, below it elsewhere
+        assert rep.constants["L"] == pytest.approx(1.0, rel=1e-15, abs=0)
+    d = {c.name: c for c in check_theorem5(f, grid, x_probes=[0.25, np.nan]).checks}["d_dual_energy"]
+    assert np.isnan(d.value) and not d.passed  # a NaN probe is no energy of 0
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
@@ -282,6 +321,13 @@ def test_nan_node_fails_the_shift_square_check(blhat, grid):
     cert = sz99_report(replace(fibers(blhat, grid), signal=nan_sig))
     assert np.isnan(cert.shift_sum_bound)
     assert not cert.shift_sum_pass and not cert.passed
+
+
+def test_kernel_vanishing_at_the_integers_fails_the_dual_energy_check(grid):
+    # x(1 - x)^2 on [0, 1]: every sample is 0, so Z_f(0, .) vanishes on the support set
+    f = TimeKernel((0.0, 1.0), lambda x: x * (1 - x) ** 2, integrable_spectrum=True)
+    d = {c.name: c for c in check_theorem5(f, grid).checks}["d_dual_energy"]
+    assert d.value == np.inf and not d.passed
 
 
 def test_nan_probe_fails_the_dual_energy_check(ex2, wide_grid):

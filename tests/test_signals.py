@@ -19,7 +19,8 @@ from sisbox import (
     signals,
 )
 from sisbox.errors import GridMismatchError, PreconditionError
-from sisbox.signals import PeriodizedProfile, _grid_time_values, _period_samples, _phase_czt
+from sisbox.signals import (QUADRATURE_ORDER, PeriodizedProfile, _grid_time_values, _linear_turns, _period_samples,
+                            _phase_czt, _turns)
 from sisbox.spaces import _continuity_check, _probe_points, _sampling_function
 from sisbox.spectral import fibers, periodize
 
@@ -202,6 +203,19 @@ class TestChirpTransform:
         n = np.arange(size)
         want = np.array([exact_phase_sum(coeffs, n * m, rate) for m in ms])
         assert np.max(np.abs(got[ms] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_cached_filter_changes_no_bit(self):
+        # the chirp, its kernel's FFT and the block phases are kept per transform shape, read-only
+        coeffs = np.random.default_rng(3).standard_normal(2049) * (1 + 0.5j)
+        signals._chirp_filter.cache_clear()
+        cold = _phase_czt(coeffs, -2.0 ** -21, 32768)
+        warm = _phase_czt(coeffs, -2.0 ** -21, 32768)
+        assert signals._chirp_filter.cache_info().hits == 1
+        np.testing.assert_array_equal(cold, warm)
+        for cached in signals._chirp_filter(-2.0 ** -21, 2049, 32768)[3:]:  # two output blocks: lead (2, 2049)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0
 
     @pytest.mark.parametrize("rate", [
         -2.0 ** -21, -2.0 ** -23,              # chirps of the quadrature at (32, 1024), (64, 4096)
@@ -433,6 +447,15 @@ class TestChirpTransform:
         assert "omegas" not in grid.__dict__
 
 
+def full_transform(kern, grid):
+    """A time kernel's trapezoid spectrum as one chirp transform over all 2KN nodes."""
+    (a, b), (xs, w) = kern.support, kern._trapezoid()
+    k, n = grid.half_bandwidth, grid.resolution
+    coeffs = w * np.asarray(kern.evaluator(xs), dtype=complex) * _turns(k * xs)
+    out = _phase_czt(coeffs, -(b - a) / QUADRATURE_ORDER / n, grid.size)
+    return out * np.outer(*_linear_turns((-a / n,), 2 * k, n)).ravel()
+
+
 class TestTimeKernel:
     @pytest.mark.parametrize("name", ["hat", "ex3"])
     def test_spectrum_matches_exact_phase_trapezoid(self, name):
@@ -451,6 +474,21 @@ class TestTimeKernel:
             turns = np.array([float(-Fraction(x) * omega % 1) for x in xs])
             want.append(np.sum(coeffs * np.exp(2j * np.pi * turns)))
         assert np.max(np.abs(vals[nodes] - np.array(want))) <= 1e-15 * np.max(np.abs(vals))
+
+    @pytest.mark.parametrize("kn", [(32, 1024), (64, 4096)])
+    @pytest.mark.parametrize("name", ["hat", "ex3"])
+    def test_real_kernel_spectrum_is_the_mirrored_half(self, name, kn):
+        # omega in [-K, 0) transformed and (0, K) its conjugate mirror: Hermitian bit for bit,
+        # and within 1e-15 of the peak of one transform over all 2KN nodes
+        grid = FrequencyGrid(*kn)
+        kern = build_signal(name, grid)
+        vals = kern.grid_values(grid)
+        np.testing.assert_array_equal(vals[1:], np.conj(vals[:0:-1]))
+        assert np.max(np.abs(vals - full_transform(kern, grid))) <= 1e-15 * np.max(np.abs(vals))
+
+    def test_complex_kernel_takes_the_full_transform(self, hat, grid):
+        vals, got = hat.grid_values(grid), hat.scaled(1j).grid_values(grid)
+        assert np.max(np.abs(got - 1j * vals)) <= 1e-15 * np.max(np.abs(vals))
 
     def test_spectrum_transform_runs_in_blocks(self, monkeypatch):
         # 2,049 -> 524,288 points as rows of at most two blocks, not one
