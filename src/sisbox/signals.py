@@ -224,27 +224,30 @@ def _phase_table(m, c, xs: np.ndarray, terms: int = 1, weights=None):
 
 @lru_cache(maxsize=8)
 def _chirp_filter(rate: float, n: int, count: int) -> tuple:
-    """``_phase_czt``'s shape for n inputs and count outputs, kept read-only (a new one faults in fresh pages):
-    input and output blocks bi, bo, the FFT length, the chirp times each output block's offset phase (q, bi),
-    the FFT of the chirp's conjugate over lags 1 - bi .. bo - 1, and the chirp times each input block's (p, bo)."""
+    """``_phase_czt``'s shape for n inputs and count outputs, kept read-only (a new one faults in fresh pages): blocks
+    bi, bo, the bins D between output blocks' spectra (None unless whole), the chirp times each output block's offset
+    phase (q, bi; not where D is whole), the chirp's conjugate's FFT, and the chirp times each input block's (p, bo)."""
     block = max(_CZT_BLOCK, min(n, count))
     p, q = -(-n // block), -(-count // block)
     bi, bo = -(-n // p), -(-count // q)
     size = _fast_length(bi + bo - 1)
+    turn, err = _two_product(rate, float(bo * size))  # rate * bo * size exactly: block q's offset is q * turn bins
+    shift = int(turn) % size if q > 1 and err == 0 and turn.is_integer() else None
     k = np.arange(max(bi, bo))
     w = _turns(_product_turns(rate / 2, k * k))  # the chirp exp(i*pi*rate*k^2)
     kernel = np.zeros(size, dtype=complex)
     kernel[:bo] = np.conj(w[:bo])
     kernel[size - bi + 1:] = np.conj(w[bi - 1:0:-1])
-    lead = w[:bi] * (_turns(_product_turns(rate, np.outer(np.arange(q) * bo, np.arange(bi)))) if q > 1 else 1)
+    offsets = np.outer(np.arange(q) * bo, np.arange(bi)) if q > 1 and shift is None else None
+    lead = w[:bi] if offsets is None else w[:bi] * _turns(_product_turns(rate, offsets))
     post = w[:bo] * _turns(_product_turns(rate, np.outer(np.arange(p) * bi, np.arange(bo)))) if p > 1 else w[None, :bo]
     kernel = np.fft.fft(kernel)
     lead.flags.writeable = kernel.flags.writeable = post.flags.writeable = False
-    return bi, bo, size, lead, kernel, post
+    return bi, bo, shift, lead, kernel, post
 
 
-def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
-    """out[m] = sum_n coeffs[n] * exp(2j*pi*rate*n*m) for m = 0..count-1.
+def _phase_czt(coeffs: np.ndarray, rate: float, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    """out[m] = sum_n coeffs[n] * exp(2j*pi*rate*n*m) for m = 0..count-1 (into ``out`` if given).
 
     The longer side (inputs or outputs) is cut into blocks of at most
     max(``_CZT_BLOCK``, shorter side); the shorter side stays one block, as
@@ -253,23 +256,33 @@ def _phase_czt(coeffs: np.ndarray, rate: float, count: int) -> np.ndarray:
     t_q, index m = t_q + b), where s_p or t_q is 0, is one Bluestein chirp
     transform in a and b: n*m = (a^2 + b^2 - (b - a)^2) / 2 + a*t_q + s_p*b
     turns its sum into a convolution with the chirp exp(-i*pi*rate*k^2)
-    between two offset phases (exp(0), and not computed, in one block).  Each
-    block is one row of one batched FFT at the smallest 5-smooth length >=
-    block in + block out - 1, and all rows share one chirp.  Chirp and offset phases
-    (the shape's alone: ``_chirp_filter``) are reduced mod 1 exactly (``_product_turns``),
-    so the result is accurate to rounding (~1e-15 relative) for any rate.
+    between two offset phases (exp(0), and not computed, in one block), at the FFT
+    length 5-smooth >= block in + block out - 1.  Where exp(2i*pi*rate*bo*a) is a whole
+    number D of its bins, block q's input spectrum is one FFT rotated by q*D, and the output
+    blocks are inverse-transformed in turn into ``out``; else each block is one row of a
+    batched FFT.  Chirp and offset phases (the shape's alone: ``_chirp_filter``) are reduced
+    mod 1 exactly (``_product_turns``): accurate to rounding (~1e-15 relative) for any rate.
     """
     n = coeffs.size
-    bi, bo, size, lead, kernel, post = _chirp_filter(rate, n, count)
-    x = np.zeros(-(-n // bi) * bi, dtype=complex)
-    x[:n] = coeffs
+    bi, bo, shift, lead, kernel, post = _chirp_filter(rate, n, count)
+    size, out = kernel.size, np.empty(count, dtype=complex) if out is None else out
+    if shift is not None:  # one input block: each output block's spectrum is one FFT rotated
+        first, block = np.fft.fft(coeffs * lead, size), np.empty(size, dtype=complex)
+        for start in range(0, count, bo):
+            s, m = start // bo * shift % size, min(bo, count - start)
+            np.multiply(first[:size - s], kernel[s:], out=block[s:])
+            np.multiply(first[size - s:], kernel[:s], out=block[:s])
+            np.multiply(np.fft.ifft(block, out=block)[:m], post[0, :m], out=out[start:start + m])
+        return out
+    x = np.concatenate([coeffs, np.zeros(-(-n // bi) * bi - n)])
     spectrum = np.fft.fft(x.reshape(-1, 1, bi) * lead, size)
     spectrum *= kernel
     conv = np.fft.ifft(spectrum)[..., :bo]
-    out = conv[0] * post[0]
+    blocks = conv[0] * post[0]
     for rows, phase in zip(conv[1:], post[1:]):  # not .sum(axis=0): slow for one input block
-        out += rows * phase
-    return out.ravel()[:count]
+        blocks += rows * phase
+    out[:] = blocks.ravel()[:count]
+    return out
 
 
 class Signal:
@@ -653,8 +666,10 @@ class TimeKernel(Signal):
         k, n = grid.half_bandwidth, grid.resolution
         delta = (b - a) / QUADRATURE_ORDER
         rows, out = 2 * k if np.any(s.imag) else k, np.empty(grid.size, dtype=complex)
-        np.multiply(_phase_czt(w * s * _turns(k * xs), -delta / n, rows * n),
-                    np.outer(*_linear_turns((-a / n,), rows, n)).ravel(), out=out[:rows * n])
+        spectrum, (row, col) = out[:rows * n].reshape(rows, n), _linear_turns((-a / n,), rows, n)
+        _phase_czt(w * s * _turns(k * xs), -delta / n, rows * n, spectrum.ravel())
+        spectrum *= row  # in place: the row phases, then the column phases
+        spectrum *= col.T
         if rows == k:
             out[k * n] = np.sum(w * s)
             np.conj(out[k * n - 1:0:-1], out=out[k * n + 1:])
@@ -663,7 +678,7 @@ class TimeKernel(Signal):
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:
         xs, w = self._trapezoid()
         time_energy = float(np.sum(w * np.abs(np.asarray(self.evaluator(xs))) ** 2))
-        band_energy = float(np.sum(np.abs(self.grid_values(grid)) ** 2)) / grid.resolution
+        band_energy = float(np.vdot(v := self.grid_values(grid), v).real) / grid.resolution
         return max(time_energy - band_energy, 0.0)
 
     def scaled(self, factor: complex) -> "TimeKernel":

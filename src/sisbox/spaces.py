@@ -3,7 +3,8 @@ reconstruction and orthogonal projection.
 
 A space V(phi) earns a certificate when its generator passes three
 numerical checks (the two-sided Zak bound on the spectral support, a
-bounded shift-square sum, and a continuity falsifier).  The sampling
+bounded shift-square sum, and continuity: proved for an interval spectrum,
+else a falsifier on a dense grid).  The sampling
 kernel is s_hat = phi_hat / Z_phi(0, .) on the support set and zero off
 it; reconstruction from integer samples then follows f_hat = Z_f * s_hat.
 """
@@ -52,6 +53,7 @@ from .spectral import (
 # (slopes up to ~pi) passes with a 10x margin while O(1) jumps fail
 CONTINUITY_DX = 1.0 / 256
 JUMP_COEFF = 2.0
+_PROOF = "continuous by proof: finitely many bounded spectrum pieces, so f_hat is in L1 with compact support"
 SHIFT_SUM_CAP = 1e6
 # membership tolerances: relative projection residual of a member, and
 # sup deviation between two forms of one kernel (relative where a scale exists)
@@ -68,8 +70,8 @@ class SZ99Report:
     """Verdicts of the three sampling-space checks for one candidate."""
 
     continuity_verdict: str          # "pass" | "indeterminate" | "fail"
-    continuity_max_jump: float
-    continuity_threshold: float
+    continuity_max_jump: float | None  # None (and no threshold): continuous by proof
+    continuity_threshold: float | None
     shift_sum_bound: float
     shift_sum_pass: bool
     zak_lower: float                 # A_Z: min |Z(0,.)| on the support set
@@ -110,7 +112,7 @@ class SZ99Report:
     def checks(self) -> list[ConditionCheck]:
         return [ConditionCheck("continuity", self.continuity_verdict == "pass",
                                self.continuity_max_jump, self.continuity_threshold,
-                               detail=self.continuity_verdict),
+                               detail=_PROOF if self.continuity_threshold is None else self.continuity_verdict),
                 ConditionCheck("shift_square_sum", self.shift_sum_pass, self.shift_sum_bound,
                                SHIFT_SUM_CAP),
                 ConditionCheck("zak_two_sided", self.zak_pass, self.zak_lower, self.zak_floor,
@@ -120,10 +122,12 @@ class SZ99Report:
                                       f"{VANISH_TOL * self.zak_upper:.3g}")]
 
 
-def _continuity_check(candidate: Signal) -> tuple[str, float, float]:
-    """Largest step, at spacing CONTINUITY_DX, over the unit cells at the
-    ``_support_shifts`` (spectral: the cells of [-8, 8)); f vanishes at both
-    ends of each window of shifts, so a step across a gap between windows is 0."""
+def _continuity_check(candidate: Signal) -> tuple[str, float | None, float | None]:
+    """An interval spectrum passes with no time values (``_PROOF``); any other signal's largest step, at spacing
+    CONTINUITY_DX, over the unit cells at the ``_support_shifts`` (spectral: the cells of [-8, 8)); f vanishes at
+    both ends of each window of shifts, so a step across a gap between windows is 0."""
+    if isinstance(candidate, PiecewiseConstantSpectrum) and np.all(np.isfinite([p[3] for p in candidate.pieces])):
+        return "pass", None, None
     cells = np.arange(-8, 8) if candidate.support is None else _support_shifts(candidate)
     xs = _sorted_unique(np.add.outer(cells, np.linspace(0.0, 1.0, int(round(1 / CONTINUITY_DX)) + 1)))
     try:
@@ -146,9 +150,9 @@ def check_sz99(candidate: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
                k_max: int = DEFAULT_K_MAX, seed: int = 0) -> SZ99Report:
     """Run the sampling-space certificate on a candidate generator.
 
-    Continuity is a falsifier (a discontinuity this dense grid cannot see
-    stays unseen); the two-sided Zak bound is evaluated at grid resolution,
-    the shift-square sum over the candidate's profile (``shift_square_sum``).
+    Continuity is proved for an interval spectrum, else a falsifier (a discontinuity this
+    dense grid cannot see stays unseen); the two-sided Zak bound is evaluated at grid
+    resolution, the shift-square sum over the candidate's profile (``shift_square_sum``).
     """
     return sz99_report(fibers(candidate, grid, eps, k_max), seed=seed)
 

@@ -188,8 +188,9 @@ def _cells_and_mask(f: Signal, grid: FrequencyGrid, eps: float) -> tuple[slice, 
     """The band, cells and support set of f's record; refuses a spectrum with a NaN or
     infinite node, which would otherwise empty the support set and pass every verdict as vacuous."""
     band, rows = f.band_values(grid)
-    require_finite(rows)
     cells = PeriodizedProfile.cells(band, rows, grid)
+    if not np.all(np.isfinite(cells.abs_sum)):  # a NaN or inf node's column sum is not finite either: only then scan
+        require_finite(rows)
     return band, cells, support_mask(PeriodicSpectrum(cells.sq_sum, grid), eps)
 
 

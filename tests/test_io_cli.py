@@ -585,16 +585,30 @@ def test_refusal_stderr_is_short(tmp_path, capsys):
 
 
 def test_refusal_lists_each_failed_check(error_inputs, capsys):
-    # far.json is no sampling-space generator: its time function oscillates
-    # faster than the continuity falsifier's grid allows
-    rc = main(["reconstruct", "--space", str(error_inputs / "far.json"),
+    # one stderr line for each check the library's certificate fails, none for a passed one
+    rc = main(["reconstruct", "--space", str(error_inputs / "bad_gen.json"), "--K", "32", "--N", "1024",
                "--samples", str(error_inputs / "delta0.csv"), "--out", str(error_inputs / "r.csv")])
     lines = capsys.readouterr().err.splitlines()
+    report = check_sz99(sio.read_piecewise_spectrum(error_inputs / "bad_gen.json"), FrequencyGrid(32, 1024))
     assert rc == 2
     assert lines[0] == "refused: sampling-space certificate failed"
-    assert len(lines) == 2 and lines[1].startswith("  failed check continuity: value=")
-    assert "tolerance=0.125" in lines[1]
-    assert lines[1].endswith(" (fail)")  # the check's detail: the continuity verdict
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        f"  failed check {c.name}" for c in report.checks if not c.passed] == ["  failed check zak_two_sided"]
+
+
+@pytest.mark.parametrize("piece, k", [((40.0, 41.0, 1.0), None), ((10.0, 11.0, 1.0), "16")])
+def test_wide_band_interval_spectrum_reconstructs(tmp_path, capsys, piece, k):
+    # continuous by proof: the certificate no longer refuses a fast slope (far.json's
+    # [40, 41) block widens the grid to K = 64), and the delta sample rebuilds the kernel
+    sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([piece]), tmp_path / "far.json")
+    (tmp_path / "delta0.csv").write_text("k,re,im\n0,1,0\n")
+    rc = main(["reconstruct", "--space", str(tmp_path / "far.json"), "--samples", str(tmp_path / "delta0.csv"),
+               "--N", "1024", *(["--K", k] if k else []), "--from", "-2", "--to", "2", "--points", "9",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 0 and "refused" not in capsys.readouterr().err
+    rows = np.loadtxt(tmp_path / "r.csv", delimiter=",", skiprows=1)
+    want = PiecewiseConstantSpectrum([piece]).time_values(rows[:, 0])
+    np.testing.assert_allclose(rows[:, 1] + 1j * rows[:, 2], want, atol=1e-12)
 
 
 def test_vanishing_zak_is_refused_by_the_certificate(error_inputs, capsys):

@@ -107,6 +107,13 @@ def test_theorem5_dual_energy_peak(fine_grid):
     assert traced_peak(lambda: check_theorem5(hat, fine_grid)) <= 16.4 * MIB
 
 
+def test_kernel_spectrum_runs_one_output_block_at_a_time(fine_grid):
+    # the (64, 4096) half spectrum (8 MiB) is written in place, block by block of one
+    # rotated forward FFT: no batched (16, 18,432) FFTs nor (64, 4096) phase table (21.1 MiB)
+    hat = build_signal("hat", fine_grid)
+    assert traced_peak(lambda: hat.grid_values(fine_grid)) <= 9.5 * MIB
+
+
 def test_interval_spectrum_table_runs_in_blocks():
     # ex2's 61 pieces at the continuity falsifier's 4,097 uniform points: the
     # phase table is built a block of rows at a time, never (4,097, 61) at once

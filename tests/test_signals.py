@@ -194,15 +194,30 @@ class TestChirpTransform:
         (131072, 1000, (16 / 999) / 1024),   # uniform evaluation: (64, 1024), 1000 points
         (40000, 33000, (16 / 999) / 4096),   # both past one block: inputs cut to the outputs'
         (2049, 50001, -2.0 ** -22),          # four output blocks, the last one partial
+        (2049, 262139, -2.0 ** -22),         # 16 blocks of 16,384 one rotation apart, the last partial
+        (2049, 32768, -(1.7 / 2048) / 1024),  # two blocks, batched: a support of length 1.7
     ])
     def test_matches_exact_phase_sum(self, size, count, rate):
         rng = np.random.default_rng(11)
         coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         got = _phase_czt(coeffs, rate, count)
-        ms = [0, 1, count // 3, count // 2 + 1, count - 1]
+        ms = [m for m in (0, 1, count // 3, count // 2 + 1, count - 1, 16384, 16383 * 3) if m < count]
         n = np.arange(size)
         want = np.array([exact_phase_sum(coeffs, n * m, rate) for m in ms])
         assert np.max(np.abs(got[ms] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("size, count, rate, bins", [
+        (2049, 262144, -2.0 ** -22, -72),           # hat's half spectrum at (64, 4096): FFT length 18,432
+        (2049, 65536, -2.0 ** -20, -288),           # at (32, 1024)
+        (2049, 50001, -2.0 ** -22, None),           # blocks of 12,501: -12,501 * 14,580 / 2^22 bins
+        (2049, 32768, -(1.7 / 2048) / 1024, None),  # a support of length 1.7: -244.8 bins
+        (2049, 16384, -2.0 ** -21, None),           # one output block: nothing to rotate
+    ])
+    def test_whole_bin_block_offsets_rotate_one_spectrum(self, size, count, rate, bins):
+        # output block q's input spectrum is the first's rotated by q * rate * bo * size bins,
+        # taken only where that is exactly a whole number and there are blocks to rotate
+        shift, kernel = signals._chirp_filter(rate, size, count)[2:5:2]
+        assert shift == (None if bins is None else bins % kernel.size)
 
     def test_cached_filter_changes_no_bit(self):
         # the chirp, its kernel's FFT and the block phases are kept per transform shape, read-only
@@ -212,7 +227,7 @@ class TestChirpTransform:
         warm = _phase_czt(coeffs, -2.0 ** -21, 32768)
         assert signals._chirp_filter.cache_info().hits == 1
         np.testing.assert_array_equal(cold, warm)
-        for cached in signals._chirp_filter(-2.0 ** -21, 2049, 32768)[3:]:  # two output blocks: lead (2, 2049)
+        for cached in signals._chirp_filter(-2.0 ** -21, 2049, 32768)[3:]:  # two output blocks: the chirp alone
             assert not cached.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0
@@ -485,6 +500,18 @@ class TestTimeKernel:
         vals = kern.grid_values(grid)
         np.testing.assert_array_equal(vals[1:], np.conj(vals[:0:-1]))
         assert np.max(np.abs(vals - full_transform(kern, grid))) <= 1e-15 * np.max(np.abs(vals))
+
+    def test_kernel_off_whole_bins_keeps_the_batched_transform(self, grid):
+        # a support of length 1.7 puts the output blocks 1.7 * 144 bins apart, no whole
+        # number: one batched FFT, as before the rotation; from x = 0 its row and column
+        # phases are exactly 1, so the spectrum is the transform's, bit for bit
+        k, n = grid.half_bandwidth, grid.resolution
+        kern = TimeKernel((0.0, 1.7), lambda x: np.sin(np.pi * x / 1.7) * (1 + 0.3 * x), integrable_spectrum=True)
+        xs, w = kern._trapezoid()
+        rate = -1.7 / QUADRATURE_ORDER / n
+        coeffs = w * np.asarray(kern.evaluator(xs), dtype=complex) * _turns(k * xs)
+        assert signals._chirp_filter(rate, xs.size, k * n)[2] is None
+        np.testing.assert_array_equal(kern.grid_values(grid)[:k * n], _phase_czt(coeffs, rate, k * n))
 
     def test_complex_kernel_takes_the_full_transform(self, hat, grid):
         vals, got = hat.grid_values(grid), hat.scaled(1j).grid_values(grid)

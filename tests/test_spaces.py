@@ -121,6 +121,19 @@ class TestCheckSZ99:
         rep = check_sz99(sig, grid)
         assert rep.passed
 
+    @pytest.mark.parametrize("piece, k", [((40.0, 41.0, 1.0), 64), ((10.0, 11.0, 1.0), 16)])
+    def test_wide_band_interval_spectrum_is_continuous_by_proof(self, piece, k):
+        # one unit block far from the origin: A_Z = B_Z = 1 and a shift-square sum of 1;
+        # a falsifier's steps at 1/256 read 0.954 and 0.257 against 0.125 on its fast slope
+        grid = FrequencyGrid(k, 1024)
+        rep = check_sz99(PiecewiseConstantSpectrum([piece]), grid)
+        assert rep.passed and rep.continuity_verdict == "pass"
+        assert rep.continuity_max_jump is None and rep.continuity_threshold is None
+        assert "by proof" in rep.checks[0].detail and "L1" in rep.checks[0].detail
+        assert rep.zak_lower == rep.zak_upper == 1.0
+        assert rep.shift_sum_bound == pytest.approx(1.0, rel=1e-15)
+        assert build_space(PiecewiseConstantSpectrum([piece]), grid).certified
+
     def test_zero_signal_fails_as_degenerate(self, grid):
         rep = check_sz99(zero_signal(), grid)
         assert not rep.passed
