@@ -272,7 +272,7 @@ def _phase_czt(coeffs: np.ndarray, rate: float, count: int, out: np.ndarray | No
             s, m = start // bo * shift % size, min(bo, count - start)
             np.multiply(first[:size - s], kernel[s:], out=block[s:])
             np.multiply(first[size - s:], kernel[:s], out=block[:s])
-            np.multiply(np.fft.ifft(block, out=block)[:m], post[0, :m], out=out[start:start + m])
+            np.multiply(np.fft.ifft(block)[:m], post[0, :m], out=out[start:start + m])
         return out
     x = np.concatenate([coeffs, np.zeros(-(-n // bi) * bi - n)])
     spectrum = np.fft.fft(x.reshape(-1, 1, bi) * lead, size)

@@ -70,6 +70,15 @@ def test_every_private_function_has_a_caller():
     assert [f"{name}: {helper}" for name, helper in helpers if helper not in used] == []
 
 
+def test_fft_calls_pass_no_out_buffer():
+    # numpy.fft takes out= only from numpy 2.0, and the package declares numpy >= 1.24,
+    # where such a call raises TypeError; the installed numpy cannot show it
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(Path(sisbox.__file__).resolve().parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)
+             and "fft." in ast.unparse(node.func) and any(k.arg == "out" for k in node.keywords)]
+    assert calls == []
+
+
 def test_no_command_imports_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call: 8-11 ms of every command that reached it
     from sisbox import FrequencyGrid, PiecewiseConstantSpectrum, ShiftCombination, TimeSamples, build_signal

@@ -596,6 +596,25 @@ def test_refusal_lists_each_failed_check(error_inputs, capsys):
         f"  failed check {c.name}" for c in report.checks if not c.passed] == ["  failed check zak_two_sided"]
 
 
+def test_grid_spectrum_keeps_the_continuity_falsifier(error_inputs, capsys):
+    # far.json's block sampled on its grid is a grid spectrum, which keeps the
+    # falsifier: its time function's fast slope fails it, and only it
+    grid = FrequencyGrid(64, 1024)
+    far = GridSpectrum(sio.read_piecewise_spectrum(error_inputs / "far.json").grid_values(grid), grid)
+    sio.write_grid_spectrum(far, error_inputs / "far.csv")
+    report = check_sz99(far, grid)
+    assert report.continuity_verdict == "fail" and report.continuity_threshold == 0.125
+    assert report.checks[0].detail == "fail" and report.continuity_max_jump > 0.125
+    rc = main(["reconstruct", "--space", str(error_inputs / "far.csv"), "--K", "64", "--N", "1024",
+               "--samples", str(error_inputs / "delta0.csv"), "--out", str(error_inputs / "r.csv")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert lines[0] == "refused: sampling-space certificate failed"
+    assert len(lines) == 2 and lines[1].startswith("  failed check continuity: value=")
+    assert "tolerance=0.125" in lines[1]
+    assert lines[1].endswith(" (fail)")  # the check's detail: the continuity verdict
+
+
 @pytest.mark.parametrize("piece, k", [((40.0, 41.0, 1.0), None), ((10.0, 11.0, 1.0), "16")])
 def test_wide_band_interval_spectrum_reconstructs(tmp_path, capsys, piece, k):
     # continuous by proof: the certificate no longer refuses a fast slope (far.json's

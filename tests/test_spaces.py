@@ -134,6 +134,15 @@ class TestCheckSZ99:
         assert rep.shift_sum_bound == pytest.approx(1.0, rel=1e-15)
         assert build_space(PiecewiseConstantSpectrum([piece]), grid).certified
 
+    def test_box_kernel_fails_the_continuity_falsifier(self, grid):
+        # a time kernel keeps the falsifier: the unit box steps by 1 at x = 0 and x = 1
+        box = TimeKernel((0.0, 1.0), lambda x: np.ones_like(x), integrable_spectrum=True)
+        rep = check_sz99(box, grid)
+        assert rep.continuity_verdict == "fail" and not rep.passed
+        assert rep.continuity_max_jump == 1.0 and rep.continuity_threshold == 0.125
+        assert rep.checks[0].name == "continuity" and rep.checks[0].detail == "fail"
+        assert not rep.checks[0].passed and rep.checks[0].value == 1.0
+
     def test_zero_signal_fails_as_degenerate(self, grid):
         rep = check_sz99(zero_signal(), grid)
         assert not rep.passed
