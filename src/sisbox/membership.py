@@ -75,6 +75,7 @@ class ConditionReport:
     constants: dict = field(default_factory=dict)
     tail_energy: float = 0.0
     note: str = ""
+    record: Fibers | None = field(default=None, repr=False, compare=False)  # the fibers judged; not reported
 
 
 def _unbounded_trend(lengths: np.ndarray, ratios: np.ndarray) -> tuple[bool, float, float]:
@@ -128,10 +129,10 @@ def _judge(f: Signal, grid: FrequencyGrid, eps: float, k_max: int, criterion: st
     if not np.any(on):
         checks = [ConditionCheck(name, True, detail="vacuous") for name in names]
         return ConditionReport(criterion, checks, True, vacuous=True, constants=dict(vacuous),
-                               tail_energy=tail, note=note)
+                               tail_energy=tail, note=note, record=fib)
     checks, constants = body(fib, prof, on, on & (absz > guard), absz, guard)
     return ConditionReport(criterion, checks, all(c.passed for c in checks),
-                           constants=constants, tail_energy=tail)
+                           constants=constants, tail_energy=tail, record=fib)
 
 
 def check_theorem5(f: Signal, grid: FrequencyGrid, x_probes=None, *,
@@ -305,8 +306,8 @@ def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
     The kernel spectrum is f_hat / Z_f on the support set, one on the
     first-period complement of the support, zero elsewhere; its integer
     samples come out as the unit impulse, so the kernel interpolates.
-    Z_f(0, .) is read as theorem 5 reads it, from the periodization (by
-    Poisson the same fiber in the integrable-spectrum class), so a spectrum
+    Z_f(0, .) is read from theorem 5's record (the report's), from the periodization
+    (by Poisson the same fiber in the integrable-spectrum class), so a spectrum
     the grid truncates is divided by the fiber of what the grid holds.
     """
     if report is None:
@@ -315,7 +316,7 @@ def construct_s_from_f(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
         raise ConstructionRefusedError(
             "membership characterization failed; kernel construction refused", report=report
         )
-    fib = fibers(f, grid, eps, k_max)
+    fib = report.record if report.record is not None else fibers(f, grid, eps, k_max)
     if fib.mask.is_empty:
         raise DegenerateSpaceError("empty support set: canonical kernel is degenerate")
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +22,12 @@ class ConditionCheck:
 
 def _encode(obj):
     """The one JSON rule for what a report holds beyond plain JSON: a
-    record's own ``to_dict`` where it keeps one, the fields of any other
+    record's own ``to_dict`` where it keeps one, the shown (``repr``) fields of any other
     dataclass, numpy values as Python ones."""
     if hasattr(obj, "to_dict"):
         return obj.to_dict()
     if is_dataclass(obj) and not isinstance(obj, type):
-        return asdict(obj)
+        return {f.name: getattr(obj, f.name) for f in fields(obj) if f.repr}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")

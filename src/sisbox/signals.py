@@ -379,7 +379,7 @@ def _grid_time_values(band: slice, rows: np.ndarray, grid: FrequencyGrid, xs: np
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     shape, xs = xs.shape, xs.ravel()
     n, values = grid.resolution, rows.ravel()
-    nz = np.flatnonzero(values)  # node j of the grid is nz + band.start * n
+    nz = np.flatnonzero(values != 0)  # node j of the grid is nz + band.start * n; NaN counts
     if not nz.size:
         return np.zeros(shape, dtype=complex)
     require_finite(values[nz])

@@ -11,6 +11,7 @@ it; reconstruction from integer samples then follows f_hat = Z_f * s_hat.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,9 +142,14 @@ def _continuity_check(candidate: Signal) -> tuple[str, float | None, float | Non
 
 
 def _probe_points(seed: int) -> np.ndarray:
-    """64 uniform offsets in [0, 1) and 64 seeded random ones."""
-    rng = np.random.default_rng(seed)
-    return np.concatenate([np.arange(64) / 64, rng.random(64)])
+    """64 uniform offsets k/64, then 64 seeded ones in [0, 1): the golden-ratio Weyl sequence
+    n/phi mod 1 at n = 64*seed + 1 .. 64*seed + 64, in exact 64-bit fixed point, so the same
+    on every platform and numpy version; by the three-gap theorem they cover [0, 1) evenly."""
+    seed = operator.index(seed)  # a non-integer seed raises TypeError, as numpy's generators do
+    if seed < 0:
+        raise ValueError(f"expected a nonnegative integer seed, got {seed}")
+    n = np.arange(64, dtype=np.uint64) + np.uint64((64 * seed + 1) % 2 ** 64)  # the uint64 sums wrap mod 2^64
+    return np.concatenate([np.arange(64) / 64, (n * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(11)) / 2.0 ** 53])
 
 
 def check_sz99(candidate: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,

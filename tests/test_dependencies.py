@@ -80,7 +80,9 @@ def test_fft_calls_pass_no_out_buffer():
 
 
 def test_no_command_imports_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma on its first call: 8-11 ms of every command that reached it
+    # np.unique imports numpy.ma on its first call: 8-11 ms of every command that reached it;
+    # np.random.default_rng imported numpy.random, 6 MB and ~10 ms. After the whole matrix, the
+    # numpy modules loaded are those `import numpy` loads, and numpy.fft's
     from sisbox import FrequencyGrid, PiecewiseConstantSpectrum, ShiftCombination, TimeSamples, build_signal
     from sisbox import io as sio
 
@@ -101,12 +103,27 @@ def test_no_command_imports_numpy_ma(tmp_path):
     env = dict(os.environ)
     src = str(Path(sisbox.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import contextlib, io, sys; from sisbox.cli import main\n"
+    code = ("import contextlib, io, sys, numpy; core = set(sys.modules); from sisbox.cli import main\n"
             f"for argv in {commands!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        print(main(argv), file=sys.stderr)\n"
-            "print('numpy.ma' in sys.modules)")
+            "print('numpy.ma' in sys.modules, sorted(m for m in set(sys.modules) - core\n"
+            "      if m.split('.')[0] == 'numpy' and m.split('.')[:2] != ['numpy', 'fft']))")
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True,
                           text=True, check=True)
     assert done.stderr.split() == [*"0000000", "2", *"0000"]  # ex2 fails the sufficient pair
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False []"
+
+
+def test_certificates_at_default_probes_leave_numpy_random_unloaded():
+    # the probe offsets are integer arithmetic: no certificate loads numpy.random
+    env = dict(os.environ)
+    src = str(Path(sisbox.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys; from sisbox import *\n"
+            "grid, fine = FrequencyGrid(32, 1024), FrequencyGrid(64, 1024)\n"
+            "reports = [check_sz99(build_signal('blhat', grid), grid), check_theorem2(build_signal('ex2', fine), fine),\n"
+            "           check_theorem5(build_signal('hat', grid), grid), check_theorem5(build_signal('ex2', fine), fine)]\n"
+            "print([r.passed for r in reports], 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[True, True, True, True] False"

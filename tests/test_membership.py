@@ -1,7 +1,11 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import random_coefficients
+from sisbox import membership
 from sisbox import (
     FrequencyGrid,
     GridSpectrum,
@@ -29,6 +33,8 @@ from sisbox.errors import (
     NotInSpaceError,
     PreconditionError,
 )
+from sisbox.reports import ReportDocument
+from sisbox.spectral import fibers
 
 # ------------------------------------------------------------------ oracles
 # Partial sums of the alternating-block spectrum: on the dyadic band
@@ -268,6 +274,31 @@ class TestConstructKernel:
     def test_zero_rejected_as_degenerate(self, grid):
         with pytest.raises(DegenerateSpaceError):
             construct_s_from_f(zero_signal(), grid)
+
+    @pytest.mark.parametrize("name", ["ex2", "shannon member"])
+    def test_fibers_built_once_from_theorem5s_record(self, name, shannon, grid, ex2, wide_grid, monkeypatch):
+        # the kernel divides by the record theorem 5 judged; a report without one
+        # (the route that built the record again) gives the same rows, bit for bit
+        f, g = (ex2, wide_grid) if name == "ex2" else (
+            ShiftCombination(shannon, TimeSamples(np.arange(-2, 3), np.array([1.0, -2.0, 3.0, 0.5j, 1.5]), 2)), grid)
+        built = []
+        monkeypatch.setattr(membership, "fibers", lambda *args: built.append(args[0]) or fibers(*args))
+        space = construct_s_from_f(f, g)
+        assert built == [f]
+        report = check_theorem5(f, g)
+        fresh = construct_s_from_f(f, g, report=replace(report, record=None))
+        assert len(built) == 3
+        band, rows = space.sampling_spectrum.band_values(g)
+        fresh_band, fresh_rows = fresh.sampling_spectrum.band_values(g)
+        assert band == fresh_band
+        np.testing.assert_array_equal(rows, fresh_rows)
+
+    def test_report_record_is_not_reported(self, ex2, wide_grid):
+        report = check_theorem5(ex2, wide_grid)
+        assert report.record.signal is ex2
+        assert "record" not in repr(report)
+        doc = ReportDocument("membership", {}, results={"report": report})
+        assert "record" not in json.loads(doc.to_json())["results"]["report"]
 
     def test_round_trip(self, ex2, wide_grid):
         space = construct_s_from_f(ex2, wide_grid)

@@ -438,6 +438,25 @@ class TestChirpTransform:
         assert self.grid_error(vals, grid, points, picks) <= 1e-14
         assert czt_sizes == []
 
+    def test_node_scan_keeps_the_nonzero_complex_nodes(self):
+        # the scan reads values != 0, which gives np.flatnonzero's indices of the complex
+        # nodes: -0.0 in either part is skipped; a purely imaginary, NaN or inf node is kept
+        grid, xs = FrequencyGrid(32, 1024), np.linspace(-8, 8, 4097)
+        vals = np.zeros(grid.size, dtype=complex)
+        vals[[40, 41, 700, 2000]] = [2j, -0.5j, 1.0, 1 - 1j]
+        signed = vals.copy()
+        signed[[3, 9, 1000]] = [complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)]
+        np.testing.assert_array_equal(np.flatnonzero(signed != 0), [40, 41, 700, 2000])
+        np.testing.assert_array_equal(GridSpectrum(signed, grid).time_values(xs),
+                                      GridSpectrum(vals, grid).time_values(xs))
+        assert self.grid_error(vals, grid, xs) <= 1e-14
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 0.0)):
+            odd = signed.copy()
+            odd[1500] = bad
+            np.testing.assert_array_equal(np.flatnonzero(odd != 0), np.flatnonzero(odd))
+            with pytest.raises(PreconditionError, match="1 non-finite"):
+                GridSpectrum(odd, grid).time_values(xs)
+
     @pytest.mark.parametrize("name", ["shannon", "blhat"])
     def test_one_block_is_one_transform_over_the_span(self, name):
         # every node in one block: the transform over the whole span, bit for bit
