@@ -20,7 +20,7 @@ import numpy as np
 from .errors import PartitionError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
 from .reports import ConditionCheck
-from .signals import GridSpectrum, Signal, _period_samples
+from .signals import GridSpectrum, Signal
 from .spaces import (
     KERNEL_TOL,
     MEMBER_TOL,
@@ -171,7 +171,7 @@ def decompose(space: SamplingSpace, partition: PeriodicPartition) -> list[Sampli
         # Z of M psi is M Z_psi exactly, not the fiber of its K-truncated spectrum; its samples, Z's inverse DFT
         zak = np.where(mask.values, space.zak.values, 0.0)
         fib = Fibers(comp_gen, grid, *_cells_and_mask(comp_gen, grid, space.mask.eps),
-                     _period_samples(np.fft.ifft(zak), space.k_max), PeriodicSpectrum(zak, grid))
+                     comp_gen.integer_samples(grid, space.k_max, zak), PeriodicSpectrum(zak, grid))
         out.append(_space(fib, seed=space.seed, checked=True))
     if not (gap := kernel_sum_gap(space, out)).passed:
         raise PartitionError(f"component kernels deviate from the masked kernel by {gap.value:.3g}")

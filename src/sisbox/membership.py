@@ -16,9 +16,10 @@ Four criteria are implemented:
 
 The last three share one skeleton (``_judge``): precondition, fibers, support
 set, the one guard on the Zak fiber, tail energy and the vacuous report of a
-zero signal.  It reads the record's profile (``Fibers.profile``): piecewise-constant
-spectra's exact periodized pieces (resolving detail far below grid resolution),
-everything else's unit-grid cells.
+zero signal.  It reads the record's profile (``Fibers.profile``): a signal's
+``exact_profile`` where it has one (an interval spectrum's periodized pieces, resolving
+detail far below grid resolution), else the unit-grid cells.  Theorem 5's (d) reads a
+supported signal's time values at its ``support_shifts``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .errors import ConstructionRefusedError, DegenerateSpaceError, PreconditionError
 from .grid import FrequencyGrid
 from .reports import ConditionCheck
-from .signals import GridSpectrum, PeriodizedProfile, Signal, _support_shifts, dual_energy, pad_band
+from .signals import GridSpectrum, PeriodizedProfile, Signal, dual_energy, pad_band
 from .spaces import (
     KERNEL_TOL,
     MEMBER_TOL,
@@ -48,12 +49,12 @@ from .spectral import (
     DEFAULT_K_MAX,
     Fibers,
     _guarded_support,
-    _sampled_zak,
     divide_on_support,
     fibers,
     guard_level,
     spectral_norm,
     union_rows,
+    zak_time_fiber,
 )
 
 # unbounded-ratio falsifier: flag when the per-piece sup is attained at the
@@ -179,7 +180,7 @@ def check_theorem5(f: Signal, grid: FrequencyGrid, x_probes=None, *,
             l_const = float(np.max(dual_energy(prof.coeffs, prof.shifts, probes, weights), initial=0.0))
         else:  # v G v^H over v_k = f(x - floor(x) + k), G[k, l] = sum_c w_c exp(-2i*pi*(k - l)*c/N)
             weights = np.divide(prof.lengths, np.abs(fib.zak.values) ** 2, out=np.zeros(absz.shape), where=ok)
-            ks = _support_shifts(f)
+            ks = f.support_shifts()
             v = f.time_values(np.add.outer(probes - np.floor(probes), ks))
             gram = np.fft.fft(weights)[np.subtract.outer(ks, ks) % grid.resolution]
             l_const = float(np.max(np.sum((v @ gram) * np.conj(v), axis=1).real, initial=0.0))
@@ -255,7 +256,7 @@ def check_theorem2(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
     """
     def body(fib: Fibers, *_):
         h = _sampling_function(fib)  # the certificate reads h and its Zak fiber, on f's set
-        zak = _sampled_zak(h, h.rows.sum(axis=0), grid, k_max)[1]
+        zak = zak_time_fiber(h.integer_samples(grid, k_max), grid)
         cert = sz99_report(replace(fib, signal=h, zak=zak), seed=seed)
         return cert.checks, {"A": cert.zak_lower, "B": cert.zak_upper,
                              "shift_bound": cert.shift_sum_bound, "normalization": "zak"}

@@ -23,6 +23,10 @@ class of square-integrable functions with absolutely integrable spectrum
 (a time kernel's caller states it).  On a grid each is held as its band (``band_values``):
 the fold rows that can hold a nonzero node, alone (an interval spectrum's pieces' rows, a
 combination's base's, every row of a time kernel); ``grid_values`` pads it with zero rows.
+Each class states the rules that depend on what it is, and no caller tests a class:
+``integer_samples``, ``support_shifts``, ``exact_profile`` (an interval spectrum's alone),
+``shift_sum`` (a combination's time values are its base's) and ``grid_model`` (a grid
+spectrum's alone: no exact time form or rescale, so the spectral route and grid division).
 
 Every phase a * x is reduced mod 1 exactly by Dekker's split (``_product_turns``;
 ``_shifted_turns`` for a piece at m + c; a factor past 2^52 is an integer).  One
@@ -286,13 +290,15 @@ def _phase_czt(coeffs: np.ndarray, rate: float, count: int, out: np.ndarray | No
 
 
 class Signal:
-    """Common interface of all signal representations."""
+    """Common interface of all signal representations, each stating its own rules (see the module docstring)."""
 
     integrable_spectrum: bool = True
     series_tail: float = 0.0  # tail of a series the representation truncates
     # (a, b) outside which the time function is exactly 0; None when only
     # the spectrum is known
     support: tuple[float, float] | None = None
+    grid_model: bool = False  # the grid values are all there is: no exact time form, no exact rescale
+    exact_profile: "PeriodizedProfile | None" = None  # the closed-form profile, where one exists
 
     def band_values(self, grid: FrequencyGrid) -> tuple[slice, np.ndarray]:
         """(band, rows): the slice of fold rows (row q the shift m = q - K) that can hold
@@ -307,23 +313,38 @@ class Signal:
         """Values of the time function at arbitrary real points."""
         raise NotImplementedError
 
-    def integer_samples(self, grid: FrequencyGrid, k_max: int) -> TimeSamples:
+    def integer_samples(self, grid: FrequencyGrid, k_max: int, z: np.ndarray | None = None) -> TimeSamples:
         """Samples f(k) used by Zak fibers and reconstruction.
 
         A signal with a support is sampled exactly and whole at its
-        ``_support_shifts``, keeping the nonzero values (maybe none): k_max
+        ``support_shifts``, keeping the nonzero values (maybe none): k_max
         cuts no sample and leaves no tail.  Every other signal samples its grid
-        projection (inverse DFT of the periodized spectrum) at |k| <= k_max, a
-        full period when k_max >= N/2; its tail energy is that of the period's
-        samples it drops.  Only a full period makes the samples' time fiber the
-        periodization (to rounding); below it, a truncated Fourier series of it.
+        projection (inverse DFT of its periodization, ``z`` where the caller
+        holds it) at |k| <= k_max, a full period when k_max >= N/2; its tail
+        energy is that of the period's samples it drops.  Only a full period
+        makes the samples' time fiber the periodization (to rounding); below
+        it, a truncated Fourier series of it.
         """
         if self.support is None:
-            return _period_samples(np.fft.ifft(self.band_values(grid)[1].sum(axis=0)), k_max)
-        ks = _support_shifts(self)
+            return _period_samples(np.fft.ifft(self.band_values(grid)[1].sum(axis=0) if z is None else z), k_max)
+        ks = self.support_shifts()
         vals = self.time_values(ks.astype(float))
-        keep = vals != 0
-        return TimeSamples(ks[keep], vals[keep], k_max)
+        return TimeSamples(ks[vals != 0], vals[vals != 0], k_max)
+
+    def support_shifts(self) -> np.ndarray:
+        """The sorted integers k at which f(x + k), x in [0, 1], can be nonzero: the
+        window floor(a) - 1 .. ceil(b) + 1 around the support [a, b]."""
+        a, b = self.support
+        return np.arange(int(np.floor(a)) - 1, int(np.ceil(b)) + 2)
+
+    def shift_sum(self, coefficients: TimeSamples, xs: np.ndarray) -> np.ndarray:
+        """sum_k c_k f(x - k) at points xs (1-D): the time values at blocks of (point, shift) differences."""
+        ks, cs, out = coefficients.ks, coefficients.values, np.zeros(xs.size, dtype=complex)
+        rows = max(1, _SYNTHESIS_BLOCK // max(xs.size, 1))  # shifts per call
+        for start in range(0, ks.size, rows):
+            diff = np.subtract.outer(xs, ks[start:start + rows])
+            out += self.time_values(diff.ravel()).reshape(diff.shape) @ cs[start:start + rows]
+        return out
 
     def required_half_bandwidth(self) -> int | None:
         """Smallest grid K the spectrum fits, which the CLI widens to, or None
@@ -342,16 +363,6 @@ def pad_band(band: slice, rows: np.ndarray, span: slice) -> np.ndarray:
     out = np.zeros((span.stop - span.start, rows.shape[1]), dtype=complex)
     out[band.start - span.start:band.stop - span.start] = rows
     return out
-
-
-def _support_shifts(f: Signal) -> np.ndarray:
-    """The sorted integers k at which f(x + k), x in [0, 1], can be nonzero: the
-    window floor(a) - 1 .. ceil(b) + 1 around a support [a, b], or for a combination
-    over a supported base, the base's window moved to each coefficient."""
-    if isinstance(f, ShiftCombination):
-        return _sorted_unique(np.add.outer(f.coefficients.ks, _support_shifts(f.base)))
-    a, b = f.support
-    return np.arange(int(np.floor(a)) - 1, int(np.ceil(b)) + 2)
 
 
 def _period_samples(a: np.ndarray, k_max: int) -> TimeSamples:
@@ -458,6 +469,18 @@ class PiecewiseConstantSpectrum(Signal):
         self.pieces = pieces
         self.integrable_spectrum = integrable_spectrum
 
+    @cached_property
+    def exact_profile(self) -> "PeriodizedProfile":
+        """Pieces at the folded breakpoints, on each of which the contributing (value,
+        shift) pairs are constant; one for every grid, built on first read."""
+        cut = _sorted_unique([0.0, 1.0] + [t for _, lo, hi, _ in self.pieces for t in (lo, hi)])
+        mid = 0.5 * (cut[:-1] + cut[1:])
+        shifts = _sorted_unique([m for m, _, _, _ in self.pieces])
+        coeffs = np.zeros((shifts.size, mid.size), dtype=complex)
+        for m, lo, hi, v in self.pieces:  # pieces of one shift never overlap
+            coeffs[np.searchsorted(shifts, m), (lo <= mid) & (mid < hi)] = v
+        return PeriodizedProfile(cut[:-1], cut[1:] - cut[:-1], shifts, coeffs, exact=True)
+
     @property
     def intervals(self) -> list[tuple[float, float, complex]]:
         """Global (a, b, value) view; sub-float lengths collapse here."""
@@ -509,6 +532,51 @@ class PiecewiseConstantSpectrum(Signal):
             self.integrable_spectrum,
         )
 
+    def shift_sum(self, coefficients: TimeSamples, xs: np.ndarray) -> np.ndarray:
+        """sum_k c_k psi(x - k) for a base spectrum of pieces v * 1[e0, e1).
+
+        psi(y) = sum over ends e of w_e exp(2i*pi*e*y) / (2i*pi*y), w_e = +v at
+        e1 and -v at e0, so the sum is, over ends, exp(2i*pi*e*x) times
+        (R @ (c w_e exp(-2i*pi*e*k))) / (2i*pi), R the real Cauchy matrix
+        1/(x - k).  Near a pole the factored form cancels: entries with |x - k|
+        < 1/2 are left out of R and summed directly as the pieces' sincs, their
+        phase exp(2i*pi*centre*(x - k)) the x-side one times exp(-2i*pi*centre*k).  A
+        piece whose sinc is 1 at every x - k is only that phase, summed over k once: its
+        ends leave R.  The x-side phases are one ``_phase_table``, whose blocks bound R's
+        rows, and whose residuals are applied after both contractions (``_at_points``)."""
+        ks, cs = coefficients.ks, coefficients.values
+        if not (ks.size and xs.size):
+            return np.zeros(xs.size, dtype=complex)
+        near = np.round(xs)
+        y = xs - near  # R's entry at the nearest integer, exact (Sterbenz)
+        idx = np.clip(np.searchsorted(ks, near), 0, ks.size - 1)
+        at = np.flatnonzero((np.abs(y) < 0.5) & (ks[idx] == near))  # not NaN or inf
+        idx = idx[at]
+        m, lo, hi, v = (np.array([p[i] for p in self.pieces]) for i in range(4))
+        reach = max(np.fmax.reduce(xs) - ks[0], ks[-1] - np.fmin.reduce(xs))  # largest |x - k|, NaN left out
+        one = _unit_sinc((hi - lo) * reach)  # sinc 1 at every x - k: these pieces go last
+        m, lo, hi, v = (np.concatenate([a[~one], a[one]]) for a in (m, lo, hi, v))
+        ends = 2 * (cut := np.count_nonzero(~one))
+        # ends m + hi, m + lo of the first cut pieces, then every centre; k-side factors drop m*k
+        frac, mf = np.concatenate([hi[:cut], lo[:cut], (lo + hi) / 2]), np.concatenate([m[:cut], m[:cut], m])
+        f = np.stack([np.ones(mf.size), mf + frac])  # and times f for the residuals
+        k_turns = _turns(-_product_turns(frac, ks[:, None]))
+        coef = (cs[:, None] * np.concatenate([v[:cut], -v[:cut]]) / (2j * np.pi) * k_turns[:, :ends]).view(float)
+        pole = cs[:, None] * v * (hi - lo) * k_turns[:, ends:]
+        direct = pole[:, cut:].sum(axis=0) * f[:, ends + cut:]  # the last pieces' sums over k
+        out = np.empty(xs.size, dtype=complex)
+        for points, table, d in _phase_table(mf, frac, xs, ks.size):
+            r = xs[points, None] - ks
+            block = slice(*np.searchsorted(at, [points.start, points.stop]))
+            rows = at[block] - points.start
+            r[rows, idx[block]] = np.inf  # left out: summed directly below
+            np.reciprocal(r, out=r)
+            s = f[:, :ends] @ (table[:ends] * (r @ coef).view(complex).T) + direct @ table[ends + cut:]
+            out[points] = _at_points(s, d)
+            s = _sincs(hi[:cut] - lo[:cut], y[at[block]]) * table[ends:ends + cut, rows] * pole[idx[block], :cut].T
+            out[at[block]] += _at_points(f[:, ends:ends + cut] @ s, None if d is None else d[rows])
+        return out
+
 
 def twisted_sum(rows: np.ndarray, shifts: np.ndarray, x: float) -> np.ndarray:
     """sum over rows r of rows[r] exp(2i*pi*shifts[r]*x) per column, summed row by
@@ -539,10 +607,9 @@ class PeriodizedProfile:
     ``z``, absolute periodization ``abs_sum`` and Grammian ``sq_sum`` the profile
     sums on first read.
 
-    ``of`` is the one rule: an interval spectrum's pieces follow its folded
-    breakpoints, on each of which the contributing (value, shift) pairs are
-    constant (``exact``: every quantity in closed form, sub-grid detail kept);
-    every other signal has one piece per unit-grid cell of its band rows.
+    ``of`` reads a signal's ``exact_profile`` (an interval spectrum's: every quantity in
+    closed form, sub-grid detail kept); every other signal has one piece per unit-grid
+    cell of its band rows.
     """
 
     def __init__(self, starts, lengths, shifts, coeffs, exact: bool):
@@ -551,16 +618,8 @@ class PeriodizedProfile:
 
     @classmethod
     def of(cls, f: Signal, grid: FrequencyGrid) -> "PeriodizedProfile":
-        """The profile of f: its exact pieces for an interval spectrum, else its cells."""
-        if not isinstance(f, PiecewiseConstantSpectrum):
-            return cls.cells(*f.band_values(grid), grid)
-        cut = _sorted_unique([0.0, 1.0] + [t for _, lo, hi, _ in f.pieces for t in (lo, hi)])
-        mid = 0.5 * (cut[:-1] + cut[1:])
-        shifts = _sorted_unique([m for m, _, _, _ in f.pieces])
-        coeffs = np.zeros((shifts.size, mid.size), dtype=complex)
-        for m, lo, hi, v in f.pieces:  # pieces of one shift never overlap
-            coeffs[np.searchsorted(shifts, m), (lo <= mid) & (mid < hi)] = v
-        return cls(cut[:-1], cut[1:] - cut[:-1], shifts, coeffs, exact=True)
+        """The profile of f: its ``exact_profile`` where it has one, else its cells."""
+        return f.exact_profile or cls.cells(*f.band_values(grid), grid)
 
     @classmethod
     def cells(cls, band: slice, rows: np.ndarray, grid: FrequencyGrid) -> "PeriodizedProfile":
@@ -580,6 +639,8 @@ class PeriodizedProfile:
 
 class GridSpectrum(Signal):
     """Spectrum known only at the nodes of one grid, held as its band; ``values`` pads it once."""
+
+    grid_model = True
 
     def __init__(self, values: np.ndarray, grid: FrequencyGrid, integrable_spectrum: bool = True):
         values = np.asarray(values, dtype=complex)
@@ -690,8 +751,8 @@ class TimeKernel(Signal):
 class ShiftCombination(Signal):
     """f = sum_k c_k * base(. - k) for finitely many coefficients c_k.
 
-    Time values are the finite sum: in factored form over a piecewise-constant base
-    (``_interval_sum``), otherwise through the base's time values at blocks of (point,
+    Time values are the finite sum, by the base's ``shift_sum``: in factored form over an
+    interval spectrum, otherwise through the base's time values at blocks of (point,
     shift) differences; the grid spectrum is the exact product C(omega) * base_hat(omega)
     with C the coefficient fiber.  Over a spectral base it samples from its coefficients.
     """
@@ -708,9 +769,9 @@ class ShiftCombination(Signal):
         band, rows = self.base.band_values(grid)
         return band, self.coefficients.fiber(grid.resolution) * rows
 
-    def integer_samples(self, grid: FrequencyGrid, k_max: int) -> TimeSamples:
-        """Over a base with no support: f(k) = sum_j c_j b[(k - j) mod N], b the base's period
-        samples: one term per pair of nonzero c_j and b_i while they are at most N pairs (a
+    def integer_samples(self, grid: FrequencyGrid, k_max: int, z: np.ndarray | None = None) -> TimeSamples:
+        """Over a base with no support, from the coefficients (``z`` unread): f(k) = sum_j c_j b[(k - j) mod N],
+        b the base's period samples: one term per pair of nonzero c_j and b_i while they are at most N pairs (a
         sparse base: no rounding noise), else by FFT.  Only nonzero samples are kept."""
         if self.base.support is not None:
             return super().integer_samples(grid, k_max)
@@ -726,60 +787,14 @@ class ShiftCombination(Signal):
 
     def time_values(self, xs) -> np.ndarray:
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if isinstance(self.base, PiecewiseConstantSpectrum):
-            return self._interval_sum(xs.ravel()).reshape(xs.shape)
-        ks, cs = self.coefficients.ks, self.coefficients.values
-        out = np.zeros(xs.size, dtype=complex)
-        rows = max(1, _SYNTHESIS_BLOCK // max(xs.size, 1))  # shifts per call of the base
-        for start in range(0, ks.size, rows):
-            diff = np.subtract.outer(xs.ravel(), ks[start:start + rows])
-            out += self.base.time_values(diff.ravel()).reshape(diff.shape) @ cs[start:start + rows]
-        return out.reshape(xs.shape)
+        return self.base.shift_sum(self.coefficients, xs.ravel()).reshape(xs.shape)
 
-    def _interval_sum(self, xs: np.ndarray) -> np.ndarray:
-        """sum_k c_k psi(x - k) for a base spectrum of pieces v * 1[e0, e1).
+    def support_shifts(self) -> np.ndarray:
+        """The base's window of shifts moved to each coefficient."""
+        return _sorted_unique(np.add.outer(self.coefficients.ks, self.base.support_shifts()))
 
-        psi(y) = sum over ends e of w_e exp(2i*pi*e*y) / (2i*pi*y), w_e = +v at
-        e1 and -v at e0, so the sum is, over ends, exp(2i*pi*e*x) times
-        (R @ (c w_e exp(-2i*pi*e*k))) / (2i*pi), R the real Cauchy matrix
-        1/(x - k).  Near a pole the factored form cancels: entries with |x - k|
-        < 1/2 are left out of R and summed directly as the pieces' sincs, their
-        phase exp(2i*pi*centre*(x - k)) the x-side one times exp(-2i*pi*centre*k).  A
-        piece whose sinc is 1 at every x - k is only that phase, summed over k once: its
-        ends leave R.  The x-side phases are one ``_phase_table``, whose blocks bound R's
-        rows, and whose residuals are applied after both contractions (``_at_points``)."""
-        ks, cs = self.coefficients.ks, self.coefficients.values
-        if not (ks.size and xs.size):
-            return np.zeros(xs.size, dtype=complex)
-        near = np.round(xs)
-        y = xs - near  # R's entry at the nearest integer, exact (Sterbenz)
-        idx = np.clip(np.searchsorted(ks, near), 0, ks.size - 1)
-        at = np.flatnonzero((np.abs(y) < 0.5) & (ks[idx] == near))  # not NaN or inf
-        idx = idx[at]
-        m, lo, hi, v = (np.array([p[i] for p in self.base.pieces]) for i in range(4))
-        reach = max(np.fmax.reduce(xs) - ks[0], ks[-1] - np.fmin.reduce(xs))  # largest |x - k|, NaN left out
-        one = _unit_sinc((hi - lo) * reach)  # sinc 1 at every x - k: these pieces go last
-        m, lo, hi, v = (np.concatenate([a[~one], a[one]]) for a in (m, lo, hi, v))
-        ends = 2 * (cut := np.count_nonzero(~one))
-        # ends m + hi, m + lo of the first cut pieces, then every centre; k-side factors drop m*k
-        frac, mf = np.concatenate([hi[:cut], lo[:cut], (lo + hi) / 2]), np.concatenate([m[:cut], m[:cut], m])
-        f = np.stack([np.ones(mf.size), mf + frac])  # and times f for the residuals
-        k_turns = _turns(-_product_turns(frac, ks[:, None]))
-        coef = (cs[:, None] * np.concatenate([v[:cut], -v[:cut]]) / (2j * np.pi) * k_turns[:, :ends]).view(float)
-        pole = cs[:, None] * v * (hi - lo) * k_turns[:, ends:]
-        direct = pole[:, cut:].sum(axis=0) * f[:, ends + cut:]  # the last pieces' sums over k
-        out = np.empty(xs.size, dtype=complex)
-        for points, table, d in _phase_table(mf, frac, xs, ks.size):
-            r = xs[points, None] - ks
-            block = slice(*np.searchsorted(at, [points.start, points.stop]))
-            rows = at[block] - points.start
-            r[rows, idx[block]] = np.inf  # left out: summed directly below
-            np.reciprocal(r, out=r)
-            s = f[:, :ends] @ (table[:ends] * (r @ coef).view(complex).T) + direct @ table[ends + cut:]
-            out[points] = _at_points(s, d)
-            s = _sincs(hi[:cut] - lo[:cut], y[at[block]]) * table[ends:ends + cut, rows] * pole[idx[block], :cut].T
-            out[at[block]] += _at_points(f[:, ends:ends + cut] @ s, None if d is None else d[rows])
-        return out
+    def scaled(self, factor: complex) -> "ShiftCombination":
+        return ShiftCombination(self.base, self.coefficients.scaled(factor))
 
     def spectral_tail_energy(self, grid: FrequencyGrid) -> float:
         # a bound: outside [-K, K) the spectrum is C * base_hat, |C| <= sum_k |c_k|

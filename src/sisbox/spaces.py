@@ -25,14 +25,7 @@ from .errors import (
 )
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples, _sorted_unique, pow2_at_least
 from .reports import ConditionCheck
-from .signals import (
-    GridSpectrum,
-    PiecewiseConstantSpectrum,
-    ShiftCombination,
-    Signal,
-    TimeKernel,
-    _support_shifts,
-)
+from .signals import GridSpectrum, ShiftCombination, Signal
 from .spectral import (
     DEFAULT_EPS,
     DEFAULT_K_MAX,
@@ -124,12 +117,12 @@ class SZ99Report:
 
 
 def _continuity_check(candidate: Signal) -> tuple[str, float | None, float | None]:
-    """An interval spectrum passes with no time values (``_PROOF``); any other signal's largest step, at spacing
-    CONTINUITY_DX, over the unit cells at the ``_support_shifts`` (spectral: the cells of [-8, 8)); f vanishes at
-    both ends of each window of shifts, so a step across a gap between windows is 0."""
-    if isinstance(candidate, PiecewiseConstantSpectrum) and np.all(np.isfinite([p[3] for p in candidate.pieces])):
+    """A signal with a finite exact profile passes with no time values (``_PROOF``); any other signal's largest
+    step, at spacing CONTINUITY_DX, over the unit cells at its ``support_shifts`` (spectral: the cells of [-8, 8));
+    f vanishes at both ends of each window of shifts, so a step across a gap between windows is 0."""
+    if (prof := candidate.exact_profile) is not None and np.all(np.isfinite(prof.coeffs)):
         return "pass", None, None
-    cells = np.arange(-8, 8) if candidate.support is None else _support_shifts(candidate)
+    cells = np.arange(-8, 8) if candidate.support is None else candidate.support_shifts()
     xs = _sorted_unique(np.add.outer(cells, np.linspace(0.0, 1.0, int(round(1 / CONTINUITY_DX)) + 1)))
     try:
         max_jump = float(np.max(np.abs(np.diff(candidate.time_values(xs)))))
@@ -253,17 +246,13 @@ def _space(fib: Fibers, *, seed: int, checked: bool) -> SamplingSpace:
 
 
 def _sampling_kernel_signal(fib: Fibers) -> Signal:
-    psi = fib.signal
-    zak = fib.zak.values
-    if bool(np.all(_guarded_support(zak, fib.mask))):  # |Z| above its guard on all of E_f
+    psi, zak = fib.signal, fib.zak.values
+    if not psi.grid_model and bool(np.all(_guarded_support(zak, fib.mask))):  # |Z| above its guard on all of E_f
         z0 = complex(zak[0])
         if z0 != 0 and float(np.max(np.abs(zak - z0))) <= 1e-12 * abs(z0):
-            # constant Zak fiber on a full support set: the kernel is the
-            # generator itself, rescaled; keep its exact representation
-            if isinstance(psi, (PiecewiseConstantSpectrum, TimeKernel)):
-                return psi.scaled(1.0 / z0)
-            if isinstance(psi, ShiftCombination):
-                return ShiftCombination(psi.base, psi.coefficients.scaled(1.0 / z0))
+            # constant Zak fiber on a full support set: the kernel is the generator
+            # itself, rescaled (where Z is not 1); keep its exact representation
+            return psi if z0 == 1 else psi.scaled(1.0 / z0)
     return _sampling_function(fib)
 
 
@@ -290,10 +279,9 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> Reconst
 
     Both routes read sum_k f(k) s(x - k), over the stored samples, as the
     synthesis ``ShiftCombination(kernel, samples)``.  Time route (kernel
-    evaluable in closed form): its time values, summed in factored form for
-    an interval-spectrum kernel and through the kernel's values at the
-    differences x - k for a time kernel.  Spectral route (grid kernels): its
-    grid spectrum f_hat = Z_f(0,.) * s_hat, evaluated in time once.  A value
+    evaluable in closed form): its time values, the kernel's ``shift_sum``.
+    Spectral route (a kernel whose ``grid_model`` is all it is): its grid
+    spectrum f_hat = Z_f(0,.) * s_hat, evaluated in time once.  A value
     that is not finite (|x| near 1e300) is refused, never returned.
     """
     if not space.certified:
@@ -305,7 +293,7 @@ def reconstruct(space: SamplingSpace, samples: TimeSamples, x_values) -> Reconst
     kern = space.sampling_spectrum
     grid = space.grid
     half = grid.resolution // 2
-    time_route = isinstance(kern, (PiecewiseConstantSpectrum, TimeKernel, ShiftCombination))
+    time_route = not kern.grid_model
     if not time_route and samples.ks.size and (samples.ks[0] < -half or samples.ks[-1] >= half):
         # the N-point fiber would fold such indices onto others
         reach = max(-int(samples.ks[0]), int(samples.ks[-1]) + 1)

@@ -7,7 +7,9 @@ Fourier series, and set measure is the fraction of unit-grid nodes.
 A spectrum has one layout: its band (``Signal.band_values``), the fold rows that can
 hold a nonzero node, NaN and inf included.  Every sum over the shifts runs over them alone,
 and signals are compared over the hull of their bands (``union_rows``).  The padded 2K x N
-grid is left to the file boundary (``io``) and to a time kernel's quadrature.
+grid is left to the file boundary (``io``) and to a time kernel's quadrature.  What depends
+on the representation, each signal states: ``fibers`` reads its samples (``integer_samples``,
+given the cells' periodization) and its ``exact_profile``, and tests no class.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 
 from .errors import DegenerateSpaceError, NotAGrammianError
 from .grid import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
-from .signals import (PeriodizedProfile, PiecewiseConstantSpectrum, ShiftCombination, Signal, _period_samples,
-                      _support_shifts, dual_energy, pad_band, require_finite, twisted_sum)
+from .signals import PeriodizedProfile, Signal, dual_energy, pad_band, require_finite, twisted_sum
 
 DEFAULT_EPS = 1e-9
 DEFAULT_K_MAX = 512
@@ -128,7 +129,7 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
     A signal with a support (time kernels and their finite shift
     combinations) is summed directly and exactly, in one time_values call
     at every probe x, first reduced to [0, 1) exactly, plus each of its
-    ``_support_shifts``: the sum is 1-periodic in x, and far offsets keep
+    ``support_shifts``: the sum is 1-periodic in x, and far offsets keep
     their shifts in range.  Purely spectral representations use the Parseval
     identity sum_k |f(x+k)|^2 = integral over one period of |Z_f(x, .)|^2 over the
     pieces of ``PeriodizedProfile.of`` the signal.  Writing omega = m + t with integer
@@ -142,7 +143,7 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
     if not np.all(np.isfinite(xs)):
         sums = np.full(1, np.nan)
     elif direct:
-        points = np.add.outer(xs - np.floor(xs), _support_shifts(f))
+        points = np.add.outer(xs - np.floor(xs), f.support_shifts())
         sums = np.sum(np.abs(f.time_values(points)) ** 2, axis=1)
     else:
         prof = PeriodizedProfile.of(f, grid)
@@ -171,17 +172,8 @@ class Fibers:
 
     @cached_property
     def profile(self) -> PeriodizedProfile:
-        """``PeriodizedProfile.of`` the signal, which theorems 5 and sz04 read; built on first read."""
-        exact = isinstance(self.signal, PiecewiseConstantSpectrum)
-        return PeriodizedProfile.of(self.signal, self.grid) if exact else self.cells
-
-
-def _sampled_zak(f: Signal, z: np.ndarray, grid: FrequencyGrid, k_max: int) -> tuple[TimeSamples, PeriodicSpectrum]:
-    """f's integer samples, by its own rule or from the inverse DFT of its periodization z
-    (a truncated Fourier series below N/2), and the Zak fiber Z_f(0, .) of them."""
-    own = f.support or isinstance(f, ShiftCombination)  # one sampling rule per signal
-    samples = f.integer_samples(grid, k_max) if own else _period_samples(np.fft.ifft(z), k_max)
-    return samples, zak_time_fiber(samples, grid)
+        """``PeriodizedProfile.of`` the signal, which theorems 5 and sz04 read: its exact profile, else the cells."""
+        return self.signal.exact_profile or self.cells
 
 
 def _cells_and_mask(f: Signal, grid: FrequencyGrid, eps: float) -> tuple[slice, PeriodizedProfile, SupportMask]:
@@ -196,9 +188,10 @@ def _cells_and_mask(f: Signal, grid: FrequencyGrid, eps: float) -> tuple[slice, 
 
 def fibers(f: Signal, grid: FrequencyGrid, eps: float = DEFAULT_EPS,
            k_max: int = DEFAULT_K_MAX) -> Fibers:
-    """Build the Fibers record of f on the grid (``_cells_and_mask``, then f's samples and Zak fiber)."""
+    """Build f's Fibers record on the grid: ``_cells_and_mask``, then f's samples (given the cells' z), Zak fiber."""
     band, cells, mask = _cells_and_mask(f, grid, eps)
-    return Fibers(f, grid, band, cells, mask, *_sampled_zak(f, cells.z, grid, k_max))
+    samples = f.integer_samples(grid, k_max, cells.z)
+    return Fibers(f, grid, band, cells, mask, samples, zak_time_fiber(samples, grid))
 
 
 def integer_samples(f: Signal, grid: FrequencyGrid, k_max: int = DEFAULT_K_MAX) -> TimeSamples:

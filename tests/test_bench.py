@@ -1,11 +1,14 @@
-"""The end-to-end bench (``bench/cli.py``) and the summaries ``bench/harness.py`` writes."""
+"""The end-to-end bench (``bench/cli.py``), the summaries ``bench/harness.py`` writes and the
+byte-for-byte comparison of two trees (``bench/identical.py``)."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sisbox
@@ -21,6 +24,16 @@ def harness():
     finally:
         sys.path.remove(str(BENCH))
     return harness
+
+
+@pytest.fixture(scope="module")
+def identical():
+    sys.path.insert(0, str(BENCH))
+    try:
+        import identical
+    finally:
+        sys.path.remove(str(BENCH))
+    return identical
 
 
 def test_cli_worker_imports_neither_numpy_nor_sisbox(tmp_path):
@@ -58,3 +71,28 @@ def test_summary_reads_cpu_and_the_largest_max_rss(harness):
 def test_summary_of_seconds_alone(harness):
     assert harness._summary([0.001, 0.003, 0.002]) == {"ms": 2.0, "iqr_ms": 1.0}
     assert harness._totals({"a": {"ms": 2.0, "iqr_ms": 1.0}}) == {"ms": 2.0}
+
+
+def test_identical_reads_no_difference_between_a_tree_and_itself(identical):
+    # an A/A run on one small grid: two workers, each in a fresh interpreter
+    src = str(Path(sisbox.__file__).resolve().parents[1])
+    a, b = identical.dumps([src, src], grids=[(16, 256)], cli=False)
+    assert len(a) > 1000 and identical.differing(a, b) == []
+    assert a["16x256 hat build_space/sampling_spectrum"] == "TimeKernel"
+    assert a["16x256 ex2 fibers"].startswith("BandwidthOverflowError")  # a refusal is dumped too
+
+
+def test_identical_flags_a_float_one_ulp_off(identical):
+    grid = sisbox.FrequencyGrid(16, 256)
+    space = sisbox.build_space(sisbox.build_signal("shannon", grid), grid)
+    low, high = space.frame_bounds
+    bumped = dataclasses.replace(space, frame_bounds=(np.nextafter(low, 2.0), high))
+    a, b = {}, {}
+    identical.flatten(a, "space", space)
+    identical.flatten(b, "space", bumped)
+    assert identical.differing(a, b) == ["space/frame_bounds/0"]
+    values = space.grammian.values.copy()
+    values[3] = np.nextafter(values[3], np.inf)
+    identical.flatten(b, "space/grammian/values", values)
+    assert identical.differing(a, b) == ["space/frame_bounds/0", "space/grammian/values"]
+    assert identical.differing(a, {**a, "new key": "0"}) == ["new key"]
