@@ -42,11 +42,11 @@ def worker(src: str, order) -> dict:
             stages = {"synthesize": lambda: sisbox.synthesize(space, coeffs),
                       "integer_samples": lambda: sisbox.integer_samples(out["synthesize"], grid, space.k_max),
                       "time_route": lambda: sisbox.ShiftCombination(kern, out["integer_samples"]).time_values(xs),
-                      "spectral_route": lambda: sisbox.GridSpectrum(sisbox.ShiftCombination(
-                          kern, out["integer_samples"]).grid_values(grid), grid).time_values(xs),
+                      "spectral_route": lambda: sisbox.GridSpectrum.from_band(*sisbox.ShiftCombination(
+                          kern, out["integer_samples"]).band_values(grid), grid).time_values(xs),
                       "exact_time_values": lambda: out["synthesize"].time_values(xs)}
             for stage, call in stages.items():
-                if stage == "time_route" and isinstance(kern, sisbox.GridSpectrum):
+                if stage == "time_route" and kern.grid_model:
                     continue  # a grid kernel has no closed form: reconstruct takes the spectral route
                 start = time.perf_counter()
                 out[stage] = call()

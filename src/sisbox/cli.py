@@ -6,9 +6,9 @@
     sisbox decompose --space SIGNAL --partition parts.json [--out-prefix p]
     sisbox determine --space SIGNAL --functions f1,f2,... [--out-prefix p]
 
-SIGNAL is a catalog name, a .json interval-spectrum file, or a .csv grid
-spectrum file.  SISBOX_GRID="K,N" overrides the default grid; without
---K, K widens to the band a catalog signal or .json spectrum needs.
+SIGNAL is a catalog name, a .json interval-spectrum file, or a .csv grid spectrum
+file (fold rows, read onto the command's grid).  SISBOX_GRID="K,N" overrides the
+default grid; without --K, K widens to the band a catalog signal or .json spectrum needs.
 
 Exit codes: 0 verdict pass; 2 verdict fail, "refused:" (NotASamplingSpace,
 ConstructionRefused) or "failed:" (NotInSpace, Partition, DegenerateSpace
@@ -38,7 +38,7 @@ from .decomposition import (
     kernel_sum_gap,
     lattice_rescale,
 )
-from .errors import FileFormatError, SisboxError
+from .errors import SisboxError
 from .grid import FrequencyGrid
 from .membership import (
     check_sz04,
@@ -120,14 +120,10 @@ def _resolve_grid(args, refs: list[str]) -> FrequencyGrid:
 
 
 def _load_signal(ref: str, grid: FrequencyGrid, args):
-    if ref.endswith(".json") and Path(ref).exists():
+    if ref.endswith(".json"):
         return sio.read_piecewise_spectrum(ref)
-    if ref.endswith(".csv") and Path(ref).exists():
-        sig = sio.read_grid_spectrum(ref)
-        grid.require_same(sig.grid)
-        return sig
-    if ref.endswith((".json", ".csv")):
-        raise FileFormatError(f"signal file {ref!r} does not exist", line=1)
+    if ref.endswith(".csv"):
+        return sio.read_grid_spectrum(ref, grid)
     return build_signal(ref, grid, args.nmax)
 
 

@@ -5,20 +5,25 @@ from __future__ import annotations
 
 class SisboxError(Exception):
     """Base class for all sisbox errors.  ``kind`` and ``exit_code`` are how
-    the command line reports one; a verdict against the input exits with 2."""
+    the command line reports one; a verdict against the input exits with 2.
+    ``line``, where given, is the 1-based line of the input file at fault."""
 
     kind, exit_code = "error", 1
+
+    def __init__(self, message: str = "", line: int | None = None):
+        self.line = line
+        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class BandwidthOverflowError(SisboxError):
     """Spectrum support exceeds the frequency grid."""
 
-    def __init__(self, required_k: int, actual_k: int):
+    def __init__(self, required_k: int, actual_k: int, line: int | None = None):
         self.required_k = required_k
         self.actual_k = actual_k
         super().__init__(
             f"spectrum support needs half-bandwidth K >= {required_k}, "
-            f"grid has K = {actual_k}"
+            f"grid has K = {actual_k}", line
         )
 
 
@@ -95,9 +100,3 @@ class CatalogError(SisboxError):
 
 class FileFormatError(SisboxError):
     """Malformed input file; carries the 1-based offending line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)

@@ -1,6 +1,6 @@
 """File formats: interval spectra (JSON), grid spectra and samples (CSV),
 partitions (JSON).  Every writer's output re-parses under the matching
-reader."""
+reader.  A grid spectrum's file holds its band's fold rows, read onto the caller's grid."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
-from .grid import FrequencyGrid, SupportMask, TimeSamples, _sorted_unique
+from .errors import BandwidthOverflowError, FileFormatError
+from .grid import FrequencyGrid, SupportMask, TimeSamples, _sorted_unique, pow2_at_least
 from .signals import GridSpectrum, PiecewiseConstantSpectrum
 
 
@@ -28,8 +28,8 @@ def _number(field, line: int) -> float:
 
 def _write_table(path, header: str, *columns) -> None:
     """The header line, then one line per row: the repr of each column's number,
-    formatted a column and 4,096 rows at a time: all 65,536 rows of a grid
-    spectrum at (32, 1024) held as text set the peak memory of ``decompose``."""
+    formatted a column and 4,096 rows at a time: a time kernel's band is all 2K rows,
+    65,536 at (32, 1024), and held as text at once they set a command's peak memory."""
     with open(path, "w") as out:
         out.write(header + "\n")
         for start in range(0, len(columns[0]), 4096):
@@ -104,26 +104,27 @@ def read_piecewise_spectrum(path) -> PiecewiseConstantSpectrum:
 
 
 def write_grid_spectrum(sig: GridSpectrum, path) -> None:
-    _write_table(path, "omega,re,im", sig.grid.omegas, sig.values.real, sig.values.imag)
+    (band, rows), k, n = sig.band_values(sig.grid), sig.grid.half_bandwidth, sig.grid.resolution
+    oms = -k + np.arange(band.start * n, band.stop * n) / n  # grid.omegas' own formula, on the band alone
+    _write_table(path, "omega,re,im", oms, rows.real.ravel(), rows.imag.ravel())
 
 
-def read_grid_spectrum(path) -> GridSpectrum:
-    _, table, lines = _parse_csv_rows(path, "omega,re,im")
-    if len(table) < 4:
-        raise FileFormatError("grid spectrum needs at least 4 rows", line=1)
-    oms, vals = table[:, 0], _complex_column(table)
-    step = oms[1] - oms[0]
-    if step <= 0 or np.max(np.abs(np.diff(oms) - step)) > 1e-9:
-        raise FileFormatError("omega column must be uniformly increasing", line=lines[1])
-    try:  # a step below 1/2^1024 makes N infinite
-        k, n = int(round(-oms[0])), int(round(1.0 / float(step)))  # inf, not a numpy warning
-        grid = FrequencyGrid(k, n)
-    except (ValueError, OverflowError) as exc:
-        raise FileFormatError(f"omegas do not form a power-of-two grid: {exc}", line=1) from exc
-    if len(vals) != grid.size or abs(oms[0] + k) > 1e-9:
-        raise FileFormatError(f"expected {grid.size} rows covering [-{k}, {k}), "
-                              f"got {len(vals)}", line=1)
-    return GridSpectrum(vals, grid)
+def read_grid_spectrum(path, grid: FrequencyGrid) -> GridSpectrum:
+    """A file's whole fold rows placed on grid, trimmed to the nonzero ones; a nonzero row past K is refused."""
+    (_, table, lines), k, n = _parse_csv_rows(path, "omega,re,im"), grid.half_bandwidth, grid.resolution
+    if len(table) % n:
+        raise FileFormatError(f"a fold row has N = {n} nodes, the last {len(table) % n}", line=lines[-(len(table) % n)])
+    first = round(float(table[0, 0])) if len(table) else 0  # the shift m of the first row
+    with np.errstate(over="ignore"):  # omegas of opposite signs near 1e308 differ by inf
+        off = np.flatnonzero(~(np.abs(table[:, 0] - (first + np.arange(len(table)) / n)) <= 1e-9))
+    if off.size:
+        raise FileFormatError(f"expected omega {first + int(off[0]) / n!r} (N = {n})", line=lines[off[0]])
+    nonzero = np.flatnonzero((rows := _complex_column(table).reshape(-1, n)).any(axis=1))
+    lo, hi = (first + int(nonzero[0]), first + int(nonzero[-1]) + 1) if nonzero.size else (-k, -k)
+    if lo < -k or hi > k:  # lo and hi: the shifts m of the first and past the last nonzero row
+        past = lo if lo < -k else hi - 1  # a nonzero row past K, named by its first line
+        raise BandwidthOverflowError(pow2_at_least(max(-lo, hi)), k, line=lines[(past - first) * n])
+    return GridSpectrum.from_band(slice(k + lo, k + hi), rows[lo - first:hi - first], grid)
 
 
 def write_samples(samples: TimeSamples, path) -> None:

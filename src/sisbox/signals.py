@@ -672,6 +672,13 @@ class GridSpectrum(Signal):
     def time_values(self, xs) -> np.ndarray:
         return _grid_time_values(self.band, self.rows, self.grid, np.asarray(xs, dtype=float))
 
+    def shift_sum(self, coefficients: TimeSamples, xs: np.ndarray) -> np.ndarray:
+        """At uniform points one ``time_values`` call per shift, its x - k uniform: the chirp route."""
+        if _uniform_spacing(xs) is None:
+            return super().shift_sum(coefficients, xs)
+        return sum((c * self.time_values(xs - k) for k, c in zip(coefficients.ks, coefficients.values)),
+                   np.zeros(xs.size, dtype=complex))
+
 
 class TimeKernel(Signal):
     """Compactly supported continuous time function given by an evaluator.

@@ -6,8 +6,8 @@ the grid holds, the time fiber of a sample sequence is an exact discrete
 Fourier series, and set measure is the fraction of unit-grid nodes.
 A spectrum has one layout: its band (``Signal.band_values``), the fold rows that can
 hold a nonzero node, NaN and inf included.  Every sum over the shifts runs over them alone,
-and signals are compared over the hull of their bands (``union_rows``).  The padded 2K x N
-grid is left to the file boundary (``io``) and to a time kernel's quadrature.  What depends
+and signals are compared over the hull of their bands (``union_rows``); files hold it too
+(``io``).  The padded 2K x N grid is left to a time kernel's quadrature and ``grid_values``.  What depends
 on the representation, each signal states: ``fibers`` reads its samples (``integer_samples``,
 given the cells' periodization) and its ``exact_profile``, and tests no class.
 """

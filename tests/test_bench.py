@@ -59,6 +59,22 @@ def test_cli_worker_imports_neither_numpy_nor_sisbox(tmp_path):
     assert 0 < cpu and 0 < wall < 30 and faults > 0 and maxrss_kb > 0
 
 
+def test_benchmark_cli_path_imports_neither_numpy_nor_sisbox():
+    # perfbench's cli_mix reads peak_rss_mb from the commands it spawns, whose ru_maxrss starts
+    # from the resident size of the process that forked them: that process must stay small
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = ("import importlib.util, json, sys\n"
+            f"sys.path.insert(0, {str(perfbench)!r})\n"
+            f"spec = importlib.util.spec_from_file_location('perfbench_run', {str(perfbench / 'run.py')!r})\n"
+            "run = importlib.util.module_from_spec(spec); spec.loader.exec_module(run)\n"
+            "import tracing, workloads\n"
+            "argvs = [run.cli_command(argv) for _, argv in workloads.cli_matrix(0)]\n"
+            "print(json.dumps([len(argvs), sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'sisbox'))]))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=perfbench.parent, capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout) == [13, []]
+
+
 def test_summary_reads_cpu_and_the_largest_max_rss(harness):
     repeats = [[0.2, 10, 0.15, 30000], [0.4, 30, 0.25, 32000], [0.3, 20, 0.2, 31000]]
     summary = harness._summary({"cmd": repeats, "other": repeats[:2]})

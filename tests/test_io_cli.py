@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import warnings
@@ -5,19 +6,24 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import SYNTHESIS_POINTS
 from sisbox import (
     FrequencyGrid,
     GridSpectrum,
+    PeriodicPartition,
     PiecewiseConstantSpectrum,
     TimeSamples,
     build_signal,
+    build_space,
     check_sz04,
     check_sz99,
+    construct_s_from_f,
+    decompose,
     integer_samples,
 )
 from sisbox import io as sio
 from sisbox.cli import main
-from sisbox.errors import FileFormatError
+from sisbox.errors import BandwidthOverflowError, FileFormatError
 from sisbox.reports import ConditionCheck, ReportDocument
 
 
@@ -36,8 +42,8 @@ class TestFileFormats:
         sig = GridSpectrum(rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size), grid)
         path = tmp_path / "spec.csv"
         sio.write_grid_spectrum(sig, path)
-        back = sio.read_grid_spectrum(path)
-        assert back.grid == grid
+        back = sio.read_grid_spectrum(path, grid)
+        assert back.grid == grid and back.band == sig.band
         np.testing.assert_array_equal(back.values, sig.values)
 
     def test_samples_roundtrip(self, tmp_path):
@@ -97,9 +103,10 @@ class TestFileFormats:
         want = "k,re,im\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
         assert (tmp_path / "t.csv").read_bytes() == want.encode()
 
-    @pytest.mark.parametrize("reader", [sio.read_samples, sio.read_reconstruction_csv,
-                                        sio.read_periodic_csv, sio.read_grid_spectrum,
-                                        sio.read_piecewise_spectrum, sio.read_partition])
+    @pytest.mark.parametrize("reader", [
+        sio.read_samples, sio.read_reconstruction_csv, sio.read_periodic_csv,
+        pytest.param(functools.partial(sio.read_grid_spectrum, grid=FrequencyGrid(1, 2)), id="read_grid_spectrum"),
+        sio.read_piecewise_spectrum, sio.read_partition])
     def test_missing_file_is_a_format_error(self, tmp_path, reader):
         with pytest.raises(FileFormatError, match="cannot read"):
             reader(tmp_path / "missing.txt")
@@ -130,7 +137,8 @@ class TestFileFormats:
         (sio.read_samples, "k,re,im\n0,1,-inf\n", 2),
         (sio.read_reconstruction_csv, "x,re,im\n0.5,1,0\ninf,0,0\n", 3),
         (sio.read_periodic_csv, "omega,grammian\n0,1\n0.5,NaN\n", 3),
-        (sio.read_grid_spectrum, "omega,re,im\n-1,1,0\n-0.5,1,0\n0,nan,0\n0.5,1,0\n", 4),
+        (functools.partial(sio.read_grid_spectrum, grid=FrequencyGrid(1, 2)),
+         "omega,re,im\n-1,1,0\n-0.5,1,0\n0,nan,0\n0.5,1,0\n", 4),
         (sio.read_piecewise_spectrum, '[{"a": 0, "b": 1, "re": 1},\n {"a": 1, "b": 2, "re": NaN}]', 2),
         (sio.read_piecewise_spectrum, '[{"a": 0, "b": Infinity, "re": 1}]', 1),
     ], ids=["samples-nan", "samples-inf", "reconstruction-inf", "periodic-nan", "grid-nan",
@@ -148,6 +156,85 @@ class TestFileFormats:
         with pytest.raises(FileFormatError) as err:
             sio.read_piecewise_spectrum(path)
         assert err.value.line == 2
+
+
+def spectrum_on_rows(grid, rows, seed=0):
+    """A grid spectrum with seeded nonzero values on the given fold rows alone."""
+    rng, folded = np.random.default_rng(seed), np.zeros((2 * grid.half_bandwidth, grid.resolution), dtype=complex)
+    shape = (len(rows), grid.resolution)
+    folded[rows] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return GridSpectrum(folded.ravel(), grid)
+
+
+class TestBandFiles:
+    """A grid spectrum's file holds the whole fold rows of its band, read onto the caller's grid."""
+
+    GRID = FrequencyGrid(8, 64)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: build_signal("blhat", g),
+        lambda g: GridSpectrum(np.zeros(g.size), g),  # the header alone
+        lambda g: spectrum_on_rows(g, [0, 2]),  # from row 0, a zero row inside the band
+        lambda g: spectrum_on_rows(g, [2 * g.half_bandwidth - 1]),
+        lambda g: GridSpectrum.from_band(*build_signal("hat", g).band_values(g), g),  # all 2K rows
+    ], ids=["blhat", "zero", "row-0", "row-2K-1", "hat"])
+    def test_roundtrip_keeps_the_rows(self, tmp_path, make):
+        sig, path = make(self.GRID), tmp_path / "s.csv"
+        sio.write_grid_spectrum(sig, path)
+        back = sio.read_grid_spectrum(path, self.GRID)
+        n = self.GRID.resolution
+        assert len(path.read_text().splitlines()) == 1 + (sig.band.stop - sig.band.start) * n
+        assert back.band == sig.band
+        np.testing.assert_array_equal(back.rows, sig.rows)
+
+    @pytest.mark.parametrize("rows", [[7, 8], [8], [0, 15], [3, 4, 6]])
+    def test_full_grid_file_reads_as_its_band(self, tmp_path, rows):
+        # the layout of every earlier writer: one line per node of the grid
+        grid, path = self.GRID, tmp_path / "full.csv"
+        v = spectrum_on_rows(grid, rows).values
+        sio._write_table(path, "omega,re,im", grid.omegas, v.real, v.imag)
+        back, want = sio.read_grid_spectrum(path, grid), GridSpectrum(v, grid)
+        assert back.band == want.band
+        np.testing.assert_array_equal(back.rows, want.rows)
+
+    def test_zero_edge_rows_are_written_and_trimmed(self, tmp_path):
+        # a band held with a zero edge row (a decompose component's) writes it; the reader trims it
+        grid, rows = self.GRID, spectrum_on_rows(self.GRID, [8]).rows
+        held = GridSpectrum.from_band(slice(7, 9), np.vstack([np.zeros((1, grid.resolution)), rows]), grid)
+        sio.write_grid_spectrum(held, tmp_path / "c.csv")
+        assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + 2 * grid.resolution
+        back = sio.read_grid_spectrum(tmp_path / "c.csv", grid)
+        assert back.band == slice(8, 9)
+        np.testing.assert_array_equal(back.rows, rows)
+
+    def test_a_wider_grid_reads_the_same_function(self, tmp_path, grid):
+        blhat = build_signal("blhat", grid)
+        sio.write_grid_spectrum(blhat, tmp_path / "b.csv")
+        wide = FrequencyGrid(64, grid.resolution)
+        back = sio.read_grid_spectrum(tmp_path / "b.csv", wide)
+        assert back.grid == wide and back.band == slice(63, 65)
+        xs = np.concatenate([np.linspace(-8.0, 8.0, 1000), SYNTHESIS_POINTS])
+        np.testing.assert_array_equal(back.time_values(xs), blhat.time_values(xs))
+
+    @pytest.mark.parametrize("text, argv, error, line", [
+        ("-1,1,0\n-0.5,1,0\n0,1,0\n", [], FileFormatError, 4),  # a partial fold row
+        ("-1,1,0\n-0.25,1,0\n", [], FileFormatError, 3),  # an omega off its node
+        ("-1,1,0\n-0.75,1,0\n-0.5,1,0\n-0.25,1,0\n", [], FileFormatError, 3),  # written at N = 4
+        ("0,0,0\n0.5,0,0\n1,1,0\n1.5,1,0\n", [], BandwidthOverflowError, 4),  # the row m = 1, past K = 1
+        ("-0.5,1,0\n0,1,0\n", [], FileFormatError, 2),  # a row must start at an integer
+        ("-1,1,0\n-0.5,1,0\n0,1,0\n0.5,1,0\n", ["--N", "4"], FileFormatError, 3),  # written at N = 2
+    ], ids=["partial-row", "off-node", "wrong-N", "past-K", "mid-row-start", "wrong-N-cli"])
+    def test_refusals_are_typed_and_exit_1(self, tmp_path, capsys, text, argv, error, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("omega,re,im\n" + text)
+        grid = FrequencyGrid(1, 4 if argv else 2)
+        with pytest.raises(error) as err:
+            sio.read_grid_spectrum(path, grid)
+        assert err.value.line == line
+        if error is BandwidthOverflowError:
+            assert err.value.required_k == 2
+        assert main(["analyze", str(path), "--K", "1", "--N", "2", *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
 class TestReportDocument:
@@ -249,14 +336,20 @@ class TestCLI:
         out = tmp_path / "kernel.csv"
         rc = run_cli(["membership", "ex2", "--theorem", "5", "--emit-s", str(out)])
         assert rc == 0
-        kernel = sio.read_grid_spectrum(out)
-        assert kernel.grid.half_bandwidth == 64
+        grid = FrequencyGrid(64, 1024)  # ex2 widens the default grid to K = 64
+        kernel = sio.read_grid_spectrum(out, grid)
+        want = construct_s_from_f(build_signal("ex2", grid), grid).sampling_spectrum
+        assert kernel.band == want.band
+        np.testing.assert_array_equal(kernel.rows, want.rows)
+        with pytest.raises(BandwidthOverflowError) as err:
+            sio.read_grid_spectrum(out, FrequencyGrid(32, 1024))
+        assert err.value.required_k == 64
 
     def test_membership_theorem5_emits_truncated_time_kernel(self, tmp_path):
         out = tmp_path / "hat_kernel.csv"
         rc = run_cli(["membership", "hat", "--theorem", "5", "--emit-s", str(out)])
         assert rc == 0
-        kernel = sio.read_grid_spectrum(out)
+        kernel = sio.read_grid_spectrum(out, FrequencyGrid(32, 1024))
         samples = integer_samples(kernel, kernel.grid, 512)
         delta = np.where(samples.ks == 0, 1.0, 0.0)
         assert float(np.max(np.abs(samples.values - delta))) < 1e-6
@@ -306,9 +399,14 @@ class TestCLI:
         rc = run_cli(["decompose", "--space", "shannon", "--partition", str(parts),
                       "--out-prefix", prefix])
         assert rc == 0
-        for j in range(2):
-            kernel = sio.read_grid_spectrum(f"{prefix}_{j}.csv")
-            assert kernel.grid == FrequencyGrid(32, 1024)
+        grid = FrequencyGrid(32, 1024)
+        space = build_space(build_signal("shannon", grid), grid)
+        halves = PeriodicPartition.from_intervals([[(0.0, 0.5)], [(0.5, 1.0)]], grid)
+        for j, comp in enumerate(decompose(space, halves)):
+            # the band's two fold rows (shifts -1 and 0), one of them zero: 2,048 nodes and the header
+            assert len((tmp_path / f"comp_{j}.csv").read_text().splitlines()) == 2049
+            kernel = sio.read_grid_spectrum(f"{prefix}_{j}.csv", grid)
+            np.testing.assert_array_equal(kernel.values, comp.sampling_spectrum.values)
 
     @pytest.mark.parametrize("space", ["hat", "ex3"])
     def test_decompose_time_kernel_halves(self, tmp_path, space):
@@ -378,8 +476,7 @@ class TestCLI:
         assert run_cli(["analyze", "blhat"]) == 0
         assert from_file == capsys.readouterr().out.replace("signal=blhat", f"signal={path}")
         assert run_cli(["analyze", str(path), "--N", "2048"]) == 1
-        assert capsys.readouterr().err == (
-            "error: grid (K=32, N=2048) does not match (K=32, N=1024)\n")
+        assert capsys.readouterr().err == "error: line 3: expected omega -0.99951171875 (N = 2048)\n"
 
     def test_env_grid_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SISBOX_GRID", "16,512")
@@ -462,7 +559,7 @@ ERROR_CASES = [
     (["analyze", "ex2", "--nmax", "1100"], 1, "error: n_max = 1100"),
     # the block [64, 64 + 2^-64) does not fit K = 64
     (["analyze", "ex2", "--nmax", "64", "--K", "64"], 1, "error: spectrum support needs"),
-    (["analyze", "{d}/tiny_step.csv"], 1, "error: line 1: omegas do not form a power-of-two grid"),
+    (["analyze", "{d}/tiny_step.csv", "--K", "1", "--N", "2"], 1, "error: line 3: expected omega 0.5 (N = 2)"),
     (["reconstruct", "--space", "shannon", "--samples", "{d}/huge_index.csv",
       "--out", "{d}/rec.csv"], 1, "error: line 2: sample index 1e+300 is not a machine integer"),
     # at eps >= 1 every support set is empty and every criterion vacuous
@@ -482,9 +579,10 @@ ERROR_CASES = [
     (["analyze", "{d}/not_a_list.json"], 1, "error: line 1: expected a JSON list"),
     (["analyze", "{d}/no_ends.json"], 1, "error: line 1: record 0 must carry keys a, b"),
     (["analyze", "{d}/overlapping.json"], 1, "error: line 1: intervals overlap"),
-    (["analyze", "{d}/three_rows.csv"], 1, "error: line 1: grid spectrum needs at least 4 rows"),
-    (["analyze", "{d}/uneven_omega.csv"], 1, "error: line 3: omega column must be uniformly"),
-    (["analyze", "{d}/five_rows.csv"], 1, "error: line 1: expected 4 rows covering [-1, 1), got 5"),
+    (["analyze", "{d}/three_rows.csv"], 1, "error: line 2: a fold row has N = 1024 nodes, the last 3"),
+    (["analyze", "{d}/uneven_omega.csv", "--K", "1", "--N", "2"], 1, "error: line 4: expected omega 0.0 (N = 2)"),
+    (["analyze", "{d}/five_rows.csv", "--K", "1", "--N", "2"], 1,
+     "error: line 6: a fold row has N = 2 nodes, the last 1"),
     (["reconstruct", "--space", "shannon", "--samples", "{d}/duplicate.csv",
       "--out", "{d}/rec.csv"], 1, "error: line 1: duplicate sample indices"),
     (["decompose", "--space", "shannon", "--partition", "{d}/no_masks.json"], 1,
@@ -507,6 +605,7 @@ def error_inputs(tmp_path):
     (tmp_path / "huge_index.csv").write_text("k,re,im\n1e300,1,0\n")
     (tmp_path / "huge_values.csv").write_text("k,re,im\n0,1.7e308,0\n1,1.7e308,0\n")
     (tmp_path / "tiny_step.csv").write_text("omega,re,im\n0,1,0\n1e-320,1,0\n2e-320,1,0\n3e-320,1,0\n")
+    (tmp_path / "huge_step.csv").write_text("omega,re,im\n1.7e308,1,0\n-1.7e308,1,0\n")
     sio.write_partition([[[0.0, 0.7]], [[0.5, 1.0]]], tmp_path / "overlap.json")
     (tmp_path / "not_a_list.json").write_text('{"a": 0, "b": 1}')
     (tmp_path / "no_ends.json").write_text('[{"re": 1}]')
@@ -535,7 +634,7 @@ def test_error_exit_codes_without_traceback(error_inputs, capsys, argv, code, pr
      "error: line 2: sample index 1e+300 is not a machine integer"),
     (["reconstruct", "--space", "shannon", "--samples", "{d}/huge_values.csv", "--from", "0",
       "--to", "1", "--points", "3", "--out", "{d}/rec.csv"], "error: reconstruction is not finite"),
-    (["analyze", "{d}/tiny_step.csv"], "error: line 1: omegas do not form a power-of-two grid")],
+    (["analyze", "{d}/huge_step.csv", "--K", "1", "--N", "2"], "error: line 3: expected omega 1.7e+308 (N = 2)")],
     ids=["index-cast", "value-overflow", "step-overflow"])
 def test_refusal_raises_no_numpy_warning(error_inputs, capsys, argv, prefix):
     # the error line is all stderr carries: no cast or overflow warning ahead of it

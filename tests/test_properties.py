@@ -215,4 +215,4 @@ def test_grid_spectra_read_from_files_pad_their_band(tmp_path_factory, seed):
     vals[nodes] = rng.standard_normal(nodes.size) + 1j * rng.standard_normal(nodes.size)
     path = tmp_path_factory.mktemp("io") / "spectrum.csv"
     sio.write_grid_spectrum(GridSpectrum(vals, BAND_GRID), path)
-    assert_band_pads_to(sio.read_grid_spectrum(path), BAND_GRID, vals)
+    assert_band_pads_to(sio.read_grid_spectrum(path, BAND_GRID), BAND_GRID, vals)

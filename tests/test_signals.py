@@ -628,6 +628,25 @@ class TestShiftCombination:
         # an unreduced phase exp(-2i*pi*e*k) alone costs 6.5e-14 here
         assert self.synthesis_error(base, coeffs, xs) <= 1e-14
 
+    def test_grid_base_at_uniform_points_takes_one_call_per_shift(self, blhat, monkeypatch):
+        # each shift's points x - k are uniform, so each takes the chirp route: 1,000
+        # points a call, not every (point, shift) difference at once (17,000)
+        coeffs, xs = random_coefficients(47), np.linspace(-8.0, 8.0, 1000)
+        want = signals.Signal.shift_sum(blhat, coeffs, xs)
+        sizes, time_values = [], GridSpectrum.time_values
+        monkeypatch.setattr(GridSpectrum, "time_values",
+                            lambda self, x: sizes.append(np.size(x)) or time_values(self, x))
+        got = ShiftCombination(blhat, coeffs).time_values(xs)
+        assert sizes == [1000] * 17
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        np.testing.assert_array_equal(blhat.shift_sum(TimeSamples.from_pairs({}), xs), np.zeros(1000))
+
+    def test_grid_base_elsewhere_keeps_the_generic_sum(self, blhat):
+        # at points that are not uniform the sum is the generic one, bit for bit
+        coeffs = random_coefficients(47)
+        got = ShiftCombination(blhat, coeffs).time_values(SYNTHESIS_POINTS)
+        np.testing.assert_array_equal(got, signals.Signal.shift_sum(blhat, coeffs, SYNTHESIS_POINTS))
+
     @pytest.mark.parametrize("name", ["ex2", "hat", "blhat"])
     def test_blocks_do_not_change_the_sum(self, name, request, monkeypatch):
         # one block, then one point (factored sum's phase table; poles land in every block)
