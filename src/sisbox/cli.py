@@ -6,9 +6,9 @@
     sisbox decompose --space SIGNAL --partition parts.json [--out-prefix p]
     sisbox determine --space SIGNAL --functions f1,f2,... [--out-prefix p]
 
-SIGNAL is a catalog name, a .json interval-spectrum file, or a .csv grid spectrum
-file (fold rows, read onto the command's grid).  SISBOX_GRID="K,N" overrides the
-default grid; without --K, K widens to the band a catalog signal or .json spectrum needs.
+SIGNAL is a catalog name, a .json interval-spectrum file, or a .csv grid spectrum file
+(fold rows, placed by their shifts); each is loaded once.  SISBOX_GRID="K,N" overrides the
+default grid; without --K, K widens to the band the widest input needs, whatever its kind.
 
 Exit codes: 0 verdict pass; 2 verdict fail, "refused:" (NotASamplingSpace,
 ConstructionRefused) or "failed:" (NotInSpace, Partition, DegenerateSpace
@@ -24,13 +24,12 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import io as sio
-from .catalog import build_signal, catalog_names
+from .catalog import build_signal
 from .decomposition import (
     PeriodicPartition,
     check_determining_set,
@@ -100,23 +99,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", type=str, default=None, help="write the report document here")
 
 
-def _resolve_grid(args, refs: list[str]) -> FrequencyGrid:
-    k_env, n_env = _default_grid()
-    k = args.K if args.K is not None else k_env
-    n = args.N if args.N is not None else n_env
+def _inputs(args, *refs: str) -> tuple[FrequencyGrid, list]:
+    """The command's grid and its input signals, each loaded once."""
+    k, n = _default_grid()
     try:
-        grid = FrequencyGrid(k, n)
+        grid = FrequencyGrid(args.K if args.K is not None else k, args.N if args.N is not None else n)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
+    signals = [_load_signal(ref, grid, args) for ref in refs]
     if args.K is None:
-        # widen for catalog signals and interval-spectrum files whose spectrum
-        # does not fit the default; past WIDEN_MAX_NODES, --K must ask for it
-        for ref in refs:
-            if ref in catalog_names() or (ref.endswith(".json") and Path(ref).exists()):
-                need = _load_signal(ref, grid, args).required_half_bandwidth() or 0
-                if need > grid.half_bandwidth and 2 * need * grid.resolution <= WIDEN_MAX_NODES:
-                    grid = FrequencyGrid(need, grid.resolution)
-    return grid
+        # widen to the band each input needs, whatever its kind; past WIDEN_MAX_NODES, --K must ask for it
+        for need in (f.required_half_bandwidth() or 0 for f in signals):
+            if need > grid.half_bandwidth and 2 * need * grid.resolution <= WIDEN_MAX_NODES:
+                grid = FrequencyGrid(need, grid.resolution)
+    return grid, signals
 
 
 def _load_signal(ref: str, grid: FrequencyGrid, args):
@@ -157,15 +153,8 @@ def _signal_tails(sig, grid: FrequencyGrid) -> dict:
     return {"spectral": sig.spectral_tail_energy(grid), "series": sig.series_tail}
 
 
-def _space(args, grid: FrequencyGrid):
-    """The certified space of the --space generator."""
-    gen = _load_signal(args.space, grid, args)
-    return build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
-
-
 def cmd_analyze(args) -> _Outcome:
-    grid = _resolve_grid(args, [args.signal])
-    sig = _load_signal(args.signal, grid, args)
+    grid, (sig,) = _inputs(args, args.signal)
     fib = fibers(sig, grid, args.eps, args.kmax)
     g, mask = fib.grammian, fib.mask
     bounds = essential_bounds(g, mask) if not mask.is_empty else (0.0, 0.0)
@@ -203,10 +192,10 @@ _CRITERIA = {
 
 
 def cmd_membership(args) -> _Outcome:
-    grid = _resolve_grid(args, [args.signal, args.space])
-    sig = _load_signal(args.signal, grid, args)
+    refs = [args.signal, args.space] if args.theorem == "1" else [args.signal]  # --space: theorem 1's alone
+    grid, (sig, *gen) = _inputs(args, *refs)
     if args.theorem == "1":
-        sub = induced_subspace(_space(args, grid), sig)
+        sub = induced_subspace(build_space(gen[0], grid, eps=args.eps, k_max=args.kmax, seed=args.seed), sig)
         criterion, checks = "theorem1", sub.checks
         results = {"induced": {**{c.name: c for c in checks},
                                "subspace_measure": sub.space.mask.measure}}
@@ -230,8 +219,8 @@ def cmd_membership(args) -> _Outcome:
 
 
 def cmd_reconstruct(args) -> _Outcome:
-    grid = _resolve_grid(args, [args.space])
-    space = _space(args, grid)
+    grid, (gen,) = _inputs(args, args.space)
+    space = build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
     samples = sio.read_samples(args.samples, k_max=args.kmax)
     xs = np.linspace(args.x_from, args.x_to, args.points)
 
@@ -261,8 +250,8 @@ def cmd_reconstruct(args) -> _Outcome:
 
 
 def cmd_decompose(args) -> _Outcome:
-    grid = _resolve_grid(args, [args.space])
-    space = _space(args, grid)
+    grid, (gen,) = _inputs(args, args.space)
+    space = build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
     groups = sio.read_partition(args.partition)
     components = decompose(space, PeriodicPartition.from_intervals(groups, grid))
 
@@ -285,9 +274,8 @@ def cmd_decompose(args) -> _Outcome:
 
 def cmd_determine(args) -> _Outcome:
     refs = [ref.strip() for ref in args.functions.split(",")]
-    grid = _resolve_grid(args, [args.space, *refs])
-    space = _space(args, grid)
-    funcs = [_load_signal(ref, grid, args) for ref in refs]
+    grid, (gen, *funcs) = _inputs(args, args.space, *refs)
+    space = build_space(gen, grid, eps=args.eps, k_max=args.kmax, seed=args.seed)
     report = check_determining_set(space, funcs)
 
     print(f"[determine] union measure={report.union_mask.measure:.6g} "
@@ -375,7 +363,7 @@ def main(argv=None) -> int:
         return _run(_build_parser().parse_args(argv))
     except SisboxError as exc:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
-        _print_failed(getattr(getattr(exc, "report", None), "checks", ()))
+        _print_failed(getattr(exc.report, "checks", ()))  # an sz99 certificate has no checks
         return exc.exit_code
 
 

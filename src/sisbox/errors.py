@@ -6,25 +6,22 @@ from __future__ import annotations
 class SisboxError(Exception):
     """Base class for all sisbox errors.  ``kind`` and ``exit_code`` are how
     the command line reports one; a verdict against the input exits with 2.
-    ``line``, where given, is the 1-based line of the input file at fault."""
+    ``line``, where given, is the 1-based line of the input file at fault;
+    ``report``, the failed report a refusal carries (its checks are printed)."""
 
     kind, exit_code = "error", 1
 
-    def __init__(self, message: str = "", line: int | None = None):
-        self.line = line
+    def __init__(self, message: str = "", line: int | None = None, report=None):
+        self.line, self.report = line, report
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
 class BandwidthOverflowError(SisboxError):
     """Spectrum support exceeds the frequency grid."""
 
-    def __init__(self, required_k: int, actual_k: int, line: int | None = None):
-        self.required_k = required_k
-        self.actual_k = actual_k
-        super().__init__(
-            f"spectrum support needs half-bandwidth K >= {required_k}, "
-            f"grid has K = {actual_k}", line
-        )
+    def __init__(self, required_k: int, actual_k: int):
+        self.required_k, self.actual_k = required_k, actual_k
+        super().__init__(f"spectrum support needs half-bandwidth K >= {required_k}, grid has K = {actual_k}")
 
 
 class GridMismatchError(SisboxError):
@@ -45,10 +42,6 @@ class NotASamplingSpaceError(SisboxError):
     """The candidate fails a sampling-space certificate, carried as ``report``."""
 
     kind, exit_code = "refused", 2
-
-    def __init__(self, message: str, report=None):
-        self.report = report
-        super().__init__(message)
 
 
 class NotInSpaceError(SisboxError):
@@ -83,10 +76,6 @@ class ConstructionRefusedError(SisboxError):
     """Kernel construction refused because the membership report failed."""
 
     kind, exit_code = "refused", 2
-
-    def __init__(self, message: str, report=None):
-        self.report = report
-        super().__init__(message)
 
 
 class CatalogError(SisboxError):

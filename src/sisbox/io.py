@@ -1,6 +1,6 @@
-"""File formats: interval spectra (JSON), grid spectra and samples (CSV),
-partitions (JSON).  Every writer's output re-parses under the matching
-reader.  A grid spectrum's file holds its band's fold rows, read onto the caller's grid."""
+"""File formats: interval spectra (JSON), grid spectra and samples (CSV), partitions (JSON).
+Every writer's output re-parses under the matching reader.  A grid spectrum's file holds its
+occupied fold rows, placed by their shifts; a fault names its line, or in JSON its record."""
 
 from __future__ import annotations
 
@@ -10,19 +10,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BandwidthOverflowError, FileFormatError
+from .errors import FileFormatError
 from .grid import FrequencyGrid, SupportMask, TimeSamples, _sorted_unique, pow2_at_least
 from .signals import GridSpectrum, PiecewiseConstantSpectrum
 
 
-def _number(field, line: int) -> float:
-    """One finite number read from a file; nan and inf are refused."""
+def _number(field, line: int | None = None, where: str = "") -> float:
+    """One finite number read from a file, at ``line`` of a table or ``where`` in a JSON
+    value (json gives no position for values); nan and inf are refused."""
     try:
         value = float(field)
     except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"non-numeric field: {exc}", line=line) from exc
+        raise FileFormatError(f"{where}non-numeric field: {exc}", line=line) from exc
     if not math.isfinite(value):
-        raise FileFormatError(f"non-finite number {field!r}", line=line)
+        raise FileFormatError(f"{where}non-finite number {field!r}", line=line)
     return value
 
 
@@ -94,13 +95,13 @@ def read_piecewise_spectrum(path) -> PiecewiseConstantSpectrum:
     intervals = []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or not {"a", "b"} <= set(rec):
-            raise FileFormatError(f"record {i} must carry keys a, b, re, im", line=i + 1)
-        a, b, re, im = (_number(rec.get(key, 0.0), i + 1) for key in ("a", "b", "re", "im"))
+            raise FileFormatError(f"record {i} must carry keys a, b, re, im")
+        a, b, re, im = (_number(rec.get(key, 0.0), where=f"record {i} {key}: ") for key in ("a", "b", "re", "im"))
         intervals.append((a, b, complex(re, im)))
     try:
         return PiecewiseConstantSpectrum(intervals)
-    except ValueError as exc:
-        raise FileFormatError(str(exc), line=1) from exc
+    except ValueError as exc:  # names its interval's ends
+        raise FileFormatError(str(exc)) from exc
 
 
 def write_grid_spectrum(sig: GridSpectrum, path) -> None:
@@ -110,8 +111,9 @@ def write_grid_spectrum(sig: GridSpectrum, path) -> None:
 
 
 def read_grid_spectrum(path, grid: FrequencyGrid) -> GridSpectrum:
-    """A file's whole fold rows placed on grid, trimmed to the nonzero ones; a nonzero row past K is refused."""
-    (_, table, lines), k, n = _parse_csv_rows(path, "omega,re,im"), grid.half_bandwidth, grid.resolution
+    """A file's whole fold rows, held on grid where its K holds their shifts, else on the narrowest wider
+    K of the same N; ``band_values`` places them on any grid and refuses a K too narrow, as for every spectrum."""
+    (_, table, lines), n = _parse_csv_rows(path, "omega,re,im"), grid.resolution
     if len(table) % n:
         raise FileFormatError(f"a fold row has N = {n} nodes, the last {len(table) % n}", line=lines[-(len(table) % n)])
     first = round(float(table[0, 0])) if len(table) else 0  # the shift m of the first row
@@ -119,12 +121,10 @@ def read_grid_spectrum(path, grid: FrequencyGrid) -> GridSpectrum:
         off = np.flatnonzero(~(np.abs(table[:, 0] - (first + np.arange(len(table)) / n)) <= 1e-9))
     if off.size:
         raise FileFormatError(f"expected omega {first + int(off[0]) / n!r} (N = {n})", line=lines[off[0]])
-    nonzero = np.flatnonzero((rows := _complex_column(table).reshape(-1, n)).any(axis=1))
-    lo, hi = (first + int(nonzero[0]), first + int(nonzero[-1]) + 1) if nonzero.size else (-k, -k)
-    if lo < -k or hi > k:  # lo and hi: the shifts m of the first and past the last nonzero row
-        past = lo if lo < -k else hi - 1  # a nonzero row past K, named by its first line
-        raise BandwidthOverflowError(pow2_at_least(max(-lo, hi)), k, line=lines[(past - first) * n])
-    return GridSpectrum.from_band(slice(k + lo, k + hi), rows[lo - first:hi - first], grid)
+    rows = _complex_column(table).reshape(-1, n)
+    k = max(grid.half_bandwidth, pow2_at_least(max(-first, first + len(rows))))  # holds the rows' shifts
+    grid = grid if k == grid.half_bandwidth else FrequencyGrid(k, n)
+    return GridSpectrum.from_band(slice(k + first, k + first + len(rows)), rows, grid)
 
 
 def write_samples(samples: TimeSamples, path) -> None:
@@ -157,15 +157,14 @@ def read_partition(path) -> list[list[tuple[float, float]]]:
     out = []
     for i, group in enumerate(groups):
         if not isinstance(group, list):
-            raise FileFormatError(f"mask {i} must be a list of [start, end) pairs", line=1)
+            raise FileFormatError(f"mask {i} must be a list of [start, end) pairs")
         intervals = []
-        for pair in group:
+        for j, pair in enumerate(group):
             if not isinstance(pair, list) or len(pair) != 2:
-                raise FileFormatError(f"mask {i} holds a malformed pair {pair!r}", line=1)
-            lo, hi = _number(pair[0], 1), _number(pair[1], 1)
+                raise FileFormatError(f"mask {i} pair {j} is malformed: {pair!r}")
+            lo, hi = (_number(end, where=f"mask {i} pair {j}: ") for end in pair)
             if not (0.0 <= lo < hi <= 1.0):
-                raise FileFormatError(f"mask {i} pair [{lo}, {hi}) must sit inside [0, 1]",
-                                      line=1)
+                raise FileFormatError(f"mask {i} pair {j} [{lo}, {hi}) must sit inside [0, 1]")
             intervals.append((lo, hi))
         out.append(intervals)
     return out

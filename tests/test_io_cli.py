@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import time
 import warnings
 
 import numpy as np
@@ -139,16 +140,40 @@ class TestFileFormats:
         (sio.read_periodic_csv, "omega,grammian\n0,1\n0.5,NaN\n", 3),
         (functools.partial(sio.read_grid_spectrum, grid=FrequencyGrid(1, 2)),
          "omega,re,im\n-1,1,0\n-0.5,1,0\n0,nan,0\n0.5,1,0\n", 4),
-        (sio.read_piecewise_spectrum, '[{"a": 0, "b": 1, "re": 1},\n {"a": 1, "b": 2, "re": NaN}]', 2),
-        (sio.read_piecewise_spectrum, '[{"a": 0, "b": Infinity, "re": 1}]', 1),
+        (sio.read_piecewise_spectrum, '[{"a": 0, "b": 1, "re": 1},\n {"a": 1, "b": 2, "re": NaN}]', "record 1 re: "),
+        (sio.read_piecewise_spectrum, '[{"a": 0, "b": Infinity, "re": 1}]', "record 0 b: "),
     ], ids=["samples-nan", "samples-inf", "reconstruction-inf", "periodic-nan", "grid-nan",
             "spectrum-nan", "spectrum-infinite-end"])
     def test_non_finite_number_reports_line(self, tmp_path, reader, text, line):
+        # a table names its line; a JSON value, which json gives no position for, its record
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(FileFormatError, match="non-finite") as err:
             reader(path)
-        assert err.value.line == line
+        if isinstance(line, str):
+            assert err.value.line is None and str(err.value).startswith(line)
+        else:
+            assert err.value.line == line
+
+    def test_json_faults_name_the_record_not_a_line(self, tmp_path, capsys):
+        # NaN in record 1 of a writer-made file sits at line 11; a bad pair of a partition at line 4
+        sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([(0.0, 0.5, 1.0), (1.0, 1.5, 2.0)]),
+                                     path := tmp_path / "spec.json")
+        lines = path.read_text().splitlines()
+        assert lines[10].strip() == '"re": 2.0,'
+        lines[10] = lines[10].replace("2.0", "NaN")
+        path.write_text("\n".join(lines) + "\n")
+        parts = tmp_path / "parts.json"
+        parts.write_text('[\n  [[0.0, 0.5]],\n  [[0.5, 0.75],\n   [0.75, 1.5]]\n]\n')
+        for argv, reader, message in [
+                (["analyze", str(path)], sio.read_piecewise_spectrum, "record 1 re: non-finite number nan"),
+                (["decompose", "--space", "shannon", "--partition", str(parts)], sio.read_partition,
+                 "mask 1 pair 1 [0.75, 1.5) must sit inside [0, 1]")]:
+            with pytest.raises(FileFormatError) as err:
+                reader(argv[-1])
+            assert err.value.line is None and str(err.value) == message
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -198,14 +223,20 @@ class TestBandFiles:
         np.testing.assert_array_equal(back.rows, want.rows)
 
     def test_zero_edge_rows_are_written_and_trimmed(self, tmp_path):
-        # a band held with a zero edge row (a decompose component's) writes it; the reader trims it
+        # a band given with a zero edge row (a decompose component's) is held without it, and
+        # written without it; a file that holds one (an earlier writer's) reads back trimmed
         grid, rows = self.GRID, spectrum_on_rows(self.GRID, [8]).rows
-        held = GridSpectrum.from_band(slice(7, 9), np.vstack([np.zeros((1, grid.resolution)), rows]), grid)
+        padded = np.vstack([np.zeros((1, grid.resolution)), rows])
+        held = GridSpectrum.from_band(slice(7, 9), padded, grid)
+        assert held.band == slice(8, 9)
         sio.write_grid_spectrum(held, tmp_path / "c.csv")
-        assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + 2 * grid.resolution
-        back = sio.read_grid_spectrum(tmp_path / "c.csv", grid)
-        assert back.band == slice(8, 9)
-        np.testing.assert_array_equal(back.rows, rows)
+        assert len((tmp_path / "c.csv").read_text().splitlines()) == 1 + grid.resolution
+        sio._write_table(tmp_path / "old.csv", "omega,re,im", np.arange(-1, 1, grid.step), padded.real.ravel(),
+                         padded.imag.ravel())
+        for path in ("c.csv", "old.csv"):
+            back = sio.read_grid_spectrum(tmp_path / path, grid)
+            assert back.band == slice(8, 9)
+            np.testing.assert_array_equal(back.rows, rows)
 
     def test_a_wider_grid_reads_the_same_function(self, tmp_path, grid):
         blhat = build_signal("blhat", grid)
@@ -220,19 +251,32 @@ class TestBandFiles:
         ("-1,1,0\n-0.5,1,0\n0,1,0\n", [], FileFormatError, 4),  # a partial fold row
         ("-1,1,0\n-0.25,1,0\n", [], FileFormatError, 3),  # an omega off its node
         ("-1,1,0\n-0.75,1,0\n-0.5,1,0\n-0.25,1,0\n", [], FileFormatError, 3),  # written at N = 4
-        ("0,0,0\n0.5,0,0\n1,1,0\n1.5,1,0\n", [], BandwidthOverflowError, 4),  # the row m = 1, past K = 1
+        ("0,0,0\n0.5,0,0\n1,1,0\n1.5,1,0\n", [], BandwidthOverflowError, None),  # the row m = 1, past K = 1
         ("-0.5,1,0\n0,1,0\n", [], FileFormatError, 2),  # a row must start at an integer
         ("-1,1,0\n-0.5,1,0\n0,1,0\n0.5,1,0\n", ["--N", "4"], FileFormatError, 3),  # written at N = 2
     ], ids=["partial-row", "off-node", "wrong-N", "past-K", "mid-row-start", "wrong-N-cli"])
-    def test_refusals_are_typed_and_exit_1(self, tmp_path, capsys, text, argv, error, line):
+    def test_refusals_are_typed_and_exit_1(self, tmp_path, capsys, monkeypatch, text, argv, error, line):
         path = tmp_path / "bad.csv"
         path.write_text("omega,re,im\n" + text)
         grid = FrequencyGrid(1, 4 if argv else 2)
+        if error is BandwidthOverflowError:
+            # rows past K are read onto a wider K of the same N, and refused where placed on K = 1:
+            # under an explicit --K 1, while without --K the grid widens to them
+            back = sio.read_grid_spectrum(path, grid)
+            assert back.grid == FrequencyGrid(2, 2) and back.required_half_bandwidth() == 2
+            with pytest.raises(error) as err:
+                back.band_values(grid)
+            assert err.value.required_k == 2 and err.value.actual_k == 1
+            assert main(["analyze", str(path), "--K", "1", "--N", "2"]) == 1
+            assert capsys.readouterr().err.startswith("error: spectrum support needs half-bandwidth K >= 2, "
+                                                      "grid has K = 1")
+            monkeypatch.setenv("SISBOX_GRID", "1,2")
+            assert main(["analyze", str(path), "--json", str(tmp_path / "r.json")]) in (0, 2)
+            assert json.loads((tmp_path / "r.json").read_text())["grid"] == {"K": 2, "N": 2}
+            return
         with pytest.raises(error) as err:
             sio.read_grid_spectrum(path, grid)
         assert err.value.line == line
-        if error is BandwidthOverflowError:
-            assert err.value.required_k == 2
         assert main(["analyze", str(path), "--K", "1", "--N", "2", *argv]) == 1
         assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
@@ -337,13 +381,31 @@ class TestCLI:
         rc = run_cli(["membership", "ex2", "--theorem", "5", "--emit-s", str(out)])
         assert rc == 0
         grid = FrequencyGrid(64, 1024)  # ex2 widens the default grid to K = 64
-        kernel = sio.read_grid_spectrum(out, grid)
         want = construct_s_from_f(build_signal("ex2", grid), grid).sampling_spectrum
-        assert kernel.band == want.band
-        np.testing.assert_array_equal(kernel.rows, want.rows)
+        for read_at in (grid, FrequencyGrid(32, 1024)):  # a narrower grid reads it onto K = 64
+            kernel = sio.read_grid_spectrum(out, read_at)
+            assert kernel.grid == grid and kernel.required_half_bandwidth() == 64
+            band, rows = kernel.band_values(grid)
+            assert band == want.band
+            np.testing.assert_array_equal(rows, want.rows)
         with pytest.raises(BandwidthOverflowError) as err:
-            sio.read_grid_spectrum(out, FrequencyGrid(32, 1024))
+            kernel.band_values(FrequencyGrid(32, 1024))
         assert err.value.required_k == 64
+
+    def test_emitted_kernel_analyzes_at_the_widened_grid(self, tmp_path, capsys):
+        # the kernel a theorem-5 run writes at K = 64 is analyzed there with no --K, and
+        # refused under --K 32; its certificate is the one the same run prints under --K 64
+        out = tmp_path / "k.csv"
+        assert run_cli(["membership", "ex2", "--theorem", "5", "--emit-s", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(["analyze", str(out), "--json", str(tmp_path / "r.json")]) == 0
+        widened = [line for line in capsys.readouterr().out.splitlines() if "certificate" in line]
+        assert json.loads((tmp_path / "r.json").read_text())["grid"] == {"K": 64, "N": 1024}
+        assert run_cli(["analyze", str(out), "--K", "64"]) == 0
+        assert [line for line in capsys.readouterr().out.splitlines() if "certificate" in line] == widened
+        assert main(["analyze", str(out), "--K", "32"]) == 1
+        assert capsys.readouterr().err == ("error: spectrum support needs half-bandwidth K >= 64, "
+                                           "grid has K = 32\n")
 
     def test_membership_theorem5_emits_truncated_time_kernel(self, tmp_path):
         out = tmp_path / "hat_kernel.csv"
@@ -403,9 +465,14 @@ class TestCLI:
         space = build_space(build_signal("shannon", grid), grid)
         halves = PeriodicPartition.from_intervals([[(0.0, 0.5)], [(0.5, 1.0)]], grid)
         for j, comp in enumerate(decompose(space, halves)):
-            # the band's two fold rows (shifts -1 and 0), one of them zero: 2,048 nodes and the header
-            assert len((tmp_path / f"comp_{j}.csv").read_text().splitlines()) == 2049
+            # the band's one occupied fold row (the other of shifts -1 and 0 is zero on this half,
+            # and trimmed): 1,024 nodes and the header
+            assert len((tmp_path / f"comp_{j}.csv").read_text().splitlines()) == 1025
             kernel = sio.read_grid_spectrum(f"{prefix}_{j}.csv", grid)
+            want_band, want_rows = comp.sampling_spectrum.band_values(grid)
+            band, rows = kernel.band_values(grid)
+            assert band == want_band and band.stop - band.start == 1
+            np.testing.assert_array_equal(rows, want_rows)
             np.testing.assert_array_equal(kernel.values, comp.sampling_spectrum.values)
 
     @pytest.mark.parametrize("space", ["hat", "ex3"])
@@ -577,8 +644,8 @@ ERROR_CASES = [
     (["reconstruct", "--space", "shannon", "--samples", "{d}/delta0.csv", "--lattice", "2",
       "--out", "{d}/rec.csv"], 1, "usage error: --lattice expects 'a,b'"),
     (["analyze", "{d}/not_a_list.json"], 1, "error: line 1: expected a JSON list"),
-    (["analyze", "{d}/no_ends.json"], 1, "error: line 1: record 0 must carry keys a, b"),
-    (["analyze", "{d}/overlapping.json"], 1, "error: line 1: intervals overlap"),
+    (["analyze", "{d}/no_ends.json"], 1, "error: record 0 must carry keys a, b"),
+    (["analyze", "{d}/overlapping.json"], 1, "error: intervals overlap near 0.5"),
     (["analyze", "{d}/three_rows.csv"], 1, "error: line 2: a fold row has N = 1024 nodes, the last 3"),
     (["analyze", "{d}/uneven_omega.csv", "--K", "1", "--N", "2"], 1, "error: line 4: expected omega 0.0 (N = 2)"),
     (["analyze", "{d}/five_rows.csv", "--K", "1", "--N", "2"], 1,
@@ -588,7 +655,7 @@ ERROR_CASES = [
     (["decompose", "--space", "shannon", "--partition", "{d}/no_masks.json"], 1,
      "error: line 1: expected a nonempty JSON list"),
     (["decompose", "--space", "shannon", "--partition", "{d}/past_one.json"], 1,
-     "error: line 1: mask 0 pair [0.5, 1.5) must sit inside [0, 1]"),
+     "error: mask 0 pair 0 [0.5, 1.5) must sit inside [0, 1]"),
 ]
 
 
@@ -668,6 +735,62 @@ def test_file_spectrum_widens_grid(error_inputs, capsys):
     assert "error:" not in err and "Traceback" not in err
 
 
+def test_each_input_is_loaded_once(error_inputs, monkeypatch, capsys):
+    # every command loads each of its inputs once, whatever its kind, and widens K from it
+    # (far.json and ex2 need K = 64)
+    from sisbox import cli
+
+    loads = []
+
+    def counted(load):
+        def wrapper(ref, *args, **kwargs):
+            loads.append(os.path.basename(str(ref)))
+            return load(ref, *args, **kwargs)
+        return wrapper
+
+    for module, name in ((sio, "read_piecewise_spectrum"), (sio, "read_grid_spectrum"), (cli, "build_signal")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    d = error_inputs
+    sio.write_grid_spectrum(build_signal("blhat", FrequencyGrid(32, 1024)), d / "blhat.csv")
+    sio.write_piecewise_spectrum(PiecewiseConstantSpectrum([(-0.5, 0.0, 1.0)]), d / "low.json")
+    sio.write_partition([[[0.0, 0.5]], [[0.5, 1.0]]], d / "halves.json")
+    for argv, inputs, k in [
+            (["analyze", f"{d}/far.json"], ["far.json"], 64),
+            (["analyze", f"{d}/blhat.csv"], ["blhat.csv"], 32),
+            (["membership", f"{d}/low.json", "--theorem", "1", "--space", "shannon"], ["low.json", "shannon"], 32),
+            (["membership", "ex2", "--theorem", "sz04"], ["ex2"], 64),
+            (["reconstruct", "--space", "shannon", "--samples", f"{d}/delta0.csv", "--out", f"{d}/r.csv"],
+             ["shannon"], 32),
+            (["decompose", "--space", f"{d}/blhat.csv", "--partition", f"{d}/halves.json",
+              "--out-prefix", f"{d}/c"], ["blhat.csv"], 32),
+            (["determine", "--space", "shannon", "--functions", f"{d}/low.json,blhat"],
+             ["shannon", "low.json", "blhat"], 32)]:
+        loads.clear()
+        (d / "r.json").unlink(missing_ok=True)
+        assert main(argv + ["--json", f"{d}/r.json"]) in (0, 2), argv
+        assert loads == inputs, argv
+        assert json.loads((d / "r.json").read_text())["grid"] == {"K": k, "N": 1024}, argv
+
+
+def test_space_is_loaded_only_where_theorem_1_reads_it(capsys):
+    # --space names theorem 1's ambient space; no other criterion reads it, or loads it
+    assert main(["membership", "shannon", "--theorem", "2", "--space", "nosuch"]) == 0
+    assert main(["membership", "shannon", "--theorem", "1", "--space", "nosuch"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown signal 'nosuch'")
+
+
+def test_a_wide_interval_file_is_refused_before_it_is_cut_up(tmp_path, capsys):
+    # [0, 1e12) and [1e300, 1e300 + 2^996) would be cut into 10^12 and ~2^996 unit pieces
+    (tmp_path / "wide.json").write_text(json.dumps(
+        [{"a": 0, "b": 1e12, "re": 1}, {"a": 1e300, "b": 1e300 + 2.0 ** 996, "re": 1}]))
+    started = time.monotonic()
+    assert main(["analyze", str(tmp_path / "wide.json")]) == 1
+    assert time.monotonic() - started < 5
+    # the need of the far interval, 2^998 (1e300 + 2^996 lies in (2^997, 2^998]), past any widening
+    want = f"error: spectrum support needs half-bandwidth K >= {2 ** 998}, grid has K = 32\n"
+    assert capsys.readouterr().err == want
+
+
 def test_refusal_stderr_is_short(tmp_path, capsys):
     # theorem 5 passes on the exact pieces, but inside one grid cell the
     # periodization cancels, so the kernel construction refuses
@@ -741,14 +864,14 @@ def test_vanishing_zak_is_refused_by_the_certificate(error_inputs, capsys):
         "(A at omega = 0, B = 0, off-support max 0 vs limit 0)"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["membership", "{d}/nan.json", "--theorem", "5"],
-    ["membership", "{d}/nan.json", "--theorem", "2"],
-    ["analyze", "{d}/inf.json"],
-    ["reconstruct", "--space", "shannon", "--samples", "{d}/nan_samples.csv",
-     "--out", "{d}/rec.csv"],
+@pytest.mark.parametrize("argv, prefix", [
+    (["membership", "{d}/nan.json", "--theorem", "5"], "error: record 0 re: "),
+    (["membership", "{d}/nan.json", "--theorem", "2"], "error: record 0 re: "),
+    (["analyze", "{d}/inf.json"], "error: record 0 re: "),
+    (["reconstruct", "--space", "shannon", "--samples", "{d}/nan_samples.csv",
+      "--out", "{d}/rec.csv"], "error: line 3: "),
 ], ids=["theorem5-nan", "theorem2-nan", "analyze-inf", "reconstruct-nan-sample"])
-def test_non_finite_input_exits_1_without_traceback(tmp_path, capsys, argv):
+def test_non_finite_input_exits_1_without_traceback(tmp_path, capsys, argv, prefix):
     # NaN spectra used to pass theorem 5 vacuously, NaN samples to reconstruct NaN
     (tmp_path / "nan.json").write_text('[{"a": -0.5, "b": 0.5, "re": NaN, "im": 0}]\n')
     (tmp_path / "inf.json").write_text('[{"a": -0.5, "b": 0.5, "re": 1e999, "im": 0}]\n')
@@ -756,7 +879,7 @@ def test_non_finite_input_exits_1_without_traceback(tmp_path, capsys, argv):
     rc = main([a.format(d=tmp_path) for a in argv])
     out, err = capsys.readouterr()
     assert rc == 1
-    assert err.startswith("error: line ") and "non-finite" in err
+    assert err.startswith(prefix) and "non-finite" in err
     assert "Traceback" not in err and "verdict: pass" not in out
     assert not (tmp_path / "rec.csv").exists()
 

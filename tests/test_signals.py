@@ -1,3 +1,4 @@
+import time
 import warnings
 from fractions import Fraction
 
@@ -14,11 +15,13 @@ from sisbox import (
     TimeKernel,
     TimeSamples,
     build_signal,
+    check_sz99,
     decompose,
+    grammian,
     shift_square_sum,
     signals,
 )
-from sisbox.errors import GridMismatchError, PreconditionError
+from sisbox.errors import BandwidthOverflowError, GridMismatchError, PreconditionError
 from sisbox.signals import (QUADRATURE_ORDER, PeriodizedProfile, _grid_time_values, _linear_turns, _period_samples,
                             _phase_czt, _turns)
 from sisbox.spaces import _continuity_check, _probe_points, _sampling_function
@@ -47,6 +50,27 @@ class TestPiecewiseConstant:
         # an infinite end used to split the interval into unit pieces forever
         with pytest.raises(ValueError, match="finite ends"):
             PiecewiseConstantSpectrum([(a, b, 1.0)])
+
+    @pytest.mark.parametrize("intervals", [
+        [(-0.5, 0.5, 1.0)], [(0.0, 1.0, 1.0)], [(-3.25, -1.0, 1.0), (2.0, 40.5, 1j)], [(-64.0, 63.0, 1.0)],
+        [(0.0, 64.0 + 2.0 ** -40, 1.0)], [(-65.5, -64.25, 1.0)], []])
+    def test_need_from_the_ends_is_the_pieces_need(self, intervals):
+        # max(ceil(b), -floor(a)) over the intervals: the max(m + 1, -m) of their unit pieces
+        sig = PiecewiseConstantSpectrum(intervals)
+        assert sig.required_half_bandwidth() == \
+            PiecewiseConstantSpectrum.from_local_pieces(sig.pieces).required_half_bandwidth()
+
+    def test_a_wide_interval_is_sized_before_it_is_cut_up(self, grid):
+        # [0, 1e12) would be 10^12 unit pieces: its need comes from its ends, and a grid
+        # refuses it before the first piece is cut
+        started = time.monotonic()
+        sig = PiecewiseConstantSpectrum([(0.0, 1e12, 1.0)])
+        assert sig.required_half_bandwidth() == 2 ** 40
+        with pytest.raises(BandwidthOverflowError) as err:
+            sig.band_values(grid)
+        assert err.value.required_k == 2 ** 40
+        assert time.monotonic() - started < 0.1
+        assert "pieces" not in vars(sig)
 
     def test_adjacent_intervals_allowed(self):
         sig = PiecewiseConstantSpectrum([(0.0, 0.5, 1.0), (0.5, 1.0, 2.0)])
@@ -113,6 +137,34 @@ class TestGridSpectrum:
         sig = GridSpectrum(np.zeros(other.size), other)
         with pytest.raises(GridMismatchError):
             sig.grid_values(grid)
+
+    @pytest.mark.parametrize("rows, need", [([], 1), ([31, 32], 1), ([0], 32), ([63], 32), ([30, 33], 2),
+                                            ([31, 34], 4), ([40], 16)])
+    def test_required_half_bandwidth_holds_the_occupied_rows(self, grid, rows, need):
+        folded = np.zeros((2 * grid.half_bandwidth, grid.resolution))
+        folded[rows, 1] = 1.0
+        sig = GridSpectrum(folded.ravel(), grid)
+        assert sig.required_half_bandwidth() == need
+        for k in (need, 64):  # placed by the rows' shifts on every K that holds them
+            band, placed = sig.band_values(FrequencyGrid(k, grid.resolution))
+            assert placed is sig.rows
+            assert band == (slice(0, 0) if not rows else slice(min(rows) - 32 + k, max(rows) - 32 + k + 1))
+        if need > 1:
+            with pytest.raises(BandwidthOverflowError) as err:
+                sig.band_values(FrequencyGrid(need // 2, grid.resolution))
+            assert (err.value.required_k, err.value.actual_k) == (need, need // 2)
+
+    def test_placed_on_a_wider_grid_it_is_the_spectrum_built_there(self, grid, wide_grid):
+        # built at K = 32 and placed at K = 64: the time values, Grammian and certificate
+        # of the one built at K = 64, bit for bit
+        rng = np.random.default_rng(35)
+        rows = rng.standard_normal((5, grid.resolution)) + 1j * rng.standard_normal((5, grid.resolution))
+        narrow = GridSpectrum.from_band(slice(29, 34), rows, grid)  # shifts -3 .. 1
+        wide = GridSpectrum.from_band(slice(61, 66), rows, wide_grid)
+        xs = np.concatenate([np.linspace(-8.0, 8.0, 1001), SYNTHESIS_POINTS])
+        np.testing.assert_array_equal(narrow.time_values(xs), wide.time_values(xs))
+        np.testing.assert_array_equal(grammian(narrow, wide_grid).values, grammian(wide, wide_grid).values)
+        assert check_sz99(narrow, wide_grid, seed=3) == check_sz99(wide, wide_grid, seed=3)
 
     def test_czt_and_direct_evaluation_agree(self, grid):
         rng = np.random.default_rng(3)

@@ -23,7 +23,7 @@ from sisbox import (
     zak_dual_fiber,
     zak_time_fiber,
 )
-from sisbox.catalog import ex2_signal
+from sisbox.catalog import build_signal, ex2_signal
 from sisbox.errors import (
     BandwidthOverflowError,
     DegenerateSpaceError,
@@ -166,11 +166,19 @@ class TestBracket:
             bracket(shannon, other, grid)
 
     def test_wider_grid_spectrum_is_a_mismatch(self, grid, shannon):
-        # a grid spectrum fits its own grid only, whichever way K differs
+        # a grid spectrum of another N is a mismatch; of a wider K it is placed by its rows'
+        # shifts, and refused (BandwidthOverflowError) only where its rows pass the grid's K
         wide = FrequencyGrid(2 * grid.half_bandwidth, grid.resolution)
-        other = GridSpectrum(np.zeros(wide.size), wide)
+        placed, own = build_signal("blhat", wide), build_signal("blhat", grid)  # rows of shifts -1 and 0
+        np.testing.assert_array_equal(bracket(shannon, placed, grid).values, bracket(shannon, own, grid).values)
+        k = wide.half_bandwidth
+        past = GridSpectrum.from_band(slice(2 * k - 1, 2 * k), np.ones((1, wide.resolution)), wide)  # m = K - 1
+        with pytest.raises(BandwidthOverflowError) as err:
+            bracket(shannon, past, grid)
+        assert (err.value.required_k, err.value.actual_k) == (k, grid.half_bandwidth)
+        finer = FrequencyGrid(grid.half_bandwidth, 2 * grid.resolution)
         with pytest.raises(GridMismatchError):
-            bracket(shannon, other, grid)
+            bracket(shannon, build_signal("blhat", finer), grid)
 
 
 class TestZakTimeFiber:
