@@ -15,6 +15,9 @@ SRC and dumps its outputs by key:
 * at the same grids, ``decompose`` of the shannon and hat spaces into halves,
   ``check_determining_set`` of shannon by its low and high halves, and theorem 1
   (``induced_subspace``) of a seeded interval member of shannon;
+* the text ``write_piecewise_spectrum`` writes for five interval spectra (shannon,
+  [0, 300), a member whose interval crosses 0, ex2 at ``n_max`` 47 and 60) and the
+  pieces read back from each file;
 * the 13 commands of perfbench's cli_mix workload (``cli_matrix`` of
   ``perfbench/workloads.py``, loaded read-only) at one seed, each in a fresh interpreter
   on the inputs the same tree writes (``write_cli_inputs``): the inputs, each command's
@@ -107,6 +110,7 @@ def library_dump(grids, out: dict) -> None:
     """The in-process outputs at each grid (see the module docstring)."""
     import numpy as np
     import sisbox
+    from sisbox import io as sio
 
     workloads = load_workloads()
     points = {"uniform": np.linspace(-8.0, 8.0, 1000), "odd": np.array([-3.3, -0.5, 0.0, 1e-9, 0.25, 2.75, 40.5])}
@@ -155,6 +159,21 @@ def library_dump(grids, out: dict) -> None:
         run(f"{kn[0]}x{kn[1]} shannon determine", lambda: sisbox.check_determining_set(space, halves))
         run(f"{kn[0]}x{kn[1]} shannon theorem 1",
             lambda: sisbox.induced_subspace(space, workloads.band_member(SEED)))
+    grid = sisbox.FrequencyGrid(*grids[0])
+    spectra = {"shannon": sisbox.build_signal("shannon", grid),
+               "0-300": sisbox.PiecewiseConstantSpectrum([(0.0, 300.0, 1.0)]),
+               "zero-crossing member": sisbox.PiecewiseConstantSpectrum([(-0.3, 0.2, 1 - 0.5j), (0.2, 0.5, 2.0)]),
+               "ex2 47": sisbox.build_signal("ex2", grid, 47), "ex2 60": sisbox.build_signal("ex2", grid, 60)}
+
+    def written(sig, path) -> str:
+        sio.write_piecewise_spectrum(sig, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    with tempfile.TemporaryDirectory(prefix="sisbox-identical-") as workdir:
+        for name, sig in spectra.items():
+            path = Path(workdir) / f"{name}.json"
+            if run(f"writer {name} text", lambda: written(sig, path)):
+                run(f"writer {name} read back", lambda: sio.read_piecewise_spectrum(path).pieces)
 
 
 def cli_dump(src: str, out: dict) -> None:

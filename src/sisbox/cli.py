@@ -14,7 +14,7 @@ Exit codes: 0 verdict pass; 2 verdict fail, "refused:" (NotASamplingSpace,
 ConstructionRefused) or "failed:" (NotInSpace, Partition, DegenerateSpace
 errors); 1 usage errors and every other SisboxError ("error:" bad files,
 unknown signals, preconditions, spectra beyond the grid, samples the grid
-cannot resolve).  No error ends in a traceback.
+cannot resolve, a MemoryError).  No error ends in a traceback.
 """
 
 from __future__ import annotations
@@ -365,6 +365,9 @@ def main(argv=None) -> int:
         print(f"{exc.kind}: {exc}", file=sys.stderr)
         _print_failed(getattr(exc.report, "checks", ()))  # an sz99 certificate has no checks
         return exc.exit_code
+    except MemoryError as exc:  # an input past this machine's memory, such as --N 2^40
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

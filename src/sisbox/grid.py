@@ -52,6 +52,8 @@ class FrequencyGrid:
             raise ValueError(f"half_bandwidth must be a power of two, got {self.half_bandwidth}")
         if not _is_pow2(self.resolution):
             raise ValueError(f"resolution must be a power of two, got {self.resolution}")
+        if self.size > np.iinfo(np.intp).max // np.dtype(complex).itemsize:
+            raise ValueError(f"a grid of 2KN = {self.size} complex nodes cannot be one array")
 
     @property
     def step(self) -> float:
@@ -89,9 +91,9 @@ class FrequencyGrid:
         """Reshape full-line values into (2K, N): row q holds shift m = q - K."""
         return np.asarray(values).reshape(2 * self.half_bandwidth, self.resolution)
 
-    def shifts(self) -> np.ndarray:
-        """Integer shifts m covered by the grid, in fold() row order."""
-        return np.arange(-self.half_bandwidth, self.half_bandwidth)
+    def shifts(self, band: slice = slice(None)) -> np.ndarray:
+        """Integer shifts m of the fold rows of band (all 2K by default), in fold() row order."""
+        return np.arange(*band.indices(2 * self.half_bandwidth)) - self.half_bandwidth
 
     def require_same(self, other: "FrequencyGrid") -> None:
         if self != other:

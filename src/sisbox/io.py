@@ -1,6 +1,6 @@
-"""File formats: interval spectra (JSON), grid spectra and samples (CSV), partitions (JSON).
-Every writer's output re-parses under the matching reader.  A grid spectrum's file holds its
-occupied fold rows, placed by their shifts; a fault names its line, or in JSON its record."""
+"""File formats: interval spectra (JSON), grid spectra and samples (CSV), partitions (JSON).  Every
+writer's output re-parses under the matching reader, or the writer refuses it.  An interval file holds
+one record per interval; a grid spectrum's, its occupied fold rows.  A fault names its line or record."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import BandwidthOverflowError, FileFormatError, PreconditionError
 from .grid import FrequencyGrid, SupportMask, TimeSamples, _sorted_unique, pow2_at_least
 from .signals import GridSpectrum, PiecewiseConstantSpectrum
 
@@ -84,6 +84,16 @@ def _complex_column(table: np.ndarray) -> np.ndarray:
 
 
 def write_piecewise_spectrum(sig: PiecewiseConstantSpectrum, path) -> None:
+    """One {a, b, re, im} record per interval held.  An interval whose ends, as doubles, read back as
+    another (an end finer than a double at its offset, as in ex2's blocks from n = 48) is refused."""
+    for (a, b, v), (m, lo, n, hi, _) in zip(sig.intervals, sig.records):
+        try:
+            back = PiecewiseConstantSpectrum([(a, b, v)]).records[0][:4]
+        except ValueError:  # its ends collapse into one double
+            back = None
+        if back != (m, lo, n, hi):
+            raise PreconditionError(f"interval [{m} + {lo!r}, {n} + {hi!r}) is written [{a!r}, {b!r}), "
+                                    "which reads back as another: an end is finer than a double at its offset")
     records = [{"a": a, "b": b, "re": v.real, "im": v.imag} for a, b, v in sig.intervals]
     Path(path).write_text(json.dumps(records, indent=2) + "\n")
 
@@ -123,7 +133,10 @@ def read_grid_spectrum(path, grid: FrequencyGrid) -> GridSpectrum:
         raise FileFormatError(f"expected omega {first + int(off[0]) / n!r} (N = {n})", line=lines[off[0]])
     rows = _complex_column(table).reshape(-1, n)
     k = max(grid.half_bandwidth, pow2_at_least(max(-first, first + len(rows))))  # holds the rows' shifts
-    grid = grid if k == grid.half_bandwidth else FrequencyGrid(k, n)
+    try:
+        grid = grid if k == grid.half_bandwidth else FrequencyGrid(k, n)
+    except ValueError as exc:  # no grid of N holds them
+        raise BandwidthOverflowError(k, grid.half_bandwidth) from exc
     return GridSpectrum.from_band(slice(k + first, k + first + len(rows)), rows, grid)
 
 

@@ -424,63 +424,57 @@ def _grid_time_values(band: slice, rows: np.ndarray, grid: FrequencyGrid, xs: np
 class PiecewiseConstantSpectrum(Signal):
     """Spectrum = sum of constant complex values on disjoint [a, b) intervals.
 
-    Stored internally as (shift m, local start, local end, value) with the
-    local coordinates in [0, 1], so intervals far from the origin keep
-    their exact (possibly sub-float) lengths: [m + lo, m + hi) with the
-    dyadic lo/hi represented exactly.  Grid values are exact cell
-    averages (node j carries the mean over [omega_j, omega_j + 1/N)),
-    which preserves every cell moment: structure finer than one cell
-    keeps its integral instead of being point-sampled.
+    Held as one record per interval given, sorted: (m, lo, n, hi, value) for [m + lo,
+    n + hi), lo in [0, 1) and hi in (0, 1], so intervals far from the origin keep their
+    exact (possibly sub-float) lengths; ``pieces`` cuts them at the integers on first read.
+    Grid values are exact cell averages (node j carries the mean over [omega_j, omega_j +
+    1/N)), which preserves every cell moment: structure finer than one cell keeps its
+    integral instead of being point-sampled.
     """
 
     def __init__(self, intervals, integrable_spectrum: bool = True):
-        ends = sorted(((float(a), float(b), complex(v)) for a, b, v in intervals), key=lambda t: t[:2])
-        for (a, b, _), (after, _, _) in zip(ends, ends[1:] + [(np.inf, None, None)]):  # sorted: overlap is local
+        records = []
+        for a, b, v in intervals:
+            a, b = float(a), float(b)
             if not (np.isfinite(a) and np.isfinite(b)):
                 raise ValueError(f"interval [{a}, {b}) must have finite ends")
-            if b <= a:
+            m, n = int(np.floor(a)), int(np.floor(b))
+            lo, hi = a - m, b - n  # exact, but for an a in (-1, 0), whose 1 + a may round up to 1
+            if lo == 1.0:
+                m, lo = m + 1, 0.0
+            if hi == 0.0:  # an integer b: the top of the unit below it
+                n, hi = n - 1, 1.0
+            if (m, lo) >= (n, hi):
                 raise ValueError(f"empty interval [{a}, {b})")
-            if after < b:
-                raise ValueError(f"intervals overlap near {after}")
-        # [a, b) lies in [-K, K) iff -floor(a) <= K and ceil(b) <= K: the max(m + 1, -m) of its pieces
-        self._reach = max((max(np.ceil(b), -np.floor(a)) for a, b, _ in ends), default=1)
-        self._ends, self.integrable_spectrum = ends, integrable_spectrum
-
-    @cached_property
-    def pieces(self) -> list[tuple[int, float, float, complex]]:
-        """(shift m, local start, local end, value) of each unit piece, cut on first read: after any K is checked."""
-        pieces = []
-        for a, b, v in self._ends:
-            m = int(np.floor(a))
-            while m < b:
-                lo = max(a, float(m)) - m
-                hi = min(b, float(m + 1)) - m
-                if hi > lo:
-                    pieces.append((m, lo, hi, v))
-                m += 1
-        return pieces
+            records.append((m, lo, n, hi, complex(v)))
+        self._hold(records, integrable_spectrum)
 
     @classmethod
     def from_local_pieces(cls, pieces, integrable_spectrum: bool = True):
-        """Construct from (shift, local_start, local_end, value) directly."""
-        obj = cls.__new__(cls)
-        cleaned = [(int(m), float(lo), float(hi), complex(v)) for m, lo, hi, v in pieces]
-        obj._init_from_pieces(cleaned, integrable_spectrum)
-        return obj
-
-    def _init_from_pieces(self, pieces, integrable_spectrum: bool):
-        for m, lo, hi, v in pieces:
+        """Construct from (shift, local_start, local_end, value) directly: one record each."""
+        records = [(int(m), float(lo), int(m), float(hi), complex(v)) for m, lo, hi, v in pieces]
+        for m, lo, _, hi, _ in records:
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValueError(f"local piece [{lo}, {hi}) must sit inside [0, 1]")
-        pieces = sorted(pieces, key=lambda t: (t[0], t[1]))
-        for (m1, _, h1, _), (m2, l2, _, _) in zip(pieces, pieces[1:]):
-            if m1 == m2 and l2 < h1:
-                raise ValueError(f"intervals overlap near {m1 + l2}")
-        self.pieces = pieces
-        # [m + lo, m + hi) lies in [-K, K) iff -m <= K and m + 1 <= K, as
-        # 0 <= lo < hi <= 1: exact also where m + hi rounds to m (m + 2^-64)
-        self._reach = max((max(m + 1, -m) for m, _, _, _ in pieces), default=1)
-        self.integrable_spectrum = integrable_spectrum
+        obj = cls.__new__(cls)
+        obj._hold(records, integrable_spectrum)
+        return obj
+
+    def _hold(self, records, integrable_spectrum: bool) -> None:
+        """Sort the records by start, refuse an overlap ((m, lo) < (n, hi) as tuples iff m + lo < n + hi)
+        and set the reach: [m + lo, n + hi) lies in [-K, K) iff -m <= K and n + 1 <= K."""
+        records = sorted(records, key=lambda r: r[:2])  # never by value: complex values do not compare
+        for (_, _, n1, hi1, _), (m2, lo2, _, _, _) in zip(records, records[1:]):  # sorted: overlap is local
+            if (m2, lo2) < (n1, hi1):
+                raise ValueError(f"intervals overlap near {m2 + lo2}")
+        self.records, self.integrable_spectrum = records, integrable_spectrum
+        self._reach = max((max(n + 1, -m) for m, _, n, _, _ in records), default=1)
+
+    @cached_property
+    def pieces(self) -> list[tuple[int, float, float, complex]]:
+        """(shift m, local start, local end, value) of each unit piece, cut on first read."""
+        return [(k, lo if k == m else 0.0, hi if k == n else 1.0, v)
+                for m, lo, n, hi, v in self.records for k in range(m, n + 1)]
 
     @cached_property
     def exact_profile(self) -> "PeriodizedProfile":
@@ -496,8 +490,8 @@ class PiecewiseConstantSpectrum(Signal):
 
     @property
     def intervals(self) -> list[tuple[float, float, complex]]:
-        """Global (a, b, value) view; sub-float lengths collapse here."""
-        return [(m + lo, m + hi, v) for m, lo, hi, v in self.pieces]
+        """Global (a, b, value) of each record; sub-float lengths collapse here."""
+        return [(m + lo, n + hi, v) for m, lo, n, hi, v in self.records]
 
     def required_half_bandwidth(self) -> int | None:
         return pow2_at_least(self._reach)
@@ -506,8 +500,7 @@ class PiecewiseConstantSpectrum(Signal):
         if (need := self.required_half_bandwidth()) > grid.half_bandwidth:
             raise BandwidthOverflowError(need, grid.half_bandwidth)
         n, k = grid.resolution, grid.half_bandwidth
-        ms = [m for m, _, _, _ in self.pieces]
-        band = slice(min(ms) + k, max(ms) + k + 1) if ms else slice(0, 0)
+        band = slice(self.records[0][0] + k, self.records[-1][2] + k + 1) if self.records else slice(0, 0)
         out = np.zeros((band.stop - band.start) * n, dtype=complex)
         for m, lo, hi, v in self.pieces:
             base = (m + k - band.start) * n
@@ -536,10 +529,9 @@ class PiecewiseConstantSpectrum(Signal):
         return out.reshape(xs.shape)
 
     def scaled(self, factor: complex) -> "PiecewiseConstantSpectrum":
-        return PiecewiseConstantSpectrum.from_local_pieces(
-            [(m, lo, hi, v * factor) for m, lo, hi, v in self.pieces],
-            self.integrable_spectrum,
-        )
+        obj = PiecewiseConstantSpectrum.__new__(PiecewiseConstantSpectrum)
+        obj._hold([(m, lo, n, hi, complex(v * factor)) for m, lo, n, hi, v in self.records], self.integrable_spectrum)
+        return obj
 
     def shift_sum(self, coefficients: TimeSamples, xs: np.ndarray) -> np.ndarray:
         """sum_k c_k psi(x - k) for a base spectrum of pieces v * 1[e0, e1).
@@ -633,7 +625,7 @@ class PeriodizedProfile:
     @classmethod
     def cells(cls, band: slice, rows: np.ndarray, grid: FrequencyGrid) -> "PeriodizedProfile":
         """One piece per unit-grid cell of the fold rows of band."""
-        return cls(grid.unit_omegas, np.full(grid.resolution, grid.step), grid.shifts()[band], rows, exact=False)
+        return cls(grid.unit_omegas, np.full(grid.resolution, grid.step), grid.shifts(band), rows, exact=False)
 
     z = cached_property(lambda self: self.coeffs.sum(axis=0))
 

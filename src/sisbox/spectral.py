@@ -65,7 +65,7 @@ def zak_time_fiber(samples: TimeSamples, grid: FrequencyGrid) -> PeriodicSpectru
 def zak_dual_fiber(f: Signal, x: float, grid: FrequencyGrid) -> PeriodicSpectrum:
     """Phase-twisted periodization sum_m f_hat(omega+m) exp(2i*pi*m*x)."""
     band, rows = f.band_values(grid)
-    return PeriodicSpectrum(twisted_sum(rows, grid.shifts()[band], x), grid)
+    return PeriodicSpectrum(twisted_sum(rows, grid.shifts(band), x), grid)
 
 
 def guard_level(magnitude: np.ndarray, eps: float) -> float:

@@ -1,8 +1,11 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from sisbox import (
 )
 from sisbox import io as sio
 from sisbox.cli import main
-from sisbox.errors import BandwidthOverflowError, FileFormatError
+from sisbox.errors import BandwidthOverflowError, FileFormatError, PreconditionError
 from sisbox.reports import ConditionCheck, ReportDocument
 
 
@@ -36,6 +39,26 @@ class TestFileFormats:
         back = sio.read_piecewise_spectrum(path)
         grid = FrequencyGrid(4, 64)
         np.testing.assert_allclose(back.grid_values(grid), sig.grid_values(grid))
+
+    @pytest.mark.parametrize("sig", [
+        pytest.param(build_signal("ex2", FrequencyGrid(), 47), id="ex2-47"),
+        pytest.param(PiecewiseConstantSpectrum([(0.0, 300.0, 1.0)]), id="0-300"),
+        pytest.param(PiecewiseConstantSpectrum([(-3.25, -1.0, 1.0), (-1.0, 0.375, 2j), (2.0, 7.0, -0.5)]),
+                     id="several-units")])
+    def test_interval_file_reads_back_the_records_written(self, tmp_path, sig):
+        # one record per interval held (ex2-47's every block is exact in a double): the
+        # file holds the records, and reads back to the same records and unit pieces
+        sio.write_piecewise_spectrum(sig, tmp_path / "spec.json")
+        assert len(json.loads((tmp_path / "spec.json").read_text())) == len(sig.records)
+        back = sio.read_piecewise_spectrum(tmp_path / "spec.json")
+        assert back.records == sig.records and back.pieces == sig.pieces
+
+    def test_interval_writer_refuses_a_block_its_reader_cannot_read_back(self, tmp_path):
+        # ex2's block [48, 48 + 2^-48) is narrower than a double at 48: written, it reads
+        # [48.0, 48.0), which the reader refuses; the writer refuses it first, naming it
+        with pytest.raises(PreconditionError, match=r"interval \[48 \+ 0\.0, 48 \+ "):
+            sio.write_piecewise_spectrum(build_signal("ex2", FrequencyGrid()), tmp_path / "ex2.json")
+        assert not (tmp_path / "ex2.json").exists()
 
     def test_grid_roundtrip(self, tmp_path):
         grid = FrequencyGrid(4, 64)
@@ -789,6 +812,33 @@ def test_a_wide_interval_file_is_refused_before_it_is_cut_up(tmp_path, capsys):
     # the need of the far interval, 2^998 (1e300 + 2^996 lies in (2^997, 2^998]), past any widening
     want = f"error: spectrum support needs half-bandwidth K >= {2 ** 998}, grid has K = 32\n"
     assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "shannon", "--N", str(2 ** 40)],  # a 32 TiB band
+    ["analyze", "shannon", "--K", str(2 ** 61), "--N", "2"],  # 2KN nodes past any one array
+    ["reconstruct", "--space", "shannon", "--samples", "s.csv", "--points", "4000000000"]])  # 29.8 GiB of points
+def test_an_oversized_input_ends_in_one_error_line(tmp_path, argv):
+    # each command runs in a child whose address space is held to 2 GiB, so nothing of
+    # these sizes is ever allocated: a grid that cannot be one array is a usage error, and
+    # an allocation past the machine's memory is an error, exit 1, with no traceback
+    (tmp_path / "s.csv").write_text("k,re,im\n0,1,0\n")
+    code = ("import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from sisbox.cli import main\nsys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(sio.__file__).resolve().parents[1]),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1 and "error: " in done.stderr
+
+
+def test_a_grid_spectrum_no_grid_holds_is_refused(tmp_path, capsys):
+    # rows at omega = 1e300 need K ~ 2^997, which no grid of 2KN nodes reaches: the reader
+    # refuses the spectrum's band, as for one past the widening
+    (tmp_path / "far.csv").write_text("omega,re,im\n1e300,1,0\n1e300,1,0\n")
+    assert main(["analyze", str(tmp_path / "far.csv"), "--N", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: spectrum support needs half-bandwidth K >= ")
 
 
 def test_refusal_stderr_is_short(tmp_path, capsys):

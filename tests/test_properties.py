@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sisbox import (
@@ -216,3 +216,63 @@ def test_grid_spectra_read_from_files_pad_their_band(tmp_path_factory, seed):
     path = tmp_path_factory.mktemp("io") / "spectrum.csv"
     sio.write_grid_spectrum(GridSpectrum(vals, BAND_GRID), path)
     assert_band_pads_to(sio.read_grid_spectrum(path, BAND_GRID), BAND_GRID, vals)
+
+
+def unit_pieces(intervals):
+    """Reference cutter: each sorted [a, b) cut at the integers, one unit at a time."""
+    pieces = []
+    for a, b, v in sorted(intervals, key=lambda t: t[:2]):
+        m = int(np.floor(a))
+        while m < b:
+            lo, hi = max(a, float(m)) - m, min(b, float(m + 1)) - m
+            if hi > lo:
+                pieces.append((m, lo, hi, v))
+            m += 1
+    return pieces
+
+
+# ends and widths: whole, dyadic (k/64) and arbitrary floats; widths from 2^-50 to 5 units
+whole = st.integers(-60, 55).map(float)
+ends = st.one_of(whole, st.integers(-60 * 64, 55 * 64).map(lambda k: k / 64), st.floats(-60, 55))
+widths = st.one_of(st.integers(1, 5).map(float), st.integers(1, 5 * 64).map(lambda k: k / 64),
+                   st.integers(1, 50).map(lambda e: 2.0 ** -e), st.floats(1e-9, 5))
+
+
+@st.composite
+def disjoint_intervals(draw):
+    """1-4 disjoint intervals, each after the last by a gap of 0 or a drawn width, in drawn order."""
+    a, out = draw(ends), []
+    for _ in range(draw(st.integers(1, 4))):
+        b = a + draw(widths)
+        if b > a:  # a width under half an ulp of a rounds away
+            out.append((a, b, draw(complex_values)))
+        a = b + draw(st.one_of(st.just(0.0), widths))
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals=disjoint_intervals())
+@example(intervals=[(-2.0 ** -60, 0.5, 1.0), (3.0, 5.0, 1j)])  # 1 - 2^-60 rounds to 1; an integer b
+def test_pieces_cut_from_the_records_are_the_unit_loops(intervals):
+    # one record per interval given; the cutter reads the same unit pieces, in the same
+    # order, as the unit-at-a-time loop
+    sig = PiecewiseConstantSpectrum(intervals)
+    assert len(sig.records) == len(intervals)
+    assert sig.pieces == unit_pieces(intervals)
+
+
+@settings(max_examples=100, deadline=None)
+@given(intervals=disjoint_intervals())
+def test_both_constructors_hold_the_same_spectrum(intervals):
+    # the pieces of a spectrum, given as local pieces, are the same pieces and need the same K
+    sig = PiecewiseConstantSpectrum(intervals)
+    again = PiecewiseConstantSpectrum.from_local_pieces(sig.pieces)
+    assert again.pieces == sig.pieces
+    assert again.required_half_bandwidth() == sig.required_half_bandwidth()
+
+
+@settings(max_examples=50, deadline=None)
+@given(intervals=disjoint_intervals(), factor=complex_values)
+def test_scaled_keeps_the_intervals_given(intervals, factor):
+    sig = PiecewiseConstantSpectrum(intervals)
+    assert sig.scaled(factor).intervals == [(a, b, v * factor) for a, b, v in sig.intervals]

@@ -45,6 +45,11 @@ class TestPiecewiseConstant:
         with pytest.raises(ValueError):
             PiecewiseConstantSpectrum([(1.0, 1.0, 1.0)])
 
+    def test_rejects_an_interval_whose_record_holds_no_point(self):
+        # [-2^-60, -2^-61): both ends' fractions 1 + a round to 1, so its record holds no point
+        with pytest.raises(ValueError, match="empty interval"):
+            PiecewiseConstantSpectrum([(-2.0 ** -60, -2.0 ** -61, 1.0)])
+
     @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0)])
     def test_rejects_non_finite_ends(self, a, b):
         # an infinite end used to split the interval into unit pieces forever
