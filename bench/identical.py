@@ -11,7 +11,8 @@ SRC and dumps its outputs by key:
   [0, 1.7]: the ``fibers`` record and its profile, ``check_sz99``, theorems 2 and 5, sz04,
   ``build_space`` (unchecked) with the kernel's rows, samples and values, two seeded
   members' samples, exact time values and reconstructions, and ``construct_s_from_f``;
-  values at 1,000 uniform points in [-8, 8] and at 7 others;
+  values at 1,000 uniform points in [-8, 8] and at 7 others; the ``fibers`` record and its profile
+  of two seeded interval spectra with non-dyadic ends (``_seeded_intervals``);
 * at the same grids, ``decompose`` of the shannon and hat spaces into halves,
   ``check_determining_set`` of shannon by its low and high halves, and theorem 1
   (``induced_subspace``) of a seeded interval member of shannon;
@@ -106,6 +107,21 @@ def _signals(grid, workloads) -> dict:
     return out
 
 
+def _seeded_intervals() -> dict:
+    """Two interval spectra of 23 abutting pieces from -1.7, their widths seeded non-dyadic multiples of 1e-5 (under a
+    cell at N = 4096) to 0.45 (several pieces a unit), their values seeded complex numbers."""
+    import numpy as np
+    import sisbox
+
+    out = {}
+    for seed in (SEED, SEED + 1):
+        rng = np.random.default_rng(seed)
+        ends = np.cumsum(rng.choice([1e-5, 3e-4, 0.02, 0.1, 0.45], 24) * rng.uniform(0.5, 1.5, 24)) - 1.7
+        values = rng.standard_normal(23) + 1j * rng.standard_normal(23)
+        out[f"intervals {seed}"] = sisbox.PiecewiseConstantSpectrum(list(zip(ends[:-1], ends[1:], values)))
+    return out
+
+
 def library_dump(grids, out: dict) -> None:
     """The in-process outputs at each grid (see the module docstring)."""
     import numpy as np
@@ -150,6 +166,9 @@ def library_dump(grids, out: dict) -> None:
                     if samples is not None:
                         run(f"{at} member {index} reconstruct {where}",
                             lambda: sisbox.reconstruct(space, samples, xs))
+        for name, sig in _seeded_intervals().items():
+            if fib := run(f"{kn[0]}x{kn[1]} {name} fibers", lambda: sisbox.spectral.fibers(sig, grid)):
+                run(f"{kn[0]}x{kn[1]} {name} fibers profile", lambda: fib.profile)
         partition = sisbox.PeriodicPartition.from_intervals([[(0.0, 0.5)], [(0.5, 1.0)]], grid)
         spaces = {name: sisbox.build_space(sisbox.build_signal(name, grid), grid, seed=SEED)
                   for name in ("hat", "shannon")}

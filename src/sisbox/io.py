@@ -86,7 +86,7 @@ def _complex_column(table: np.ndarray) -> np.ndarray:
 def write_piecewise_spectrum(sig: PiecewiseConstantSpectrum, path) -> None:
     """One {a, b, re, im} record per interval held.  An interval whose ends, as doubles, read back as
     another (an end finer than a double at its offset, as in ex2's blocks from n = 48) is refused."""
-    for (a, b, v), (m, lo, n, hi, _) in zip(sig.intervals, sig.records):
+    for m, lo, n, hi, v, a, b in sig.records:
         try:
             back = PiecewiseConstantSpectrum([(a, b, v)]).records[0][:4]
         except ValueError:  # its ends collapse into one double

@@ -23,10 +23,10 @@ class of square-integrable functions with absolutely integrable spectrum
 (a time kernel's caller states it).  On a grid each is held as its band (``band_values``; a K
 narrower is refused): the fold rows that can hold a nonzero node, alone (an interval spectrum's
 pieces', a grid spectrum's occupied rows, a combination's base's, all 2K of a time kernel).
-Each class states the rules that depend on what it is, and no caller tests a class:
-``integer_samples``, ``support_shifts``, ``exact_profile`` (an interval spectrum's alone),
-``shift_sum`` (a combination's time values are its base's) and ``grid_model`` (a grid
-spectrum's alone: no exact time form or rescale, so the spectral route and grid division).
+Each class states the rules that depend on what it is, and no caller tests a class: ``integer_samples``,
+``support_shifts``, ``exact_profile`` and ``cells`` (an interval spectrum's: the cells' sums read off that
+profile, the band built on first read), ``shift_sum`` (a combination's time values are its base's) and
+``grid_model`` (a grid spectrum's alone: no exact time form or rescale, so the spectral route and grid division).
 
 Every phase a * x is reduced mod 1 exactly by Dekker's split (``_product_turns``;
 ``_shifted_turns`` for a piece at m + c; a factor past 2^52 is an integer).  One
@@ -309,6 +309,11 @@ class Signal:
         """Spectrum values at all 2KN grid nodes: the band, padded with zeros."""
         return pad_band(*self.band_values(grid), slice(0, 2 * grid.half_bandwidth)).ravel()
 
+    def cells(self, grid: FrequencyGrid) -> tuple[slice, "PeriodizedProfile"]:
+        """(band, one piece per unit-grid cell of its rows), whose sums are the rows' column sums."""
+        band, rows = self.band_values(grid)
+        return band, PeriodizedProfile.cells(band, rows, grid)
+
     def time_values(self, xs) -> np.ndarray:
         """Values of the time function at arbitrary real points."""
         raise NotImplementedError
@@ -365,17 +370,18 @@ def pad_band(band: slice, rows: np.ndarray, span: slice) -> np.ndarray:
     return out
 
 
+def _ranges(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for each j in first[i] .. stop[i] - 1, i ascending."""
+    i = np.repeat(np.arange(first.size), span := stop - first)
+    return i, np.arange(i.size) - np.repeat(np.cumsum(span) - span - first, span)
+
+
 def _period_samples(a: np.ndarray, k_max: int) -> TimeSamples:
-    n = a.size  # a[r] = grid-projected f(r), N-periodic in r: a periodization's inverse DFT
-    half = n // 2
+    n, half = a.size, a.size // 2  # a[r] = grid-projected f(r), N-periodic in r: a periodization's inverse DFT
     ks = np.arange(-half, half) if k_max >= half else np.arange(-k_max, k_max + 1)
-    vals = a[ks % n]
-    # the energy of the period's samples left out: by Parseval,
-    # (1/N) sum_j |P_j|^2 less the kept samples' energy; 0 for a full period
-    dropped = np.ones(n, dtype=bool)
-    dropped[ks % n] = False
-    tail = float(np.sum(np.abs(a[dropped]) ** 2))
-    return TimeSamples(ks, vals, k_max, tail_energy=tail)
+    # the energy of the period's samples left out, a[k_max + 1 .. n - k_max - 1]: 0 for a full period
+    tail = float(np.sum(np.abs(a[k_max + 1:n - k_max]) ** 2))
+    return TimeSamples(ks, a[ks % n], k_max, tail_energy=tail)
 
 
 def _grid_time_values(band: slice, rows: np.ndarray, grid: FrequencyGrid, xs: np.ndarray) -> np.ndarray:
@@ -424,8 +430,8 @@ def _grid_time_values(band: slice, rows: np.ndarray, grid: FrequencyGrid, xs: np
 class PiecewiseConstantSpectrum(Signal):
     """Spectrum = sum of constant complex values on disjoint [a, b) intervals.
 
-    Held as one record per interval given, sorted: (m, lo, n, hi, value) for [m + lo,
-    n + hi), lo in [0, 1) and hi in (0, 1], so intervals far from the origin keep their
+    Held as one record per interval given, sorted: (m, lo, n, hi, value, a, b) for [m + lo, n + hi)
+    given as [a, b), lo in [0, 1) and hi in (0, 1], so intervals far from the origin keep their
     exact (possibly sub-float) lengths; ``pieces`` cuts them at the integers on first read.
     Grid values are exact cell averages (node j carries the mean over [omega_j, omega_j +
     1/N)), which preserves every cell moment: structure finer than one cell keeps its
@@ -446,68 +452,94 @@ class PiecewiseConstantSpectrum(Signal):
                 n, hi = n - 1, 1.0
             if (m, lo) >= (n, hi):
                 raise ValueError(f"empty interval [{a}, {b})")
-            records.append((m, lo, n, hi, complex(v)))
+            records.append((m, lo, n, hi, complex(v), a, b))
         self._hold(records, integrable_spectrum)
 
     @classmethod
     def from_local_pieces(cls, pieces, integrable_spectrum: bool = True):
         """Construct from (shift, local_start, local_end, value) directly: one record each."""
-        records = [(int(m), float(lo), int(m), float(hi), complex(v)) for m, lo, hi, v in pieces]
-        for m, lo, _, hi, _ in records:
+        records = []
+        for m, lo, hi, v in pieces:
+            m, lo, hi = int(m), float(lo), float(hi)
             if not (0.0 <= lo < hi <= 1.0):
                 raise ValueError(f"local piece [{lo}, {hi}) must sit inside [0, 1]")
-        obj = cls.__new__(cls)
-        obj._hold(records, integrable_spectrum)
+            records.append((m, lo, m, hi, complex(v), m + lo, m + hi))
+        (obj := cls.__new__(cls))._hold(records, integrable_spectrum)
         return obj
 
     def _hold(self, records, integrable_spectrum: bool) -> None:
         """Sort the records by start, refuse an overlap ((m, lo) < (n, hi) as tuples iff m + lo < n + hi)
         and set the reach: [m + lo, n + hi) lies in [-K, K) iff -m <= K and n + 1 <= K."""
         records = sorted(records, key=lambda r: r[:2])  # never by value: complex values do not compare
-        for (_, _, n1, hi1, _), (m2, lo2, _, _, _) in zip(records, records[1:]):  # sorted: overlap is local
+        for (_, _, n1, hi1, _, _, _), (m2, lo2, _, _, _, a2, _) in zip(records, records[1:]):  # sorted: local
             if (m2, lo2) < (n1, hi1):
-                raise ValueError(f"intervals overlap near {m2 + lo2}")
+                raise ValueError(f"intervals overlap near {a2}")
         self.records, self.integrable_spectrum = records, integrable_spectrum
-        self._reach = max((max(n + 1, -m) for m, _, n, _, _ in records), default=1)
+        self._reach = max((max(n + 1, -m) for m, _, n, _, _, _, _ in records), default=1)
 
     @cached_property
     def pieces(self) -> list[tuple[int, float, float, complex]]:
         """(shift m, local start, local end, value) of each unit piece, cut on first read."""
         return [(k, lo if k == m else 0.0, hi if k == n else 1.0, v)
-                for m, lo, n, hi, v in self.records for k in range(m, n + 1)]
+                for m, lo, n, hi, v, _, _ in self.records for k in range(m, n + 1)]
+
+    @cached_property
+    def _piece_arrays(self) -> tuple[np.ndarray, ...]:
+        """(m, lo, hi, value) of the pieces, an array each."""
+        return tuple(np.array([p[i] for p in self.pieces], dtype=t) for i, t in enumerate((int, float, float, complex)))
 
     @cached_property
     def exact_profile(self) -> "PeriodizedProfile":
         """Pieces at the folded breakpoints, on each of which the contributing (value,
         shift) pairs are constant; one for every grid, built on first read."""
-        cut = _sorted_unique([0.0, 1.0] + [t for _, lo, hi, _ in self.pieces for t in (lo, hi)])
-        mid = 0.5 * (cut[:-1] + cut[1:])
-        shifts = _sorted_unique([m for m, _, _, _ in self.pieces])
-        coeffs = np.zeros((shifts.size, mid.size), dtype=complex)
-        for m, lo, hi, v in self.pieces:  # pieces of one shift never overlap
-            coeffs[np.searchsorted(shifts, m), (lo <= mid) & (mid < hi)] = v
+        m, lo, hi, v = self._piece_arrays
+        cut, shifts = _sorted_unique(np.concatenate([[0.0, 1.0], lo, hi])), _sorted_unique(m)
+        piece, at = _ranges(*np.searchsorted(cut, [lo, hi]))  # pieces of one shift never overlap
+        coeffs = np.zeros((shifts.size, cut.size - 1), dtype=complex)
+        coeffs[np.searchsorted(shifts, m[piece]), at] = v[piece]
         return PeriodizedProfile(cut[:-1], cut[1:] - cut[:-1], shifts, coeffs, exact=True)
 
     @property
     def intervals(self) -> list[tuple[float, float, complex]]:
-        """Global (a, b, value) of each record; sub-float lengths collapse here."""
-        return [(m + lo, n + hi, v) for m, lo, n, hi, v in self.records]
+        """(a, b, value) of each record as given (a local piece's m + lo, m + hi: sub-float lengths collapse)."""
+        return [(a, b, v) for _, _, _, _, v, a, b in self.records]
 
     def required_half_bandwidth(self) -> int | None:
         return pow2_at_least(self._reach)
 
+    def _band(self, grid: FrequencyGrid) -> slice:  # the rows of the records' shifts, refused on a K too narrow
+        if (need := self.required_half_bandwidth()) > (k := grid.half_bandwidth):
+            raise BandwidthOverflowError(need, k)
+        return slice(self.records[0][0] + k, self.records[-1][2] + k + 1) if self.records else slice(0, 0)
+
+    def cells(self, grid: FrequencyGrid) -> tuple[slice, "PeriodizedProfile"]:
+        """The cells, their sums read off ``exact_profile`` bit for bit as the band's column sums, the band built on
+        first read: a cell inside a profile piece holds its values; a cut cell, per shift, its pieces' v * fraction
+        in piece order, as ``band_values`` adds them (N = 1 reads the band: numpy sums one column pairwise)."""
+        band, n = self._band(grid), grid.resolution  # the width first: a record too wide is never cut up
+        if n == 1:
+            return super().cells(grid)
+        prof, (m, lo, hi, v) = self.exact_profile, self._piece_arrays
+        u, cols, k = prof.starts * n, prof.starts.size, grid.half_bandwidth - band.start  # u: in cell units, exact
+        cut = _sorted_unique(np.floor(u)[np.floor(u) != u])  # the cells a breakpoint cuts
+        sums = np.zeros((band.stop - band.start, cols + max(cut.size, 1)), dtype=complex)  # two columns at least
+        sums[prof.shifts + k, :cols] = prof.coeffs
+        if cut.size:  # each piece's share of each cut cell it meets, from floor(s) to ceil(e) - 1
+            p, j = _ranges(*np.searchsorted(cut, [np.floor(s := lo * n), np.ceil(e := hi * n)]))
+            np.add.at(sums, (m[p] + k, cols + j), v[p] * (np.minimum(e[p], cut[j] + 1) - np.maximum(s[p], cut[j])))
+        at = np.repeat(np.arange(cols), np.diff(np.append(np.ceil(u), n)).astype(int))  # each cell's piece,
+        at[cut.astype(int)] = cols + np.arange(cut.size)  # or its own where a breakpoint cuts it
+        out = PeriodizedProfile.cells(band, lambda: self.band_values(grid)[1], grid)
+        out._sums = tuple(a[at] for a in _column_sums(sums))
+        return band, out
+
     def band_values(self, grid: FrequencyGrid) -> tuple[slice, np.ndarray]:
-        if (need := self.required_half_bandwidth()) > grid.half_bandwidth:
-            raise BandwidthOverflowError(need, grid.half_bandwidth)
-        n, k = grid.resolution, grid.half_bandwidth
-        band = slice(self.records[0][0] + k, self.records[-1][2] + k + 1) if self.records else slice(0, 0)
+        band, n, k = self._band(grid), grid.resolution, grid.half_bandwidth
         out = np.zeros((band.stop - band.start) * n, dtype=complex)
         for m, lo, hi, v in self.pieces:
             base = (m + k - band.start) * n
-            s = lo * n  # piece endpoints in cell units; exact for dyadic data
-            e = hi * n
-            i0 = int(np.floor(s))
-            i1 = int(np.floor(e))
+            s, e = lo * n, hi * n  # piece ends in cell units, exact
+            i0, i1 = int(np.floor(s)), int(np.floor(e))
             if i0 == i1:
                 out[base + i0] += v * (e - s)
                 continue
@@ -521,7 +553,7 @@ class PiecewiseConstantSpectrum(Signal):
         # piece [m + lo, m + hi): v * width * sinc(width * x) * exp(2i*pi*centre*x),
         # the phases from _phase_table; no ramp exp(...) - 1 that cancels near x = 0
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        m, lo, hi, v = (np.array([p[i] for p in self.pieces]) for i in range(4))
+        m, lo, hi, v = self._piece_arrays
         x, c, out = xs.ravel(), (lo + hi) / 2, np.zeros(xs.size, dtype=complex)
         w = v * (hi - lo) * np.stack([np.ones(m.size), m + c])  # and times f for the residuals
         for points, table, d in _phase_table(m, c, x):
@@ -529,8 +561,8 @@ class PiecewiseConstantSpectrum(Signal):
         return out.reshape(xs.shape)
 
     def scaled(self, factor: complex) -> "PiecewiseConstantSpectrum":
-        obj = PiecewiseConstantSpectrum.__new__(PiecewiseConstantSpectrum)
-        obj._hold([(m, lo, n, hi, complex(v * factor)) for m, lo, n, hi, v in self.records], self.integrable_spectrum)
+        (obj := PiecewiseConstantSpectrum.__new__(PiecewiseConstantSpectrum))._hold(
+            [(*r[:4], complex(r[4] * factor), *r[5:]) for r in self.records], self.integrable_spectrum)
         return obj
 
     def shift_sum(self, coefficients: TimeSamples, xs: np.ndarray) -> np.ndarray:
@@ -553,7 +585,7 @@ class PiecewiseConstantSpectrum(Signal):
         idx = np.clip(np.searchsorted(ks, near), 0, ks.size - 1)
         at = np.flatnonzero((np.abs(y) < 0.5) & (ks[idx] == near))  # not NaN or inf
         idx = idx[at]
-        m, lo, hi, v = (np.array([p[i] for p in self.pieces]) for i in range(4))
+        m, lo, hi, v = self._piece_arrays
         reach = max(np.fmax.reduce(xs) - ks[0], ks[-1] - np.fmin.reduce(xs))  # largest |x - k|, NaN left out
         one = _unit_sinc((hi - lo) * reach)  # sinc 1 at every x - k: these pieces go last
         m, lo, hi, v = (np.concatenate([a[~one], a[one]]) for a in (m, lo, hi, v))
@@ -587,6 +619,11 @@ def twisted_sum(rows: np.ndarray, shifts: np.ndarray, x: float) -> np.ndarray:
     return (rows * phases[:, None]).sum(axis=0)
 
 
+def _column_sums(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, abs_sum, sq_sum) of rows: their column sums, of one modulus squared in place."""
+    return rows.sum(axis=0), (modulus := np.abs(rows)).sum(axis=0), np.square(modulus, out=modulus).sum(axis=0)
+
+
 def dual_energy(rows: np.ndarray, shifts: np.ndarray, xs: np.ndarray, weights) -> np.ndarray:
     """sum_c weights[c] |sum_r rows[r, c] exp(2i*pi*shifts[r]*x)|^2 at each x in
     xs, as the quadratic form e G e^H of the phases e_r in the Gram matrix G =
@@ -610,12 +647,12 @@ class PeriodizedProfile:
 
     ``of`` reads a signal's ``exact_profile`` (an interval spectrum's: every quantity in
     closed form, sub-grid detail kept); every other signal has one piece per unit-grid
-    cell of its band rows.
+    cell of its band rows (``coeffs`` may be given as a callable that builds them on first read).
     """
 
     def __init__(self, starts, lengths, shifts, coeffs, exact: bool):
         self.starts, self.lengths = np.asarray(starts, dtype=float), np.asarray(lengths, dtype=float)
-        self.shifts, self.coeffs, self.exact = np.asarray(shifts), coeffs, exact
+        self.shifts, self._coeffs, self.exact = np.asarray(shifts), coeffs, exact
 
     @classmethod
     def of(cls, f: Signal, grid: FrequencyGrid) -> "PeriodizedProfile":
@@ -627,15 +664,11 @@ class PeriodizedProfile:
         """One piece per unit-grid cell of the fold rows of band."""
         return cls(grid.unit_omegas, np.full(grid.resolution, grid.step), grid.shifts(band), rows, exact=False)
 
-    z = cached_property(lambda self: self.coeffs.sum(axis=0))
-
-    @cached_property
-    def _moduli(self) -> tuple[np.ndarray, np.ndarray]:
-        abs_sum = (modulus := np.abs(self.coeffs)).sum(axis=0)
-        return abs_sum, np.square(modulus, out=modulus).sum(axis=0)  # the one modulus, squared in place
-
-    abs_sum = property(lambda self: self._moduli[0])
-    sq_sum = property(lambda self: self._moduli[1])
+    coeffs = cached_property(lambda self: self._coeffs() if callable(self._coeffs) else self._coeffs)
+    _sums = cached_property(lambda self: _column_sums(self.coeffs))
+    z = property(lambda self: self._sums[0])
+    abs_sum = property(lambda self: self._sums[1])
+    sq_sum = property(lambda self: self._sums[2])
 
 
 class GridSpectrum(Signal):

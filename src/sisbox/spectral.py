@@ -8,8 +8,8 @@ A spectrum has one layout: its band (``Signal.band_values``), the fold rows that
 nonzero node, NaN and inf included, placed by their shifts m.  Every sum over the shifts runs
 over them alone, and signals are compared over the hull of their bands (``union_rows``); files
 hold it too (``io``).  The padded 2K x N grid is left to a quadrature and ``grid_values``.  What depends
-on the representation, each signal states: ``fibers`` reads its samples (``integer_samples``,
-given the cells' periodization) and its ``exact_profile``, and tests no class.
+on the representation, each signal states: ``fibers`` reads its ``cells`` (an interval spectrum's off its exact
+profile), samples (``integer_samples``, given the cells' z) and ``exact_profile``, and tests no class.
 """
 
 from __future__ import annotations
@@ -155,13 +155,13 @@ def shift_square_sum(f: Signal, x_grid, grid: FrequencyGrid) -> ShiftSquareSum:
 class Fibers:
     """The periodized objects of one signal on one grid.  Every verdict on
     a signal reads its Grammian G_f, Zak fiber Z_f(0, .) and support set
-    E_f; ``fibers`` sums them over the ``cells`` of the signal's band (``Signal.band_values``),
-    which the record keeps in place of a full grid; callers pass the record down, not recompute."""
+    E_f; ``fibers`` reads them off the ``cells`` of the signal's band (``Signal.cells``), which the
+    record keeps in place of a full grid; callers pass the record down, not recompute."""
 
     signal: Signal
     grid: FrequencyGrid
     band: slice                          # fold rows (row q: shift q - K) of the spectrum
-    cells: PeriodizedProfile             # one piece per unit-grid cell; coeffs: the band, (rows, N)
+    cells: PeriodizedProfile             # one piece per unit-grid cell; coeffs: the band, (rows, N), lazy
     mask: SupportMask                    # E_f: G_f above its guard level
     samples: TimeSamples                 # integer samples f(k)
     zak: PeriodicSpectrum                # Z_f(0, .), from the samples
@@ -170,19 +170,16 @@ class Fibers:
     grammian = property(lambda self: PeriodicSpectrum(self.cells.sq_sum, self.grid))
     abs_periodization = property(lambda self: PeriodicSpectrum(self.cells.abs_sum, self.grid))
 
-    @cached_property
-    def profile(self) -> PeriodizedProfile:
-        """``PeriodizedProfile.of`` the signal, which theorems 5 and sz04 read: its exact profile, else the cells."""
-        return self.signal.exact_profile or self.cells
+    # ``PeriodizedProfile.of`` the signal, which theorems 5 and sz04 read: its exact profile, else the cells
+    profile = cached_property(lambda self: self.signal.exact_profile or self.cells)
 
 
 def _cells_and_mask(f: Signal, grid: FrequencyGrid, eps: float) -> tuple[slice, PeriodizedProfile, SupportMask]:
     """The band, cells and support set of f's record; refuses a spectrum with a NaN or
     infinite node, which would otherwise empty the support set and pass every verdict as vacuous."""
-    band, rows = f.band_values(grid)
-    cells = PeriodizedProfile.cells(band, rows, grid)
+    band, cells = f.cells(grid)
     if not np.all(np.isfinite(cells.abs_sum)):  # a NaN or inf node's column sum is not finite either: only then scan
-        require_finite(rows)
+        require_finite(cells.coeffs)
     return band, cells, support_mask(PeriodicSpectrum(cells.sq_sum, grid), eps)
 
 

@@ -1,6 +1,8 @@
 """The Fibers record and the one division helper against the quantities
 and formulas they replace."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,10 @@ from sisbox import (
     abs_periodize,
     build_signal,
     build_space,
+    check_sz04,
+    check_sz99,
+    check_theorem2,
+    check_theorem5,
     grammian,
     integer_samples,
     periodize,
@@ -16,7 +22,7 @@ from sisbox import (
     zak_dual_fiber,
     zak_time_fiber,
 )
-from sisbox.errors import DegenerateSpaceError, PreconditionError
+from sisbox.errors import BandwidthOverflowError, DegenerateSpaceError, PreconditionError
 from sisbox.signals import GridSpectrum, PeriodizedProfile, PiecewiseConstantSpectrum, pad_band, twisted_sum
 from sisbox.spaces import _sampling_function
 from sisbox.spectral import DEFAULT_EPS, DEFAULT_K_MAX, divide_on_support, fibers
@@ -142,3 +148,39 @@ def test_piecewise_profile_stays_exact(ex2, wide_grid):
     # ex2's folded breakpoints: 0 and the block ends 2^-n, n = 1..60, of one period
     assert np.array_equal(prof.starts, np.r_[0.0, 0.5 ** np.arange(60, 0, -1)])
     assert np.array_equal(prof.lengths, np.diff(np.r_[prof.starts, 1.0]))
+
+
+@pytest.mark.parametrize("a", [0.5, 1 / 3, 0.75])
+def test_exact_profile_holds_a_piece_one_ulp_wide(a):
+    # the midpoint of [a, a + ulp) rounds to one of its ends; a piece is placed by its ends among the cuts
+    prof = PiecewiseConstantSpectrum([(a, np.nextafter(a, 1.0), 1.0), (-2.0, -1.5, 2.0)]).exact_profile
+    assert prof.coeffs[list(prof.shifts).index(0), np.searchsorted(prof.starts, a)] == 1.0
+
+
+# (operation, catalog signal, dense bands it builds): a verdict that reads the cells' sums, the Zak fiber and the
+# exact profile builds no interval band (nor build_space, whose constant Zak fiber keeps shannon as its kernel);
+# a division by the Zak fiber, the sampling function, builds it once
+BAND_BUILDS = [(check_theorem5, "shannon", 0), (check_sz04, "shannon", 0), (check_sz99, "shannon", 0),
+               (build_space, "shannon", 0), (check_theorem5, "ex2", 0), (check_sz04, "ex2", 0),
+               (check_sz99, "ex2", 0), (build_space, "ex2", 1), (check_theorem2, "ex2", 1)]
+
+
+@pytest.mark.parametrize("op, name, builds", BAND_BUILDS, ids=[f"{op.__name__}-{n}" for op, n, _ in BAND_BUILDS])
+def test_only_a_division_builds_an_interval_band(monkeypatch, op, name, builds):
+    grid, calls, band_values = FrequencyGrid(64, 1024), [], PiecewiseConstantSpectrum.band_values
+    monkeypatch.setattr(PiecewiseConstantSpectrum, "band_values", lambda f, g: calls.append(g) or band_values(f, g))
+    op(build_signal(name, grid), grid)
+    assert len(calls) == builds
+
+
+def test_a_wide_interval_is_refused_before_its_pieces_are_read(monkeypatch):
+    # [0, 1e12) would be cut into 10^12 unit pieces: the record checks the width first
+    reads = []
+    monkeypatch.setattr(PiecewiseConstantSpectrum, "pieces", property(lambda self: reads.append(1) or []))
+    wide, grid = PiecewiseConstantSpectrum([(0.0, 1e12, 1.0)]), FrequencyGrid(32, 1024)
+    for call in (fibers, check_theorem5, check_sz04):
+        started = time.monotonic()
+        with pytest.raises(BandwidthOverflowError) as refused:
+            call(wide, grid)
+        assert refused.value.required_k == 2 ** 40 and time.monotonic() - started < 0.1
+    assert not reads

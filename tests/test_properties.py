@@ -24,6 +24,8 @@ from sisbox import (
     zak_time_fiber,
 )
 from sisbox import io as sio
+from sisbox.errors import BandwidthOverflowError
+from sisbox.spectral import DEFAULT_K_MAX, fibers
 
 SMALL = FrequencyGrid(4, 64)
 
@@ -276,3 +278,65 @@ def test_both_constructors_hold_the_same_spectrum(intervals):
 def test_scaled_keeps_the_intervals_given(intervals, factor):
     sig = PiecewiseConstantSpectrum(intervals)
     assert sig.scaled(factor).intervals == [(a, b, v * factor) for a, b, v in sig.intervals]
+
+
+# the grids an interval spectrum's record is built at; ends whole, dyadic or arbitrary in [-6, 0),
+# widths down to 2^-40 (pieces narrower than a cell), and gaps of 0: several pieces a unit
+RECORD_GRIDS = [(32, 1024), (64, 1024), (64, 4096)]
+record_widths = st.one_of(st.floats(1e-9, 1.5), st.integers(1, 40).map(lambda e: 2.0 ** -e),
+                          st.integers(1, 64).map(lambda k: k / 64))
+
+
+@st.composite
+def cut_intervals(draw):
+    """1-8 disjoint intervals from a drawn start in [-6, 0), each after the last by a gap of 0 or up to 0.3."""
+    a, out = draw(st.one_of(st.integers(-6, -1).map(float), st.floats(-6, 0, exclude_max=True))), []
+    for _ in range(draw(st.integers(1, 8))):
+        b = a + draw(record_widths)
+        if b > a:  # a width under half an ulp of a rounds away
+            out.append((a, b, draw(complex_values)))
+        a = b + draw(st.one_of(st.just(0.0), st.floats(0, 0.3)))
+    return out
+
+
+def assert_record_is_the_band(f, grid):
+    """fibers reads an interval spectrum's cells off its exact profile: z, abs_sum, sq_sum, support set,
+    samples and Zak fiber are those of the dense band's column sums, bit for bit."""
+    rows = f.band_values(grid)[1]
+    z, modulus = rows.sum(axis=0), np.abs(rows)
+    fib, samples = fibers(f, grid), f.integer_samples(grid, DEFAULT_K_MAX, z)
+    for got, want in ((fib.cells.z, z), (fib.cells.abs_sum, modulus.sum(axis=0)),
+                      (fib.cells.sq_sum, np.square(modulus).sum(axis=0)), (fib.samples.values, samples.values),
+                      (fib.zak.values, zak_time_fiber(samples, grid).values)):
+        assert np.array_equal(got, want)
+    assert fib.mask == support_mask(grammian(f, grid)) and np.array_equal(fib.samples.ks, samples.ks)
+
+
+# one cell cut by many breakpoints: twelve pieces inside cell 0 at every grid, summed in their order, then a
+# non-dyadic end; and a profile of one piece over eleven rows, whose columns numpy sums row by row, not pairwise
+CELL_ENDS = [0.3 * i * 2.0 ** -14 for i in range(13)]
+MANY_IN_ONE_CELL = [(a, b, complex(1 / (i + 3), -i / 7)) for i, (a, b) in enumerate(zip(CELL_ENDS, CELL_ENDS[1:]))] + [
+    (CELL_ENDS[-1], 1 / 3000, 2.0), (-2 / 3, -0.1, 0.5 - 1j)]
+UNIT_PIECES = [(float(i), i + 1.0, complex(1 / (i + 9), (-1) ** i / (i + 13))) for i in range(-6, 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(intervals=cut_intervals(), kn=st.sampled_from(RECORD_GRIDS))
+@example(intervals=MANY_IN_ONE_CELL, kn=(64, 4096))
+@example(intervals=MANY_IN_ONE_CELL, kn=(32, 1024))
+@example(intervals=UNIT_PIECES, kn=(32, 1024))
+def test_interval_record_is_the_band_bit_for_bit(intervals, kn):
+    assert_record_is_the_band(PiecewiseConstantSpectrum(intervals), FrequencyGrid(*kn))
+
+
+@pytest.mark.parametrize("kn", RECORD_GRIDS)
+@pytest.mark.parametrize("n_max", [47, 60])
+def test_ex2_record_is_the_band_bit_for_bit(n_max, kn):
+    # ex2 needs K = 64 at both n_max: at K = 32 the record and the band refuse alike
+    f, grid = build_signal("ex2", FrequencyGrid(*kn), n_max), FrequencyGrid(*kn)
+    if kn[0] < f.required_half_bandwidth():
+        for call in (lambda: fibers(f, grid), lambda: f.band_values(grid)):
+            with pytest.raises(BandwidthOverflowError):
+                call()
+        return
+    assert_record_is_the_band(f, grid)
