@@ -25,7 +25,7 @@ def _is_pow2(n: int) -> bool:
 def _sorted_unique(values) -> np.ndarray:
     """np.unique of NaN-free values by one sort and a neighbour mask: np.unique imports numpy.ma."""
     a = np.sort(np.ravel(values))
-    return a[np.append(True, a[1:] != a[:-1])[:a.size]]  # no first value to keep in an empty a
+    return a[np.concatenate(([True], a[1:] != a[:-1]))[:a.size]]  # no first value to keep in an empty a
 
 
 def pow2_at_least(x: float) -> int:
@@ -212,15 +212,16 @@ class TimeSamples:
     tail_energy: float = 0.0
 
     def __post_init__(self):
-        ks = np.asarray(self.ks, dtype=int)
-        vals = np.asarray(self.values, dtype=complex)
+        ks, vals = np.array(self.ks, dtype=int), np.array(self.values, dtype=complex)  # the record's own copies
         if ks.shape != vals.shape or ks.ndim != 1:
             raise ValueError("ks and values must be 1-d arrays of equal length")
-        order = np.argsort(ks)
-        if np.any((ks := ks[order])[1:] == ks[:-1]):
-            raise ValueError("duplicate sample indices")
+        if (ks[1:] <= ks[:-1]).any():  # not strictly increasing, so maybe repeated: sort, then refuse a repeat
+            order = np.argsort(ks)
+            if ((ks := ks[order])[1:] == ks[:-1]).any():
+                raise ValueError("duplicate sample indices")
+            vals = vals[order]
         object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "values", vals[order])
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_pairs(cls, pairs: dict[int, complex], k_max: int | None = None) -> "TimeSamples":

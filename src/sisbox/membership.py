@@ -6,8 +6,8 @@ Four criteria are implemented:
   space S(f) of its own whose kernel is the masked parent kernel and,
   equivalently, the projection of the parent kernel onto S(f); the three
   identities come with their verdicts (``InducedSubspace.checks``).
-* ``check_theorem2`` -- normalize f by its Zak fiber and run the
-  sampling-space certificate on the normalized function.
+* ``check_theorem2`` -- the sampling-space certificate of the normalized function
+  h_hat = f_hat / Z_f, read off f's record: an interval spectrum's quotient is never built.
 * ``check_theorem5`` -- the four-condition characterization for signals with absolutely
   integrable spectrum (square-summable samples, two-sided Grammian/Zak ratio, integrable
   kernel mass, dual-fiber energy uniformly bounded: from exact time values given a support).
@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConstructionRefusedError, DegenerateSpaceError, PreconditionError
 from .grid import FrequencyGrid
 from .reports import ConditionCheck
-from .signals import GridSpectrum, PeriodizedProfile, Signal, dual_energy, pad_band
+from .signals import GridSpectrum, PeriodizedProfile, Signal, _period_samples, dual_energy, pad_band
 from .spaces import (
     KERNEL_TOL,
     MEMBER_TOL,
@@ -40,7 +40,8 @@ from .spaces import (
     build_space,
     member_residual,
     project,
-    sz99_report,
+    certificate,
+    _continuity_check,
     _probe_points,
     _sampling_function,
 )
@@ -57,6 +58,7 @@ from .spectral import (
     zak_time_fiber,
 )
 
+_QUOTIENT_PROOF = "continuous by proof: f_hat / Z_f is bounded on f's finitely many pieces, in L1 with compact support"
 # unbounded-ratio falsifier: flag when the per-piece sup is attained at the
 # finest scales and exceeds the coarse-scale sup (pieces no shorter than
 # COARSE_LEN) by TREND_FACTOR; scale-uniform bounded profiles stay quiet
@@ -247,19 +249,24 @@ def check_sz04(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS) -> C
 
 def check_theorem2(f: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_EPS,
                    k_max: int = DEFAULT_K_MAX, seed: int = 0) -> ConditionReport:
-    """Normalized-function membership criterion.
-
-    Divides f_hat by its Zak fiber on the support set and runs the
-    sampling-space certificate on the result with f's support set:
-    continuous, bounded shift-square sum, and Zak modulus bounded away
-    from zero exactly on the support set.
+    """Normalized-function membership criterion: the sampling-space certificate of h, h_hat = f_hat / Z_f
+    where |Z_f| is above its guard on f's support set and 0 elsewhere, on f's set and record: h's Zak fiber
+    from f's periodization times inv = 1/Z_f there, its shift-square sum from f's cells weighted by |inv|^2,
+    its continuity proved where f has an exact profile (else the falsifier on h, built for it alone).
     """
     def body(fib: Fibers, *_):
-        h = _sampling_function(fib)  # the certificate reads h and its Zak fiber, on f's set
-        zak = zak_time_fiber(h.integer_samples(grid, k_max), grid)
-        cert = sz99_report(replace(fib, signal=h, zak=zak), seed=seed)
-        return cert.checks, {"A": cert.zak_lower, "B": cert.zak_upper,
-                             "shift_bound": cert.shift_sum_bound, "normalization": "zak"}
+        cells, on = fib.cells, _guarded_support(fib.zak.values, fib.mask)  # the nodes divide_on_support divides on
+        inv = np.divide(1.0, fib.zak.values, out=np.zeros(on.shape, dtype=complex), where=on)
+        zak = zak_time_fiber(_period_samples(np.fft.ifft(cells.z * inv), k_max), grid)
+        w = grid.step * np.abs(inv) ** 2  # |Z_h(x, .)|^2 = |inv|^2 |Z_f(x, .)|^2: a cell's weight; summed per column
+        w = w if cells.at is None else np.bincount(cells.at, w, cells.columns.shape[1])
+        sums = dual_energy(cells.columns, cells.shifts, _probe_points(seed), w)
+        proved = fib.signal.exact_profile is not None  # finite: fibers refuses a non-finite f
+        continuity = ("pass", None, None) if proved else _continuity_check(_sampling_function(fib))
+        cert = certificate(fib.mask, zak, continuity, float(np.max(sums, initial=0.0)))
+        first, *checks = cert.checks
+        return [replace(first, detail=_QUOTIENT_PROOF) if proved else first, *checks], {
+            "A": cert.zak_lower, "B": cert.zak_upper, "shift_bound": cert.shift_sum_bound, "normalization": "zak"}
 
     return _judge(f, grid, eps, k_max, "theorem2", body,
                   names=("continuity", "shift_square_sum", "zak_two_sided"),

@@ -515,7 +515,8 @@ class PiecewiseConstantSpectrum(Signal):
     def cells(self, grid: FrequencyGrid) -> tuple[slice, "PeriodizedProfile"]:
         """The cells, their sums read off ``exact_profile`` bit for bit as the band's column sums, the band built on
         first read: a cell inside a profile piece holds its values; a cut cell, per shift, its pieces' v * fraction
-        in piece order, as ``band_values`` adds them (N = 1 reads the band: numpy sums one column pairwise)."""
+        in piece order, as ``band_values`` adds them (N = 1 reads the band: numpy sums one column pairwise).  The
+        distinct columns stay on the cells, with each cell's (``columns``, ``at``)."""
         band, n = self._band(grid), grid.resolution  # the width first: a record too wide is never cut up
         if n == 1:
             return super().cells(grid)
@@ -530,6 +531,7 @@ class PiecewiseConstantSpectrum(Signal):
         at = np.repeat(np.arange(cols), np.diff(np.append(np.ceil(u), n)).astype(int))  # each cell's piece,
         at[cut.astype(int)] = cols + np.arange(cut.size)  # or its own where a breakpoint cuts it
         out = PeriodizedProfile.cells(band, lambda: self.band_values(grid)[1], grid)
+        out.columns, out.at = sums, at
         out._sums = tuple(a[at] for a in _column_sums(sums))
         return band, out
 
@@ -665,6 +667,8 @@ class PeriodizedProfile:
         return cls(grid.unit_omegas, np.full(grid.resolution, grid.step), grid.shifts(band), rows, exact=False)
 
     coeffs = cached_property(lambda self: self._coeffs() if callable(self._coeffs) else self._coeffs)
+    # the distinct columns of coeffs and each piece's among them (an interval spectrum's cells'); else coeffs and None
+    columns, at = cached_property(lambda self: self.coeffs), None
     _sums = cached_property(lambda self: _column_sums(self.coeffs))
     z = property(lambda self: self._sums[0])
     abs_sum = property(lambda self: self._sums[1])

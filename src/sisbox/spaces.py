@@ -157,19 +157,21 @@ def check_sz99(candidate: Signal, grid: FrequencyGrid, *, eps: float = DEFAULT_E
 
 
 def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
-    """The certificate of a record's signal, support set (whose eps the Zak bound
-    is held to) and Zak fiber: ``check_sz99`` passes the candidate's own record;
-    theorem 2 one that carries the original signal's set."""
-    candidate, mask, zak = fib.signal, fib.mask, fib.zak
+    """The certificate of a record's signal: its continuity and shift-square sum over the
+    probes of ``seed``, with ``certificate``'s Zak bound on the record's support set and fiber."""
+    sss = shift_square_sum(fib.signal, _probe_points(seed), fib.grid)
+    return certificate(fib.mask, fib.zak, _continuity_check(fib.signal), sss.bound)
+
+
+def certificate(mask: SupportMask, zak: PeriodicSpectrum, continuity: tuple, shift_bound: float) -> SZ99Report:
+    """The report of a candidate's continuity triple (``_continuity_check``'s) and shift-square bound, with the
+    two-sided bound of its Zak fiber on a support set, held to the set's eps; an empty set is degenerate."""
     if mask.is_empty:
         return SZ99Report("fail", 0.0, JUMP_COEFF * np.sqrt(CONTINUITY_DX),
                           0.0, False, 0.0, 0.0, 0.0, 0.0, 0.0, False, 0.0, False,
                           note="degenerate: empty spectral support")
-
-    verdict, max_jump, threshold = _continuity_check(candidate)
-
-    sss = shift_square_sum(candidate, _probe_points(seed), fib.grid)
-    shift_pass = bool(np.isfinite(sss.bound) and sss.bound <= SHIFT_SUM_CAP)
+    verdict, max_jump, threshold = continuity
+    shift_pass = bool(np.isfinite(shift_bound) and shift_bound <= SHIFT_SUM_CAP)
 
     absz = np.abs(zak.values)
     on = mask.values
@@ -180,8 +182,8 @@ def sz99_report(fib: Fibers, *, seed: int = 0) -> SZ99Report:
     zak_pass = bool(a_z > floor and off_max <= VANISH_TOL * max(b_z, 1e-300))
 
     passed = verdict == "pass" and shift_pass and zak_pass
-    return SZ99Report(verdict, max_jump, threshold, sss.bound, shift_pass, a_z,
-                      float(fib.grid.unit_omegas[low]), b_z, floor, off_max, zak_pass,
+    return SZ99Report(verdict, max_jump, threshold, shift_bound, shift_pass, a_z,
+                      float(mask.grid.unit_omegas[low]), b_z, floor, off_max, zak_pass,
                       mask.measure, passed)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from sisbox import FrequencyGrid, PeriodicSpectrum, SupportMask, TimeSamples
 from sisbox.errors import GridMismatchError
+from sisbox.grid import _sorted_unique
 
 
 class TestFrequencyGrid:
@@ -30,6 +31,13 @@ class TestFrequencyGrid:
         shifts = grid.shifts()
         for q in (0, 17, 63):
             np.testing.assert_allclose(om[q] - grid.unit_omegas, shifts[q])
+
+
+@pytest.mark.parametrize("values", [[], [1.5], [2.0, -0.0, 0.0, 2.0], np.arange(40) % 7 / 4,
+                                    np.random.default_rng(7).uniform(-1, 1, (3, 5))])
+def test_sorted_unique_is_np_unique(values):
+    got, want = _sorted_unique(values), np.unique(values)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestPeriodicSpectrum:
@@ -111,3 +119,20 @@ class TestTimeSamples:
     def test_rejects_duplicate_indices(self):
         with pytest.raises(ValueError):
             TimeSamples(np.array([1, 1]), np.array([1.0, 2.0]), 1)
+
+    @pytest.mark.parametrize("ks", [[3, -1, 3, 0], [-1, 0, 0, 3], [0, 0]])
+    def test_rejects_duplicates_sorted_or_not(self, ks):
+        with pytest.raises(ValueError, match="duplicate sample indices"):
+            TimeSamples(np.array(ks), np.arange(len(ks), dtype=complex), 3)
+
+    def test_unsorted_indices_are_sorted_with_their_values(self):
+        ts = TimeSamples(np.array([4, -2, 0, 7]), np.array([4.0, -2.0, 0.5j, 7.0]), 7)
+        assert ts.ks.tolist() == [-2, 0, 4, 7] and ts.values.tolist() == [-2.0, 0.5j, 4.0, 7.0]
+
+    def test_increasing_indices_are_kept_in_arrays_of_the_record_s_own(self):
+        # already sorted and unique (what every period sampling builds): no sort, but still a copy
+        ks, vals = np.arange(-3, 4), np.arange(7, dtype=complex)
+        ts = TimeSamples(ks, vals, 3)
+        ks[0], vals[0] = 9, 9.0
+        assert ts.ks.tolist() == list(range(-3, 4)) and ts.values.tolist() == list(range(7))
+        assert TimeSamples(np.array([], dtype=int), np.array([]), 0).ks.size == 0

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import random_coefficients
-from sisbox import membership
+from sisbox import io as sio
+from sisbox import membership, spaces
 from sisbox import (
     FrequencyGrid,
     GridSpectrum,
     PiecewiseConstantSpectrum,
     ShiftCombination,
     TimeSamples,
+    build_signal,
     build_space,
     check_sz04,
     check_theorem2,
@@ -28,12 +30,16 @@ from sisbox import (
     zak_time_fiber,
 )
 from sisbox.errors import (
+    BandwidthOverflowError,
     ConstructionRefusedError,
     DegenerateSpaceError,
     NotInSpaceError,
     PreconditionError,
 )
+from sisbox.cli import main
 from sisbox.reports import ReportDocument
+from sisbox.signals import Signal
+from sisbox.spaces import _sampling_function, sz99_report
 from sisbox.spectral import fibers
 
 # ------------------------------------------------------------------ oracles
@@ -79,6 +85,86 @@ class TestTheorem2:
         assert not rep.passed
         zak_check = [c for c in rep.checks if c.name == "zak_two_sided"][0]
         assert not zak_check.passed
+
+
+# one interval block near omega = 40, whole or split: the falsifier's steps of 1/256 read its
+# 40 turns per unit as jumps of 0.95 (against 0.125), though the Zak fiber is 1
+FAR_BANDS = [[(40.0, 41.0, 1.0)], [(39.5, 40.5, 1.0)], [(39.5, 40.0, 2j), (40.0, 40.5, 1.0)]]
+
+
+def seeded_intervals(seed: int) -> PiecewiseConstantSpectrum:
+    """23 abutting pieces from -1.7, seeded widths from 1e-5 (under a cell) to 0.45, seeded complex values."""
+    rng = np.random.default_rng(seed)
+    ends = np.cumsum(rng.choice([1e-5, 3e-4, 0.02, 0.1, 0.45], 24) * rng.uniform(0.5, 1.5, 24)) - 1.7
+    values = rng.standard_normal(23) + 1j * rng.standard_normal(23)
+    return PiecewiseConstantSpectrum(list(zip(ends[:-1], ends[1:], values)))
+
+
+def dense_theorem2(f, grid: FrequencyGrid, seed: int):
+    """Theorem 2 on the quotient built whole: h_hat = f_hat / Z_f as a band, its own samples, Zak
+    fiber, shift-square sum and continuity falsifier, on f's support set."""
+    fib = fibers(f, grid)
+    h = _sampling_function(fib)
+    return sz99_report(replace(fib, signal=h, zak=zak_time_fiber(h.integer_samples(grid, 512), grid)), seed=seed)
+
+
+def named_signal(name: str, grid: FrequencyGrid):
+    """A catalog signal, a seeded interval spectrum ("intervals SEED") or a far band ("far I")."""
+    if name.startswith("intervals"):
+        return seeded_intervals(int(name.split()[1]))
+    if name.startswith("far"):
+        return PiecewiseConstantSpectrum(FAR_BANDS[int(name.split()[1])])
+    return build_signal(name, grid)
+
+
+class TestTheorem2OnTheRecord:
+    @pytest.mark.parametrize("k, n", [(32, 1024), (64, 1024), (64, 4096)])
+    @pytest.mark.parametrize("name", ["shannon", "blhat", "ex2", "ex3", "hat", "intervals 39", "intervals 40"])
+    def test_verdicts_and_constants_are_the_dense_quotient_s(self, name, k, n):
+        grid = FrequencyGrid(k, n)
+        f = named_signal(name, grid)
+        if name == "ex2" and k == 32:  # both refuse the grid alike
+            for call in (check_theorem2, dense_theorem2):
+                with pytest.raises(BandwidthOverflowError):
+                    call(f, grid, seed=3)
+            return
+        got, want = check_theorem2(f, grid, seed=3), dense_theorem2(f, grid, seed=3)
+        assert [c.passed for c in got.checks] == [c.passed for c in want.checks] and got.passed == want.passed
+        for key, ref in [("A", want.zak_lower), ("B", want.zak_upper), ("shift_bound", want.shift_sum_bound)]:
+            assert got.constants[key] == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("name", ["shannon", "ex2", "intervals 39", "far 0", "far 1", "far 2"])
+    def test_an_exact_profile_builds_no_band_and_no_time_values(self, monkeypatch, name):
+        grid, calls = FrequencyGrid(64, 1024), []
+        f = named_signal(name, grid)
+        for cls in (PiecewiseConstantSpectrum, GridSpectrum, Signal):
+            for method in ("band_values", "time_values"):
+                real = getattr(cls, method)
+                monkeypatch.setattr(cls, method, lambda *a, _real=real, _name=method: calls.append(_name) or _real(*a))
+        monkeypatch.setattr(membership, "_sampling_function", lambda fib: calls.append("quotient"))
+        rep = check_theorem2(f, grid)
+        assert calls == [] and rep.checks[0].value is None and rep.checks[0].tolerance is None
+        assert rep.checks[0].detail == membership._QUOTIENT_PROOF
+
+    @pytest.mark.parametrize("intervals", FAR_BANDS, ids=["far", "far-half", "far-split"])
+    def test_a_far_band_member_passes_continuous_by_proof(self, intervals):
+        rep = check_theorem2(PiecewiseConstantSpectrum(intervals), FrequencyGrid(64, 1024))
+        assert rep.passed and [c.passed for c in rep.checks] == [True, True, True]
+        assert rep.checks[0].value is None and rep.checks[0].detail.startswith("continuous by proof")
+        assert abs(rep.constants["A"] - 1.0) <= 1e-15 and abs(rep.constants["B"] - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("intervals", FAR_BANDS, ids=["far", "far-half", "far-split"])
+    def test_the_membership_command_passes_a_far_band_member(self, intervals, tmp_path, capsys):
+        sio.write_piecewise_spectrum(PiecewiseConstantSpectrum(intervals), tmp_path / "far.json")
+        rc = main(["membership", str(tmp_path / "far.json"), "--theorem", "2"])
+        assert rc == 0 and "refused" not in capsys.readouterr().err
+
+    def test_a_grid_spectrum_keeps_the_falsifier_on_its_quotient(self, monkeypatch):
+        grid, built = FrequencyGrid(64, 1024), []
+        monkeypatch.setattr(membership, "_sampling_function",
+                            lambda fib: built.append(1) or spaces._sampling_function(fib))
+        rep = check_theorem2(build_signal("blhat", grid), grid)
+        assert built == [1] and rep.checks[0].tolerance == 0.125 and rep.checks[0].detail == "pass"
 
 
 class TestTheorem5:

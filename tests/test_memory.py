@@ -100,6 +100,12 @@ def test_theorem2_transforms_only_dense_blocks(fine_grid):
     assert traced_peak(lambda: check_theorem2(ex2, fine_grid)) < 30 * MIB
 
 
+def test_theorem2_of_an_interval_spectrum_builds_no_quotient_band(fine_grid):
+    # h's certificate reads ex2's record: one quotient band alone is 61 x 4,096 cells (3.8 MiB)
+    ex2 = build_signal("ex2", fine_grid)
+    assert traced_peak(lambda: check_theorem2(ex2, fine_grid)) < 4 * MIB
+
+
 def test_theorem5_dual_energy_peak(fine_grid):
     # the kernel's spectrum is cached first: its own transform is not measured
     hat = build_signal("hat", fine_grid)
